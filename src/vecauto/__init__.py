@@ -31,7 +31,6 @@ from .machines import (
     run_deterministic,
     run_nondeterministic,
     status_of,
-    step,
     validate,
 )
 
@@ -53,7 +52,6 @@ __all__ = [
     "run_deterministic",
     "run_nondeterministic",
     "status_of",
-    "step",
     "tensor",
     "tensor_vec",
     "validate",

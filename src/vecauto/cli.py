@@ -51,6 +51,12 @@ def _remove_endmarker_cmd(spec, args):
     return out, report
 
 
+def _intersect_cmd(spec, args):
+    if args.with_machine is None:
+        raise VecautoError("intersect needs a second machine: --with MACHINE")
+    return transforms.intersect_blind_hva(spec, _load_valid(args.with_machine))
+
+
 def _register_passes():
     _PASSES.update(
         {
@@ -61,9 +67,7 @@ def _register_passes():
             "counters-to-integer-hva3": lambda spec, args: transforms.counters_to_integer_hva3(spec),
             "attach-endmarker": lambda spec, args: transforms.attach_trivial_endmarker(spec),
             "scale-initial-vector": lambda spec, args: transforms.scale_initial_vector(spec, args.scale),
-            "intersect": lambda spec, args: transforms.intersect_blind_hva(
-                spec, fileformat.load_machine(args.with_machine)
-            ),
+            "intersect": _intersect_cmd,
         }
     )
 
@@ -75,15 +79,23 @@ def _emit(record: dict) -> None:
     print(json.dumps(record))
 
 
+def _env_int(name):
+    value = os.environ.get(name)
+    if not value:
+        return None
+    try:
+        return int(value)
+    except ValueError:
+        raise VecautoError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _budget_from(args) -> SearchBudget:
     max_configs = args.budget
     if max_configs is None:
-        max_configs = os.environ.get("VECAUTO_MAX_CONFIGS")
-        max_configs = int(max_configs) if max_configs else None
+        max_configs = _env_int("VECAUTO_MAX_CONFIGS")
     eps = args.eps_per_path
     if eps is None:
-        eps = os.environ.get("VECAUTO_EPS_PER_PATH")
-        eps = int(eps) if eps else None
+        eps = _env_int("VECAUTO_EPS_PER_PATH")
     budget = SearchBudget()
     if max_configs is not None:
         budget = SearchBudget(eps_per_path=eps, max_configurations=max_configs)
@@ -371,10 +383,7 @@ def main(argv=None) -> int:
     except UndecidedError as exc:
         _emit({"verdict": "BudgetExceeded", "detail": str(exc)})
         return EXIT_BUDGET
-    except FileNotFoundError as exc:
-        _emit({"verdict": "UsageError", "detail": str(exc)})
-        return EXIT_USAGE
-    except VecautoError as exc:
+    except (OSError, VecautoError) as exc:
         _emit({"verdict": "UsageError", "detail": str(exc)})
         return EXIT_USAGE
 

@@ -266,11 +266,4 @@ def common_denominator_scalar(ms) -> int:
     This is the lcm of all entry denominators; the minimal choice keeps
     integer growth in scaled machines as small as possible.
     """
-    ms = list(ms)
-    if not ms:
-        raise ValueError("need at least one matrix")
-    c = 1
-    for m in ms:
-        for e in m.entries:
-            c = math.lcm(c, e.denominator)
-    return c
+    return math.lcm(*(e.denominator for m in ms for e in m.entries))

@@ -14,7 +14,7 @@ import json
 from .diophantine import DiophantineSystem
 from .errors import MachineFileError
 from .exact import Matrix, RowVector, format_rational, parse_rational
-from .machines import COUNTER_MACHINE, GFA, KINDS, MachineSpec, TransitionRule, make_spec
+from .machines import COUNTER_MACHINE, GFA, KINDS, MachineSpec, TransitionRule
 from .transforms import DFA
 
 _STATUS_TOKENS = ("*", "=", "!=")
@@ -95,7 +95,7 @@ def parse_machine(text: str) -> MachineSpec:
     for flag in ("blind", "endmarker", "realtime"):
         if not isinstance(doc[flag], bool):
             _fail(flag, "expected true or false")
-    if not isinstance(doc["dimension"], int):
+    if isinstance(doc["dimension"], bool) or not isinstance(doc["dimension"], int):
         _fail("dimension", "expected an integer")
 
     if kind == COUNTER_MACHINE:
@@ -132,7 +132,7 @@ def parse_machine(text: str) -> MachineSpec:
     if doc.get("gfa_cutpoint") is not None:
         gfa_cutpoint = _rational("gfa_cutpoint", doc["gfa_cutpoint"])
 
-    return make_spec(
+    return MachineSpec(
         kind=kind,
         mode=doc["mode"],
         blind=doc["blind"],

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import AlphabetError, UnsupportedKindError
 from .machines import HVA, MachineSpec, SearchBudget, accepts
-from .diophantine import parikh
+from .diophantine import check_commutative
 
 
 @dataclass(frozen=True)
@@ -82,10 +82,9 @@ def equivalent_up_to(a: MachineSpec, b: MachineSpec, maxlen: int,
         raise AlphabetError(
             f"alphabets differ: {a.alphabet} vs {b.alphabet}"
         )
-    for w in all_strings(a.alphabet, maxlen):
-        if accepts(a, w, budget) != accepts(b, w, budget):
-            return EquivalenceVerdict(False, counterexample=w, bound=maxlen)
-    return EquivalenceVerdict(True, bound=maxlen)
+    return _first_disagreement(
+        lambda w: accepts(a, w, budget), lambda w: accepts(b, w, budget), a.alphabet, maxlen
+    )
 
 
 def matches_reference(spec: MachineSpec, ref: ReferenceLanguage, maxlen: int,
@@ -95,8 +94,16 @@ def matches_reference(spec: MachineSpec, ref: ReferenceLanguage, maxlen: int,
         raise AlphabetError(
             f"machine alphabet {spec.alphabet} differs from reference {ref.alphabet}"
         )
-    for w in all_strings(ref.alphabet, maxlen):
-        if accepts(spec, w, budget) != ref.membership(w):
+    return _first_disagreement(
+        lambda w: accepts(spec, w, budget), ref.membership, ref.alphabet, maxlen
+    )
+
+
+def _first_disagreement(left, right, alphabet, maxlen: int) -> EquivalenceVerdict:
+    """The first string up to `maxlen`, in length-lex order, on which two
+    membership functions differ."""
+    for w in all_strings(alphabet, maxlen):
+        if left(w) != right(w):
             return EquivalenceVerdict(False, counterexample=w, bound=maxlen)
     return EquivalenceVerdict(True, bound=maxlen)
 
@@ -181,15 +188,7 @@ def check_commutative_matrices(spec: MachineSpec, maxlen: int,
         for j in range(i + 1, len(matrices)):
             if matrices[i] * matrices[j] != matrices[j] * matrices[i]:
                 return NOT_APPLICABLE
-    seen = {}
-    for w in all_strings(spec.alphabet, maxlen):
-        cls = parikh(w, spec.alphabet)
-        verdict = accepts(spec, w, budget)
-        if cls not in seen:
-            seen[cls] = (w, verdict)
-        elif seen[cls][1] != verdict:
-            return (seen[cls][0], w)
-    return None
+    return check_commutative(lambda w: accepts(spec, w, budget), spec.alphabet, maxlen)
 
 
 # ---------------------------------------------------------------------------

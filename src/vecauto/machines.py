@@ -29,10 +29,11 @@ safe.
 
 from __future__ import annotations
 
-import weakref
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (
     InconsistentSpecError,
@@ -91,6 +92,14 @@ class TransitionRule:
 
 @dataclass(frozen=True)
 class MachineSpec:
+    """An immutable machine; construction normalizes containers to
+    immutable types (tuples, frozensets, RowVectors, Fractions).
+
+    `successors` is the machine's compiled transition function, built on
+    first use and cached on the instance; equality and hashing see only
+    the fields.
+    """
+
     kind: str
     mode: str
     blind: bool
@@ -106,6 +115,34 @@ class MachineSpec:
     gfa_final_vector: object = None
     gfa_cutpoint: object = None
 
+    def __post_init__(self):
+        def set_field(name, value):
+            object.__setattr__(self, name, value)
+
+        for flag in ("blind", "endmarker", "realtime"):
+            set_field(flag, bool(getattr(self, flag)))
+        set_field("alphabet", tuple(self.alphabet))
+        set_field("states", tuple(self.states))
+        set_field("accept_states", frozenset(self.accept_states))
+        set_field("dimension", int(self.dimension))
+        counter = self.kind == COUNTER_MACHINE
+        if counter:
+            set_field("initial_vector", tuple(int(x) for x in self.initial_vector))
+        elif not isinstance(self.initial_vector, RowVector):
+            set_field("initial_vector", RowVector(self.initial_vector))
+        rules = []
+        for r in self.transitions:
+            effect = r.effect
+            if counter and not isinstance(effect, tuple):
+                effect = tuple(int(x) for x in effect)
+            status = tuple(r.status) if isinstance(r.status, list) else r.status
+            rules.append(TransitionRule(r.source, r.input, status, r.target, effect))
+        set_field("transitions", tuple(rules))
+        if self.gfa_cutpoint is not None:
+            set_field("gfa_cutpoint", Fraction(self.gfa_cutpoint))
+        if self.gfa_final_vector is not None and not isinstance(self.gfa_final_vector, RowVector):
+            set_field("gfa_final_vector", RowVector(self.gfa_final_vector))
+
     def register_length(self) -> int:
         """Length of the register vector (dimension squared for monoid kinds)."""
         if self.kind == EXTENDED_FA:
@@ -115,15 +152,63 @@ class MachineSpec:
     def rules_from(self, state: str, letter: str):
         return [r for r in self.transitions if r.source == state and r.input == letter]
 
-    def has_epsilon_rules(self) -> bool:
-        return any(r.input == EPSILON for r in self.transitions)
-
     def summary(self) -> dict:
         return {"kind": self.kind, "states": len(self.states), "dimension": self.dimension}
 
+    def __getstate__(self):
+        # pickle the fields only; the compiled transition function is a
+        # closure and is rebuilt on first use
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-@dataclass(frozen=True)
-class Configuration:
+    @cached_property
+    def successors(self):
+        """The transition function: ``successors(state, letter, register)``
+        lists ``(rule index, target, register)`` for every rule that fires.
+
+        A rule fires when its status is the wildcard or equals the
+        register's status. Register updates recur heavily across the runs
+        of one machine (bounded enumeration re-walks shared prefixes), so
+        they are memoized per (rule index, register); entries are exact
+        and immutable and live as long as the machine.
+        """
+        index = {}
+        for idx, r in enumerate(self.transitions):
+            index.setdefault((r.source, r.input), []).append(
+                (idx, r.status_key(), r.effect, r.target)
+            )
+        memo = {}
+        status_of_register = _status_test(self)
+        counter = self.kind == COUNTER_MACHINE
+
+        def successors(state, letter, register):
+            fired = []
+            current = None
+            for idx, status_key, effect, target in index.get((state, letter), ()):
+                if status_key != STATUS_ANY:
+                    if current is None:
+                        current = status_of_register(register)
+                    if status_key != current:
+                        continue
+                key = (idx, register)
+                updated = memo.get(key)
+                if updated is None:
+                    if counter:
+                        updated = tuple(c + d for c, d in zip(register, effect))
+                    else:
+                        updated = vec_mat_mul(register, effect)
+                    memo[key] = updated
+                fired.append((idx, target, updated))
+            return fired
+
+        return successors
+
+    @cached_property
+    def epsilon_sources(self) -> frozenset:
+        """States with at least one eps rule, whatever its status."""
+        return frozenset(r.source for r in self.transitions if r.input == EPSILON)
+
+
+class Configuration(NamedTuple):
     """A point in a run: control state, register, input position, eps spent.
 
     `position` counts processed letters of `w$` (so it can reach
@@ -134,9 +219,6 @@ class Configuration:
     register: object
     position: int
     epsilon_spent: int = 0
-
-    def key(self):
-        return (self.state, self.position, self.register)
 
 
 @dataclass(frozen=True)
@@ -170,56 +252,6 @@ class SearchBudget:
         if self.eps_per_path is not None:
             return self.eps_per_path
         return len(spec.states) * (len(word) + 2)
-
-
-def make_spec(
-    kind,
-    mode,
-    blind,
-    endmarker,
-    realtime,
-    alphabet,
-    states,
-    initial_state,
-    accept_states,
-    dimension,
-    initial_vector,
-    transitions,
-    gfa_final_vector=None,
-    gfa_cutpoint=None,
-) -> MachineSpec:
-    """Build a MachineSpec, normalizing containers to immutable types."""
-    if kind == COUNTER_MACHINE:
-        initial_vector = tuple(int(x) for x in initial_vector)
-    elif not isinstance(initial_vector, RowVector):
-        initial_vector = RowVector(initial_vector)
-    rules = []
-    for r in transitions:
-        effect = r.effect
-        if kind == COUNTER_MACHINE and not isinstance(effect, tuple):
-            effect = tuple(int(x) for x in effect)
-        status = tuple(r.status) if isinstance(r.status, list) else r.status
-        rules.append(TransitionRule(r.source, r.input, status, r.target, effect))
-    if gfa_cutpoint is not None:
-        gfa_cutpoint = Fraction(gfa_cutpoint)
-    if gfa_final_vector is not None and not isinstance(gfa_final_vector, RowVector):
-        gfa_final_vector = RowVector(gfa_final_vector)
-    return MachineSpec(
-        kind=kind,
-        mode=mode,
-        blind=bool(blind),
-        endmarker=bool(endmarker),
-        realtime=bool(realtime),
-        alphabet=tuple(alphabet),
-        states=tuple(states),
-        initial_state=initial_state,
-        accept_states=frozenset(accept_states),
-        dimension=int(dimension),
-        initial_vector=initial_vector,
-        transitions=tuple(rules),
-        gfa_final_vector=gfa_final_vector,
-        gfa_cutpoint=gfa_cutpoint,
-    )
 
 
 def embed_monoid_effect(m: Matrix) -> Matrix:
@@ -432,79 +464,29 @@ def _is_identity_tensor(eff: Matrix, k: int) -> bool:
 # run semantics
 
 
-def _register_status(spec: MachineSpec, register):
-    if spec.kind == GFA:
-        raise UnsupportedKindError("GFA has no mid-run status")
-    if spec.kind == COUNTER_MACHINE:
-        return tuple(STATUS_EQ if c == 0 else STATUS_NE for c in register)
-    if spec.kind == VA:
-        return STATUS_EQ if register[0] == 1 else STATUS_NE
-    if spec.kind == FAM:
-        return STATUS_EQ if register == RowVector([1]) else STATUS_NE
-    # HVA and ExtendedFA compare against the initial register
-    return STATUS_EQ if register == spec.initial_vector else STATUS_NE
-
-
-def status_of(spec: MachineSpec, config: Configuration):
-    """Register status as seen by the transition function.
+def _status_test(spec: MachineSpec):
+    """The kind's register status test, as seen by the transition function.
 
     VA tests its first entry against 1, HVA and monoid machines test the
     whole vector against the initial one, FAM tests the register against
     1, and counter machines return one zero-test per counter.
     """
-    return _register_status(spec, config.register)
-
-
-def _apply_effect(spec: MachineSpec, register, effect):
     if spec.kind == COUNTER_MACHINE:
-        return tuple(c + d for c, d in zip(register, effect))
-    return vec_mat_mul(register, effect)
+        return lambda register: tuple(STATUS_EQ if c == 0 else STATUS_NE for c in register)
+    if spec.kind == VA:
+        return lambda register: STATUS_EQ if register[0] == 1 else STATUS_NE
+    if spec.kind == GFA:
+        def no_status(register):
+            raise UnsupportedKindError("GFA has no mid-run status")
+        return no_status
+    # HVA and ExtendedFA compare against the initial register
+    home = RowVector([1]) if spec.kind == FAM else spec.initial_vector
+    return lambda register: STATUS_EQ if register == home else STATUS_NE
 
 
-# Register updates recur heavily across the runs of one machine (bounded
-# enumeration re-walks shared prefixes), so each spec gets a memo from
-# (rule index, register) to the updated register. Entries are exact and
-# immutable; the table dies with the spec.
-_EFFECT_MEMOS = weakref.WeakKeyDictionary()
-
-
-def _effect_memo(spec: MachineSpec) -> dict:
-    memo = _EFFECT_MEMOS.get(spec)
-    if memo is None:
-        memo = {}
-        _EFFECT_MEMOS[spec] = memo
-    return memo
-
-
-def step(spec: MachineSpec, config: Configuration, letter: str) -> set:
-    """All successor configurations of `config` on `letter`.
-
-    `letter` is an alphabet symbol, `eps`, or `$`; the caller keeps it
-    consistent with the position and the endmarker flag. A rule matches
-    when its status is the wildcard or equals the current status; an
-    empty result means every path through this configuration dies.
-    """
-    rules = spec.rules_from(config.state, letter)
-    if not rules:
-        return set()
-    current = None
-    out = set()
-    for r in rules:
-        sk = r.status_key()
-        if sk != STATUS_ANY:
-            if current is None:
-                current = status_of(spec, config)
-            if sk != current:
-                continue
-        out.add(
-            Configuration(
-                state=r.target,
-                register=_apply_effect(spec, config.register, r.effect),
-                position=config.position if letter == EPSILON else config.position + 1,
-                epsilon_spent=config.epsilon_spent + (1 if letter == EPSILON else 0),
-            )
-        )
-    return out
+def status_of(spec: MachineSpec, config: Configuration):
+    """Register status of `config` as seen by the transition function."""
+    return _status_test(spec)(config.register)
 
 
 def acceptance_holds(spec: MachineSpec, register) -> bool:
@@ -520,10 +502,6 @@ def acceptance_holds(spec: MachineSpec, register) -> bool:
     raise UnsupportedKindError(f"no register acceptance test for {spec.kind}")
 
 
-def _letters(spec: MachineSpec, word: str) -> list:
-    return list(word) + ([ENDMARKER] if spec.endmarker else [])
-
-
 def initial_configuration(spec: MachineSpec) -> Configuration:
     return Configuration(spec.initial_state, spec.initial_vector, 0, 0)
 
@@ -536,44 +514,22 @@ def run_deterministic(spec: MachineSpec, word: str) -> RunResult:
     """
     if spec.mode != DETERMINISTIC:
         raise InconsistentSpecError("run_deterministic needs a deterministic machine")
-    index = {}
-    for idx, r in enumerate(spec.transitions):
-        index.setdefault((r.source, r.input), []).append((idx, r.status_key(), r.effect, r.target))
-    memo = _effect_memo(spec)
-
+    successors = spec.successors
     config = initial_configuration(spec)
+    state, register = config.state, config.register
     trace = [config]
-    for letter in _letters(spec, word):
-        matched = []
-        current_status = None
-        for rule_idx, status_key, effect, target in index.get((config.state, letter), ()):
-            if status_key != STATUS_ANY:
-                if current_status is None:
-                    current_status = _register_status(spec, config.register)
-                if status_key != current_status:
-                    continue
-            matched.append((rule_idx, effect, target))
-        if not matched:
+    letters = word + ENDMARKER if spec.endmarker else word
+    for position, letter in enumerate(letters, 1):
+        fired = successors(state, letter, register)
+        if not fired:
             return RunResult(REJECT, trace=tuple(trace))
-        if len(matched) > 1:
+        if len(fired) > 1:
             raise InconsistentSpecError(
-                f"deterministic machine has {len(matched)} successors in "
-                f"({config.state},{letter})"
+                f"deterministic machine has {len(fired)} successors in ({state},{letter})"
             )
-        rule_idx, effect, target = matched[0]
-        memo_key = (rule_idx, config.register)
-        register = memo.get(memo_key)
-        if register is None:
-            register = _apply_effect(spec, config.register, effect)
-            memo[memo_key] = register
-        config = Configuration(
-            state=target,
-            register=register,
-            position=config.position if letter == EPSILON else config.position + 1,
-            epsilon_spent=config.epsilon_spent + (1 if letter == EPSILON else 0),
-        )
-        trace.append(config)
-    accepted = config.state in spec.accept_states and acceptance_holds(spec, config.register)
+        _, state, register = fired[0]
+        trace.append(Configuration(state, register, position))
+    accepted = state in spec.accept_states and acceptance_holds(spec, register)
     return RunResult(ACCEPT if accepted else REJECT, trace=tuple(trace))
 
 
@@ -592,15 +548,8 @@ def run_nondeterministic(spec: MachineSpec, word: str, budget: SearchBudget = No
     end_position = len(word) + (1 if spec.endmarker else 0)
     endmarker = spec.endmarker
     realtime = spec.realtime
-    is_counter = spec.kind == COUNTER_MACHINE
     accept_states = spec.accept_states
-
-    index = {}
-    for idx, r in enumerate(spec.transitions):
-        index.setdefault((r.source, r.input), []).append(
-            (idx, r.status_key(), r.effect, r.target)
-        )
-    memo = _effect_memo(spec)
+    successors = spec.successors
 
     # configurations are (state, position, register) keys; the queue
     # carries the eps count separately since it only matters for budget
@@ -634,7 +583,7 @@ def run_nondeterministic(spec: MachineSpec, word: str, budget: SearchBudget = No
         if not realtime:
             if eps_spent < eps_cap:
                 moves.append((EPSILON, position, eps_spent + 1))
-            elif index.get((state, EPSILON)):
+            elif state in spec.epsilon_sources:
                 pruned = True
         if position < len(word):
             moves.append((word[position], position + 1, eps_spent))
@@ -642,24 +591,7 @@ def run_nondeterministic(spec: MachineSpec, word: str, budget: SearchBudget = No
             moves.append((ENDMARKER, position + 1, eps_spent))
 
         for letter, next_position, next_eps in moves:
-            rules = index.get((state, letter))
-            if not rules:
-                continue
-            current_status = None
-            for rule_idx, status_key, effect, target in rules:
-                if status_key != STATUS_ANY:
-                    if current_status is None:
-                        current_status = _register_status(spec, register)
-                    if status_key != current_status:
-                        continue
-                memo_key = (rule_idx, register)
-                next_register = memo.get(memo_key)
-                if next_register is None:
-                    if is_counter:
-                        next_register = tuple(c + d for c, d in zip(register, effect))
-                    else:
-                        next_register = vec_mat_mul(register, effect)
-                    memo[memo_key] = next_register
+            for rule_idx, target, next_register in successors(state, letter, register):
                 next_key = (target, next_position, next_register)
                 if next_key in parents:
                     continue

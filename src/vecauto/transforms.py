@@ -9,7 +9,7 @@ Passes never mutate their inputs, so pipelines stay diffable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import InvalidScalarError, UnsupportedPassError
 from .exact import (
@@ -62,27 +62,6 @@ def _report(name, src, out, **params) -> TransformReport:
     return TransformReport(name, src.summary(), out.summary(), dict(params))
 
 
-def _replace(spec: MachineSpec, **changes) -> MachineSpec:
-    fields = dict(
-        kind=spec.kind,
-        mode=spec.mode,
-        blind=spec.blind,
-        endmarker=spec.endmarker,
-        realtime=spec.realtime,
-        alphabet=spec.alphabet,
-        states=spec.states,
-        initial_state=spec.initial_state,
-        accept_states=spec.accept_states,
-        dimension=spec.dimension,
-        initial_vector=spec.initial_vector,
-        transitions=spec.transitions,
-        gfa_final_vector=spec.gfa_final_vector,
-        gfa_cutpoint=spec.gfa_cutpoint,
-    )
-    fields.update(changes)
-    return MachineSpec(**fields)
-
-
 def _fresh_name(base: str, taken) -> str:
     name = base
     n = 2
@@ -96,7 +75,7 @@ def as_nondeterministic(spec: MachineSpec) -> MachineSpec:
     """Relax the mode flag; a deterministic machine is a special case."""
     if spec.mode == NONDETERMINISTIC:
         return spec
-    return _replace(spec, mode=NONDETERMINISTIC)
+    return replace(spec, mode=NONDETERMINISTIC)
 
 
 def scale_initial_vector(spec: MachineSpec, t):
@@ -108,12 +87,15 @@ def scale_initial_vector(spec: MachineSpec, t):
     """
     from fractions import Fraction
 
-    t = Fraction(t)
+    try:
+        t = Fraction(t)
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise InvalidScalarError(f"scale factor must be a rational, got {t!r}") from None
     if t == 0:
         raise InvalidScalarError("scale factor must be nonzero")
     if spec.kind != HVA:
         raise UnsupportedPassError("initial-vector scaling applies to homing machines")
-    out = _replace(spec, initial_vector=spec.initial_vector.scale(t))
+    out = replace(spec, initial_vector=spec.initial_vector.scale(t))
     return out, _report("scale_initial_vector", spec, out, t=str(t))
 
 
@@ -175,7 +157,7 @@ def remove_endmarker(spec: MachineSpec, budget: SearchBudget = None):
         states = states + (initial_state,)
         accept_states.add(initial_state)
 
-    out = _replace(
+    out = replace(
         spec,
         mode=NONDETERMINISTIC,
         endmarker=False,
@@ -245,7 +227,7 @@ def rationals_to_integers(spec: MachineSpec):
             lifted = mat_mul(lifted, postprocess)
         rules.append(TransitionRule(r.source, r.input, r.status, r.target, lifted))
 
-    out = _replace(
+    out = replace(
         scaled,
         dimension=scaled.dimension + 2,
         initial_vector=RowVector(list(v0.entries) + [1, 1]),
@@ -413,7 +395,7 @@ def attach_trivial_endmarker(spec: MachineSpec):
         rules += [
             TransitionRule(q, ENDMARKER, STATUS_NE, q, identity) for q in spec.states
         ]
-    out = _replace(spec, endmarker=True, transitions=tuple(rules))
+    out = replace(spec, endmarker=True, transitions=tuple(rules))
     return out, _report("attach_trivial_endmarker", spec, out)
 
 

@@ -135,6 +135,32 @@ class TestTransformCommand:
         assert "vector automata" in records[0]["detail"]
 
 
+class TestMalformedArguments:
+    @pytest.mark.parametrize(
+        "argv,env",
+        [
+            (["transform", "scale-initial-vector", "{powr}", "{out}", "--scale", "abc"], {}),
+            (["transform", "scale-initial-vector", "{powr}", "{out}", "--scale", "1/0"], {}),
+            (["transform", "intersect", "{powr}", "{out}"], {}),
+            (["transform", "intersect", "{powr}", "{out}", "--with", "{invalid}"], {}),
+            (["enumerate", "{powr}", "--maxlen", "2"], {"VECAUTO_MAX_CONFIGS": "lots"}),
+            (["run", "{dir}", "a"], {}),
+        ],
+        ids=["bad-scale", "zero-denominator-scale", "intersect-without-with",
+             "intersect-with-invalid-machine", "bad-env-budget", "directory-as-machine"],
+    )
+    def test_usage_error_record(self, capsys, monkeypatch, tmp_path, powr_path, argv, env):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        invalid = tmp_path / "invalid.mach"
+        invalid.write_text(powr_path.read_text().replace('"dimension": 2', '"dimension": 3'))
+        paths = dict(powr=powr_path, out=tmp_path / "out.mach", dir=tmp_path, invalid=invalid)
+        argv = [a.format(**paths) for a in argv]
+        code, records = run_cli(capsys, *argv)
+        assert code == 2
+        assert records[0]["verdict"] == "UsageError"
+
+
 class TestBuildAndSeparate:
     def test_build_to_stdout(self, capsys):
         code = main(["build", "mod", "6"])

@@ -130,6 +130,7 @@ class TestCommonDenominator:
 
     def test_integer_matrices(self):
         assert common_denominator_scalar([Matrix.identity(3), Matrix.zero(2, 2)]) == 1
+        assert common_denominator_scalar([]) == 1
 
     def test_scaled_matrix_is_integral(self):
         m = Matrix.from_rows([[Fraction(1, 4), Fraction(-2, 3)], [5, Fraction(7, 6)]])

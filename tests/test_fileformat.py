@@ -81,6 +81,11 @@ class TestParseErrors:
         with pytest.raises(MachineFileError, match="lengths"):
             parse_machine(json.dumps(doc))
 
+    def test_boolean_dimension(self):
+        text = write_machine(example("eq")).replace('"dimension": 1', '"dimension": true')
+        with pytest.raises(MachineFileError, match="dimension"):
+            parse_machine(text)
+
     def test_bad_status(self):
         text = write_machine(example("eq")).replace('"*"', '"?"', 1)
         with pytest.raises(MachineFileError, match="status"):

@@ -1,7 +1,10 @@
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
 
+from machine_gen import random_dva
 from vecauto.builders import example
 from vecauto.errors import InconsistentSpecError, UndecidedError, UnsupportedKindError
 from vecauto.exact import Matrix, RowVector
@@ -31,9 +34,9 @@ from vecauto.machines import (
     run_deterministic,
     run_nondeterministic,
     status_of,
-    step,
     validate,
 )
+from vecauto.langlab import all_strings
 
 
 def hva1(rules, mode=DETERMINISTIC, blind=True, alphabet=("a", "b")):
@@ -162,25 +165,13 @@ class TestStatus:
             status_of(spec, initial_configuration(spec))
 
 
-class TestStep:
+class TestDeterministicRuns:
     def test_powr_first_letter(self, powr):
-        start = initial_configuration(powr)
-        (succ,) = step(powr, start, "a")
+        succ = run_deterministic(powr, "a").trace[1]
         assert succ.state == "q1"
         assert succ.register == RowVector([2, 1])
         assert succ.position == 1
 
-    def test_no_matching_rule_kills_the_path(self, powr):
-        config = Configuration("q2", RowVector([1, 1]), 1)
-        assert step(powr, config, "a") == set()
-
-    def test_nondeterministic_fanout(self, leq):
-        config = Configuration("q", RowVector([1]), 0)
-        registers = {c.register[0] for c in step(leq, config, "b")}
-        assert registers == {Fraction(1, 2), Fraction(1)}
-
-
-class TestDeterministicRuns:
     def test_powr_accepts_with_full_trace(self, powr):
         result = run_deterministic(powr, "aab")
         assert result.verdict == ACCEPT
@@ -200,6 +191,13 @@ class TestDeterministicRuns:
         result = run_deterministic(powr, "aba")
         assert result.verdict == REJECT
         assert len(result.trace) == 3  # died before the third letter
+
+    def test_spec_pickles_after_a_run(self, powr):
+        # the cached transition function stays out of the pickle
+        assert accepts(powr, "aab")
+        again = pickle.loads(pickle.dumps(powr))
+        assert again == powr
+        assert accepts(again, "aab")
 
     def test_conflicting_spec_is_reported(self):
         spec = hva1([scalar_rule("a", 2), scalar_rule("a", 3)])
@@ -227,11 +225,26 @@ class TestNondeterministicRuns:
         assert "".join(word) == "abb"
         assert register == leq.initial_vector
 
-    def test_agrees_with_deterministic_runner(self, powr):
-        for word in ["", "a", "ab", "aab", "aaaabb", "ba"]:
+    def test_nondeterministic_fanout(self, leq):
+        # "b" fans out to both b-rules: "b" is accepted only through the
+        # one that keeps the register, "ab" only through the one halving it
+        multipliers = {
+            leq.transitions[run_nondeterministic(leq, w).accepting_path[-1]].effect.entry(0, 0)
+            for w in ("b", "ab")
+        }
+        assert multipliers == {Fraction(1, 2), Fraction(1)}
+
+    @pytest.mark.parametrize(
+        "seed", [None, *range(8)], ids=lambda s: "pow_r" if s is None else f"random_dva{s}"
+    )
+    def test_agrees_with_deterministic_runner(self, powr, seed):
+        # seeded random DVAs mix wildcard rules with rules split by status;
+        # length 6 reaches pow_r's member aaaabb
+        spec = powr if seed is None else random_dva(random.Random(7000 + seed))
+        for word in all_strings(spec.alphabet, 6):
             assert (
-                run_nondeterministic(powr, word).verdict
-                == run_deterministic(powr, word).verdict
+                run_nondeterministic(spec, word).verdict
+                == run_deterministic(spec, word).verdict
             )
 
     def test_growing_eps_loop_exceeds_budget(self):

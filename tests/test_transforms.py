@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -176,10 +177,13 @@ class TestRationalsToIntegers:
 
     def test_already_integer_machine_keeps_c_one(self):
         powr = example("pow_r")
-        out, report = rationals_to_integers(powr)
-        assert report.parameters["c"] == 1
-        assert out.dimension == 4
-        assert equivalent_up_to(powr, out, 8).equal
+        no_rules = replace(powr, transitions=())
+        for spec in (powr, no_rules):
+            out, report = rationals_to_integers(spec)
+            assert report.parameters["c"] == 1
+            assert out.dimension == 4
+            assert validate(out) == []
+            assert equivalent_up_to(spec, out, 8).equal
 
     def test_accepted_run_register_shape(self):
         # on an accepting run the register just before postprocessing is
