@@ -30,6 +30,7 @@ from .machines import (
     gfa_value,
     run_deterministic,
     run_nondeterministic,
+    stateless,
     status_of,
     validate,
 )
@@ -51,6 +52,7 @@ __all__ = [
     "mat_mul",
     "run_deterministic",
     "run_nondeterministic",
+    "stateless",
     "status_of",
     "tensor",
     "tensor_vec",

@@ -25,46 +25,9 @@ from .machines import (
     VA,
     MachineSpec,
     TransitionRule,
+    stateless,
 )
 from .transforms import DFA, dfa_to_stateless_dbhva, remove_endmarker
-
-EXAMPLE_NAMES = (
-    "pow_r",
-    "ab_star",
-    "mod",
-    "mod_rot",
-    "ab_k_star",
-    "eq",
-    "leq",
-    "dyck",
-    "evenab",
-    "l_epsilon",
-    "unary_point",
-)
-
-_PARAMETRIC = {"mod", "mod_rot", "ab_k_star", "unary_point"}
-
-
-def _stateless(kind, alphabet, dimension, initial_vector, rules, *,
-               mode=DETERMINISTIC, blind=True, endmarker=False, realtime=True):
-    return MachineSpec(
-        kind=kind,
-        mode=mode,
-        blind=blind,
-        endmarker=endmarker,
-        realtime=realtime,
-        alphabet=tuple(alphabet),
-        states=("q",),
-        initial_state="q",
-        accept_states=frozenset({"q"}),
-        dimension=dimension,
-        initial_vector=RowVector(initial_vector),
-        transitions=tuple(rules),
-    )
-
-
-def _rule(sym, effect, status=STATUS_ANY, source="q", target="q"):
-    return TransitionRule(source, sym, status, target, effect)
 
 
 def _scalar(value) -> Matrix:
@@ -131,10 +94,10 @@ def unary_distinguisher(i: int, alphabet=("a", "b")) -> MachineSpec:
         raise BuilderError("exponent must be nonnegative")
     if "a" not in alphabet:
         raise BuilderError("alphabet must contain 'a'")
-    rules = [_rule(ENDMARKER, _scalar(1))]
+    rules = [(ENDMARKER, _scalar(1))]
     for sym in alphabet:
-        rules.append(_rule(sym, _scalar(Fraction(1, 2) if sym == "a" else 0)))
-    return _stateless(VA, alphabet, 1, [Fraction(2) ** i], rules, endmarker=True)
+        rules.append((sym, _scalar(Fraction(1, 2) if sym == "a" else 0)))
+    return stateless(VA, alphabet, 1, [Fraction(2) ** i], rules, endmarker=True)
 
 
 def binary_distinguisher(x: str, base: int = 3) -> MachineSpec:
@@ -150,13 +113,9 @@ def binary_distinguisher(x: str, base: int = 3) -> MachineSpec:
     if not x:
         raise BuilderError("cannot build a distinguisher for the empty string")
     target = _reverse_encoding(x, base)
-    rules = [
-        _rule(str(d), inverse(digit_matrix(d, base))) for d in range(1, base)
-    ]
-    rules.append(_rule(ENDMARKER, Matrix.from_rows([[1, target], [1, 0]])))
-    return _stateless(
-        VA, digit_alphabet(base), 2, [1, target], rules, endmarker=True
-    )
+    rules = [(str(d), inverse(digit_matrix(d, base))) for d in range(1, base)]
+    rules.append((ENDMARKER, Matrix.from_rows([[1, target], [1, 0]])))
+    return stateless(VA, digit_alphabet(base), 2, [1, target], rules, endmarker=True)
 
 
 def finite_language_va(strings, base: int = 3) -> MachineSpec:
@@ -198,14 +157,14 @@ def finite_language_va(strings, base: int = 3) -> MachineSpec:
     v0 = RowVector([1] + list(tail.entries))
 
     rules = [
-        _rule(str(d), bordered(tensor_power(inverse(digit_matrix(d, base)))))
+        (str(d), bordered(tensor_power(inverse(digit_matrix(d, base)))))
         for d in range(1, base)
     ]
     collapse = bordered(tensor_power(Matrix.from_rows([[0, 0], [1, 0]])))
     rebuild_rows = [list(v0.entries), [1] + [0] * (dim - 1)]
     rebuild_rows += [[0] * dim for _ in range(dim - 2)]
-    rules.append(_rule(ENDMARKER, mat_mul(collapse, Matrix.from_rows(rebuild_rows))))
-    return _stateless(VA, digit_alphabet(base), dim, v0, rules, endmarker=True)
+    rules.append((ENDMARKER, mat_mul(collapse, Matrix.from_rows(rebuild_rows))))
+    return stateless(VA, digit_alphabet(base), dim, v0, rules, endmarker=True)
 
 
 def hva_distinguisher(x: str, base: int = 3) -> MachineSpec:
@@ -256,14 +215,14 @@ def finite_language_nbhva(strings, base: int = 3) -> MachineSpec:
     strings = sorted(set(strings), key=lambda s: (len(s), s))
     if not strings:
         raise BuilderError("the string set must be nonempty")
-    rules = [_rule(str(d), digit_matrix(d, base)) for d in range(1, base)]
+    rules = [(str(d), digit_matrix(d, base)) for d in range(1, base)]
     for x in strings:
         if x == "":
-            rules.append(_rule(ENDMARKER, Matrix.identity(2)))
+            rules.append((ENDMARKER, Matrix.identity(2)))
         else:
             e = encode_base(x, base)
-            rules.append(_rule(ENDMARKER, Matrix.from_rows([[1 - e, -e], [1, 1]])))
-    with_marker = _stateless(
+            rules.append((ENDMARKER, Matrix.from_rows([[1 - e, -e], [1, 1]])))
+    with_marker = stateless(
         HVA, digit_alphabet(base), 2, [1, 0], rules,
         mode=NONDETERMINISTIC, endmarker=True,
     )
@@ -329,8 +288,8 @@ def _ab_star() -> MachineSpec:
         rows.append([0] * 9 + [1])
         return Matrix.from_rows(rows)
 
-    rules = [_rule("a", lift(core_a, True)), _rule("b", lift(core_b, False))]
-    return _stateless(HVA, ("a", "b"), 10, [1] + [0] * 9, rules)
+    rules = [("a", lift(core_a, True)), ("b", lift(core_b, False))]
+    return stateless(HVA, ("a", "b"), 10, [1] + [0] * 9, rules)
 
 
 def cyclic_dfa(m: int) -> DFA:
@@ -358,7 +317,7 @@ def _mod_rot(m: int) -> MachineSpec:
         raise BuilderError(
             f"rotation recognizer needs rational entries; modulus must be in {{1, 2, 4}}, got {m}"
         )
-    return _stateless(HVA, ("a",), 2, [1, 0], [_rule("a", rotations[m])])
+    return stateless(HVA, ("a",), 2, [1, 0], [("a", rotations[m])])
 
 
 def _ab_k_star(k: int) -> MachineSpec:
@@ -376,30 +335,21 @@ def _ab_k_star(k: int) -> MachineSpec:
     for i in range(k):
         src = i + k
         b_entries[src][(src + 1) % dim] = 1
-    rules = [
-        _rule("a", Matrix.from_rows(a_entries)),
-        _rule("b", Matrix.from_rows(b_entries)),
-    ]
-    return _stateless(HVA, ("a", "b"), dim, [1] + [0] * (dim - 1), rules)
+    rules = [("a", Matrix.from_rows(a_entries)), ("b", Matrix.from_rows(b_entries))]
+    return stateless(HVA, ("a", "b"), dim, [1] + [0] * (dim - 1), rules)
 
 
 def _eq() -> MachineSpec:
     """One-dimensional scale counter for equally many a's and b's."""
-    rules = [_rule("a", _scalar(2)), _rule("b", _scalar(Fraction(1, 2)))]
-    return _stateless(HVA, ("a", "b"), 1, [1], rules)
+    rules = [("a", _scalar(2)), ("b", _scalar(Fraction(1, 2)))]
+    return stateless(HVA, ("a", "b"), 1, [1], rules)
 
 
 def _leq() -> MachineSpec:
     """Nondeterministic one-dimensional machine for |w|_a <= |w|_b: each
     'b' either halves the register or leaves it alone."""
-    rules = [
-        _rule("a", _scalar(2)),
-        _rule("b", _scalar(Fraction(1, 2))),
-        _rule("b", _scalar(1)),
-    ]
-    return _stateless(
-        HVA, ("a", "b"), 1, [1], rules, mode=NONDETERMINISTIC
-    )
+    rules = [("a", _scalar(2)), ("b", _scalar(Fraction(1, 2))), ("b", _scalar(1))]
+    return stateless(HVA, ("a", "b"), 1, [1], rules, mode=NONDETERMINISTIC)
 
 
 def _dyck() -> MachineSpec:
@@ -407,11 +357,11 @@ def _dyck() -> MachineSpec:
     on '(', halving on ')' while above the start value, and zeroing the
     register forever on a ')' at the start value."""
     rules = [
-        _rule("(", _scalar(2)),
-        _rule(")", _scalar(Fraction(1, 2)), status=STATUS_NE),
-        _rule(")", _scalar(0), status=STATUS_EQ),
+        ("(", _scalar(2)),
+        (")", _scalar(Fraction(1, 2)), STATUS_NE),
+        (")", _scalar(0), STATUS_EQ),
     ]
-    return _stateless(HVA, ("(", ")"), 1, [1], rules, blind=False)
+    return stateless(HVA, ("(", ")"), 1, [1], rules, blind=False)
 
 
 def _evenab() -> MachineSpec:
@@ -419,15 +369,32 @@ def _evenab() -> MachineSpec:
     it returns to 1 exactly on strings with equally many a's and b's and
     an even count. The sign bit is what a positive-register
     multiplicative machine cannot express."""
-    rules = [_rule("a", _scalar(-2)), _rule("b", _scalar(Fraction(1, 2)))]
-    return _stateless(HVA, ("a", "b"), 1, [1], rules)
+    rules = [("a", _scalar(-2)), ("b", _scalar(Fraction(1, 2)))]
+    return stateless(HVA, ("a", "b"), 1, [1], rules)
 
 
 def _l_epsilon() -> MachineSpec:
     """The unary-point machine for i = 0 with its end-marker step removed:
     a homing machine accepting only the empty string."""
-    rules = [_rule("a", _scalar(Fraction(1, 2))), _rule("b", _scalar(0))]
-    return _stateless(HVA, ("a", "b"), 1, [1], rules)
+    rules = [("a", _scalar(Fraction(1, 2))), ("b", _scalar(0))]
+    return stateless(HVA, ("a", "b"), 1, [1], rules)
+
+
+# name -> (builder, whether it takes an integer parameter)
+_CATALOG = {
+    "pow_r": (_pow_r, False),
+    "ab_star": (_ab_star, False),
+    "mod": (_mod, True),
+    "mod_rot": (_mod_rot, True),
+    "ab_k_star": (_ab_k_star, True),
+    "eq": (_eq, False),
+    "leq": (_leq, False),
+    "dyck": (_dyck, False),
+    "evenab": (_evenab, False),
+    "l_epsilon": (_l_epsilon, False),
+    "unary_point": (unary_distinguisher, True),
+}
+EXAMPLE_NAMES = tuple(_CATALOG)
 
 
 def example(name: str, param: int = None) -> MachineSpec:
@@ -437,31 +404,13 @@ def example(name: str, param: int = None) -> MachineSpec:
     `param`; the rest reject it.
     """
     key = name.lower()
-    if key not in EXAMPLE_NAMES:
+    if key not in _CATALOG:
         raise BuilderError(f"unknown example {name!r}; know {', '.join(EXAMPLE_NAMES)}")
-    if key in _PARAMETRIC:
-        if param is None:
-            raise BuilderError(f"example {key!r} needs an integer parameter")
-    elif param is not None:
-        raise BuilderError(f"example {key!r} takes no parameter")
-    if key == "pow_r":
-        return _pow_r()
-    if key == "ab_star":
-        return _ab_star()
-    if key == "mod":
-        return _mod(param)
-    if key == "mod_rot":
-        return _mod_rot(param)
-    if key == "ab_k_star":
-        return _ab_k_star(param)
-    if key == "eq":
-        return _eq()
-    if key == "leq":
-        return _leq()
-    if key == "dyck":
-        return _dyck()
-    if key == "evenab":
-        return _evenab()
-    if key == "l_epsilon":
-        return _l_epsilon()
-    return unary_distinguisher(param)
+    build, parametric = _CATALOG[key]
+    if not parametric:
+        if param is not None:
+            raise BuilderError(f"example {key!r} takes no parameter")
+        return build()
+    if param is None:
+        raise BuilderError(f"example {key!r} needs an integer parameter")
+    return build(param)

@@ -22,6 +22,7 @@ from .exact import format_rational
 from .machines import (
     BUDGET_EXCEEDED,
     COUNTER_MACHINE,
+    DEFAULT_MAX_CONFIGURATIONS,
     DETERMINISTIC,
     GFA,
     MachineSpec,
@@ -79,29 +80,32 @@ def _emit(record: dict) -> None:
     print(json.dumps(record))
 
 
-def _env_int(name):
-    value = os.environ.get(name)
-    if not value:
-        return None
+def _count(text: str, name: str = "value") -> int:
+    """A nonnegative integer: the argparse type of --maxlen, --budget,
+    --eps-per-path and --bound, and the parser of the budget environment
+    variables. It raises VecautoError, which argparse does not catch, so
+    a bad value ends in a UsageError record."""
     try:
-        return int(value)
+        value = int(text)
     except ValueError:
-        raise VecautoError(f"{name} must be an integer, got {value!r}") from None
+        value = -1
+    if value < 0:
+        raise VecautoError(f"{name} must be a nonnegative integer, got {text!r}")
+    return value
+
+
+def _option_or_env(value, name):
+    if value is not None or not os.environ.get(name):
+        return value
+    return _count(os.environ[name], name)
 
 
 def _budget_from(args) -> SearchBudget:
-    max_configs = args.budget
-    if max_configs is None:
-        max_configs = _env_int("VECAUTO_MAX_CONFIGS")
-    eps = args.eps_per_path
-    if eps is None:
-        eps = _env_int("VECAUTO_EPS_PER_PATH")
-    budget = SearchBudget()
-    if max_configs is not None:
-        budget = SearchBudget(eps_per_path=eps, max_configurations=max_configs)
-    elif eps is not None:
-        budget = SearchBudget(eps_per_path=eps)
-    return budget
+    max_configs = _option_or_env(args.budget, "VECAUTO_MAX_CONFIGS")
+    return SearchBudget(
+        eps_per_path=_option_or_env(args.eps_per_path, "VECAUTO_EPS_PER_PATH"),
+        max_configurations=DEFAULT_MAX_CONFIGURATIONS if max_configs is None else max_configs,
+    )
 
 
 def _load_valid(path) -> MachineSpec:
@@ -182,6 +186,10 @@ def cmd_transform(args) -> int:
     else:
         spec = _load_valid(args.input_path)
         out, report = _PASSES[args.pass_name](spec, args)
+    diags = validate(out)
+    if diags:
+        _emit({"verdict": "Invalid", "diagnostics": diags, "machine": out.summary()})
+        return EXIT_USAGE
     fileformat.save_machine(out, args.output_path)
     _emit(report.to_record())
     return EXIT_OK
@@ -242,11 +250,11 @@ def cmd_check(args) -> int:
     spec = _load_valid(args.machine)
     budget = _budget_from(args)
     if args.property == "star-closure":
-        result = langlab.check_star_closure(spec, args.maxlen)
+        result = langlab.check_star_closure(spec, args.maxlen, budget=budget)
     elif args.property == "suffix":
-        result = langlab.check_suffix_property(spec, args.maxlen)
+        result = langlab.check_suffix_property(spec, args.maxlen, budget=budget)
     elif args.property == "gcd":
-        result = langlab.check_gcd_property(spec, args.maxlen)
+        result = langlab.check_gcd_property(spec, args.maxlen, budget=budget)
     elif args.property == "commutative-matrices":
         result = langlab.check_commutative_matrices(spec, args.maxlen, budget)
     else:  # commutative
@@ -288,9 +296,9 @@ def cmd_diophantine(args) -> int:
 
 
 def _add_budget_flags(parser) -> None:
-    parser.add_argument("--budget", type=int, default=None,
+    parser.add_argument("--budget", type=_count, default=None,
                         help="cap on explored configurations per search")
-    parser.add_argument("--eps-per-path", type=int, default=None,
+    parser.add_argument("--eps-per-path", type=_count, default=None,
                         help="cap on eps-moves along any one path")
 
 
@@ -338,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("machine")
     p.add_argument("--against", required=True,
                    help="machine file, reference name, or reference name:param")
-    p.add_argument("--maxlen", type=int, required=True)
+    p.add_argument("--maxlen", type=_count, required=True)
     _add_budget_flags(p)
     p.set_defaults(func=cmd_verify)
 
@@ -346,13 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("property", choices=(
         "star-closure", "suffix", "gcd", "commutative-matrices", "commutative"))
     p.add_argument("machine")
-    p.add_argument("--maxlen", type=int, required=True)
+    p.add_argument("--maxlen", type=_count, required=True)
     _add_budget_flags(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("enumerate", help="list accepted strings up to a length bound")
     p.add_argument("machine")
-    p.add_argument("--maxlen", type=int, required=True)
+    p.add_argument("--maxlen", type=_count, required=True)
     _add_budget_flags(p)
     p.set_defaults(func=cmd_enumerate)
 
@@ -366,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("-o", "--output", default=None)
     q = dio.add_parser("solve", help="enumerate nonnegative solutions up to a bound")
     q.add_argument("path")
-    q.add_argument("--bound", type=int, required=True)
+    q.add_argument("--bound", type=_count, required=True)
     p.set_defaults(func=cmd_diophantine)
 
     return parser
@@ -376,10 +384,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        return args.func(args)
     except UndecidedError as exc:
         _emit({"verdict": "BudgetExceeded", "detail": str(exc)})
         return EXIT_BUDGET

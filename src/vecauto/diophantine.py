@@ -16,14 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AlphabetError, DomainError, UnsupportedPassError
-from .exact import Matrix, RowVector
-from .machines import (
-    DETERMINISTIC,
-    FAM,
-    STATUS_ANY,
-    MachineSpec,
-    TransitionRule,
-)
+from .exact import Matrix
+from .machines import DETERMINISTIC, FAM, MachineSpec, stateless
 from .transforms import nth_prime
 
 # A Parikh vector is a plain tuple of per-symbol occurrence counts.
@@ -81,21 +75,8 @@ def famw_from_system(system: DiophantineSystem) -> MachineSpec:
         m = Fraction(1)
         for p, row in zip(primes, system.coefficients):
             m *= Fraction(p) ** row[i]
-        rules.append(TransitionRule("q", sym, STATUS_ANY, "q", Matrix.from_rows([[m]])))
-    return MachineSpec(
-        kind=FAM,
-        mode=DETERMINISTIC,
-        blind=True,
-        endmarker=False,
-        realtime=True,
-        alphabet=system.alphabet,
-        states=("q",),
-        initial_state="q",
-        accept_states=frozenset({"q"}),
-        dimension=1,
-        initial_vector=RowVector([1]),
-        transitions=tuple(rules),
-    )
+        rules.append((sym, Matrix.from_rows([[m]])))
+    return stateless(FAM, system.alphabet, 1, [1], rules)
 
 
 def _factor(n: int) -> dict:

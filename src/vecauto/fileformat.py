@@ -38,10 +38,47 @@ def _int(field, value):
     return q.numerator
 
 
+def _list(field, value):
+    if not isinstance(value, list):
+        _fail(field, "expected a list")
+    return value
+
+
 def _string_list(field, value):
-    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+    if not all(isinstance(s, str) for s in _list(field, value)):
         _fail(field, "expected a list of strings")
     return value
+
+
+def _document(text: str, required) -> dict:
+    """The JSON object in `text`, checked for the `required` keys; raises
+    MachineFileError with the offending line (for syntax) or key."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MachineFileError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        _fail("document", "expected a JSON object")
+    for key in required:
+        if key not in doc:
+            _fail(key, "missing")
+    return doc
+
+
+def _transitions(value, extra_keys=()):
+    """(field name, object) for each transition object: string "from",
+    "input" and "to", plus the `extra_keys`."""
+    for i, t in enumerate(_list("transitions", value)):
+        where = f"transitions[{i}]"
+        if not isinstance(t, dict):
+            _fail(where, "expected an object")
+        for key in ("from", "input", "to") + extra_keys:
+            if key not in t:
+                _fail(f"{where}.{key}", "missing")
+        for key in ("from", "input", "to"):
+            if not isinstance(t[key], str):
+                _fail(f"{where}.{key}", "expected a string")
+        yield where, t
 
 
 def _parse_status(field, value, kind):
@@ -72,21 +109,11 @@ def _parse_effect(field, value, kind):
 def parse_machine(text: str) -> MachineSpec:
     """Parse a machine document; raises MachineFileError with the
     offending line (for syntax) or field (for structure)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MachineFileError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        _fail("document", "expected a JSON object")
-
-    required = (
+    doc = _document(text, (
         "kind", "mode", "blind", "endmarker", "realtime", "alphabet",
         "states", "initial_state", "accept_states", "dimension",
         "initial_vector", "transitions",
-    )
-    for key in required:
-        if key not in doc:
-            _fail(key, "missing")
+    ))
     kind = doc["kind"]
     if kind not in KINDS:
         _fail("kind", f"unknown kind {kind!r}")
@@ -98,21 +125,14 @@ def parse_machine(text: str) -> MachineSpec:
     if isinstance(doc["dimension"], bool) or not isinstance(doc["dimension"], int):
         _fail("dimension", "expected an integer")
 
+    entries = _list("initial_vector", doc["initial_vector"])
     if kind == COUNTER_MACHINE:
-        initial_vector = tuple(_int("initial_vector", x) for x in doc["initial_vector"])
+        initial_vector = tuple(_int("initial_vector", x) for x in entries)
     else:
-        initial_vector = RowVector(
-            _rational("initial_vector", x) for x in doc["initial_vector"]
-        )
+        initial_vector = RowVector(_rational("initial_vector", x) for x in entries)
 
     rules = []
-    for i, t in enumerate(doc["transitions"]):
-        where = f"transitions[{i}]"
-        if not isinstance(t, dict):
-            _fail(where, "expected an object")
-        for key in ("from", "input", "status", "to", "matrix"):
-            if key not in t:
-                _fail(f"{where}.{key}", "missing")
+    for where, t in _transitions(doc["transitions"], ("status", "matrix")):
         rules.append(
             TransitionRule(
                 source=t["from"],
@@ -126,9 +146,8 @@ def parse_machine(text: str) -> MachineSpec:
     gfa_final_vector = None
     gfa_cutpoint = None
     if doc.get("gfa_final_vector") is not None:
-        gfa_final_vector = RowVector(
-            _rational("gfa_final_vector", x) for x in doc["gfa_final_vector"]
-        )
+        entries = _list("gfa_final_vector", doc["gfa_final_vector"])
+        gfa_final_vector = RowVector(_rational("gfa_final_vector", x) for x in entries)
     if doc.get("gfa_cutpoint") is not None:
         gfa_cutpoint = _rational("gfa_cutpoint", doc["gfa_cutpoint"])
 
@@ -206,27 +225,18 @@ def save_machine(spec: MachineSpec, path) -> None:
 
 
 def parse_dfa(text: str) -> DFA:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MachineFileError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    for key in ("states", "alphabet", "initial_state", "accept_states", "transitions"):
-        if key not in doc:
-            _fail(key, "missing")
+    doc = _document(text, ("states", "alphabet", "initial_state", "accept_states", "transitions"))
     delta = {}
-    for i, t in enumerate(doc["transitions"]):
-        for key in ("from", "input", "to"):
-            if key not in t:
-                _fail(f"transitions[{i}].{key}", "missing")
+    for where, t in _transitions(doc["transitions"]):
         move = (t["from"], t["input"])
         if move in delta:
-            _fail(f"transitions[{i}]", f"duplicate move {move}")
+            _fail(where, f"duplicate move {move}")
         delta[move] = t["to"]
     return DFA(
-        states=doc["states"],
-        alphabet=doc["alphabet"],
+        states=_string_list("states", doc["states"]),
+        alphabet=_string_list("alphabet", doc["alphabet"]),
         initial_state=doc["initial_state"],
-        accept_states=doc["accept_states"],
+        accept_states=_string_list("accept_states", doc["accept_states"]),
         delta=delta,
     )
 
@@ -252,13 +262,7 @@ def write_dfa(dfa: DFA) -> str:
 
 
 def parse_system(text: str) -> DiophantineSystem:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MachineFileError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    for key in ("alphabet", "coefficients"):
-        if key not in doc:
-            _fail(key, "missing")
+    doc = _document(text, ("alphabet", "coefficients"))
     alphabet = _string_list("alphabet", doc["alphabet"])
     rows = doc["coefficients"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):

@@ -112,13 +112,13 @@ def _first_disagreement(left, right, alphabet, maxlen: int) -> EquivalenceVerdic
 # structural properties of stateless machines
 
 
-def check_star_closure(machine, maxlen: int, alphabet=None):
+def check_star_closure(machine, maxlen: int, alphabet=None, budget: SearchBudget = None):
     """None when the accepted set up to `maxlen` is closed under
     concatenation and contains the empty string (L = L* evidence for
     stateless homing machines); otherwise the first offending pair
     (u, v) with uv rejected, or ("", "") when the empty string is missing.
     """
-    fn, alphabet = _membership_fn(machine, alphabet)
+    fn, alphabet = _membership_fn(machine, alphabet, budget)
     if not fn(""):
         return ("", "")
     accepted = [w for w in all_strings(alphabet, maxlen) if fn(w)]
@@ -134,13 +134,14 @@ def check_star_closure(machine, maxlen: int, alphabet=None):
     return None
 
 
-def check_suffix_property(machine, maxlen: int, alphabet=None):
+def check_suffix_property(machine, maxlen: int, alphabet=None,
+                          budget: SearchBudget = None):
     """None when, for every accepted w1 and accepted extension w1w2 up to
     `maxlen`, the suffix w2 is accepted too (a run of a stateless
     deterministic homing machine restarts from its initial vector after
     any accepted prefix); otherwise the first (w1, w1w2, w2) violation.
     """
-    fn, alphabet = _membership_fn(machine, alphabet)
+    fn, alphabet = _membership_fn(machine, alphabet, budget)
     accepted = [w for w in all_strings(alphabet, maxlen) if fn(w)]
     accepted_set = set(accepted)
     for w1 in accepted:
@@ -152,11 +153,11 @@ def check_suffix_property(machine, maxlen: int, alphabet=None):
     return None
 
 
-def check_gcd_property(machine, maxlen: int, alphabet=None):
+def check_gcd_property(machine, maxlen: int, alphabet=None, budget: SearchBudget = None):
     """None when, for accepted a^i and a^j with 1 < i < j <= maxlen, the
     string a^gcd(i,j) is accepted; otherwise the first violating triple.
     Only meaningful over a unary alphabet."""
-    fn, alphabet = _membership_fn(machine, alphabet)
+    fn, alphabet = _membership_fn(machine, alphabet, budget)
     if len(alphabet) != 1:
         raise AlphabetError("the gcd property applies to unary machines")
     sym = alphabet[0]
@@ -286,8 +287,3 @@ def reference_language(name: str, param=None) -> ReferenceLanguage:
         )
     raise KeyError(f"unknown reference language {name!r}")
 
-
-REFERENCE_NAMES = (
-    "ab", "ab_star", "ab_k_star", "eq", "leq", "dyck", "mod", "mod23",
-    "pow_r", "evenab", "neq", "l_epsilon", "singleton", "balanced_abc",
-)

@@ -30,7 +30,7 @@ safe.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -84,10 +84,6 @@ class TransitionRule:
     status: object
     target: str
     effect: object
-
-    def status_key(self):
-        s = self.status
-        return tuple(s) if isinstance(s, (tuple, list)) else s
 
 
 @dataclass(frozen=True)
@@ -174,7 +170,7 @@ class MachineSpec:
         index = {}
         for idx, r in enumerate(self.transitions):
             index.setdefault((r.source, r.input), []).append(
-                (idx, r.status_key(), r.effect, r.target)
+                (idx, r.status, r.effect, r.target)
             )
         memo = {}
         status_of_register = _status_test(self)
@@ -183,11 +179,11 @@ class MachineSpec:
         def successors(state, letter, register):
             fired = []
             current = None
-            for idx, status_key, effect, target in index.get((state, letter), ()):
-                if status_key != STATUS_ANY:
+            for idx, status, effect, target in index.get((state, letter), ()):
+                if status != STATUS_ANY:
                     if current is None:
                         current = status_of_register(register)
-                    if status_key != current:
+                    if status != current:
                         continue
                 key = (idx, register)
                 updated = memo.get(key)
@@ -206,6 +202,34 @@ class MachineSpec:
     def epsilon_sources(self) -> frozenset:
         """States with at least one eps rule, whatever its status."""
         return frozenset(r.source for r in self.transitions if r.input == EPSILON)
+
+
+def stateless(kind, alphabet, dimension, initial_vector, rules, *,
+              mode=DETERMINISTIC, blind=True, endmarker=False, realtime=True) -> MachineSpec:
+    """A stateless machine: its one state is both initial and accepting.
+
+    `rules` are ``(symbol, effect)`` or ``(symbol, effect, status)``
+    items; the status defaults to the wildcard.
+    """
+    q = "q"
+    transitions = [
+        TransitionRule(q, symbol, status[0] if status else STATUS_ANY, q, effect)
+        for symbol, effect, *status in rules
+    ]
+    return MachineSpec(
+        kind=kind,
+        mode=mode,
+        blind=blind,
+        endmarker=endmarker,
+        realtime=realtime,
+        alphabet=alphabet,
+        states=(q,),
+        initial_state=q,
+        accept_states=(q,),
+        dimension=dimension,
+        initial_vector=initial_vector,
+        transitions=transitions,
+    )
 
 
 class Configuration(NamedTuple):
@@ -404,9 +428,9 @@ def validate(spec: MachineSpec) -> list:
         elif r.input not in spec.alphabet:
             bad(f"{where}: symbol {r.input!r} not in alphabet")
 
-        if not _legal_statuses(spec, r.status_key()):
+        if not _legal_statuses(spec, r.status):
             bad(f"{where}: malformed status {r.status!r}")
-        if spec.blind and r.status_key() != STATUS_ANY:
+        if spec.blind and r.status != STATUS_ANY:
             bad(f"{where}: blind machine must use the wildcard status")
 
         if spec.kind == COUNTER_MACHINE:
@@ -431,7 +455,7 @@ def validate(spec: MachineSpec) -> list:
     if spec.mode == DETERMINISTIC:
         groups = {}
         for idx, r in enumerate(spec.transitions):
-            groups.setdefault((r.source, r.input), []).append((idx, r.status_key()))
+            groups.setdefault((r.source, r.input), []).append((idx, r.status))
         for (state, sym), rules in groups.items():
             for i in range(len(rules)):
                 for j in range(i + 1, len(rules)):
@@ -639,21 +663,10 @@ def extendedfa_embed(spec: MachineSpec) -> MachineSpec:
     as a row-major-flattened vector of length k^2 with effects of the
     form I tensor M, so the embedding re-labels the kind and dimension;
     identity-register acceptance becomes vector-equals-initial
-    acceptance over the flattened identity.
+    acceptance over the flattened identity. Everything else, the
+    end-marker included, carries over.
     """
     if spec.kind != EXTENDED_FA:
         raise UnsupportedKindError("extendedfa_embed needs a matrix-monoid machine")
-    return MachineSpec(
-        kind=HVA,
-        mode=NONDETERMINISTIC,
-        blind=True,
-        endmarker=False,
-        realtime=spec.realtime,
-        alphabet=spec.alphabet,
-        states=spec.states,
-        initial_state=spec.initial_state,
-        accept_states=spec.accept_states,
-        dimension=spec.dimension * spec.dimension,
-        initial_vector=spec.initial_vector,
-        transitions=spec.transitions,
-    )
+    return replace(spec, kind=HVA, mode=NONDETERMINISTIC, blind=True,
+                   dimension=spec.dimension * spec.dimension)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 from .errors import InvalidScalarError, UnsupportedPassError
 from .exact import (
@@ -17,8 +18,6 @@ from .exact import (
     RowVector,
     common_denominator_scalar,
     mat_mul,
-    tensor,
-    tensor_vec,
 )
 from .machines import (
     COUNTER_MACHINE,
@@ -34,6 +33,7 @@ from .machines import (
     SearchBudget,
     TransitionRule,
     run_nondeterministic,
+    stateless,
 )
 from .machines import ACCEPT as _ACCEPT
 from .machines import BUDGET_EXCEEDED as _BUDGET
@@ -85,8 +85,6 @@ def scale_initial_vector(spec: MachineSpec, t):
     final vector against the initial one, so both sides scale together
     and the recognized language is unchanged.
     """
-    from fractions import Fraction
-
     try:
         t = Fraction(t)
     except (ValueError, TypeError, ZeroDivisionError):
@@ -274,7 +272,6 @@ def eliminate_states(spec: MachineSpec):
             r = TransitionRule(r.source, r.input, r.status, r.target, Matrix.zero(k, k))
         normalized.append(r)
 
-    state_name = "q"
     letters = tuple(spec.alphabet) + ((ENDMARKER,) if spec.endmarker else ())
     big_rules = []
     for letter in letters:
@@ -284,8 +281,7 @@ def eliminate_states(spec: MachineSpec):
             for r in normalized:
                 if r.input != letter:
                     continue
-                sk = r.status_key()
-                if sk != STATUS_ANY and sk != status:
+                if r.status != STATUS_ANY and r.status != status:
                     continue
                 populated = True
                 src, dst = block[r.source], block[r.target]
@@ -296,10 +292,7 @@ def eliminate_states(spec: MachineSpec):
                     row[0] = r.effect.entry(s, 0)
             if not populated:
                 continue  # no source rule: the path dies, blocks map to zero anyway
-            big_rules.append(
-                TransitionRule(state_name, letter, status, state_name,
-                               Matrix.from_rows(entries))
-            )
+            big_rules.append((letter, Matrix.from_rows(entries), status))
 
     v0 = spec.initial_vector
     big_v0 = [v0[0]] + [0] * (dim - 1)
@@ -307,20 +300,7 @@ def eliminate_states(spec: MachineSpec):
     for s in range(k):
         big_v0[start + s] = v0[s]
 
-    out = MachineSpec(
-        kind=VA,
-        mode=DETERMINISTIC,
-        blind=spec.blind,
-        endmarker=True,
-        realtime=True,
-        alphabet=spec.alphabet,
-        states=(state_name,),
-        initial_state=state_name,
-        accept_states=frozenset({state_name}),
-        dimension=dim,
-        initial_vector=RowVector(big_v0),
-        transitions=tuple(big_rules),
-    )
+    out = stateless(VA, spec.alphabet, dim, big_v0, big_rules, blind=spec.blind, endmarker=True)
     return out, _report("eliminate_states", spec, out, blocks=n, block_width=k)
 
 
@@ -346,8 +326,6 @@ def counters_to_hva1(spec: MachineSpec):
     of p_i^(c_i). The register returns to 1 exactly when every net count
     is zero, so blind-counter acceptance carries over unchanged.
     """
-    from fractions import Fraction
-
     if spec.kind != COUNTER_MACHINE:
         raise UnsupportedPassError("prime encoding applies to counter machines")
     if not spec.blind:
@@ -365,20 +343,8 @@ def counters_to_hva1(spec: MachineSpec):
             TransitionRule(r.source, r.input, STATUS_ANY, r.target,
                            Matrix.from_rows([[m]]))
         )
-    out = MachineSpec(
-        kind=HVA,
-        mode=spec.mode,
-        blind=True,
-        endmarker=False,
-        realtime=spec.realtime,
-        alphabet=spec.alphabet,
-        states=spec.states,
-        initial_state=spec.initial_state,
-        accept_states=spec.accept_states,
-        dimension=1,
-        initial_vector=RowVector([1]),
-        transitions=tuple(rules),
-    )
+    out = replace(spec, kind=HVA, dimension=1, initial_vector=RowVector([1]),
+                  transitions=tuple(rules))
     return out, _report("counters_to_hva1", spec, out, primes=primes)
 
 
@@ -402,19 +368,23 @@ def attach_trivial_endmarker(spec: MachineSpec):
 def counters_to_integer_hva3(spec: MachineSpec, budget: SearchBudget = None):
     """Pipeline: blind counter machine -> integer 3-dimensional blind HVA.
 
-    Composes the prime encoding, a trivial end-marker, the integer
-    conversion (dimension 1 -> 3), and end-marker removal. Stage reports
-    are kept in the pipeline report for debugging.
+    Composes the prime encoding, a trivial end-marker (only when the
+    machine has none of its own), the integer conversion (dimension
+    1 -> 3), and end-marker removal. Stage reports are kept in the
+    pipeline report for debugging.
     """
-    stage1, r1 = counters_to_hva1(spec)
-    stage2, r2 = attach_trivial_endmarker(stage1)
-    stage3, r3 = rationals_to_integers(stage2)
-    out, r4 = remove_endmarker(as_nondeterministic(stage3), budget)
+    marked, r1 = counters_to_hva1(spec)
+    reports = [r1]
+    if not marked.endmarker:
+        marked, r2 = attach_trivial_endmarker(marked)
+        reports.append(r2)
+    lifted, r3 = rationals_to_integers(marked)
+    out, r4 = remove_endmarker(as_nondeterministic(lifted), budget)
     report = TransformReport(
         "counters_to_integer_hva3",
         spec.summary(),
         out.summary(),
-        {"stages": [r.to_record() for r in (r1, r2, r3, r4)]},
+        {"stages": [r.to_record() for r in reports + [r3, r4]]},
     )
     return out, report
 
@@ -453,6 +423,9 @@ def dfa_to_stateless_dbhva(dfa: DFA):
         )
     n = len(dfa.states)
     index = {q: i for i, q in enumerate(dfa.states)}
+    for (source, _), target in dfa.delta.items():
+        if source not in index or target not in index:
+            raise UnsupportedPassError(f"DFA move {source!r} -> {target!r} leaves the states")
     rules = []
     for sym in dfa.alphabet:
         entries = [[0] * n for _ in range(n)]
@@ -460,21 +433,8 @@ def dfa_to_stateless_dbhva(dfa: DFA):
             target = dfa.delta.get((q, sym))
             if target is not None:
                 entries[index[q]][index[target]] = 1
-        rules.append(TransitionRule("q", sym, STATUS_ANY, "q", Matrix.from_rows(entries)))
-    out = MachineSpec(
-        kind=HVA,
-        mode=DETERMINISTIC,
-        blind=True,
-        endmarker=False,
-        realtime=True,
-        alphabet=dfa.alphabet,
-        states=("q",),
-        initial_state="q",
-        accept_states=frozenset({"q"}),
-        dimension=n,
-        initial_vector=RowVector([1] + [0] * (n - 1)),
-        transitions=tuple(rules),
-    )
+        rules.append((sym, Matrix.from_rows(entries)))
+    out = stateless(HVA, dfa.alphabet, n, [1] + [0] * (n - 1), rules)
     report = TransformReport(
         "dfa_to_stateless_dbhva",
         {"kind": "DFA", "states": n, "dimension": 1},
@@ -484,21 +444,26 @@ def dfa_to_stateless_dbhva(dfa: DFA):
     return out, report
 
 
+def _direct_sum(a: Matrix, b: Matrix) -> Matrix:
+    """The block-diagonal matrix with a above-left and b below-right."""
+    rows = [list(a.row(i)) + [0] * b.cols for i in range(a.rows)]
+    rows += [[0] * a.cols + list(b.row(i)) for i in range(b.rows)]
+    return Matrix.from_rows(rows)
+
+
 def intersect_blind_hva(a: MachineSpec, b: MachineSpec):
     """Product machine for the intersection of two blind deterministic HVAs:
-    paired states, tensored initial vectors and tensored effects.
+    paired states, concatenated initial vectors and block-diagonal
+    effects, so the dimension is the sum of the two.
 
-    The tensored register factors as (register of a) tensor (register of
-    b), so it returns to v0a tensor v0b whenever both components return
-    to their initial vectors. The converse needs the components to be
-    free of scalar aliasing (u tensor v = v0a tensor v0b with u = t*v0a,
-    v = v0b/t for some t != 1); the machines in this workbench's catalog
-    do not hit that case.
+    The register is the pair (register of a, register of b), each block
+    evolving as in its own machine, so it equals the concatenated
+    initial vector exactly when both components are back at theirs.
     """
     for spec in (a, b):
         if spec.kind != HVA or not spec.blind or spec.mode != DETERMINISTIC:
             raise UnsupportedPassError(
-                "tensor intersection applies to blind deterministic homing machines"
+                "intersection applies to blind deterministic homing machines"
             )
     if a.alphabet != b.alphabet:
         raise UnsupportedPassError("intersection needs a common alphabet")
@@ -520,7 +485,7 @@ def intersect_blind_hva(a: MachineSpec, b: MachineSpec):
                     rules.append(
                         TransitionRule(
                             pair(p, q), letter, STATUS_ANY, pair(ra.target, rb.target),
-                            tensor(ra.effect, rb.effect),
+                            _direct_sum(ra.effect, rb.effect),
                         )
                     )
     out = MachineSpec(
@@ -535,8 +500,8 @@ def intersect_blind_hva(a: MachineSpec, b: MachineSpec):
         accept_states=frozenset(
             pair(p, q) for p in a.accept_states for q in b.accept_states
         ),
-        dimension=a.dimension * b.dimension,
-        initial_vector=tensor_vec(a.initial_vector, b.initial_vector),
+        dimension=a.dimension + b.dimension,
+        initial_vector=RowVector(a.initial_vector.entries + b.initial_vector.entries),
         transitions=tuple(rules),
     )
     report = TransformReport(

@@ -206,6 +206,51 @@ def blind_counter_abc() -> MachineSpec:
     )
 
 
+def blind_counter_a_endmarker() -> MachineSpec:
+    """Blind one-counter machine with end-marker for {a}: 'a' increments
+    and '$' decrements, so only one 'a' brings the counter back to 0."""
+    return MachineSpec(
+        kind=COUNTER_MACHINE,
+        mode=DETERMINISTIC,
+        blind=True,
+        endmarker=True,
+        realtime=True,
+        alphabet=("a",),
+        states=("q",),
+        initial_state="q",
+        accept_states=frozenset({"q"}),
+        dimension=1,
+        initial_vector=(0,),
+        transitions=(
+            TransitionRule("q", "a", STATUS_ANY, "q", (1,)),
+            TransitionRule("q", ENDMARKER, STATUS_ANY, "q", (-1,)),
+        ),
+    )
+
+
+def extendedfa_a_endmarker() -> MachineSpec:
+    """One-dimensional matrix-monoid machine with end-marker for {a}:
+    'a' doubles the register and '$' halves it."""
+    return MachineSpec(
+        kind=EXTENDED_FA,
+        mode=NONDETERMINISTIC,
+        blind=True,
+        endmarker=True,
+        realtime=True,
+        alphabet=("a",),
+        states=("q",),
+        initial_state="q",
+        accept_states=frozenset({"q"}),
+        dimension=1,
+        initial_vector=flattened_identity(1),
+        transitions=(
+            TransitionRule("q", "a", STATUS_ANY, "q", embed_monoid_effect(Matrix.from_rows([[2]]))),
+            TransitionRule("q", ENDMARKER, STATUS_ANY, "q",
+                           embed_monoid_effect(Matrix.from_rows([[Fraction(1, 2)]]))),
+        ),
+    )
+
+
 def random_system(rng: random.Random, max_eqs=3, max_syms=3):
     """A small homogeneous system without degenerate all-zero rows."""
     from vecauto.diophantine import DiophantineSystem

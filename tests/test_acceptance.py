@@ -10,8 +10,10 @@ import random
 from fractions import Fraction
 
 from machine_gen import (
+    blind_counter_a_endmarker,
     blind_counter_ab,
     blind_counter_abc,
+    extendedfa_a_endmarker,
     random_dva,
     random_extendedfa,
     random_nbhva_endmarker,
@@ -246,8 +248,12 @@ def test_c05_counter_pipeline():
     for name, source, bound in [
         ("a^n b^n", blind_counter_ab(), 10),
         ("balanced abc", blind_counter_abc(), 9),
+        ("a with end-marker", blind_counter_a_endmarker(), 6),
     ]:
         out, _ = counters_to_integer_hva3(source)
+        if validate(out):
+            failures.append((name, "invalid output"))
+            continue
         if out.dimension != 3:
             failures.append((name, "dimension"))
             continue
@@ -402,8 +408,8 @@ def test_c09_closure_and_negative_facts():
 def test_c10_monoid_machine_embedding():
     failures = []
     budget_outcomes = 0
-    for i in range(10):
-        spec = random_extendedfa(random.Random(7000 + i))
+    machines = [random_extendedfa(random.Random(7000 + i)) for i in range(10)]
+    for i, spec in enumerate(machines + [extendedfa_a_endmarker()]):
         assert validate(spec) == []
         embedded = extendedfa_embed(spec)
         if validate(embedded):

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from vecauto.builders import cyclic_dfa, example
 from vecauto.cli import main
-from vecauto.fileformat import load_machine, write_machine
+from vecauto.fileformat import load_machine, write_dfa, write_machine
 from vecauto.machines import validate
+from vecauto.transforms import DFA, as_nondeterministic
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +128,18 @@ class TestTransformCommand:
         assert code == 0
         assert load_machine(out_path).dimension == 3
 
+    def test_invalid_output_is_not_written(self, capsys, tmp_path):
+        # a DFA over a two-letter symbol converts, but the machine fails
+        # validation (alphabet symbols are single characters)
+        dfa_path = tmp_path / "dfa.json"
+        dfa_path.write_text(write_dfa(DFA(("q",), ("ab",), "q", {"q"}, {("q", "ab"): "q"})))
+        out_path = tmp_path / "out.mach"
+        code, records = run_cli(capsys, "transform", "dfa-to-stateless", str(dfa_path), str(out_path))
+        assert code == 2
+        assert records[0]["verdict"] == "Invalid"
+        assert any("single characters" in d for d in records[0]["diagnostics"])
+        assert not out_path.exists()
+
     def test_unsupported_pass_is_usage_error(self, capsys, tmp_path, powr_path):
         code, records = run_cli(
             capsys, "transform", "eliminate-states", str(powr_path),
@@ -145,16 +159,44 @@ class TestMalformedArguments:
             (["transform", "intersect", "{powr}", "{out}", "--with", "{invalid}"], {}),
             (["enumerate", "{powr}", "--maxlen", "2"], {"VECAUTO_MAX_CONFIGS": "lots"}),
             (["run", "{dir}", "a"], {}),
+            (["verify", "{powr}", "--against", "eq", "--maxlen", "-1"], {}),
+            (["enumerate", "{powr}", "--maxlen", "two"], {}),
+            (["run", "{powr}", "ab", "--budget", "-1"], {}),
+            (["run", "{powr}", "ab", "--eps-per-path", "-1"], {}),
+            (["enumerate", "{powr}", "--maxlen", "2"], {"VECAUTO_EPS_PER_PATH": "-1"}),
+            (["run", "{transitions_not_list}", "a"], {}),
+            (["run", "{initial_vector_not_list}", "a"], {}),
+            (["transform", "dfa-to-stateless", "{dfa_not_object}", "{out}"], {}),
+            (["transform", "dfa-to-stateless", "{dfa_transitions_not_list}", "{out}"], {}),
+            (["diophantine", "solve", "{system_not_object}", "--bound", "2"], {}),
+            (["transform", "dfa-to-stateless", "{dfa_unknown_target}", "{out}"], {}),
         ],
         ids=["bad-scale", "zero-denominator-scale", "intersect-without-with",
-             "intersect-with-invalid-machine", "bad-env-budget", "directory-as-machine"],
+             "intersect-with-invalid-machine", "bad-env-budget", "directory-as-machine",
+             "negative-maxlen", "non-integer-maxlen", "negative-budget", "negative-eps-per-path",
+             "negative-env-eps-per-path", "transitions-not-a-list", "initial-vector-not-a-list",
+             "dfa-not-an-object", "dfa-transitions-not-a-list", "system-not-an-object",
+             "dfa-move-to-unknown-state"],
     )
     def test_usage_error_record(self, capsys, monkeypatch, tmp_path, powr_path, argv, env):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        invalid = tmp_path / "invalid.mach"
-        invalid.write_text(powr_path.read_text().replace('"dimension": 2', '"dimension": 3'))
-        paths = dict(powr=powr_path, out=tmp_path / "out.mach", dir=tmp_path, invalid=invalid)
+        powr = json.loads(powr_path.read_text())
+        dfa = json.loads(write_dfa(cyclic_dfa(2)))
+        texts = {
+            "invalid": powr_path.read_text().replace('"dimension": 2', '"dimension": 3'),
+            "transitions_not_list": json.dumps(dict(powr, transitions=5)),
+            "initial_vector_not_list": json.dumps(dict(powr, initial_vector=5)),
+            "dfa_not_object": "5",
+            "dfa_transitions_not_list": json.dumps(dict(dfa, transitions=5)),
+            "system_not_object": "5",
+            "dfa_unknown_target": json.dumps(
+                dict(dfa, transitions=[{"from": "q0", "input": "a", "to": "q9"}])),
+        }
+        paths = dict(powr=powr_path, out=tmp_path / "out.mach", dir=tmp_path)
+        for name, text in texts.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(text)
         argv = [a.format(**paths) for a in argv]
         code, records = run_cli(capsys, *argv)
         assert code == 2
@@ -255,6 +297,17 @@ class TestBudgetAndKinds:
         capsys.readouterr()
         code, records = run_cli(capsys, "run", str(path), "ab", "--budget", "1")
         assert code == 3
+
+    @pytest.mark.parametrize("prop", ["star-closure", "suffix", "gcd", "commutative"])
+    def test_check_honours_budget(self, capsys, tmp_path, prop):
+        # gcd needs a unary machine; the budget only matters to
+        # nondeterministic ones
+        spec = as_nondeterministic(example("mod", 2)) if prop == "gcd" else example("leq")
+        path = tmp_path / "machine.mach"
+        path.write_text(write_machine(spec))
+        code, records = run_cli(capsys, "check", prop, str(path), "--maxlen", "4", "--budget", "1")
+        assert code == 3
+        assert records[0]["verdict"] == "BudgetExceeded"
 
     def test_gfa_run_reports_value(self, capsys, tmp_path):
         from test_machines import one_state_gfa

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from machine_gen import blind_counter_abc
@@ -85,6 +87,35 @@ class TestParseErrors:
         text = write_machine(example("eq")).replace('"dimension": 1', '"dimension": true')
         with pytest.raises(MachineFileError, match="dimension"):
             parse_machine(text)
+
+    @pytest.mark.parametrize(
+        "parse,change,field",
+        [
+            (parse_machine, {"transitions": 5}, "transitions"),
+            (parse_machine, {"initial_vector": 5}, "initial_vector"),
+            (parse_machine, {"transitions": [5]}, r"transitions\[0\]"),
+            (parse_machine, {"transitions": [{"from": ["q"], "input": "a", "status": "*",
+                                              "to": "q", "matrix": [["2"]]}]}, "from"),
+            (parse_machine, [], "document"),
+            (parse_dfa, {"transitions": 5}, "transitions"),
+            (parse_dfa, {"states": 5}, "states"),
+            (parse_dfa, {"transitions": [{"from": "q0", "input": ["a"], "to": "q1"}]}, "input"),
+            (parse_dfa, 5, "document"),
+            (parse_system, 5, "document"),
+        ],
+        ids=["machine-transitions", "machine-initial-vector", "machine-transition-item",
+             "machine-source", "machine-document", "dfa-transitions", "dfa-states",
+             "dfa-input", "dfa-document", "system-document"],
+    )
+    def test_wrong_json_type(self, parse, change, field):
+        base = {
+            parse_machine: lambda: json.loads(write_machine(example("eq"))),
+            parse_dfa: lambda: json.loads(write_dfa(cyclic_dfa(2))),
+            parse_system: lambda: json.loads(write_system(DiophantineSystem(("a",), ((1,),)))),
+        }[parse]()
+        doc = dict(base, **change) if isinstance(change, dict) else change
+        with pytest.raises(MachineFileError, match=field):
+            parse(json.dumps(doc))
 
     def test_bad_status(self):
         text = write_machine(example("eq")).replace('"*"', '"?"', 1)

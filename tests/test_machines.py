@@ -33,6 +33,7 @@ from vecauto.machines import (
     initial_configuration,
     run_deterministic,
     run_nondeterministic,
+    stateless,
     status_of,
     validate,
 )
@@ -68,6 +69,18 @@ def powr():
 @pytest.fixture
 def leq():
     return example("leq")
+
+
+class TestStatelessConstructor:
+    def test_matches_the_explicit_machine(self):
+        # one state, initial and accepting; rules default to the wildcard
+        spec = stateless(HVA, ("a", "b"), 1, [1], [
+            ("a", Matrix.from_rows([[2]])),
+            ("b", Matrix.from_rows([[Fraction(1, 2)]]), STATUS_EQ),
+        ], blind=False)
+        assert spec == hva1(
+            [scalar_rule("a", 2), scalar_rule("b", Fraction(1, 2), STATUS_EQ)], blind=False
+        )
 
 
 class TestValidate:

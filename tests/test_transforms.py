@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from machine_gen import blind_counter_ab, blind_counter_abc, random_nbhva_endmarker
+from machine_gen import (
+    blind_counter_a_endmarker,
+    blind_counter_ab,
+    blind_counter_abc,
+    random_nbhva_endmarker,
+)
 from vecauto.builders import cyclic_dfa, example
 from vecauto.errors import InvalidScalarError, UnsupportedPassError
 from vecauto.exact import Matrix, RowVector, vec_mat_mul
@@ -353,6 +358,13 @@ class TestCounterEncoding:
                 [Fraction(2) ** c1 * Fraction(3) ** c2]
             )
 
+    def test_endmarker_machine_keeps_its_endmarker(self):
+        spec = blind_counter_a_endmarker()
+        out, _ = counters_to_hva1(spec)
+        assert out.endmarker
+        assert validate(out) == []
+        assert equivalent_up_to(spec, out, 6).equal
+
     def test_rejects_non_blind_counters(self):
         spec = blind_counter_ab()
         spec = MachineSpec(
@@ -440,7 +452,7 @@ class TestIntersection:
     def test_mod2_and_mod3_give_mod6(self):
         out, _ = intersect_blind_hva(example("mod", 2), example("mod", 3))
         assert validate(out) == []
-        assert out.dimension == 6
+        assert out.dimension == 5
         assert matches_reference(out, reference_language("mod", 6), 12).equal
 
     def test_self_intersection_of_mod4(self):
@@ -450,8 +462,21 @@ class TestIntersection:
 
     def test_eq_with_ab_star_gives_ab_star(self):
         out, _ = intersect_blind_hva(example("eq"), example("ab_star"))
-        assert out.dimension == 10
+        assert out.dimension == 11
         assert equivalent_up_to(out, example("ab_star"), 8).equal
+
+    def test_scalar_aliasing_pair_gives_eq(self):
+        # eq with its a/b multipliers swapped recognizes the same language;
+        # a tensor product of the two registers returns home on "a"
+        eq = example("eq")
+        swapped = replace(eq, transitions=tuple(
+            replace(r, effect=Matrix.from_rows([[Fraction(1, 2) if r.input == "a" else 2]]))
+            for r in eq.transitions
+        ))
+        out, _ = intersect_blind_hva(eq, swapped)
+        assert validate(out) == []
+        assert not accepts(out, "a")
+        assert matches_reference(out, reference_language("eq"), 10).equal
 
     def test_alphabet_mismatch(self):
         with pytest.raises(UnsupportedPassError):
