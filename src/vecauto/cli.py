@@ -21,7 +21,6 @@ from .errors import UndecidedError, VecautoError
 from .exact import format_rational
 from .machines import (
     BUDGET_EXCEEDED,
-    COUNTER_MACHINE,
     DEFAULT_MAX_CONFIGURATIONS,
     DETERMINISTIC,
     GFA,
@@ -39,9 +38,6 @@ EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-_PASSES = {}
-
-
 def _remove_endmarker_cmd(spec, args):
     # the pass itself insists on nondeterministic input; on the command
     # line the harmless mode relaxation is applied automatically
@@ -58,22 +54,30 @@ def _intersect_cmd(spec, args):
     return transforms.intersect_blind_hva(spec, _load_valid(args.with_machine))
 
 
-def _register_passes():
-    _PASSES.update(
-        {
-            "remove-endmarker": _remove_endmarker_cmd,
-            "rationals-to-integers": lambda spec, args: transforms.rationals_to_integers(spec),
-            "eliminate-states": lambda spec, args: transforms.eliminate_states(spec),
-            "counters-to-hva1": lambda spec, args: transforms.counters_to_hva1(spec),
-            "counters-to-integer-hva3": lambda spec, args: transforms.counters_to_integer_hva3(spec),
-            "attach-endmarker": lambda spec, args: transforms.attach_trivial_endmarker(spec),
-            "scale-initial-vector": lambda spec, args: transforms.scale_initial_vector(spec, args.scale),
-            "intersect": _intersect_cmd,
-        }
-    )
+# Every entry looks its pass up in `transforms` when it runs, so a
+# rebinding of the module attribute (a tracer, a test) is seen.
+_PASSES = {
+    "remove-endmarker": _remove_endmarker_cmd,
+    "rationals-to-integers": lambda spec, args: transforms.rationals_to_integers(spec),
+    "eliminate-states": lambda spec, args: transforms.eliminate_states(spec),
+    "counters-to-hva1": lambda spec, args: transforms.counters_to_hva1(spec),
+    "counters-to-integer-hva3": lambda spec, args: transforms.counters_to_integer_hva3(spec),
+    "attach-endmarker": lambda spec, args: transforms.attach_trivial_endmarker(spec),
+    "scale-initial-vector": lambda spec, args: transforms.scale_initial_vector(spec, args.scale),
+    "intersect": _intersect_cmd,
+}
 
-
-_register_passes()
+# `check` properties, in the order the command line lists them; like the
+# passes, each entry looks its check up when it runs.
+_CHECKS = {
+    "star-closure": lambda spec, maxlen, budget: langlab.check_star_closure(spec, maxlen, budget),
+    "suffix": lambda spec, maxlen, budget: langlab.check_suffix_property(spec, maxlen, budget),
+    "gcd": lambda spec, maxlen, budget: langlab.check_gcd_property(spec, maxlen, budget),
+    "commutative-matrices":
+        lambda spec, maxlen, budget: langlab.check_commutative_matrices(spec, maxlen, budget),
+    "commutative": lambda spec, maxlen, budget: diophantine.check_commutative(
+        lambda w: accepts(spec, w, budget), spec.alphabet, maxlen),
+}
 
 
 def _emit(record: dict) -> None:
@@ -138,12 +142,6 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _register_record(spec, register):
-    if spec.kind == COUNTER_MACHINE:
-        return [str(c) for c in register]
-    return [format_rational(e) for e in register]
-
-
 def cmd_run(args) -> int:
     spec = _load_valid(args.machine)
     word = args.input
@@ -162,7 +160,7 @@ def cmd_run(args) -> int:
             record["trace"] = [
                 {
                     "state": c.state,
-                    "register": _register_record(spec, c.register),
+                    "register": [format_rational(e) for e in c.register],
                     "position": c.position,
                 }
                 for c in result.trace
@@ -248,19 +246,7 @@ def cmd_verify(args) -> int:
 
 def cmd_check(args) -> int:
     spec = _load_valid(args.machine)
-    budget = _budget_from(args)
-    if args.property == "star-closure":
-        result = langlab.check_star_closure(spec, args.maxlen, budget=budget)
-    elif args.property == "suffix":
-        result = langlab.check_suffix_property(spec, args.maxlen, budget=budget)
-    elif args.property == "gcd":
-        result = langlab.check_gcd_property(spec, args.maxlen, budget=budget)
-    elif args.property == "commutative-matrices":
-        result = langlab.check_commutative_matrices(spec, args.maxlen, budget)
-    else:  # commutative
-        result = diophantine.check_commutative(
-            lambda w: accepts(spec, w, budget), spec.alphabet, args.maxlen
-        )
+    result = _CHECKS[args.property](spec, args.maxlen, _budget_from(args))
     if result is langlab.NOT_APPLICABLE:
         _emit({"verdict": "NotApplicable", "machine": spec.summary()})
         return EXIT_OK
@@ -351,8 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("check", help="run a structural property check")
-    p.add_argument("property", choices=(
-        "star-closure", "suffix", "gcd", "commutative-matrices", "commutative"))
+    p.add_argument("property", choices=_CHECKS)
     p.add_argument("machine")
     p.add_argument("--maxlen", type=_count, required=True)
     _add_budget_flags(p)

@@ -60,3 +60,7 @@ class UndecidedError(VecautoError):
         super().__init__(message)
         self.word = word
         self.budget = budget
+
+
+class ReferenceLanguageError(VecautoError):
+    """A reference language name is unknown or its parameter is malformed."""

@@ -177,10 +177,6 @@ def _effect_rows(spec: MachineSpec, effect) -> list:
 
 def write_machine(spec: MachineSpec) -> str:
     """Serialize a machine canonically."""
-    if spec.kind == COUNTER_MACHINE:
-        initial = [str(c) for c in spec.initial_vector]
-    else:
-        initial = [format_rational(e) for e in spec.initial_vector]
     doc = {
         "kind": spec.kind,
         "mode": spec.mode,
@@ -192,7 +188,7 @@ def write_machine(spec: MachineSpec) -> str:
         "initial_state": spec.initial_state,
         "accept_states": [q for q in spec.states if q in spec.accept_states],
         "dimension": spec.dimension,
-        "initial_vector": initial,
+        "initial_vector": [format_rational(e) for e in spec.initial_vector],
         "transitions": [
             {
                 "from": r.source,

@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import AlphabetError, UnsupportedKindError
+from .errors import AlphabetError, ReferenceLanguageError, UnsupportedKindError
 from .machines import HVA, MachineSpec, SearchBudget, accepts
 from .diophantine import check_commutative
 
@@ -26,9 +26,6 @@ class ReferenceLanguage:
     name: str
     alphabet: tuple
     membership: object  # str -> bool
-
-    def __contains__(self, word: str) -> bool:
-        return self.membership(word)
 
 
 @dataclass(frozen=True)
@@ -57,13 +54,17 @@ def all_strings(alphabet, maxlen: int):
             yield "".join(letters)
 
 
-def _membership_fn(machine, alphabet=None, budget: SearchBudget = None):
-    """Accept either a MachineSpec or a bare predicate plus alphabet."""
-    if isinstance(machine, MachineSpec):
-        return (lambda w: accepts(machine, w, budget)), machine.alphabet
-    if alphabet is None:
-        raise AlphabetError("a bare membership predicate needs an explicit alphabet")
-    return machine, tuple(alphabet)
+def _walk(language, maxlen: int, budget: SearchBudget = None):
+    """``(word, verdict)`` for every word up to `maxlen` in length-lex
+    order, each asked once, when reached, of `language` (a MachineSpec or
+    a ReferenceLanguage). Every verifier reads its verdicts from here."""
+    if isinstance(language, MachineSpec):
+        def membership(w):
+            return accepts(language, w, budget)
+    else:
+        membership = language.membership
+    for w in all_strings(language.alphabet, maxlen):
+        yield w, membership(w)
 
 
 def enumerate_accepted(spec: MachineSpec, maxlen: int, budget: SearchBudget = None) -> list:
@@ -72,38 +73,29 @@ def enumerate_accepted(spec: MachineSpec, maxlen: int, budget: SearchBudget = No
     Propagates UndecidedError (with the offending string) if any
     membership query exhausts the search budget.
     """
-    return [w for w in all_strings(spec.alphabet, maxlen) if accepts(spec, w, budget)]
+    return [w for w, accepted in _walk(spec, maxlen, budget) if accepted]
 
 
 def equivalent_up_to(a: MachineSpec, b: MachineSpec, maxlen: int,
                      budget: SearchBudget = None) -> EquivalenceVerdict:
     """Bounded language equivalence; returns the first disagreement."""
-    if tuple(a.alphabet) != tuple(b.alphabet):
-        raise AlphabetError(
-            f"alphabets differ: {a.alphabet} vs {b.alphabet}"
-        )
-    return _first_disagreement(
-        lambda w: accepts(a, w, budget), lambda w: accepts(b, w, budget), a.alphabet, maxlen
-    )
+    return _first_disagreement(a, b, maxlen, budget)
 
 
 def matches_reference(spec: MachineSpec, ref: ReferenceLanguage, maxlen: int,
                       budget: SearchBudget = None) -> EquivalenceVerdict:
     """Bounded equivalence of a machine against a reference predicate."""
-    if tuple(spec.alphabet) != tuple(ref.alphabet):
-        raise AlphabetError(
-            f"machine alphabet {spec.alphabet} differs from reference {ref.alphabet}"
-        )
-    return _first_disagreement(
-        lambda w: accepts(spec, w, budget), ref.membership, ref.alphabet, maxlen
-    )
+    return _first_disagreement(spec, ref, maxlen, budget)
 
 
-def _first_disagreement(left, right, alphabet, maxlen: int) -> EquivalenceVerdict:
+def _first_disagreement(left, right, maxlen: int, budget: SearchBudget) -> EquivalenceVerdict:
     """The first string up to `maxlen`, in length-lex order, on which two
-    membership functions differ."""
-    for w in all_strings(alphabet, maxlen):
-        if left(w) != right(w):
+    languages differ; each word is asked of `left`, then of `right`."""
+    if tuple(left.alphabet) != tuple(right.alphabet):
+        raise AlphabetError(f"alphabets differ: {left.alphabet} vs {right.alphabet}")
+    for (w, in_left), (_, in_right) in zip(_walk(left, maxlen, budget),
+                                           _walk(right, maxlen, budget)):
+        if in_left != in_right:
             return EquivalenceVerdict(False, counterexample=w, bound=maxlen)
     return EquivalenceVerdict(True, bound=maxlen)
 
@@ -112,37 +104,32 @@ def _first_disagreement(left, right, alphabet, maxlen: int) -> EquivalenceVerdic
 # structural properties of stateless machines
 
 
-def check_star_closure(machine, maxlen: int, alphabet=None, budget: SearchBudget = None):
+def check_star_closure(language, maxlen: int, budget: SearchBudget = None):
     """None when the accepted set up to `maxlen` is closed under
     concatenation and contains the empty string (L = L* evidence for
     stateless homing machines); otherwise the first offending pair
     (u, v) with uv rejected, or ("", "") when the empty string is missing.
     """
-    fn, alphabet = _membership_fn(machine, alphabet, budget)
-    if not fn(""):
+    walk = _walk(language, maxlen, budget)
+    _, empty_accepted = next(walk)
+    if not empty_accepted:
         return ("", "")
-    accepted = [w for w in all_strings(alphabet, maxlen) if fn(w)]
+    accepted = [w for w, verdict in walk if verdict]
     accepted_set = set(accepted)
     for u in accepted:
-        if not u:
-            continue
         for v in accepted:
-            if not v or len(u) + len(v) > maxlen:
-                continue
-            if u + v not in accepted_set:
+            if len(u) + len(v) <= maxlen and u + v not in accepted_set:
                 return (u, v)
     return None
 
 
-def check_suffix_property(machine, maxlen: int, alphabet=None,
-                          budget: SearchBudget = None):
+def check_suffix_property(language, maxlen: int, budget: SearchBudget = None):
     """None when, for every accepted w1 and accepted extension w1w2 up to
     `maxlen`, the suffix w2 is accepted too (a run of a stateless
     deterministic homing machine restarts from its initial vector after
     any accepted prefix); otherwise the first (w1, w1w2, w2) violation.
     """
-    fn, alphabet = _membership_fn(machine, alphabet, budget)
-    accepted = [w for w in all_strings(alphabet, maxlen) if fn(w)]
+    accepted = [w for w, verdict in _walk(language, maxlen, budget) if verdict]
     accepted_set = set(accepted)
     for w1 in accepted:
         for w12 in accepted:
@@ -153,15 +140,14 @@ def check_suffix_property(machine, maxlen: int, alphabet=None,
     return None
 
 
-def check_gcd_property(machine, maxlen: int, alphabet=None, budget: SearchBudget = None):
+def check_gcd_property(language, maxlen: int, budget: SearchBudget = None):
     """None when, for accepted a^i and a^j with 1 < i < j <= maxlen, the
     string a^gcd(i,j) is accepted; otherwise the first violating triple.
     Only meaningful over a unary alphabet."""
-    fn, alphabet = _membership_fn(machine, alphabet, budget)
-    if len(alphabet) != 1:
+    if len(language.alphabet) != 1:
         raise AlphabetError("the gcd property applies to unary machines")
-    sym = alphabet[0]
-    exponents = [i for i in range(maxlen + 1) if fn(sym * i)]
+    sym = language.alphabet[0]
+    exponents = [len(w) for w, accepted in _walk(language, maxlen, budget) if accepted]
     present = set(exponents)
     for i in exponents:
         if i <= 1:
@@ -181,15 +167,23 @@ def check_commutative_matrices(spec: MachineSpec, maxlen: int,
     otherwise None when the accepted set up to `maxlen` is closed under
     letter permutation (reversal included, being a permutation), or the
     first (representative, disagreeing permutation) pair.
+
+    Commuting effects say nothing about the language of a machine whose
+    control state also reads the input, so only stateless homing
+    machines are accepted.
     """
-    if spec.kind != HVA:
-        raise UnsupportedKindError("matrix commutativity check applies to homing machines")
+    if spec.kind != HVA or len(spec.states) != 1:
+        raise UnsupportedKindError(
+            "matrix commutativity check applies to stateless homing machines")
     matrices = [r.effect for r in spec.transitions]
     for i in range(len(matrices)):
         for j in range(i + 1, len(matrices)):
             if matrices[i] * matrices[j] != matrices[j] * matrices[i]:
                 return NOT_APPLICABLE
-    return check_commutative(lambda w: accepts(spec, w, budget), spec.alphabet, maxlen)
+    # check_commutative asks about every word in the walk's own
+    # length-lex order, so each question is answered by the next verdict
+    walk = _walk(spec, maxlen, budget)
+    return check_commutative(lambda w: next(walk)[1], spec.alphabet, maxlen)
 
 
 # ---------------------------------------------------------------------------
@@ -231,59 +225,63 @@ def _is_pow_r(w: str) -> bool:
     return w == "a" * i + "b" * j and i == 2**j
 
 
+def _positive(param) -> int:
+    """The parameter of ab_k_star and mod: an integer >= 1."""
+    value = int(param) if str(param).isdecimal() else 0
+    if value < 1:
+        raise ValueError(f"an integer parameter >= 1, got {param!r}")
+    return value
+
+
+_AB = ("a", "b")
+
+# name -> (alphabet, predicate), or for a parametric language
+# (alphabet, parameter -> predicate, parameter parser, name pattern)
+_REFERENCES = {
+    "ab": (_AB, lambda w: w == "a" * (len(w) // 2) + "b" * (len(w) // 2)),
+    "ab_star": (_AB, _is_ab_star),
+    "ab_k_star": (_AB, lambda k: lambda w: _is_abk_star(w, k), _positive, "ab_{}_star"),
+    "eq": (_AB, lambda w: w.count("a") == w.count("b")),
+    "leq": (_AB, lambda w: w.count("a") <= w.count("b")),
+    "dyck": (("(", ")"), _balanced_brackets),
+    "mod": (("a",), lambda m: lambda w: len(w) % m == 0, _positive, "mod_{}"),
+    "mod23": (("a",), lambda w: len(w) != 1),
+    "pow_r": (_AB, _is_pow_r),
+    # the language of the one-dimensional signed-doubling machine:
+    # equal a/b counts, and the shared count even
+    "evenab": (_AB, lambda w: w.count("a") == w.count("b") and w.count("a") % 2 == 0),
+    "neq": (_AB, lambda w: w == "a" * w.count("a") + "b" * w.count("b")
+            and w.count("a") != w.count("b")),
+    "l_epsilon": (_AB, lambda w: w == ""),
+    "singleton": (("1", "2"), lambda x: lambda w: w == x, str, "only_{}"),
+    "balanced_abc": (("a", "b", "c"),
+                     lambda w: w.count("a") == w.count("b") == w.count("c")),
+}
+
+
 def reference_language(name: str, param=None) -> ReferenceLanguage:
     """Executable ground-truth predicates for the named languages.
 
     Supported names: ab, ab_star, ab_k_star(k), eq, leq, dyck, mod(m),
     mod23, pow_r, evenab, neq, l_epsilon, singleton(x), and
-    balanced_abc (equal counts of a, b and c).
+    balanced_abc (equal counts of a, b and c). k and m are integers
+    >= 1; x is a string. An unknown name, or a parameter that is
+    missing, extra or malformed, raises ReferenceLanguageError.
     """
     key = name.lower()
-    if key == "ab":
-        return ReferenceLanguage("ab", ("a", "b"),
-                                 lambda w: w == "a" * (len(w) // 2) + "b" * (len(w) // 2))
-    if key == "ab_star":
-        return ReferenceLanguage("ab_star", ("a", "b"), _is_ab_star)
-    if key == "ab_k_star":
-        k = int(param)
-        return ReferenceLanguage(f"ab_{k}_star", ("a", "b"), lambda w: _is_abk_star(w, k))
-    if key == "eq":
-        return ReferenceLanguage("eq", ("a", "b"),
-                                 lambda w: w.count("a") == w.count("b"))
-    if key == "leq":
-        return ReferenceLanguage("leq", ("a", "b"),
-                                 lambda w: w.count("a") <= w.count("b"))
-    if key == "dyck":
-        return ReferenceLanguage("dyck", ("(", ")"), _balanced_brackets)
-    if key == "mod":
-        m = int(param)
-        return ReferenceLanguage(f"mod_{m}", ("a",), lambda w: len(w) % m == 0)
-    if key == "mod23":
-        return ReferenceLanguage("mod23", ("a",), lambda w: len(w) != 1)
-    if key == "pow_r":
-        return ReferenceLanguage("pow_r", ("a", "b"), _is_pow_r)
-    if key == "evenab":
-        # the language of the one-dimensional signed-doubling machine:
-        # equal a/b counts, and the shared count even
-        return ReferenceLanguage(
-            "evenab", ("a", "b"),
-            lambda w: w.count("a") == w.count("b") and w.count("a") % 2 == 0,
-        )
-    if key == "neq":
-        return ReferenceLanguage(
-            "neq", ("a", "b"),
-            lambda w: w == "a" * w.count("a") + "b" * w.count("b")
-            and w.count("a") != w.count("b"),
-        )
-    if key == "l_epsilon":
-        return ReferenceLanguage("l_epsilon", ("a", "b"), lambda w: w == "")
-    if key == "singleton":
-        x = str(param)
-        return ReferenceLanguage(f"only_{x}", ("1", "2"), lambda w: w == x)
-    if key == "balanced_abc":
-        return ReferenceLanguage(
-            "balanced_abc", ("a", "b", "c"),
-            lambda w: w.count("a") == w.count("b") == w.count("c"),
-        )
-    raise KeyError(f"unknown reference language {name!r}")
-
+    if key not in _REFERENCES:
+        raise ReferenceLanguageError(
+            f"unknown reference language {name!r}; know {', '.join(_REFERENCES)}")
+    alphabet, predicate, *parametric = _REFERENCES[key]
+    if not parametric:
+        if param is not None:
+            raise ReferenceLanguageError(f"reference language {key!r} takes no parameter")
+        return ReferenceLanguage(key, alphabet, predicate)
+    parse, pattern = parametric
+    if param is None:
+        raise ReferenceLanguageError(f"reference language {key!r} needs a parameter: {key}:PARAM")
+    try:
+        value = parse(param)
+    except ValueError as exc:
+        raise ReferenceLanguageError(f"reference language {key!r} needs {exc}") from None
+    return ReferenceLanguage(pattern.format(value), alphabet, predicate(value))

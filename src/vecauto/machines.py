@@ -173,7 +173,7 @@ class MachineSpec:
                 (idx, r.status, r.effect, r.target)
             )
         memo = {}
-        status_of_register = _status_test(self)
+        status_of_register = self.register_tests[0]
         counter = self.kind == COUNTER_MACHINE
 
         def successors(state, letter, register):
@@ -197,6 +197,32 @@ class MachineSpec:
             return fired
 
         return successors
+
+    @cached_property
+    def register_tests(self):
+        """``(status, accepting)`` functions of a register, both from the
+        kind's one "register is home" test: first entry 1 for VA, the
+        initial vector for HVA and monoid machines, 1 for FAM, all
+        counters 0 for counter machines. A counter machine's status is
+        that test per counter; an unblind one accepts any register.
+        """
+        if self.kind == GFA:
+            raise UnsupportedKindError("GFA has no register test; it accepts by its value")
+        if self.kind == COUNTER_MACHINE:
+            def status(register):
+                return tuple(STATUS_EQ if c == 0 else STATUS_NE for c in register)
+            if self.blind:
+                return status, lambda register: not any(register)
+            return status, lambda register: True
+        if self.kind == VA:
+            def home(register):
+                return register[0] == 1
+        else:
+            initial = RowVector([1]) if self.kind == FAM else self.initial_vector
+
+            def home(register):
+                return register == initial
+        return (lambda register: STATUS_EQ if home(register) else STATUS_NE), home
 
     @cached_property
     def epsilon_sources(self) -> frozenset:
@@ -488,42 +514,9 @@ def _is_identity_tensor(eff: Matrix, k: int) -> bool:
 # run semantics
 
 
-def _status_test(spec: MachineSpec):
-    """The kind's register status test, as seen by the transition function.
-
-    VA tests its first entry against 1, HVA and monoid machines test the
-    whole vector against the initial one, FAM tests the register against
-    1, and counter machines return one zero-test per counter.
-    """
-    if spec.kind == COUNTER_MACHINE:
-        return lambda register: tuple(STATUS_EQ if c == 0 else STATUS_NE for c in register)
-    if spec.kind == VA:
-        return lambda register: STATUS_EQ if register[0] == 1 else STATUS_NE
-    if spec.kind == GFA:
-        def no_status(register):
-            raise UnsupportedKindError("GFA has no mid-run status")
-        return no_status
-    # HVA and ExtendedFA compare against the initial register
-    home = RowVector([1]) if spec.kind == FAM else spec.initial_vector
-    return lambda register: STATUS_EQ if register == home else STATUS_NE
-
-
 def status_of(spec: MachineSpec, config: Configuration):
     """Register status of `config` as seen by the transition function."""
-    return _status_test(spec)(config.register)
-
-
-def acceptance_holds(spec: MachineSpec, register) -> bool:
-    """Kind-specific register acceptance test (control state checked separately)."""
-    if spec.kind == VA:
-        return register[0] == 1
-    if spec.kind == FAM:
-        return register == RowVector([1])
-    if spec.kind == COUNTER_MACHINE:
-        return (not spec.blind) or all(c == 0 for c in register)
-    if spec.kind in (HVA, EXTENDED_FA):
-        return register == spec.initial_vector
-    raise UnsupportedKindError(f"no register acceptance test for {spec.kind}")
+    return spec.register_tests[0](config.register)
 
 
 def initial_configuration(spec: MachineSpec) -> Configuration:
@@ -553,7 +546,7 @@ def run_deterministic(spec: MachineSpec, word: str) -> RunResult:
             )
         _, state, register = fired[0]
         trace.append(Configuration(state, register, position))
-    accepted = state in spec.accept_states and acceptance_holds(spec, register)
+    accepted = state in spec.accept_states and spec.register_tests[1](register)
     return RunResult(ACCEPT if accepted else REJECT, trace=tuple(trace))
 
 
@@ -573,6 +566,7 @@ def run_nondeterministic(spec: MachineSpec, word: str, budget: SearchBudget = No
     endmarker = spec.endmarker
     realtime = spec.realtime
     accept_states = spec.accept_states
+    accepting = spec.register_tests[1]
     successors = spec.successors
 
     # configurations are (state, position, register) keys; the queue
@@ -594,7 +588,7 @@ def run_nondeterministic(spec: MachineSpec, word: str, budget: SearchBudget = No
         key, eps_spent = queue.popleft()
         state, position, register = key
         if position == end_position:
-            if state in accept_states and acceptance_holds(spec, register):
+            if state in accept_states and accepting(register):
                 return RunResult(ACCEPT, accepting_path=accepting_path(key))
             if endmarker:
                 continue  # the end-marker closes the computation

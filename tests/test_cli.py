@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from vecauto import diophantine, langlab, transforms
 from vecauto.builders import cyclic_dfa, example
 from vecauto.cli import main
 from vecauto.fileformat import load_machine, write_dfa, write_machine
@@ -170,13 +171,21 @@ class TestMalformedArguments:
             (["transform", "dfa-to-stateless", "{dfa_transitions_not_list}", "{out}"], {}),
             (["diophantine", "solve", "{system_not_object}", "--bound", "2"], {}),
             (["transform", "dfa-to-stateless", "{dfa_unknown_target}", "{out}"], {}),
+            (["verify", "{mod2}", "--against", "mystery", "--maxlen", "2"], {}),
+            (["verify", "{mod2}", "--against", "mod", "--maxlen", "2"], {}),
+            (["verify", "{mod2}", "--against", "mod:x", "--maxlen", "2"], {}),
+            (["verify", "{mod2}", "--against", "mod:0", "--maxlen", "2"], {}),
+            (["verify", "{powr}", "--against", "eq:5", "--maxlen", "2"], {}),
+            (["check", "commutative-matrices", "{powr}", "--maxlen", "2"], {}),
         ],
         ids=["bad-scale", "zero-denominator-scale", "intersect-without-with",
              "intersect-with-invalid-machine", "bad-env-budget", "directory-as-machine",
              "negative-maxlen", "non-integer-maxlen", "negative-budget", "negative-eps-per-path",
              "negative-env-eps-per-path", "transitions-not-a-list", "initial-vector-not-a-list",
              "dfa-not-an-object", "dfa-transitions-not-a-list", "system-not-an-object",
-             "dfa-move-to-unknown-state"],
+             "dfa-move-to-unknown-state", "unknown-reference", "reference-without-parameter",
+             "non-integer-reference-parameter", "zero-reference-parameter",
+             "reference-with-extra-parameter", "commutative-matrices-with-states"],
     )
     def test_usage_error_record(self, capsys, monkeypatch, tmp_path, powr_path, argv, env):
         for name, value in env.items():
@@ -192,6 +201,7 @@ class TestMalformedArguments:
             "system_not_object": "5",
             "dfa_unknown_target": json.dumps(
                 dict(dfa, transitions=[{"from": "q0", "input": "a", "to": "q9"}])),
+            "mod2": write_machine(example("mod", 2)),
         }
         paths = dict(powr=powr_path, out=tmp_path / "out.mach", dir=tmp_path)
         for name, text in texts.items():
@@ -270,6 +280,49 @@ class TestVerifyAndCheck:
         assert records[0]["verdict"] == "NotApplicable"
 
 
+class TestDispatchTables:
+    """Each command reaches its verifier or pass through the module
+    attribute at call time, so rebinding that attribute (as the
+    benchmark's tracer does) is seen; a table that bound its functions
+    at import time fails here."""
+
+    @pytest.mark.parametrize(
+        "argv,module,name",
+        [
+            (["check", "star-closure", "{mod2}"], langlab, "check_star_closure"),
+            (["check", "suffix", "{mod2}"], langlab, "check_suffix_property"),
+            (["check", "gcd", "{mod2}"], langlab, "check_gcd_property"),
+            (["check", "commutative-matrices", "{mod2}"], langlab, "check_commutative_matrices"),
+            (["check", "commutative", "{mod2}"], diophantine, "check_commutative"),
+            (["enumerate", "{mod2}"], langlab, "enumerate_accepted"),
+            (["verify", "{mod2}", "--against", "mod:2"], langlab, "matches_reference"),
+            (["verify", "{mod2}", "--against", "{mod2}"], langlab, "equivalent_up_to"),
+            (["transform", "rationals-to-integers", "{powr}", "{out}"], transforms,
+             "rationals_to_integers"),
+        ],
+        ids=["star-closure", "suffix", "gcd", "commutative-matrices", "commutative",
+             "enumerate", "verify-reference", "verify-machine", "transform"],
+    )
+    def test_patched_function_runs(self, capsys, monkeypatch, tmp_path, powr_path,
+                                   argv, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def patched(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, patched)
+        paths = dict(mod2=tmp_path / "mod2.mach", powr=powr_path, out=tmp_path / "out.mach")
+        paths["mod2"].write_text(write_machine(example("mod", 2)))
+        argv = [a.format(**paths) for a in argv]
+        if argv[0] != "transform":
+            argv += ["--maxlen", "4"]
+        code, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert calls == [name]
+
+
 class TestEnumerateCommand:
     def test_ab_star_up_to_six(self, capsys, tmp_path):
         path = tmp_path / "abstar.mach"
@@ -298,7 +351,8 @@ class TestBudgetAndKinds:
         code, records = run_cli(capsys, "run", str(path), "ab", "--budget", "1")
         assert code == 3
 
-    @pytest.mark.parametrize("prop", ["star-closure", "suffix", "gcd", "commutative"])
+    @pytest.mark.parametrize(
+        "prop", ["star-closure", "suffix", "gcd", "commutative", "commutative-matrices"])
     def test_check_honours_budget(self, capsys, tmp_path, prop):
         # gcd needs a unary machine; the budget only matters to
         # nondeterministic ones

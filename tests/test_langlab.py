@@ -1,9 +1,18 @@
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 
 from vecauto.builders import example, unary_distinguisher
-from vecauto.errors import AlphabetError, UndecidedError
+from vecauto.errors import (
+    AlphabetError,
+    ReferenceLanguageError,
+    UndecidedError,
+    UnsupportedKindError,
+)
 from vecauto.langlab import (
     NOT_APPLICABLE,
+    ReferenceLanguage,
     all_strings,
     check_commutative_matrices,
     check_gcd_property,
@@ -14,7 +23,16 @@ from vecauto.langlab import (
     matches_reference,
     reference_language,
 )
-from vecauto.machines import SearchBudget, accepts
+from vecauto.exact import Matrix
+from vecauto.machines import (
+    HVA,
+    STATUS_ANY,
+    SearchBudget,
+    TransitionRule,
+    accepts,
+    stateless,
+    validate,
+)
 
 
 class TestEnumeration:
@@ -103,8 +121,13 @@ class TestReferencePredicates:
         assert mod23.membership("aa")
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ReferenceLanguageError):
             reference_language("mystery")
+
+    def test_parameter_names_the_language(self):
+        assert reference_language("ab_k_star", "2").name == "ab_2_star"
+        assert reference_language("mod", 3).name == "mod_3"
+        assert reference_language("singleton", "12").name == "only_12"
 
 
 class TestStarClosure:
@@ -115,14 +138,24 @@ class TestStarClosure:
         assert check_star_closure(example("ab_star"), 8) is None
 
     def test_broken_singleton_predicate(self):
-        result = check_star_closure(lambda w: w == "ab", 8, alphabet=("a", "b"))
+        result = check_star_closure(ReferenceLanguage("ab", ("a", "b"), lambda w: w == "ab"), 8)
         assert result == ("", "")
 
     def test_singleton_with_empty_string(self):
         result = check_star_closure(
-            lambda w: w in ("", "ab"), 8, alphabet=("a", "b")
+            ReferenceLanguage("eps_ab", ("a", "b"), lambda w: w in ("", "ab")), 8
         )
         assert result == ("ab", "ab")
+
+    def test_asks_each_word_once(self):
+        asked = []
+
+        def membership(w):
+            asked.append(w)
+            return w.count("a") == w.count("b")
+
+        assert check_star_closure(ReferenceLanguage("eq", ("a", "b"), membership), 4) is None
+        assert asked == list(all_strings(("a", "b"), 4))
 
 
 class TestSuffixProperty:
@@ -134,9 +167,9 @@ class TestSuffixProperty:
 
     def test_gap_is_reported(self):
         # accepts a^2 and a^3 but not a: impossible for a stateless
-        # deterministic homing machine, expressible as a bare predicate
+        # deterministic homing machine, expressible as a reference language
         result = check_suffix_property(
-            lambda w: w in ("", "aa", "aaa"), 4, alphabet=("a",)
+            ReferenceLanguage("gap", ("a",), lambda w: w in ("", "aa", "aaa")), 4
         )
         assert result == ("aa", "aaa", "a")
 
@@ -147,12 +180,12 @@ class TestGcdProperty:
 
     def test_two_and_three_demand_one(self):
         result = check_gcd_property(
-            lambda w: len(w) in (0, 2, 3), 6, alphabet=("a",)
+            ReferenceLanguage("two_three", ("a",), lambda w: len(w) in (0, 2, 3)), 6
         )
         assert result == ("aa", "aaa", "a")
 
     def test_vacuous_when_nothing_is_accepted(self):
-        assert check_gcd_property(lambda w: w == "", 8, alphabet=("a",)) is None
+        assert check_gcd_property(ReferenceLanguage("eps", ("a",), lambda w: w == ""), 8) is None
 
     def test_needs_unary_alphabet(self):
         with pytest.raises(AlphabetError):
@@ -172,3 +205,16 @@ class TestCommutativeMatrices:
         assert check_commutative_matrices(spec, 7) is None
         for w in enumerate_accepted(spec, 7):
             assert accepts(spec, w[::-1])
+
+    def test_refuses_a_machine_with_states(self):
+        # two states whose one-dimensional effects commute, but the
+        # control state makes the language depend on letter order:
+        # a then b is accepted, b then a is not
+        rules = [TransitionRule("p", "a", STATUS_ANY, "r", Matrix.from_rows([[2]])),
+                 TransitionRule("r", "b", STATUS_ANY, "p", Matrix.from_rows([[Fraction(1, 2)]]))]
+        spec = replace(stateless(HVA, ("a", "b"), 1, [1], []), states=("p", "r"),
+                       initial_state="p", accept_states=("p",), transitions=rules)
+        assert validate(spec) == []
+        assert accepts(spec, "ab") and not accepts(spec, "ba")
+        with pytest.raises(UnsupportedKindError):
+            check_commutative_matrices(spec, 4)
