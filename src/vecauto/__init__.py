@@ -31,7 +31,6 @@ from .machines import (
     run_deterministic,
     run_nondeterministic,
     stateless,
-    status_of,
     validate,
 )
 
@@ -53,7 +52,6 @@ __all__ = [
     "run_deterministic",
     "run_nondeterministic",
     "stateless",
-    "status_of",
     "tensor",
     "tensor_vec",
     "validate",

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BuilderError, EncodingError
-from .exact import Matrix, RowVector, inverse, mat_mul, tensor, tensor_vec, vec_mat_mul
+from .exact import Matrix, RowVector, direct_sum, inverse, mat_mul, tensor, tensor_vec
 from .machines import (
     DETERMINISTIC,
     ENDMARKER,
@@ -39,6 +39,10 @@ def _scalar(value) -> Matrix:
 
 
 def digit_alphabet(base: int) -> tuple:
+    """The digits 1..base-1; a base outside 3..10 has a digit that is not
+    one character, or no second digit, so it is refused."""
+    if not 3 <= base <= 10:
+        raise BuilderError(f"encoding base must be in 3..10, got {base}")
     return tuple(str(d) for d in range(1, base))
 
 
@@ -48,32 +52,17 @@ def digit_matrix(digit: int, base: int) -> Matrix:
 
 
 def encode_base(x: str, base: int = 3) -> int:
-    """Value of a digit string in base m over digits {1, ..., m-1}."""
-    if base < 3:
-        raise BuilderError(f"encoding base must be >= 3, got {base}")
+    """Value of a digit string in base m over digits {1, ..., m-1}; the
+    one check of a separation string and its base."""
+    digits = digit_alphabet(base)
     if not x:
         raise EncodingError("cannot encode the empty string")
     value = 0
     for ch in x:
-        if not ch.isdigit() or not 1 <= int(ch) < base:
+        if ch not in digits:
             raise EncodingError(f"digit {ch!r} invalid for base {base}")
         value = base * value + int(ch)
     return value
-
-
-def encode_base_by_matrices(x: str, base: int = 3) -> int:
-    """Same value, computed by the incremental vector-matrix encoding."""
-    if base < 3:
-        raise BuilderError(f"encoding base must be >= 3, got {base}")
-    if not x:
-        raise EncodingError("cannot encode the empty string")
-    v = RowVector([1, 0])
-    for ch in x:
-        if not ch.isdigit() or not 1 <= int(ch) < base:
-            raise EncodingError(f"digit {ch!r} invalid for base {base}")
-        v = vec_mat_mul(v, digit_matrix(int(ch), base))
-    assert v[0] == 1
-    return int(v[1])
 
 
 def _reverse_encoding(x: str, base: int) -> int:
@@ -140,10 +129,7 @@ def finite_language_va(strings, base: int = 3) -> MachineSpec:
     dim = 2**k + 1
 
     def bordered(block: Matrix) -> Matrix:
-        rows = [[1] + [0] * (dim - 1)]
-        for i in range(block.rows):
-            rows.append([0] + list(block.row(i)))
-        return Matrix.from_rows(rows)
+        return direct_sum(Matrix.identity(1), block)
 
     def tensor_power(m: Matrix) -> Matrix:
         out = m
@@ -178,9 +164,8 @@ def hva_distinguisher(x: str, base: int = 3) -> MachineSpec:
     """
     if not x:
         raise BuilderError("cannot build a distinguisher for the empty string")
-    encode_all = Matrix.identity(2)
-    for ch in reversed(x):
-        encode_all = mat_mul(encode_all, digit_matrix(int(ch), base))
+    # the product of the digit matrices of x^r
+    encode_all = Matrix.from_rows([[1, _reverse_encoding(x, base)], [0, base ** len(x)]])
     rules = []
     for d in range(1, base):
         inv = inverse(digit_matrix(d, base))

@@ -18,7 +18,7 @@ import sys
 
 from . import builders, diophantine, fileformat, langlab, transforms
 from .errors import UndecidedError, VecautoError
-from .exact import format_rational
+from .exact import dot, format_rational
 from .machines import (
     BUDGET_EXCEEDED,
     DEFAULT_MAX_CONFIGURATIONS,
@@ -27,7 +27,6 @@ from .machines import (
     MachineSpec,
     SearchBudget,
     accepts,
-    gfa_value,
     run_deterministic,
     run_nondeterministic,
     validate,
@@ -149,13 +148,12 @@ def cmd_run(args) -> int:
     if foreign:
         raise VecautoError(f"input symbols {foreign} not in alphabet {list(spec.alphabet)}")
     record = {"verdict": None, "machine": spec.summary(), "input": word}
-    if spec.kind == GFA:
-        value = gfa_value(spec, word)
-        record["value"] = format_rational(value)
-        record["verdict"] = "Accept" if value == spec.gfa_cutpoint else "Reject"
-    elif spec.mode == DETERMINISTIC:
+    if spec.mode == DETERMINISTIC:
         result = run_deterministic(spec, word)
         record["verdict"] = result.verdict
+        if spec.kind == GFA:
+            value = dot(result.trace[-1].register, spec.gfa_final_vector)
+            record["value"] = format_rational(value)
         if args.trace:
             record["trace"] = [
                 {

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .errors import AlphabetError, DomainError, UnsupportedPassError
 from .exact import Matrix
 from .machines import DETERMINISTIC, FAM, MachineSpec, stateless
-from .transforms import nth_prime
+from .transforms import prime_power_product
 
 # A Parikh vector is a plain tuple of per-symbol occurrence counts.
 ParikhVector = tuple
@@ -69,13 +69,10 @@ def famw_from_system(system: DiophantineSystem) -> MachineSpec:
     """Stateless deterministic blind FAM recognizing the strings whose
     Parikh image solves the system; equation j is tracked by the j-th
     prime's exponent."""
-    primes = [nth_prime(j) for j in range(system.num_equations)]
-    rules = []
-    for i, sym in enumerate(system.alphabet):
-        m = Fraction(1)
-        for p, row in zip(primes, system.coefficients):
-            m *= Fraction(p) ** row[i]
-        rules.append((sym, Matrix.from_rows([[m]])))
+    rules = [
+        (sym, Matrix.from_rows([[prime_power_product(row[i] for row in system.coefficients)]]))
+        for i, sym in enumerate(system.alphabet)
+    ]
     return stateless(FAM, system.alphabet, 1, [1], rules)
 
 

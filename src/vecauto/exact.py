@@ -235,6 +235,18 @@ def tensor_vec(u: RowVector, v: RowVector) -> RowVector:
     return RowVector(ui * vj for ui in u.entries for vj in v.entries)
 
 
+def direct_sum(a: Matrix, b: Matrix) -> Matrix:
+    """The block-diagonal matrix with a above-left and b below-right."""
+    rows = [list(a.row(i)) + [0] * b.cols for i in range(a.rows)]
+    rows += [[0] * a.cols + list(b.row(i)) for i in range(b.rows)]
+    return Matrix.from_rows(rows)
+
+
+def dot(u: RowVector, v: RowVector):
+    """Exact dot product of two row vectors of one dimension."""
+    return sum(a * b for a, b in zip(u.entries, v.entries))
+
+
 def inverse(a: Matrix) -> Matrix:
     """Exact inverse via rational Gauss-Jordan elimination."""
     if not a.is_square():

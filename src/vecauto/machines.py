@@ -36,12 +36,13 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import (
+    AlphabetError,
     InconsistentSpecError,
     ShapeError,
     UndecidedError,
     UnsupportedKindError,
 )
-from .exact import Matrix, RowVector, tensor, vec_mat_mul
+from .exact import Matrix, RowVector, dot, tensor, vec_mat_mul
 
 VA = "VA"
 HVA = "HVA"
@@ -202,12 +203,11 @@ class MachineSpec:
     def register_tests(self):
         """``(status, accepting)`` functions of a register, both from the
         kind's one "register is home" test: first entry 1 for VA, the
-        initial vector for HVA and monoid machines, 1 for FAM, all
+        initial vector for HVA and monoid machines, 1 for FAM, value
+        (register times final vector) at the cutpoint for GFA, all
         counters 0 for counter machines. A counter machine's status is
         that test per counter; an unblind one accepts any register.
         """
-        if self.kind == GFA:
-            raise UnsupportedKindError("GFA has no register test; it accepts by its value")
         if self.kind == COUNTER_MACHINE:
             def status(register):
                 return tuple(STATUS_EQ if c == 0 else STATUS_NE for c in register)
@@ -217,6 +217,11 @@ class MachineSpec:
         if self.kind == VA:
             def home(register):
                 return register[0] == 1
+        elif self.kind == GFA:
+            final, cutpoint = self.gfa_final_vector, self.gfa_cutpoint
+
+            def home(register):
+                return dot(register, final) == cutpoint
         else:
             initial = RowVector([1]) if self.kind == FAM else self.initial_vector
 
@@ -259,7 +264,7 @@ def stateless(kind, alphabet, dimension, initial_vector, rules, *,
 
 
 class Configuration(NamedTuple):
-    """A point in a run: control state, register, input position, eps spent.
+    """A point in a run: control state, register, input position.
 
     `position` counts processed letters of `w$` (so it can reach
     `len(w) + 1` when the machine uses an end-marker).
@@ -268,7 +273,6 @@ class Configuration(NamedTuple):
     state: str
     register: object
     position: int
-    epsilon_spent: int = 0
 
 
 @dataclass(frozen=True)
@@ -411,12 +415,16 @@ def validate(spec: MachineSpec) -> list:
             bad("GFA needs a final vector and a cutpoint")
         elif spec.gfa_final_vector.dim != spec.dimension:
             bad("GFA final vector dimension mismatch")
+        if spec.mode != DETERMINISTIC or not spec.blind:
+            bad("GFA is deterministic and blind")
         if spec.endmarker:
             bad("GFA does not process an end-marker")
         if not spec.realtime:
             bad("GFA is real-time; eps rules are not allowed")
         if len(spec.states) != 1:
             bad("GFA control is carried by the matrices; use a single state")
+        elif spec.states[0] not in spec.accept_states:
+            bad("GFA accepts by its value; its one state must be accepting")
         seen_syms = set()
         for r in spec.transitions:
             if r.input in seen_syms:
@@ -495,32 +503,14 @@ def validate(spec: MachineSpec) -> list:
 
 
 def _is_identity_tensor(eff: Matrix, k: int) -> bool:
-    """True when eff is I_k tensor M for some k x k matrix M."""
-    block = [[eff.entry(i, j) for j in range(k)] for i in range(k)]
-    for bi in range(k):
-        for bj in range(k):
-            for i in range(k):
-                for j in range(k):
-                    e = eff.entry(bi * k + i, bj * k + j)
-                    if bi == bj:
-                        if e != block[i][j]:
-                            return False
-                    elif e:
-                        return False
-    return True
+    """True when eff is I_k tensor M for some k x k matrix M; M can only
+    be eff's top-left k x k block."""
+    top_left = Matrix.from_rows(eff.row(i)[:k] for i in range(k))
+    return eff == embed_monoid_effect(top_left)
 
 
 # ---------------------------------------------------------------------------
 # run semantics
-
-
-def status_of(spec: MachineSpec, config: Configuration):
-    """Register status of `config` as seen by the transition function."""
-    return spec.register_tests[0](config.register)
-
-
-def initial_configuration(spec: MachineSpec) -> Configuration:
-    return Configuration(spec.initial_state, spec.initial_vector, 0, 0)
 
 
 def run_deterministic(spec: MachineSpec, word: str) -> RunResult:
@@ -532,9 +522,8 @@ def run_deterministic(spec: MachineSpec, word: str) -> RunResult:
     if spec.mode != DETERMINISTIC:
         raise InconsistentSpecError("run_deterministic needs a deterministic machine")
     successors = spec.successors
-    config = initial_configuration(spec)
-    state, register = config.state, config.register
-    trace = [config]
+    state, register = spec.initial_state, spec.initial_vector
+    trace = [Configuration(state, register, 0)]
     letters = word + ENDMARKER if spec.endmarker else word
     for position, letter in enumerate(letters, 1):
         fired = successors(state, letter, register)
@@ -620,14 +609,14 @@ def run_nondeterministic(spec: MachineSpec, word: str, budget: SearchBudget = No
 
 
 def gfa_value(spec: MachineSpec, word: str) -> Fraction:
-    """Acceptance value v0 * A_w[1] * ... * A_w[n] * f of a GFA."""
+    """Acceptance value v0 * A_w[1] * ... * A_w[n] * f of a GFA: its
+    final register from `run_deterministic`, times the final vector."""
     if spec.kind != GFA:
         raise UnsupportedKindError("gfa_value needs a GFA")
-    matrices = {r.input: r.effect for r in spec.transitions}
-    v = spec.initial_vector
-    for sym in word:
-        v = vec_mat_mul(v, matrices[sym])
-    return sum(a * b for a, b in zip(v, spec.gfa_final_vector))
+    trace = run_deterministic(spec, word).trace
+    if len(trace) <= len(word):
+        raise AlphabetError(f"symbol {word[len(trace) - 1]!r} has no GFA matrix")
+    return dot(trace[-1].register, spec.gfa_final_vector)
 
 
 def accepts(spec: MachineSpec, word: str, budget: SearchBudget = None) -> bool:
@@ -636,8 +625,6 @@ def accepts(spec: MachineSpec, word: str, budget: SearchBudget = None) -> bool:
     Raises UndecidedError when nondeterministic search runs out of
     budget, so an unfinished search is never reported as a Reject.
     """
-    if spec.kind == GFA:
-        return gfa_value(spec, word) == spec.gfa_cutpoint
     if spec.mode == DETERMINISTIC:
         return run_deterministic(spec, word).accepted
     result = run_nondeterministic(spec, word, budget)

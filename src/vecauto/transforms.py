@@ -17,6 +17,7 @@ from .exact import (
     Matrix,
     RowVector,
     common_denominator_scalar,
+    direct_sum,
     mat_mul,
 )
 from .machines import (
@@ -58,8 +59,8 @@ class TransformReport:
         }
 
 
-def _report(name, src, out, **params) -> TransformReport:
-    return TransformReport(name, src.summary(), out.summary(), dict(params))
+def _report(name, input_summary, out, **params) -> TransformReport:
+    return TransformReport(name, input_summary, out.summary(), dict(params))
 
 
 def _fresh_name(base: str, taken) -> str:
@@ -94,7 +95,7 @@ def scale_initial_vector(spec: MachineSpec, t):
     if spec.kind != HVA:
         raise UnsupportedPassError("initial-vector scaling applies to homing machines")
     out = replace(spec, initial_vector=spec.initial_vector.scale(t))
-    return out, _report("scale_initial_vector", spec, out, t=str(t))
+    return out, _report("scale_initial_vector", spec.summary(), out, t=str(t))
 
 
 def remove_endmarker(spec: MachineSpec, budget: SearchBudget = None):
@@ -164,20 +165,13 @@ def remove_endmarker(spec: MachineSpec, budget: SearchBudget = None):
         accept_states=frozenset(accept_states),
         transitions=tuple(rules),
     )
-    return out, _report("remove_endmarker", spec, out, accepts_empty=accepts_empty)
+    return out, _report("remove_endmarker", spec.summary(), out, accepts_empty=accepts_empty)
 
 
 def bordered_matrix(a: Matrix, c: int) -> Matrix:
-    """Embed c*a in the top-left of a (k+2)-square matrix, with c and 1
-    completing the diagonal; the extra two entries track the accumulated
-    power of c and a constant 1 through a run."""
-    k = a.rows
-    rows = []
-    for i in range(k):
-        rows.append([c * e for e in a.row(i)] + [0, 0])
-    rows.append([0] * k + [c, 0])
-    rows.append([0] * k + [0, 1])
-    return Matrix.from_rows(rows)
+    """The direct sum of c*a and diag(c, 1): the extra two entries track
+    the accumulated power of c and a constant 1 through a run."""
+    return direct_sum(a.scale(c), Matrix.from_rows([[c, 0], [0, 1]]))
 
 
 def endmarker_postprocess_matrix(v0: RowVector) -> Matrix:
@@ -231,7 +225,7 @@ def rationals_to_integers(spec: MachineSpec):
         initial_vector=RowVector(list(v0.entries) + [1, 1]),
         transitions=tuple(rules),
     )
-    return out, _report("rationals_to_integers", spec, out, c=c, initial_scale=t)
+    return out, _report("rationals_to_integers", spec.summary(), out, c=c, initial_scale=t)
 
 
 def _status_variants(spec: MachineSpec):
@@ -301,7 +295,7 @@ def eliminate_states(spec: MachineSpec):
         big_v0[start + s] = v0[s]
 
     out = stateless(VA, spec.alphabet, dim, big_v0, big_rules, blind=spec.blind, endmarker=True)
-    return out, _report("eliminate_states", spec, out, blocks=n, block_width=k)
+    return out, _report("eliminate_states", spec.summary(), out, blocks=n, block_width=k)
 
 
 _PRIME_CACHE = [2, 3, 5, 7, 11, 13]
@@ -315,6 +309,15 @@ def nth_prime(i: int) -> int:
             candidate += 2
         _PRIME_CACHE.append(candidate)
     return _PRIME_CACHE[i]
+
+
+def prime_power_product(exponents) -> Fraction:
+    """prod_i p_i^(e_i) over the first primes p_0 = 2, p_1 = 3, ...;
+    negative exponents divide."""
+    m = Fraction(1)
+    for i, e in enumerate(exponents):
+        m *= Fraction(nth_prime(i)) ** e
+    return m
 
 
 def counters_to_hva1(spec: MachineSpec):
@@ -333,19 +336,15 @@ def counters_to_hva1(spec: MachineSpec):
             "prime encoding cannot express mid-run zero-tests; machine must be blind"
         )
 
-    primes = [nth_prime(i) for i in range(spec.dimension)]
-    rules = []
-    for r in spec.transitions:
-        m = Fraction(1)
-        for p, c in zip(primes, r.effect):
-            m *= Fraction(p) ** c
-        rules.append(
-            TransitionRule(r.source, r.input, STATUS_ANY, r.target,
-                           Matrix.from_rows([[m]]))
-        )
+    rules = [
+        TransitionRule(r.source, r.input, STATUS_ANY, r.target,
+                       Matrix.from_rows([[prime_power_product(r.effect)]]))
+        for r in spec.transitions
+    ]
     out = replace(spec, kind=HVA, dimension=1, initial_vector=RowVector([1]),
                   transitions=tuple(rules))
-    return out, _report("counters_to_hva1", spec, out, primes=primes)
+    primes = [nth_prime(i) for i in range(spec.dimension)]
+    return out, _report("counters_to_hva1", spec.summary(), out, primes=primes)
 
 
 def attach_trivial_endmarker(spec: MachineSpec):
@@ -362,7 +361,7 @@ def attach_trivial_endmarker(spec: MachineSpec):
             TransitionRule(q, ENDMARKER, STATUS_NE, q, identity) for q in spec.states
         ]
     out = replace(spec, endmarker=True, transitions=tuple(rules))
-    return out, _report("attach_trivial_endmarker", spec, out)
+    return out, _report("attach_trivial_endmarker", spec.summary(), out)
 
 
 def counters_to_integer_hva3(spec: MachineSpec, budget: SearchBudget = None):
@@ -380,13 +379,8 @@ def counters_to_integer_hva3(spec: MachineSpec, budget: SearchBudget = None):
         reports.append(r2)
     lifted, r3 = rationals_to_integers(marked)
     out, r4 = remove_endmarker(as_nondeterministic(lifted), budget)
-    report = TransformReport(
-        "counters_to_integer_hva3",
-        spec.summary(),
-        out.summary(),
-        {"stages": [r.to_record() for r in reports + [r3, r4]]},
-    )
-    return out, report
+    stages = [r.to_record() for r in reports + [r3, r4]]
+    return out, _report("counters_to_integer_hva3", spec.summary(), out, stages=stages)
 
 
 @dataclass
@@ -435,20 +429,8 @@ def dfa_to_stateless_dbhva(dfa: DFA):
                 entries[index[q]][index[target]] = 1
         rules.append((sym, Matrix.from_rows(entries)))
     out = stateless(HVA, dfa.alphabet, n, [1] + [0] * (n - 1), rules)
-    report = TransformReport(
-        "dfa_to_stateless_dbhva",
-        {"kind": "DFA", "states": n, "dimension": 1},
-        out.summary(),
-        {},
-    )
-    return out, report
-
-
-def _direct_sum(a: Matrix, b: Matrix) -> Matrix:
-    """The block-diagonal matrix with a above-left and b below-right."""
-    rows = [list(a.row(i)) + [0] * b.cols for i in range(a.rows)]
-    rows += [[0] * a.cols + list(b.row(i)) for i in range(b.rows)]
-    return Matrix.from_rows(rows)
+    return out, _report("dfa_to_stateless_dbhva", {"kind": "DFA", "states": n, "dimension": 1},
+                        out)
 
 
 def intersect_blind_hva(a: MachineSpec, b: MachineSpec):
@@ -485,7 +467,7 @@ def intersect_blind_hva(a: MachineSpec, b: MachineSpec):
                     rules.append(
                         TransitionRule(
                             pair(p, q), letter, STATUS_ANY, pair(ra.target, rb.target),
-                            _direct_sum(ra.effect, rb.effect),
+                            direct_sum(ra.effect, rb.effect),
                         )
                     )
     out = MachineSpec(
@@ -504,10 +486,4 @@ def intersect_blind_hva(a: MachineSpec, b: MachineSpec):
         initial_vector=RowVector(a.initial_vector.entries + b.initial_vector.entries),
         transitions=tuple(rules),
     )
-    report = TransformReport(
-        "intersect_blind_hva",
-        {"left": a.summary(), "right": b.summary()},
-        out.summary(),
-        {},
-    )
-    return out, report
+    return out, _report("intersect_blind_hva", {"left": a.summary(), "right": b.summary()}, out)

@@ -1,10 +1,13 @@
 import pytest
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from vecauto.builders import (
     binary_distinguisher,
+    digit_matrix,
     encode_base,
-    encode_base_by_matrices,
     example,
     finite_language_nbhva,
     finite_language_va,
@@ -20,6 +23,20 @@ from vecauto.langlab import (
     reference_language,
 )
 from vecauto.machines import accepts, run_deterministic, validate
+
+
+def encode_by_digit_matrices(x: str, base: int = 3) -> int:
+    """e(x) by the incremental encoding: each digit d maps (1, e(y)) to
+    (1, e(y d))."""
+    v = RowVector([1, 0])
+    for ch in x:
+        v = vec_mat_mul(v, digit_matrix(int(ch), base))
+    assert v[0] == 1
+    return v[1]
+
+
+def digit_strings(base: int, max_size: int = 4):
+    return st.text("".join(str(d) for d in range(1, base)), min_size=1, max_size=max_size)
 
 
 class TestEncodeBase:
@@ -53,11 +70,43 @@ class TestEncodeBase:
         digits = [str(d) for d in range(1, base)]
         for length in range(1, 5):
             for word in map("".join, product(digits, repeat=length)):
-                assert encode_base(word, base) == encode_base_by_matrices(word, base)
+                assert encode_base(word, base) == encode_by_digit_matrices(word, base)
 
     def test_matrix_form_to_length_twelve(self):
         word = "121221112122"
-        assert encode_base(word) == encode_base_by_matrices(word)
+        assert encode_base(word) == encode_by_digit_matrices(word)
+
+
+class TestSeparationBuilders:
+    @pytest.mark.parametrize("base", range(3, 11))
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_every_output_validates(self, base, data):
+        strings = data.draw(st.lists(digit_strings(base), min_size=1, max_size=3, unique=True))
+        x = strings[0]
+        for spec in (
+            binary_distinguisher(x, base),
+            hva_distinguisher(x, base),
+            finite_language_va(strings, base),
+            finite_language_nbhva(strings, base),
+            finite_language_nbhva(strings + [""], base),
+        ):
+            assert validate(spec) == []
+
+    @pytest.mark.parametrize("base", [2, 11])
+    @pytest.mark.parametrize(
+        "build",
+        [binary_distinguisher, hva_distinguisher,
+         lambda x, base: finite_language_va([x], base),
+         lambda x, base: finite_language_nbhva([x], base),
+         lambda x, base: finite_language_nbhva([""], base)],
+        ids=["binary", "hva", "finite_va", "finite_nbhva", "finite_nbhva_empty_only"],
+    )
+    @settings(max_examples=10, deadline=None)
+    @given(x=digit_strings(10))
+    def test_base_outside_three_to_ten_is_refused(self, base, build, x):
+        with pytest.raises(BuilderError):
+            build(x, base)
 
 
 class TestUnaryDistinguisher:

@@ -51,6 +51,24 @@ class TestValidateCommand:
         code, records = run_cli(capsys, "validate", "no_such.mach")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "changes,status,diagnostic",
+        [({"mode": "nondeterministic"}, "*", "GFA is deterministic and blind"),
+         ({"blind": False}, "=", "GFA is deterministic and blind"),
+         ({"accept_states": []}, "*", "GFA accepts by its value; its one state must be accepting")],
+        ids=["nondeterministic", "unblind-with-status", "state-not-accepting"],
+    )
+    def test_gfa_relabelled_mod3(self, capsys, tmp_path, changes, status, diagnostic):
+        doc = json.loads(write_machine(example("mod", 3)))
+        doc.update(changes, kind="GFA", gfa_final_vector=["1", "0", "0"], gfa_cutpoint="1")
+        doc["transitions"][0]["status"] = status
+        path = tmp_path / "gfa.mach"
+        path.write_text(json.dumps(doc))
+        code, records = run_cli(capsys, "validate", str(path))
+        assert code == 2
+        assert records[0]["verdict"] == "Invalid"
+        assert records[0]["diagnostics"] == [diagnostic]
+
 
 class TestRunCommand:
     def test_accept_with_trace(self, capsys, powr_path):
@@ -177,6 +195,11 @@ class TestMalformedArguments:
             (["verify", "{mod2}", "--against", "mod:0", "--maxlen", "2"], {}),
             (["verify", "{powr}", "--against", "eq:5", "--maxlen", "2"], {}),
             (["check", "commutative-matrices", "{powr}", "--maxlen", "2"], {}),
+            (["separate", "1a", "--model", "dbhva", "-o", "{out}"], {}),
+            (["separate", "3", "--model", "dbhva", "-o", "{out}"], {}),
+            (["separate", "12", "--model", "dbhva", "--base", "2", "-o", "{out}"], {}),
+            (["separate", "12", "21", "--base", "11", "-o", "{out}"], {}),
+            (["separate", "1\u00b2", "-o", "{out}"], {}),
         ],
         ids=["bad-scale", "zero-denominator-scale", "intersect-without-with",
              "intersect-with-invalid-machine", "bad-env-budget", "directory-as-machine",
@@ -185,7 +208,9 @@ class TestMalformedArguments:
              "dfa-not-an-object", "dfa-transitions-not-a-list", "system-not-an-object",
              "dfa-move-to-unknown-state", "unknown-reference", "reference-without-parameter",
              "non-integer-reference-parameter", "zero-reference-parameter",
-             "reference-with-extra-parameter", "commutative-matrices-with-states"],
+             "reference-with-extra-parameter", "commutative-matrices-with-states",
+             "separate-letter-digit", "separate-digit-of-the-base", "separate-base-two",
+             "separate-base-eleven", "separate-superscript-digit"],
     )
     def test_usage_error_record(self, capsys, monkeypatch, tmp_path, powr_path, argv, env):
         for name, value in env.items():
@@ -371,6 +396,17 @@ class TestBudgetAndKinds:
         code, records = run_cli(capsys, "run", str(path), "aaa")
         assert code == 0
         assert records[0]["value"] == "8"
+
+    def test_gfa_run_trace_ends_at_the_valued_register(self, capsys, tmp_path):
+        from test_machines import one_state_gfa
+
+        path = tmp_path / "gfa.mach"
+        path.write_text(write_machine(one_state_gfa()))
+        code, records = run_cli(capsys, "run", str(path), "aa", "--trace")
+        assert code == 1
+        assert records[0]["verdict"] == "Reject"
+        assert records[0]["value"] == "4"
+        assert [c["register"] for c in records[0]["trace"]] == [["1"], ["2"], ["4"]]
 
     def test_every_catalog_machine_builds_and_validates(self, capsys, tmp_path):
         cases = [

@@ -3,10 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from machine_gen import random_dva
 from vecauto.builders import example
-from vecauto.errors import InconsistentSpecError, UndecidedError, UnsupportedKindError
+from vecauto.errors import AlphabetError, InconsistentSpecError, UndecidedError, UnsupportedKindError
 from vecauto.exact import Matrix, RowVector
 from vecauto.machines import (
     ACCEPT,
@@ -21,7 +23,6 @@ from vecauto.machines import (
     STATUS_ANY,
     STATUS_EQ,
     STATUS_NE,
-    Configuration,
     MachineSpec,
     SearchBudget,
     TransitionRule,
@@ -30,11 +31,9 @@ from vecauto.machines import (
     extendedfa_embed,
     flattened_identity,
     gfa_value,
-    initial_configuration,
     run_deterministic,
     run_nondeterministic,
     stateless,
-    status_of,
     validate,
 )
 from vecauto.langlab import all_strings
@@ -144,15 +143,14 @@ class TestValidate:
 class TestStatus:
     def test_hva_status_tracks_initial_vector(self):
         spec = example("eq")
-        at_start = initial_configuration(spec)
-        assert status_of(spec, at_start) == STATUS_EQ
-        moved = Configuration("q", RowVector([2]), 1)
-        assert status_of(spec, moved) == STATUS_NE
+        status, _ = spec.register_tests
+        assert status(spec.initial_vector) == STATUS_EQ
+        assert status(RowVector([2])) == STATUS_NE
 
     def test_va_status_checks_first_entry(self):
-        spec = example("unary_point", 0)
-        assert status_of(spec, Configuration("q", RowVector([1]), 0)) == STATUS_EQ
-        assert status_of(spec, Configuration("q", RowVector([3]), 0)) == STATUS_NE
+        status, _ = example("unary_point", 0).register_tests
+        assert status(RowVector([1])) == STATUS_EQ
+        assert status(RowVector([3])) == STATUS_NE
 
     def test_counter_status_is_componentwise(self):
         spec = MachineSpec(
@@ -169,13 +167,16 @@ class TestStatus:
             initial_vector=(0, 0),
             transitions=(TransitionRule("q", "a", STATUS_ANY, "q", (0, 1)),),
         )
-        config = Configuration("q", (0, 5), 1)
-        assert status_of(spec, config) == (STATUS_EQ, STATUS_NE)
+        status, _ = spec.register_tests
+        assert status((0, 5)) == (STATUS_EQ, STATUS_NE)
 
-    def test_gfa_has_no_status(self):
-        spec = one_state_gfa()
-        with pytest.raises(UnsupportedKindError):
-            status_of(spec, initial_configuration(spec))
+    def test_gfa_home_is_the_cutpoint(self):
+        # value = register times final vector; cutpoint 8 with f = (1)
+        status, accepting = one_state_gfa().register_tests
+        assert accepting(RowVector([8]))
+        assert not accepting(RowVector([4]))
+        assert status(RowVector([8])) == STATUS_EQ
+        assert status(RowVector([1])) == STATUS_NE
 
 
 class TestDeterministicRuns:
@@ -351,6 +352,10 @@ class TestGfa:
         with pytest.raises(UnsupportedKindError):
             gfa_value(powr, "a")
 
+    def test_value_refuses_a_foreign_symbol(self):
+        with pytest.raises(AlphabetError):
+            gfa_value(one_state_gfa(), "ab")
+
     def test_two_state_gfa_separates_strings(self):
         # the first column of a distinguisher's end-marker matrix serves
         # as the final vector, so two matrix rows suffice to tell apart
@@ -413,6 +418,33 @@ class TestMonoidMachines:
             [0, 0, 0, 1],
             [0, 0, 1, 0],
         ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_validate_rejects_effects_not_of_identity_tensor_form(self, data):
+        k = data.draw(st.integers(1, 3), label="k")
+        entries = data.draw(st.lists(st.integers(-3, 3), min_size=k * k, max_size=k * k))
+        effect = embed_monoid_effect(Matrix(k, k, entries))
+
+        def diagnostics(eff):
+            return validate(stateless(EXTENDED_FA, ("a",), k, flattened_identity(k),
+                                      [("a", eff)], mode=NONDETERMINISTIC))
+
+        def changed(row, col):
+            rows = effect.to_rows()
+            rows[row][col] += data.draw(st.sampled_from([-2, -1, 1, 2]), label="delta")
+            return Matrix.from_rows(rows)
+
+        assert diagnostics(effect) == []
+        if k == 1:
+            return  # the only block is the top-left one, which defines M
+        n = k * k
+        off = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                        .filter(lambda rc: rc[0] // k != rc[1] // k), label="off-block entry")
+        block = data.draw(st.integers(1, k - 1), label="later diagonal block")
+        i, j = data.draw(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), label="in block")
+        for eff in (changed(*off), changed(block * k + i, block * k + j)):
+            assert diagnostics(eff) == ["transition #0 (q,a): effect is not of the form I tensor M"]
 
     def test_embed_needs_monoid_machine(self, powr):
         with pytest.raises(UnsupportedKindError):
