@@ -97,6 +97,16 @@ def _count(text: str, name: str = "value") -> int:
     return value
 
 
+def _integer(text: str) -> int:
+    """An integer: the argparse type of `build`'s parameter and of
+    `separate --base`, whose ranges the builders check. Like `_count`, it
+    raises VecautoError, so a bad value ends in a UsageError record."""
+    try:
+        return int(text)
+    except ValueError:
+        raise VecautoError(f"not an integer: {text!r}") from None
+
+
 def _option_or_env(value, name):
     if value is not None or not os.environ.get(name):
         return value
@@ -314,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="emit an example machine from the catalog")
     p.add_argument("name", choices=builders.EXAMPLE_NAMES)
-    p.add_argument("param", nargs="?", type=int, default=None)
+    p.add_argument("param", nargs="?", type=_integer, default=None)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_build)
 
@@ -322,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("x")
     p.add_argument("others", nargs="*")
     p.add_argument("--model", choices=("dbva", "dbhva"), default="dbva")
-    p.add_argument("--base", type=int, default=3)
+    p.add_argument("--base", type=_integer, default=3)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_separate)
 

@@ -7,6 +7,14 @@ floating point appears anywhere. Matrices are dense and row-major;
 dimensions stay small (at most a few dozen), so sparsity is not worth
 the complexity.
 
+A row vector is held as integer numerators over one positive common
+denominator in lowest terms, and each matrix is compiled once into an
+integer matrix over its own common denominator: the paper's scaling of
+a machine by a common c, applied to every register update at run time.
+A product is then integer multiply-adds and one gcd, and the reduced
+form is canonical, so equal vectors have equal numerators and
+denominators. Entries are exact rationals at the API boundary.
+
 All values are immutable after construction and all operations are
 pure, so they can be shared freely between concurrent tasks.
 """
@@ -15,14 +23,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import ShapeError, SingularMatrixError
 
 # Rationals are stdlib fractions: always in lowest terms, denominator > 0,
 # and zero is canonically 0/1, which is exactly the invariant we need.
-# Integer values are stored as plain ints: Python guarantees they hash and
-# compare consistently with Fraction, and int arithmetic is far cheaper,
-# which matters in register-heavy searches.
+# Integral entries are handed out as plain ints: Python guarantees they
+# hash and compare consistently with Fraction, and they are cheaper to
+# format and compare.
 Rational = Fraction
 
 
@@ -37,6 +46,18 @@ def _demote(value):
     if type(value) is int:
         return value
     return value.numerator if value.denominator == 1 else value
+
+
+def _common_denominator(values) -> int:
+    """Least positive c such that c*x is an integer for every value x."""
+    return math.lcm(*(x.denominator for x in values))
+
+
+def _over_common_denominator(values: tuple) -> tuple:
+    """``(nums, c)`` with values[i] == nums[i] / c and c the least common
+    denominator, so that gcd(c, *nums) is 1."""
+    c = _common_denominator(values)
+    return tuple(x.numerator * (c // x.denominator) for x in values), c
 
 
 def parse_rational(text: str) -> Fraction:
@@ -55,32 +76,50 @@ def format_rational(value: Fraction) -> str:
 
 
 class RowVector:
-    """Immutable row vector of rationals."""
+    """Immutable row vector of rationals: entry i is nums[i] / den.
 
-    __slots__ = ("entries", "_hash")
+    `den` is positive and gcd(den, *nums) is 1, so the form is canonical
+    and equality compares it directly. `entries`, the values as ints and
+    Fractions, is built on first use.
+    """
+
+    __slots__ = ("nums", "den", "_entries", "_hash")
 
     def __init__(self, entries):
-        self.entries = tuple(_norm(e) for e in entries)
+        entries = tuple(_norm(e) for e in entries)
+        self.nums, self.den = _over_common_denominator(entries)
+        self._entries = entries
         self._hash = None
 
     @classmethod
-    def _trusted(cls, entries: tuple) -> "RowVector":
-        # internal fast path: entries must already be a tuple of Fractions
+    def _trusted(cls, nums: tuple, den: int) -> "RowVector":
+        # internal fast path: nums / den must already be in lowest terms
         v = cls.__new__(cls)
-        v.entries = entries
+        v.nums = nums
+        v.den = den
+        v._entries = None
         v._hash = None
         return v
 
     @property
+    def entries(self) -> tuple:
+        if self._entries is None:
+            den = self.den
+            self._entries = self.nums if den == 1 else tuple(
+                _demote(Fraction(n, den)) for n in self.nums
+            )
+        return self._entries
+
+    @property
     def dim(self) -> int:
-        return len(self.entries)
+        return len(self.nums)
 
     def scale(self, t) -> "RowVector":
         t = Fraction(t)
         return RowVector(e * t for e in self.entries)
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.nums)
 
     def __iter__(self):
         return iter(self.entries)
@@ -89,12 +128,19 @@ class RowVector:
         return self.entries[i]
 
     def __eq__(self, other):
-        return isinstance(other, RowVector) and self.entries == other.entries
+        return (
+            isinstance(other, RowVector)
+            and self.den == other.den
+            and self.nums == other.nums
+        )
 
     def __hash__(self):
-        # rational hashes are costly; cache since vectors are immutable
+        # Python hashes an int n as n mod 2**61 - 1, so registers c * 2**k
+        # repeat their hashes every 61 letters; mixing in the bit lengths
+        # tells them apart. Cached, since vectors are immutable.
         if self._hash is None:
-            self._hash = hash(self.entries)
+            nums = self.nums
+            self._hash = hash((self.den, nums, tuple(map(int.bit_length, nums))))
         return self._hash
 
     def __repr__(self):
@@ -104,7 +150,7 @@ class RowVector:
 class Matrix:
     """Immutable dense rational matrix, stored row-major."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_integer_form")
 
     def __init__(self, rows: int, cols: int, entries):
         entries = tuple(_norm(e) for e in entries)
@@ -117,6 +163,7 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.entries = entries
+        self._integer_form = None
 
     @classmethod
     def from_rows(cls, rows) -> "Matrix":
@@ -147,6 +194,17 @@ class Matrix:
 
     def is_square(self) -> bool:
         return self.rows == self.cols
+
+    @property
+    def integer_form(self) -> tuple:
+        """``(columns, d)``: the matrix is the integer matrix with the
+        given columns divided by d, the least common denominator of its
+        entries. Built on first use and cached."""
+        if self._integer_form is None:
+            scaled, d = _over_common_denominator(self.entries)
+            columns = tuple(scaled[j :: self.cols] for j in range(self.cols))
+            self._integer_form = (columns, d)
+        return self._integer_form
 
     def scale(self, t) -> "Matrix":
         t = Fraction(t)
@@ -196,19 +254,18 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def vec_mat_mul(v: RowVector, a: Matrix) -> RowVector:
     """Exact row-vector-times-matrix product v*a."""
-    if len(v.entries) != a.rows:
+    nums = v.nums
+    if len(nums) != a.rows:
         raise ShapeError(f"cannot multiply dim-{v.dim} vector by {a.rows}x{a.cols}")
-    cols = a.cols
-    ae = a.entries
-    out = [0] * cols
-    for i, vi in enumerate(v.entries):
-        if vi:
-            base = i * cols
-            for j in range(cols):
-                aij = ae[base + j]
-                if aij:
-                    out[j] += vi * aij
-    return RowVector._trusted(tuple(map(_demote, out)))
+    columns, d = a.integer_form
+    out = tuple([sum(map(mul, nums, column)) for column in columns])
+    den = v.den * d
+    if den != 1:
+        g = math.gcd(den, *out)
+        if g != 1:
+            den //= g
+            out = tuple([n // g for n in out])
+    return RowVector._trusted(out, den)
 
 
 def tensor(a: Matrix, b: Matrix) -> Matrix:
@@ -244,7 +301,7 @@ def direct_sum(a: Matrix, b: Matrix) -> Matrix:
 
 def dot(u: RowVector, v: RowVector):
     """Exact dot product of two row vectors of one dimension."""
-    return sum(a * b for a, b in zip(u.entries, v.entries))
+    return _demote(Fraction(sum(map(mul, u.nums, v.nums)), u.den * v.den))
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -278,4 +335,4 @@ def common_denominator_scalar(ms) -> int:
     This is the lcm of all entry denominators; the minimal choice keeps
     integer growth in scaled machines as small as possible.
     """
-    return math.lcm(*(e.denominator for m in ms for e in m.entries))
+    return _common_denominator(e for m in ms for e in m.entries)

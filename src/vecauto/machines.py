@@ -216,7 +216,7 @@ class MachineSpec:
             return status, lambda register: True
         if self.kind == VA:
             def home(register):
-                return register[0] == 1
+                return register.nums[0] == register.den
         elif self.kind == GFA:
             final, cutpoint = self.gfa_final_vector, self.gfa_cutpoint
 

@@ -8,7 +8,6 @@ Passes never mutate their inputs, so pipelines stay diffable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -204,7 +203,7 @@ def rationals_to_integers(spec: MachineSpec):
             "integer conversion needs the end-marker postprocessing step"
         )
 
-    t = math.lcm(*(e.denominator for e in spec.initial_vector.entries))
+    t = spec.initial_vector.den
     scaled = spec
     if t != 1:
         scaled, _ = scale_initial_vector(spec, t)

@@ -200,6 +200,8 @@ class TestMalformedArguments:
             (["separate", "12", "--model", "dbhva", "--base", "2", "-o", "{out}"], {}),
             (["separate", "12", "21", "--base", "11", "-o", "{out}"], {}),
             (["separate", "1\u00b2", "-o", "{out}"], {}),
+            (["separate", "12", "--base", "x", "-o", "{out}"], {}),
+            (["build", "mod", "x"], {}),
         ],
         ids=["bad-scale", "zero-denominator-scale", "intersect-without-with",
              "intersect-with-invalid-machine", "bad-env-budget", "directory-as-machine",
@@ -210,7 +212,8 @@ class TestMalformedArguments:
              "non-integer-reference-parameter", "zero-reference-parameter",
              "reference-with-extra-parameter", "commutative-matrices-with-states",
              "separate-letter-digit", "separate-digit-of-the-base", "separate-base-two",
-             "separate-base-eleven", "separate-superscript-digit"],
+             "separate-base-eleven", "separate-superscript-digit", "separate-non-integer-base",
+             "build-non-integer-parameter"],
     )
     def test_usage_error_record(self, capsys, monkeypatch, tmp_path, powr_path, argv, env):
         for name, value in env.items():

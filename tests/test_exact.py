@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,11 @@ END = Matrix.from_rows([[1, 1], [-1, -1]])
 rationals = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=6
 )
+
+
+# entries of the differential kernel test: zeros, signs, and two
+# denominators, so chains mix cancellation with 2- and 3-adic growth
+KERNEL_ENTRIES = [Fraction(x) for x in ("0", "1", "-1", "2", "-2", "1/2", "-1/2", "1/3")]
 
 
 def square_matrices(n):
@@ -194,3 +200,37 @@ def test_results_stay_in_lowest_terms(a, b):
     for e in mat_mul(a, b).entries:
         assert e.denominator > 0
         assert Fraction(e.numerator, e.denominator) == e
+
+
+@st.composite
+def product_chains(draw):
+    """A start vector and up to 40 matrices, all of one dimension 1..4."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    entry = st.sampled_from(KERNEL_ENTRIES)
+    start = draw(st.lists(entry, min_size=n, max_size=n))
+    matrices = draw(st.lists(st.lists(entry, min_size=n * n, max_size=n * n),
+                             min_size=1, max_size=40))
+    return start, matrices
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_chains())
+def test_vec_mat_mul_chains_match_fraction_reference(chain):
+    start, matrices = chain
+    n = len(start)
+    got, expected = RowVector(start), list(start)
+    for entries in matrices:
+        got = vec_mat_mul(got, Matrix(n, n, entries))
+        expected = [sum(expected[i] * entries[i * n + j] for i in range(n)) for j in range(n)]
+        assert got.entries == tuple(expected)
+        assert got.den > 0 and math.gcd(got.den, *got.nums) == 1
+        assert all(type(e) is int or e.denominator > 1 for e in got.entries)
+        rebuilt = RowVector(expected)
+        assert got == rebuilt and hash(got) == hash(rebuilt)
+
+
+def test_doubling_registers_hash_apart():
+    # Python hashes an int modulo 2**61 - 1, so hashing the entries alone
+    # repeats these hashes every 61 letters
+    hashes = {hash(RowVector([3 * 2**k, 2**k])) for k in range(200)}
+    assert len(hashes) == 200
