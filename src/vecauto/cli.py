@@ -121,6 +121,14 @@ def _budget_from(args) -> SearchBudget:
     )
 
 
+def _emit_if_invalid(spec) -> bool:
+    """Emit the Invalid record of a machine that fails validation; True if it did."""
+    diags = validate(spec)
+    if diags:
+        _emit({"verdict": "Invalid", "diagnostics": diags, "machine": spec.summary()})
+    return bool(diags)
+
+
 def _load_valid(path) -> MachineSpec:
     spec = fileformat.load_machine(path)
     diags = validate(spec)
@@ -143,9 +151,7 @@ def cmd_validate(args) -> int:
     except VecautoError as exc:
         _emit({"verdict": "ParseError", "detail": str(exc)})
         return EXIT_USAGE
-    diags = validate(spec)
-    if diags:
-        _emit({"verdict": "Invalid", "diagnostics": diags, "machine": spec.summary()})
+    if _emit_if_invalid(spec):
         return EXIT_USAGE
     _emit({"verdict": "Valid", "machine": spec.summary()})
     return EXIT_OK
@@ -158,26 +164,21 @@ def cmd_run(args) -> int:
     if foreign:
         raise VecautoError(f"input symbols {foreign} not in alphabet {list(spec.alphabet)}")
     record = {"verdict": None, "machine": spec.summary(), "input": word}
-    if spec.mode == DETERMINISTIC:
+    deterministic = spec.mode == DETERMINISTIC
+    if deterministic and not args.trace:
         result = run_deterministic(spec, word)
-        record["verdict"] = result.verdict
-        if spec.kind == GFA:
-            value = dot(result.trace[-1].register, spec.gfa_final_vector)
-            record["value"] = format_rational(value)
-        if args.trace:
-            record["trace"] = [
-                {
-                    "state": c.state,
-                    "register": [format_rational(e) for e in c.register],
-                    "position": c.position,
-                }
-                for c in result.trace
-            ]
     else:
-        result = run_nondeterministic(spec, word, _budget_from(args))
-        record["verdict"] = result.verdict
-        if args.trace and result.accepting_path is not None:
-            record["accepting_path"] = list(result.accepting_path)
+        # a deterministic run has at most len(word) + 2 configurations, so
+        # the default budget never cuts it; --budget bounds searches only
+        result = run_nondeterministic(spec, word, None if deterministic else _budget_from(args))
+    record["verdict"] = result.verdict
+    if spec.kind == GFA:
+        record["value"] = format_rational(dot(result.last.register, spec.gfa_final_vector))
+    if args.trace and deterministic:
+        record["trace"] = [dict(c._asdict(), register=[format_rational(e) for e in c.register])
+                           for c in result.trace]
+    elif args.trace and result.accepted:
+        record["accepting_path"] = list(result.accepting_path)
     _emit(record)
     if record["verdict"] == BUDGET_EXCEEDED:
         return EXIT_BUDGET
@@ -192,9 +193,7 @@ def cmd_transform(args) -> int:
     else:
         spec = _load_valid(args.input_path)
         out, report = _PASSES[args.pass_name](spec, args)
-    diags = validate(out)
-    if diags:
-        _emit({"verdict": "Invalid", "diagnostics": diags, "machine": out.summary()})
+    if _emit_if_invalid(out):
         return EXIT_USAGE
     fileformat.save_machine(out, args.output_path)
     _emit(report.to_record())
@@ -276,7 +275,10 @@ def cmd_diophantine(args) -> int:
     if args.subcommand == "to-famw":
         with open(args.path, encoding="utf-8") as handle:
             system = fileformat.parse_system(handle.read())
-        _write_or_print(fileformat.write_machine(diophantine.famw_from_system(system)), args.output)
+        spec = diophantine.famw_from_system(system)
+        if _emit_if_invalid(spec):
+            return EXIT_USAGE
+        _write_or_print(fileformat.write_machine(spec), args.output)
         return EXIT_OK
     if args.subcommand == "from-famw":
         system = diophantine.system_from_famw(_load_valid(args.path))

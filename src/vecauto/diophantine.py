@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import AlphabetError, DomainError, UnsupportedPassError
 from .exact import Matrix
@@ -42,10 +41,6 @@ class DiophantineSystem:
         n = len(self.alphabet)
         if any(len(row) != n for row in rows):
             raise DomainError("every equation needs one coefficient per symbol")
-
-    @property
-    def num_equations(self) -> int:
-        return len(self.coefficients)
 
     def satisfied_by(self, counts) -> bool:
         return all(
@@ -98,7 +93,9 @@ def system_from_famw(spec: MachineSpec) -> DiophantineSystem:
     The primes are the sorted union of all numerator and denominator
     factors; row j of the result gives, per symbol, the exponent of the
     j-th prime in that symbol's multiplier. Under the first-k-primes
-    convention this inverts `famw_from_system` exactly.
+    convention this inverts `famw_from_system` exactly. A machine whose
+    language no system describes (an end-marker, a non-accepting state,
+    a symbol without a rule) raises UnsupportedPassError.
     """
     if spec.kind != FAM or not spec.blind or spec.mode != DETERMINISTIC:
         raise UnsupportedPassError(
@@ -106,13 +103,16 @@ def system_from_famw(spec: MachineSpec) -> DiophantineSystem:
         )
     if len(spec.states) != 1:
         raise UnsupportedPassError("system extraction applies to stateless machines")
-    multipliers = {}
-    for r in spec.transitions:
-        if r.input in spec.alphabet:
-            multipliers[r.input] = r.effect.entry(0, 0)
+    if spec.endmarker:
+        raise UnsupportedPassError("system extraction applies to machines without an end-marker")
+    if spec.initial_state not in spec.accept_states:
+        raise UnsupportedPassError("the machine's one state is not accepting; its language is empty")
+    multipliers = {r.input: r.effect.entry(0, 0) for r in spec.transitions}
     exponents = {}
     for sym in spec.alphabet:
-        m = multipliers.get(sym, Fraction(1))
+        if sym not in multipliers:
+            raise UnsupportedPassError(f"symbol {sym!r} has no rule, so every run dies on it")
+        m = multipliers[sym]
         if m <= 0:
             raise DomainError("multiplicative registers must stay positive")
         per_prime = dict(_factor(m.numerator))

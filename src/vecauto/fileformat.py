@@ -261,8 +261,10 @@ def parse_system(text: str) -> DiophantineSystem:
     doc = _document(text, ("alphabet", "coefficients"))
     alphabet = _string_list("alphabet", doc["alphabet"])
     rows = doc["coefficients"]
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        _fail("coefficients", "expected a list of integer rows")
+    if not isinstance(rows, list) or not all(
+        isinstance(r, list) and all(type(c) is int for c in r) for r in rows
+    ):
+        _fail("coefficients", "expected a list of rows of JSON integers")
     try:
         return DiophantineSystem(alphabet, rows)
     except Exception as exc:

@@ -30,9 +30,10 @@ safe.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import NamedTuple
 
 from .errors import (
@@ -92,9 +93,9 @@ class MachineSpec:
     """An immutable machine; construction normalizes containers to
     immutable types (tuples, frozensets, RowVectors, Fractions).
 
-    `successors` is the machine's compiled transition function, built on
-    first use and cached on the instance; equality and hashing see only
-    the fields.
+    `rule_index` and the compiled transition function `successors` are
+    built on first use and cached on the instance; equality and hashing
+    see only the fields.
     """
 
     kind: str
@@ -146,9 +147,6 @@ class MachineSpec:
             return self.dimension * self.dimension
         return self.dimension
 
-    def rules_from(self, state: str, letter: str):
-        return [r for r in self.transitions if r.source == state and r.input == letter]
-
     def summary(self) -> dict:
         return {"kind": self.kind, "states": len(self.states), "dimension": self.dimension}
 
@@ -156,6 +154,14 @@ class MachineSpec:
         # pickle the fields only; the compiled transition function is a
         # closure and is rebuilt on first use
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
+    def rule_index(self) -> dict:
+        """``(source, input)`` -> its ``(rule index, status, effect, target)`` tuples."""
+        index = {}
+        for idx, r in enumerate(self.transitions):
+            index.setdefault((r.source, r.input), []).append((idx, r.status, r.effect, r.target))
+        return index
 
     @cached_property
     def successors(self):
@@ -168,11 +174,7 @@ class MachineSpec:
         they are memoized per (rule index, register); entries are exact
         and immutable and live as long as the machine.
         """
-        index = {}
-        for idx, r in enumerate(self.transitions):
-            index.setdefault((r.source, r.input), []).append(
-                (idx, r.status, r.effect, r.target)
-            )
+        index = self.rule_index
         memo = {}
         status_of_register = self.register_tests[0]
         counter = self.kind == COUNTER_MACHINE
@@ -277,13 +279,34 @@ class Configuration(NamedTuple):
 
 @dataclass(frozen=True)
 class RunResult:
+    """A verdict and `last`, where the run ended, died or accepted (a
+    rejecting search's last explored configuration). A search keeps its
+    parent links, configuration -> (parent, rule index), keyed by tuples
+    in `Configuration` field order; `trace` and `accepting_path` read them."""
+
     verdict: str
-    trace: tuple = None
-    accepting_path: tuple = None
+    last: Configuration
+    parents: dict = field(default=None, repr=False, compare=False)
 
     @property
     def accepted(self) -> bool:
         return self.verdict == ACCEPT
+
+    @property
+    def trace(self) -> tuple:
+        """A search's configurations from the start to `last`."""
+        if self.parents is None:
+            return None
+        path = [self.last]
+        while self.parents[path[-1]] is not None:
+            path.append(Configuration._make(self.parents[path[-1]][0]))
+        return tuple(reversed(path))
+
+    @property
+    def accepting_path(self) -> tuple:
+        """The indices of the rules along an accepting search's path."""
+        if self.parents is not None and self.accepted:
+            return tuple(self.parents[c][1] for c in self.trace[1:])
 
 
 @dataclass(frozen=True)
@@ -338,12 +361,6 @@ def _legal_statuses(spec: MachineSpec, status) -> bool:
             and all(s in (STATUS_EQ, STATUS_NE) for s in status)
         )
     return status in (STATUS_EQ, STATUS_NE)
-
-
-def _statuses_overlap(a, b) -> bool:
-    if a == STATUS_ANY or b == STATUS_ANY:
-        return True
-    return a == b
 
 
 def validate(spec: MachineSpec) -> list:
@@ -487,17 +504,11 @@ def validate(spec: MachineSpec) -> list:
                 bad(f"{where}: effect is not of the form I tensor M")
 
     if spec.mode == DETERMINISTIC:
-        groups = {}
-        for idx, r in enumerate(spec.transitions):
-            groups.setdefault((r.source, r.input), []).append((idx, r.status))
-        for (state, sym), rules in groups.items():
-            for i in range(len(rules)):
-                for j in range(i + 1, len(rules)):
-                    if _statuses_overlap(rules[i][1], rules[j][1]):
-                        bad(
-                            f"deterministic conflict: transitions #{rules[i][0]} and "
-                            f"#{rules[j][0]} both apply in ({state},{sym})"
-                        )
+        for (state, sym), rules in spec.rule_index.items():
+            for (i, a, *_), (j, b, *_) in combinations(rules, 2):
+                if STATUS_ANY in (a, b) or a == b:  # both statuses can hold at once
+                    bad(f"deterministic conflict: transitions #{i} and #{j} "
+                        f"both apply in ({state},{sym})")
 
     return diags
 
@@ -514,35 +525,33 @@ def _is_identity_tensor(eff: Matrix, k: int) -> bool:
 
 
 def run_deterministic(spec: MachineSpec, word: str) -> RunResult:
-    """Run a deterministic machine, recording the full configuration trace.
+    """Run a deterministic machine, keeping only where it ends.
 
-    A configuration with no applicable rule ends the run as a Reject
-    with the trace truncated at the point of death.
+    A configuration with no applicable rule ends the run as a Reject;
+    `last` is then the configuration that had no move.
     """
     if spec.mode != DETERMINISTIC:
         raise InconsistentSpecError("run_deterministic needs a deterministic machine")
     successors = spec.successors
     state, register = spec.initial_state, spec.initial_vector
-    trace = [Configuration(state, register, 0)]
     letters = word + ENDMARKER if spec.endmarker else word
-    for position, letter in enumerate(letters, 1):
+    for position, letter in enumerate(letters):
         fired = successors(state, letter, register)
         if not fired:
-            return RunResult(REJECT, trace=tuple(trace))
+            return RunResult(REJECT, Configuration(state, register, position))
         if len(fired) > 1:
             raise InconsistentSpecError(
                 f"deterministic machine has {len(fired)} successors in ({state},{letter})"
             )
         _, state, register = fired[0]
-        trace.append(Configuration(state, register, position))
     accepted = state in spec.accept_states and spec.register_tests[1](register)
-    return RunResult(ACCEPT if accepted else REJECT, trace=tuple(trace))
+    return RunResult(ACCEPT if accepted else REJECT, Configuration(state, register, len(letters)))
 
 
 def run_nondeterministic(spec: MachineSpec, word: str, budget: SearchBudget = None) -> RunResult:
     """Breadth-first search over configurations with exact deduplication.
 
-    Configurations are deduplicated on (state, position, register);
+    Configurations are deduplicated on (state, register, position);
     exact rationals make that sound, and without it blind search blows
     up on diamond-shaped nondeterminism. Accept as soon as any explored
     path satisfies the acceptance condition; Reject only when the whole
@@ -553,59 +562,54 @@ def run_nondeterministic(spec: MachineSpec, word: str, budget: SearchBudget = No
     eps_cap = budget.eps_cap(spec, word)
     end_position = len(word) + (1 if spec.endmarker else 0)
     endmarker = spec.endmarker
-    realtime = spec.realtime
+    eps_sources = frozenset() if spec.realtime else spec.epsilon_sources
     accept_states = spec.accept_states
     accepting = spec.register_tests[1]
     successors = spec.successors
 
-    # configurations are (state, position, register) keys; the queue
+    # configurations are (state, register, position) keys; the queue
     # carries the eps count separately since it only matters for budget
-    start_key = (spec.initial_state, 0, spec.initial_vector)
+    start_key = (spec.initial_state, spec.initial_vector, 0)
     parents = {start_key: None}
     queue = deque([(start_key, 0)])
     pruned = False
     expanded = 0
 
-    def accepting_path(key):
-        path = []
-        while parents[key] is not None:
-            key, rule_idx = parents[key]
-            path.append(rule_idx)
-        return tuple(reversed(path))
-
     while queue:
         key, eps_spent = queue.popleft()
-        state, position, register = key
+        state, register, position = key
         if position == end_position:
             if state in accept_states and accepting(register):
-                return RunResult(ACCEPT, accepting_path=accepting_path(key))
+                return RunResult(ACCEPT, Configuration._make(key), parents)
             if endmarker:
                 continue  # the end-marker closes the computation
-        if expanded >= budget.max_configurations:
-            pruned = True
-            continue  # keep draining the queue for acceptance checks only
-        expanded += 1
 
         moves = []
-        if not realtime:
+        if state in eps_sources:
             if eps_spent < eps_cap:
                 moves.append((EPSILON, position, eps_spent + 1))
-            elif state in spec.epsilon_sources:
+            else:
                 pruned = True
         if position < len(word):
             moves.append((word[position], position + 1, eps_spent))
         elif position == len(word) and endmarker:
             moves.append((ENDMARKER, position + 1, eps_spent))
+        if expanded >= budget.max_configurations:
+            # keep draining the queue for acceptance checks only; the cap
+            # cuts something off only where a move is left
+            pruned = pruned or bool(moves)
+            continue
+        expanded += 1
 
         for letter, next_position, next_eps in moves:
             for rule_idx, target, next_register in successors(state, letter, register):
-                next_key = (target, next_position, next_register)
+                next_key = (target, next_register, next_position)
                 if next_key in parents:
                     continue
                 parents[next_key] = (key, rule_idx)
                 queue.append((next_key, next_eps))
 
-    return RunResult(BUDGET_EXCEEDED if pruned else REJECT)
+    return RunResult(BUDGET_EXCEEDED if pruned else REJECT, Configuration._make(key), parents)
 
 
 def gfa_value(spec: MachineSpec, word: str) -> Fraction:
@@ -613,10 +617,10 @@ def gfa_value(spec: MachineSpec, word: str) -> Fraction:
     final register from `run_deterministic`, times the final vector."""
     if spec.kind != GFA:
         raise UnsupportedKindError("gfa_value needs a GFA")
-    trace = run_deterministic(spec, word).trace
-    if len(trace) <= len(word):
-        raise AlphabetError(f"symbol {word[len(trace) - 1]!r} has no GFA matrix")
-    return dot(trace[-1].register, spec.gfa_final_vector)
+    last = run_deterministic(spec, word).last
+    if last.position < len(word):
+        raise AlphabetError(f"symbol {word[last.position]!r} has no GFA matrix")
+    return dot(last.register, spec.gfa_final_vector)
 
 
 def accepts(spec: MachineSpec, word: str, budget: SearchBudget = None) -> bool:

@@ -459,14 +459,13 @@ def intersect_blind_hva(a: MachineSpec, b: MachineSpec):
     for p in a.states:
         for q in b.states:
             for letter in letters:
-                ra = a.rules_from(p, letter)
-                rb = b.rules_from(q, letter)
+                ra = a.rule_index.get((p, letter))
+                rb = b.rule_index.get((q, letter))
                 if ra and rb:
-                    (ra,), (rb,) = ra, rb
+                    ((_, _, ea, ta),), ((_, _, eb, tb),) = ra, rb
                     rules.append(
                         TransitionRule(
-                            pair(p, q), letter, STATUS_ANY, pair(ra.target, rb.target),
-                            direct_sum(ra.effect, rb.effect),
+                            pair(p, q), letter, STATUS_ANY, pair(ta, tb), direct_sum(ea, eb)
                         )
                     )
     out = MachineSpec(

@@ -53,7 +53,6 @@ from vecauto.machines import (
     TransitionRule,
     accepts,
     extendedfa_embed,
-    run_deterministic,
     run_nondeterministic,
     validate,
 )
@@ -206,8 +205,8 @@ def _blocks_invariant(source, collapsed):
     k = source.dimension
     block = {q: 1 + i * k for i, q in enumerate(source.states)}
     for word in all_strings(source.alphabet, 6):
-        src = run_deterministic(normalized, word)
-        big = run_deterministic(collapsed, word)
+        src = run_nondeterministic(normalized, word)
+        big = run_nondeterministic(collapsed, word)
         for s_conf, b_conf in zip(src.trace, big.trace):
             if b_conf.register[0] != s_conf.register[0]:
                 return False, (word, "leading entry")

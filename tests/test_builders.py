@@ -22,7 +22,7 @@ from vecauto.langlab import (
     matches_reference,
     reference_language,
 )
-from vecauto.machines import accepts, run_deterministic, validate
+from vecauto.machines import accepts, run_deterministic, run_nondeterministic, validate
 
 
 def encode_by_digit_matrices(x: str, base: int = 3) -> int:
@@ -122,9 +122,8 @@ class TestUnaryDistinguisher:
 
     def test_foreign_letter_zeroes_the_register(self):
         spec = unary_distinguisher(2)
-        result = run_deterministic(spec, "ab")
-        assert result.verdict == "Reject"
-        assert result.trace[2].register == RowVector([0])
+        assert run_deterministic(spec, "ab").verdict == "Reject"
+        assert run_nondeterministic(spec, "ab").trace[2].register == RowVector([0])
         assert not accepts(spec, "aba")
 
     def test_initial_vector_is_a_power_of_two(self):
@@ -154,7 +153,7 @@ class TestBinaryDistinguisher:
         spec = binary_distinguisher("12")
         result = run_deterministic(spec, "")
         assert result.verdict == "Reject"
-        assert result.trace[-1].register == RowVector([1 + 7, 7])
+        assert result.last.register == RowVector([1 + 7, 7])
 
     def test_rejects_empty_target(self):
         with pytest.raises(BuilderError):
@@ -200,7 +199,7 @@ class TestHvaDistinguisher:
 
     def test_empty_input_never_leaves_the_initial_state(self):
         spec = hva_distinguisher("21")
-        assert run_deterministic(spec, "").trace[-1].state == "q1"
+        assert run_deterministic(spec, "").last.state == "q1"
         assert not accepts(spec, "")
 
     def test_single_digit_target(self):
@@ -212,7 +211,7 @@ class TestHvaDistinguisher:
         spec = hva_distinguisher("12")
         result = run_deterministic(spec, "21")
         diff = Fraction(encode_base("21") - encode_base("12"), 3**2)
-        assert result.trace[-1].register == RowVector([1, diff])
+        assert result.last.register == RowVector([1, diff])
 
 
 class TestFiniteLanguageNbhva:

@@ -5,6 +5,7 @@ import pytest
 from vecauto import diophantine, langlab, transforms
 from vecauto.builders import cyclic_dfa, example
 from vecauto.cli import main
+from test_diophantine import unsupported_famw
 from vecauto.fileformat import load_machine, write_dfa, write_machine
 from vecauto.machines import validate
 from vecauto.transforms import DFA, as_nondeterministic
@@ -188,6 +189,11 @@ class TestMalformedArguments:
             (["transform", "dfa-to-stateless", "{dfa_not_object}", "{out}"], {}),
             (["transform", "dfa-to-stateless", "{dfa_transitions_not_list}", "{out}"], {}),
             (["diophantine", "solve", "{system_not_object}", "--bound", "2"], {}),
+            (["diophantine", "solve", "{system_float}", "--bound", "3"], {}),
+            (["diophantine", "solve", "{system_bool}", "--bound", "3"], {}),
+            (["diophantine", "from-famw", "{famw_symbol_without_rule}"], {}),
+            (["diophantine", "from-famw", "{famw_endmarker_rule}"], {}),
+            (["diophantine", "from-famw", "{famw_non_accepting_state}"], {}),
             (["transform", "dfa-to-stateless", "{dfa_unknown_target}", "{out}"], {}),
             (["verify", "{mod2}", "--against", "mystery", "--maxlen", "2"], {}),
             (["verify", "{mod2}", "--against", "mod", "--maxlen", "2"], {}),
@@ -208,6 +214,8 @@ class TestMalformedArguments:
              "negative-maxlen", "non-integer-maxlen", "negative-budget", "negative-eps-per-path",
              "negative-env-eps-per-path", "transitions-not-a-list", "initial-vector-not-a-list",
              "dfa-not-an-object", "dfa-transitions-not-a-list", "system-not-an-object",
+             "system-float-coefficient", "system-bool-coefficient",
+             "famw-symbol-without-rule", "famw-endmarker-rule", "famw-non-accepting-state",
              "dfa-move-to-unknown-state", "unknown-reference", "reference-without-parameter",
              "non-integer-reference-parameter", "zero-reference-parameter",
              "reference-with-extra-parameter", "commutative-matrices-with-states",
@@ -227,10 +235,14 @@ class TestMalformedArguments:
             "dfa_not_object": "5",
             "dfa_transitions_not_list": json.dumps(dict(dfa, transitions=5)),
             "system_not_object": "5",
+            "system_float": '{"alphabet": ["a", "b"], "coefficients": [[1.5, -1]]}',
+            "system_bool": '{"alphabet": ["a", "b"], "coefficients": [[true, -1]]}',
             "dfa_unknown_target": json.dumps(
                 dict(dfa, transitions=[{"from": "q0", "input": "a", "to": "q9"}])),
             "mod2": write_machine(example("mod", 2)),
         }
+        for case in ("symbol-without-rule", "endmarker-rule", "non-accepting-state"):
+            texts["famw_" + case.replace("-", "_")] = write_machine(unsupported_famw(case)[0])
         paths = dict(powr=powr_path, out=tmp_path / "out.mach", dir=tmp_path)
         for name, text in texts.items():
             paths[name] = tmp_path / f"{name}.json"
@@ -433,6 +445,22 @@ class TestDiophantineCommand:
         code, records = run_cli(capsys, "diophantine", "solve", str(sys_path), "--bound", "2")
         assert code == 0
         assert [r["solution"] for r in records] == [[0, 0], [1, 1], [2, 2]]
+
+    @pytest.mark.parametrize(
+        "alphabet,diagnostic",
+        [(["a", "a"], "duplicate alphabet"), (["eps"], "reserved symbol")],
+        ids=["duplicate-symbol", "reserved-symbol"],
+    )
+    def test_to_famw_invalid_output_is_not_written(self, capsys, tmp_path, alphabet, diagnostic):
+        # like `transform`, to-famw validates the machine it would write
+        sys_path = tmp_path / "bad.sys"
+        sys_path.write_text(json.dumps({"alphabet": alphabet, "coefficients": [[1] * len(alphabet)]}))
+        out_path = tmp_path / "out.mach"
+        code, records = run_cli(capsys, "diophantine", "to-famw", str(sys_path), "-o", str(out_path))
+        assert code == 2
+        assert len(records) == 1 and records[0]["verdict"] == "Invalid"
+        assert any(diagnostic in d for d in records[0]["diagnostics"])
+        assert not out_path.exists()
 
     def test_to_famw_and_back(self, capsys, tmp_path):
         sys_path = tmp_path / "eq.sys"

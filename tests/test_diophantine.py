@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,19 @@ from vecauto.diophantine import (
 )
 from vecauto.errors import AlphabetError, DomainError, UnsupportedPassError
 from vecauto.langlab import all_strings, matches_reference, reference_language
-from vecauto.machines import accepts, validate
+from vecauto.exact import Matrix
+from vecauto.machines import FAM, accepts, stateless, validate
+
+
+def unsupported_famw(case):
+    """A valid stateless FAM that no homogeneous system describes, and a
+    word it rejects although reading its multipliers as a system admits it."""
+    one, two = Matrix.from_rows([[1]]), Matrix.from_rows([[2]])
+    if case == "symbol-without-rule":  # the run dies on b
+        return stateless(FAM, ("a", "b"), 1, [1], [("a", one)]), "b"
+    if case == "endmarker-rule":  # $ doubles the register
+        return stateless(FAM, ("a",), 1, [1], [("a", one), ("$", two)], endmarker=True), ""
+    return replace(famw_from_system(EQ_SYSTEM), accept_states=()), "ab"
 
 
 EQ_SYSTEM = DiophantineSystem(("a", "b"), ((1, -1),))
@@ -73,6 +86,16 @@ class TestSystemFromFamw:
         for seed in range(10):
             system = random_system(random.Random(42 + seed))
             assert system_from_famw(famw_from_system(system)) == system
+
+    @pytest.mark.parametrize(
+        "case", ["symbol-without-rule", "endmarker-rule", "non-accepting-state"]
+    )
+    def test_rejects_machines_no_system_describes(self, case):
+        spec, word = unsupported_famw(case)
+        assert validate(spec) == []
+        assert not accepts(spec, word)
+        with pytest.raises(UnsupportedPassError):
+            system_from_famw(spec)
 
     def test_rejects_nondeterministic_machines(self):
         from vecauto.builders import example

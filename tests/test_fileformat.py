@@ -102,10 +102,15 @@ class TestParseErrors:
             (parse_dfa, {"transitions": [{"from": "q0", "input": ["a"], "to": "q1"}]}, "input"),
             (parse_dfa, 5, "document"),
             (parse_system, 5, "document"),
+            (parse_system, {"coefficients": [[1.5]]}, "coefficients"),
+            (parse_system, {"coefficients": [[1.0]]}, "coefficients"),
+            (parse_system, {"coefficients": [[True]]}, "coefficients"),
+            (parse_system, {"coefficients": [["1"]]}, "coefficients"),
         ],
         ids=["machine-transitions", "machine-initial-vector", "machine-transition-item",
              "machine-source", "machine-document", "dfa-transitions", "dfa-states",
-             "dfa-input", "dfa-document", "system-document"],
+             "dfa-input", "dfa-document", "system-document", "system-float",
+             "system-integral-float", "system-bool", "system-string"],
     )
     def test_wrong_json_type(self, parse, change, field):
         base = {

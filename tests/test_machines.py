@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from machine_gen import random_dva
+from vecauto import machines
 from vecauto.builders import example
 from vecauto.errors import AlphabetError, InconsistentSpecError, UndecidedError, UnsupportedKindError
 from vecauto.exact import Matrix, RowVector
@@ -23,6 +24,7 @@ from vecauto.machines import (
     STATUS_ANY,
     STATUS_EQ,
     STATUS_NE,
+    Configuration,
     MachineSpec,
     SearchBudget,
     TransitionRule,
@@ -181,7 +183,7 @@ class TestStatus:
 
 class TestDeterministicRuns:
     def test_powr_first_letter(self, powr):
-        succ = run_deterministic(powr, "a").trace[1]
+        succ = run_nondeterministic(powr, "a").trace[1]
         assert succ.state == "q1"
         assert succ.register == RowVector([2, 1])
         assert succ.position == 1
@@ -189,14 +191,15 @@ class TestDeterministicRuns:
     def test_powr_accepts_with_full_trace(self, powr):
         result = run_deterministic(powr, "aab")
         assert result.verdict == ACCEPT
-        assert len(result.trace) == 5  # aab$ plus the start configuration
-        final = result.trace[-1]
-        assert (final.state, final.register) == ("q3", RowVector([1, 1]))
+        assert result.last == ("q3", RowVector([1, 1]), 4)
+        trace = run_nondeterministic(powr, "aab").trace
+        assert len(trace) == 5  # aab$ plus the start configuration
+        assert trace[-1] == result.last
 
     def test_powr_rejects_ab(self, powr):
         result = run_deterministic(powr, "ab")
         assert result.verdict == REJECT
-        assert result.trace[-1].register == RowVector([0, 0])
+        assert result.last.register == RowVector([0, 0])
 
     def test_eq_accepts_empty(self):
         assert run_deterministic(example("eq"), "").verdict == ACCEPT
@@ -204,7 +207,8 @@ class TestDeterministicRuns:
     def test_dead_path_truncates_trace(self, powr):
         result = run_deterministic(powr, "aba")
         assert result.verdict == REJECT
-        assert len(result.trace) == 3  # died before the third letter
+        assert result.last.position == 2  # died before the third letter
+        assert len(run_nondeterministic(powr, "aba").trace) == 3
 
     def test_spec_pickles_after_a_run(self, powr):
         # the cached transition function stays out of the pickle
@@ -212,6 +216,17 @@ class TestDeterministicRuns:
         again = pickle.loads(pickle.dumps(powr))
         assert again == powr
         assert accepts(again, "aab")
+
+    def test_accepts_builds_no_per_letter_configuration(self, powr, monkeypatch):
+        built = []
+
+        def counting(*fields):
+            built.append(fields)
+            return Configuration(*fields)
+
+        monkeypatch.setattr(machines, "Configuration", counting)
+        assert accepts(powr, "a" * 16 + "b" * 4)
+        assert len(built) <= 1
 
     def test_conflicting_spec_is_reported(self):
         spec = hva1([scalar_rule("a", 2), scalar_rule("a", 3)])
@@ -254,12 +269,15 @@ class TestNondeterministicRuns:
     def test_agrees_with_deterministic_runner(self, powr, seed):
         # seeded random DVAs mix wildcard rules with rules split by status;
         # length 6 reaches pow_r's member aaaabb
+        # the search's trace ends where the deterministic run ends, with
+        # one configuration per processed letter plus the start
         spec = powr if seed is None else random_dva(random.Random(7000 + seed))
         for word in all_strings(spec.alphabet, 6):
-            assert (
-                run_nondeterministic(spec, word).verdict
-                == run_deterministic(spec, word).verdict
-            )
+            search = run_nondeterministic(spec, word)
+            run = run_deterministic(spec, word)
+            assert search.verdict == run.verdict
+            assert search.trace[-1] == run.last
+            assert len(search.trace) == run.last.position + 1
 
     def test_growing_eps_loop_exceeds_budget(self):
         grow = embed_monoid_effect(Matrix.from_rows([[1, 1], [0, 1]]))
@@ -300,6 +318,17 @@ class TestNondeterministicRuns:
             ),
         )
         assert run_nondeterministic(spec, "a").verdict == REJECT
+
+    @pytest.mark.parametrize("cap", [6, 7])
+    def test_cap_on_moveless_configurations_is_no_budget_exceeded(self, cap):
+        # ×2 or ×3 per letter: "aaa" has 1 + 2 + 3 + 4 = 10 configurations,
+        # and the first 6 are all that have a move; the cap then reaches
+        # only end configurations, so the whole space was searched
+        spec = hva1([scalar_rule("a", 2), scalar_rule("a", 3)], mode=NONDETERMINISTIC,
+                    alphabet=("a",))
+        budget = SearchBudget(max_configurations=cap)
+        assert run_nondeterministic(spec, "aaa", budget).verdict == REJECT
+        assert run_nondeterministic(spec, "aaaa", budget).verdict == BUDGET_EXCEEDED
 
     def test_total_configuration_cap(self, leq):
         tight = SearchBudget(max_configurations=1)
@@ -494,6 +523,6 @@ class TestDyckNonBlind:
 
     def test_closing_at_start_value_poisons_the_register(self):
         dyck = example("dyck")
-        result = run_deterministic(dyck, ")(")
-        assert result.trace[1].register == RowVector([0])
-        assert result.trace[2].register == RowVector([0])
+        trace = run_nondeterministic(dyck, ")(").trace
+        assert trace[1].register == RowVector([0])
+        assert trace[2].register == RowVector([0])

@@ -25,6 +25,7 @@ from vecauto.machines import (
     TransitionRule,
     accepts,
     run_deterministic,
+    run_nondeterministic,
     validate,
 )
 from vecauto.transforms import (
@@ -199,11 +200,11 @@ class TestRationalsToIntegers:
         word = "abba"
         source_run = run_deterministic(eq_marked, word)
         assert source_run.accepted
-        prefinal_source = source_run.trace[-2].register
-        final_source = source_run.trace[-1].register
+        prefinal_source = run_nondeterministic(eq_marked, word).trace[-2].register
+        final_source = source_run.last.register
 
-        lifted_run = run_deterministic(out, word)
-        assert lifted_run.accepted
+        assert run_deterministic(out, word).accepted
+        lifted_run = run_nondeterministic(out, word)
         steps = len(word) + 1
         source_dollar = next(
             r.effect for r in eq_marked.transitions if r.input == ENDMARKER
@@ -311,8 +312,8 @@ class TestEliminateStates:
         out, _ = eliminate_states(dva)
         block = {q: 1 + i for i, q in enumerate(dva.states)}
         for word in ["", "a", "aa", "aaa"]:
-            src = run_deterministic(normalized, word)
-            big = run_deterministic(out, word)
+            src = run_nondeterministic(normalized, word)
+            big = run_nondeterministic(out, word)
             for s_conf, b_conf in zip(src.trace, big.trace):
                 assert b_conf.register[0] == s_conf.register[0]
                 for q in dva.states:
@@ -351,10 +352,10 @@ class TestCounterEncoding:
         for word in ["", "a", "ab", "abc", "aabbcc", "cab"]:
             counter_run = run_deterministic(spec, word)
             hva_run = run_deterministic(out, word)
-            if len(counter_run.trace) != len(word) + 1:
+            if counter_run.last.position != len(word):
                 continue  # dead path in both
-            c1, c2 = counter_run.trace[-1].register
-            assert hva_run.trace[-1].register == RowVector(
+            c1, c2 = counter_run.last.register
+            assert hva_run.last.register == RowVector(
                 [Fraction(2) ** c1 * Fraction(3) ** c2]
             )
 
