@@ -163,6 +163,7 @@ def cmd_run(args) -> int:
     foreign = [ch for ch in word if ch not in spec.alphabet]
     if foreign:
         raise VecautoError(f"input symbols {foreign} not in alphabet {list(spec.alphabet)}")
+    budget = _budget_from(args)  # a malformed budget is a usage error in either mode
     record = {"verdict": None, "machine": spec.summary(), "input": word}
     deterministic = spec.mode == DETERMINISTIC
     if deterministic and not args.trace:
@@ -170,7 +171,7 @@ def cmd_run(args) -> int:
     else:
         # a deterministic run has at most len(word) + 2 configurations, so
         # the default budget never cuts it; --budget bounds searches only
-        result = run_nondeterministic(spec, word, None if deterministic else _budget_from(args))
+        result = run_nondeterministic(spec, word, None if deterministic else budget)
     record["verdict"] = result.verdict
     if spec.kind == GFA:
         record["value"] = format_rational(dot(result.last.register, spec.gfa_final_vector))

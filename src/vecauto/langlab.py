@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import AlphabetError, ReferenceLanguageError, UnsupportedKindError
-from .machines import HVA, MachineSpec, SearchBudget, accepts
+from .machines import HVA, MachineSpec, SearchBudget, accepts, prefix_search
 from .diophantine import check_commutative
 
 
@@ -57,14 +57,41 @@ def all_strings(alphabet, maxlen: int):
 def _walk(language, maxlen: int, budget: SearchBudget = None):
     """``(word, verdict)`` for every word up to `maxlen` in length-lex
     order, each asked once, when reached, of `language` (a MachineSpec or
-    a ReferenceLanguage). Every verifier reads its verdicts from here."""
-    if isinstance(language, MachineSpec):
-        def membership(w):
-            return accepts(language, w, budget)
-    else:
-        membership = language.membership
-    for w in all_strings(language.alphabet, maxlen):
-        yield w, membership(w)
+    a ReferenceLanguage). Every verifier reads its verdicts from here.
+
+    A machine is walked over the trie of prefixes: each word's search
+    state is its parent prefix's stepped by one letter, computed just
+    before its verdict is yielded, so a verifier that stops early pays
+    for no later word. A word whose shared search outgrew
+    `max_configurations` is asked of `accepts` alone."""
+    if not isinstance(language, MachineSpec):
+        for w in all_strings(language.alphabet, maxlen):
+            yield w, language.membership(w)
+        return
+    alphabet = language.alphabet
+    search = prefix_search(language, budget)
+    for length in range(maxlen + 1):
+        if length == 0 or search.cap_grows:
+            # a cap that grows with the word length gives each length its
+            # own trie, whose prefixes are stepped again, lazily, under it
+            level = [("", search.start(length))]
+            for _ in range(length):
+                level = _children(level, alphabet, search.step)
+        else:
+            level = _children(level, alphabet, search.step)
+        kept = []
+        for w, node in level:
+            verdict = search.verdict(node, w)
+            yield w, accepts(language, w, budget) if verdict is None else verdict
+            kept.append((w, node))
+        level = kept
+
+
+def _children(level, alphabet, step):
+    """The ``(word, node)`` children of a trie level, in length-lex order."""
+    for w, node in level:
+        for letter in alphabet:
+            yield w + letter, step(node, letter)
 
 
 def enumerate_accepted(spec: MachineSpec, maxlen: int, budget: SearchBudget = None) -> list:
@@ -117,8 +144,11 @@ def check_star_closure(language, maxlen: int, budget: SearchBudget = None):
     accepted = [w for w, verdict in walk if verdict]
     accepted_set = set(accepted)
     for u in accepted:
-        for v in accepted:
-            if len(u) + len(v) <= maxlen and u + v not in accepted_set:
+        room = maxlen - len(u)
+        for v in accepted:  # length-lex: no later v fits once one is too long
+            if len(v) > room:
+                break
+            if u + v not in accepted_set:
                 return (u, v)
     return None
 

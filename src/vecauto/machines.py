@@ -169,10 +169,12 @@ class MachineSpec:
         lists ``(rule index, target, register)`` for every rule that fires.
 
         A rule fires when its status is the wildcard or equals the
-        register's status. Register updates recur heavily across the runs
-        of one machine (bounded enumeration re-walks shared prefixes), so
+        register's status. Register updates recur across the runs of one
+        machine (different words and queries reach the same register), so
         they are memoized per (rule index, register); entries are exact
-        and immutable and live as long as the machine.
+        and immutable and live as long as the machine. Bounded
+        enumeration steps each shared prefix once (`prefix_search`), so
+        its hits come from distinct prefixes that reach one register.
         """
         index = self.rule_index
         memo = {}
@@ -325,10 +327,11 @@ class SearchBudget:
     eps_per_path: int = None
     max_configurations: int = DEFAULT_MAX_CONFIGURATIONS
 
-    def eps_cap(self, spec: MachineSpec, word: str) -> int:
+    def eps_cap(self, spec: MachineSpec, length: int) -> int:
+        """The eps moves a path may spend on a word of `length` letters."""
         if self.eps_per_path is not None:
             return self.eps_per_path
-        return len(spec.states) * (len(word) + 2)
+        return len(spec.states) * (length + 2)
 
 
 def embed_monoid_effect(m: Matrix) -> Matrix:
@@ -540,9 +543,7 @@ def run_deterministic(spec: MachineSpec, word: str) -> RunResult:
         if not fired:
             return RunResult(REJECT, Configuration(state, register, position))
         if len(fired) > 1:
-            raise InconsistentSpecError(
-                f"deterministic machine has {len(fired)} successors in ({state},{letter})"
-            )
+            raise _conflict(fired, state, letter)
         _, state, register = fired[0]
     accepted = state in spec.accept_states and spec.register_tests[1](register)
     return RunResult(ACCEPT if accepted else REJECT, Configuration(state, register, len(letters)))
@@ -559,7 +560,7 @@ def run_nondeterministic(spec: MachineSpec, word: str, budget: SearchBudget = No
     """
     if budget is None:
         budget = SearchBudget()
-    eps_cap = budget.eps_cap(spec, word)
+    eps_cap = budget.eps_cap(spec, len(word))
     end_position = len(word) + (1 if spec.endmarker else 0)
     endmarker = spec.endmarker
     eps_sources = frozenset() if spec.realtime else spec.epsilon_sources
@@ -633,12 +634,147 @@ def accepts(spec: MachineSpec, word: str, budget: SearchBudget = None) -> bool:
         return run_deterministic(spec, word).accepted
     result = run_nondeterministic(spec, word, budget)
     if result.verdict == BUDGET_EXCEEDED:
-        raise UndecidedError(
-            f"search budget exhausted on input {word!r}",
-            word=word,
-            budget=budget or SearchBudget(),
-        )
+        raise _undecided(word, budget)
     return result.accepted
+
+
+def _conflict(fired: list, state: str, letter: str) -> InconsistentSpecError:
+    return InconsistentSpecError(
+        f"deterministic machine has {len(fired)} successors in ({state},{letter})")
+
+
+def _undecided(word: str, budget: SearchBudget) -> UndecidedError:
+    return UndecidedError(f"search budget exhausted on input {word!r}",
+                          word=word, budget=budget or SearchBudget())
+
+
+# ---------------------------------------------------------------------------
+# prefix search: the search state after a prefix, shared by every word
+# that extends it
+
+
+class Frontier(NamedTuple):
+    """A search after a prefix: `configurations` maps each (state,
+    register) reached at its end to the fewest eps moves that reach it;
+    `spent` counts the configurations at every position of the prefix;
+    `capped` records that one of them stood at an eps source with its
+    `eps_cap` used up."""
+
+    configurations: dict
+    spent: int
+    capped: bool
+    eps_cap: int
+
+
+class PrefixSearch(NamedTuple):
+    """Membership split at each letter. `start(length)` is the node of
+    the empty prefix, under the eps cap of a word of `length` letters;
+    `step(node, letter)` is the node of the prefix extended by `letter`;
+    `verdict(node, word)` is `accepts(spec, word, budget)` for the word
+    that ends at `node`, or None when the shared search outgrew the
+    budget and the word must be asked alone. `cap_grows` is set when the
+    eps cap depends on the word length, so a node serves the words of
+    one length only."""
+
+    start: object
+    step: object
+    verdict: object
+    cap_grows: bool
+
+
+def prefix_search(spec: MachineSpec, budget: SearchBudget = None) -> PrefixSearch:
+    """The runners' semantics, one letter at a time.
+
+    A deterministic node is the run's ``(state, register)``, or None once
+    the run died; a rule conflict raises InconsistentSpecError where
+    `run_deterministic` does. A nondeterministic node is a `Frontier`,
+    which holds what the breadth-first search reaches at that position,
+    each configuration with its fewest eps moves; the verdict is the
+    search's unless the path's configurations outnumber
+    `max_configurations`. Such a node is None: each word below it is to
+    be asked of `accepts` alone, so budget outcomes stay the search's.
+    """
+    successors = spec.successors
+    accept_states = spec.accept_states
+    accepting = spec.register_tests[1]
+    endmarker = spec.endmarker
+    start_key = (spec.initial_state, spec.initial_vector)
+
+    if spec.mode == DETERMINISTIC:
+        def step(node, letter):
+            if node is None:
+                return None
+            fired = successors(node[0], letter, node[1])
+            if len(fired) == 1:
+                return fired[0][1:]
+            if fired:
+                raise _conflict(fired, node[0], letter)
+            return None
+
+        def verdict(node, word):
+            if endmarker:
+                node = step(node, ENDMARKER)
+            return node is not None and node[0] in accept_states and accepting(node[1])
+
+        return PrefixSearch(lambda length: start_key, step, verdict, False)
+
+    budget = budget or SearchBudget()
+    eps_sources = frozenset() if spec.realtime else spec.epsilon_sources
+    max_configurations = budget.max_configurations
+
+    def close(configurations, spent, capped, eps_cap):
+        # add what eps moves reach, fewest eps moves first, as the search does
+        room = max_configurations - spent
+        pending = {}
+        if eps_sources:
+            for key, eps in configurations.items():
+                pending.setdefault(eps, []).append(key)
+        while pending:
+            eps = min(pending)
+            for key in pending.pop(eps):
+                if key[0] not in eps_sources or configurations[key] < eps:
+                    continue
+                if eps >= eps_cap:
+                    capped = True
+                    continue
+                for _, target, register in successors(key[0], EPSILON, key[1]):
+                    reached = (target, register)
+                    if configurations.get(reached, eps + 2) > eps + 1:
+                        configurations[reached] = eps + 1
+                        pending.setdefault(eps + 1, []).append(reached)
+                if len(configurations) > room:
+                    return None
+        if len(configurations) > room:
+            return None
+        return Frontier(configurations, spent + len(configurations), capped, eps_cap)
+
+    def step(node, letter):
+        if node is None:
+            return None
+        reached = {}
+        for (state, register), eps in node.configurations.items():
+            for _, target, updated in successors(state, letter, register):
+                key = (target, updated)
+                if reached.get(key, eps + 1) > eps:
+                    reached[key] = eps
+        return close(reached, node.spent, node.capped, node.eps_cap)
+
+    def verdict(node, word):
+        if node is None:
+            return None
+        final = node.configurations
+        if endmarker:
+            final = [(target, updated) for state, register in final
+                     for _, target, updated in successors(state, ENDMARKER, register)]
+        if any(state in accept_states and accepting(register) for state, register in final):
+            return True
+        if node.capped:
+            raise _undecided(word, budget)
+        return False
+
+    return PrefixSearch(
+        lambda length: close({start_key: 0}, 0, False, budget.eps_cap(spec, length)),
+        step, verdict, bool(eps_sources) and budget.eps_per_path is None)
 
 
 def extendedfa_embed(spec: MachineSpec) -> MachineSpec:

@@ -1,0 +1,12 @@
+"""Test settings shared by the suite.
+
+The ``ci`` hypothesis profile draws the same examples on every run and
+sets no deadline; select it with ``HYPOTHESIS_PROFILE=ci``.
+"""
+
+import os
+
+from hypothesis import settings
+
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))

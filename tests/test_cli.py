@@ -178,6 +178,8 @@ class TestMalformedArguments:
             (["transform", "intersect", "{powr}", "{out}"], {}),
             (["transform", "intersect", "{powr}", "{out}", "--with", "{invalid}"], {}),
             (["enumerate", "{powr}", "--maxlen", "2"], {"VECAUTO_MAX_CONFIGS": "lots"}),
+            (["run", "{eq}", "ab"], {"VECAUTO_MAX_CONFIGS": "lots"}),
+            (["run", "{leq}", "ab"], {"VECAUTO_MAX_CONFIGS": "lots"}),
             (["run", "{dir}", "a"], {}),
             (["verify", "{powr}", "--against", "eq", "--maxlen", "-1"], {}),
             (["enumerate", "{powr}", "--maxlen", "two"], {}),
@@ -210,7 +212,9 @@ class TestMalformedArguments:
             (["build", "mod", "x"], {}),
         ],
         ids=["bad-scale", "zero-denominator-scale", "intersect-without-with",
-             "intersect-with-invalid-machine", "bad-env-budget", "directory-as-machine",
+             "intersect-with-invalid-machine", "bad-env-budget",
+             "bad-env-budget-deterministic-run", "bad-env-budget-nondeterministic-run",
+             "directory-as-machine",
              "negative-maxlen", "non-integer-maxlen", "negative-budget", "negative-eps-per-path",
              "negative-env-eps-per-path", "transitions-not-a-list", "initial-vector-not-a-list",
              "dfa-not-an-object", "dfa-transitions-not-a-list", "system-not-an-object",
@@ -240,6 +244,8 @@ class TestMalformedArguments:
             "dfa_unknown_target": json.dumps(
                 dict(dfa, transitions=[{"from": "q0", "input": "a", "to": "q9"}])),
             "mod2": write_machine(example("mod", 2)),
+            "eq": write_machine(example("eq")),
+            "leq": write_machine(example("leq")),
         }
         for case in ("symbol-without-rule", "endmarker-rule", "non-accepting-state"):
             texts["famw_" + case.replace("-", "_")] = write_machine(unsupported_famw(case)[0])

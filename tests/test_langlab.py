@@ -147,6 +147,23 @@ class TestStarClosure:
         )
         assert result == ("ab", "ab")
 
+    def test_first_offending_pair_of_a_machine(self):
+        # at most one b: two accepting states, a register that never moves
+        one = Matrix.from_rows([[1]])
+        rules = [TransitionRule("p", "a", STATUS_ANY, "p", one),
+                 TransitionRule("p", "b", STATUS_ANY, "r", one),
+                 TransitionRule("r", "a", STATUS_ANY, "r", one)]
+        spec = replace(stateless(HVA, ("a", "b"), 1, [1], []), states=("p", "r"),
+                       initial_state="p", accept_states=("p", "r"), transitions=rules)
+        assert validate(spec) == []
+        for maxlen in range(1, 7):
+            accepted = enumerate_accepted(spec, maxlen)
+            every_pair = next(((u, v) for u in accepted for v in accepted
+                               if len(u) + len(v) <= maxlen and u + v not in accepted), None)
+            assert check_star_closure(spec, maxlen) == every_pair
+        assert check_star_closure(spec, 6) == ("b", "b")
+        assert check_star_closure(spec, 1) is None
+
     def test_asks_each_word_once(self):
         asked = []
 
