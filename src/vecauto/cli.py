@@ -4,6 +4,10 @@ Every command prints line-delimited JSON records so test harnesses can
 assert on the output without scraping prose. Exit codes: 0 for
 ok/accept/equal, 1 for reject/not-equal (with the counterexample in the
 record), 2 for usage or parse errors, 3 for an exhausted search budget.
+A malformed command line is a usage error too: one UsageError record.
+
+`main` may be called any number of times in one process; the parser is
+built on the first call and shared by the later ones.
 
 The default search budget can be overridden with the environment
 variables VECAUTO_MAX_CONFIGS and VECAUTO_EPS_PER_PATH.
@@ -12,6 +16,7 @@ variables VECAUTO_MAX_CONFIGS and VECAUTO_EPS_PER_PATH.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -299,8 +304,22 @@ def _add_budget_flags(parser) -> None:
                         help="cap on eps-moves along any one path")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose errors end in a UsageError record: `error`
+    prints the usage to stderr and raises VecautoError instead of exiting.
+    Subparsers are built with the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise VecautoError(f"{self.prog}: {message}")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The command-line parser, built once and shared. Parsing leaves no
+    state on it: each call fills a fresh namespace, and the dispatch
+    tables look their functions up when a command runs."""
+    parser = _Parser(
         prog="vecauto",
         description="Exact-arithmetic workbench for vector and homing vector automata",
     )
@@ -381,8 +400,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    except SystemExit:  # --help, after the help text is printed
+        return EXIT_OK
     except UndecidedError as exc:
         _emit({"verdict": "BudgetExceeded", "detail": str(exc)})
         return EXIT_BUDGET
@@ -390,6 +409,3 @@ def main(argv=None) -> int:
         _emit({"verdict": "UsageError", "detail": str(exc)})
         return EXIT_USAGE
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,4 +1,9 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +215,12 @@ class TestMalformedArguments:
             (["separate", "1\u00b2", "-o", "{out}"], {}),
             (["separate", "12", "--base", "x", "-o", "{out}"], {}),
             (["build", "mod", "x"], {}),
+            (["run", "{eq}"], {}),
+            (["verify", "{eq}", "--maxlen", "2"], {}),
+            (["frobnicate"], {}),
+            (["check", "nosuch", "{eq}", "--maxlen", "1"], {}),
+            (["enumerate", "{eq}", "--maxlen", "2", "--bogus"], {}),
+            ([], {}),
         ],
         ids=["bad-scale", "zero-denominator-scale", "intersect-without-with",
              "intersect-with-invalid-machine", "bad-env-budget",
@@ -225,7 +236,8 @@ class TestMalformedArguments:
              "reference-with-extra-parameter", "commutative-matrices-with-states",
              "separate-letter-digit", "separate-digit-of-the-base", "separate-base-two",
              "separate-base-eleven", "separate-superscript-digit", "separate-non-integer-base",
-             "build-non-integer-parameter"],
+             "build-non-integer-parameter", "missing-positional", "missing-required-option",
+             "unknown-command", "invalid-choice", "unknown-flag", "empty-argv"],
     )
     def test_usage_error_record(self, capsys, monkeypatch, tmp_path, powr_path, argv, env):
         for name, value in env.items():
@@ -257,6 +269,23 @@ class TestMalformedArguments:
         code, records = run_cli(capsys, *argv)
         assert code == 2
         assert records[0]["verdict"] == "UsageError"
+
+    def test_argparse_error_is_one_record(self, capsys, tmp_path):
+        path = tmp_path / "eq.mach"
+        path.write_text(write_machine(example("eq")))
+        code = main(["run", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert [json.loads(line) for line in captured.out.splitlines()] == [
+            {"verdict": "UsageError",
+             "detail": "vecauto run: the following arguments are required: input"}]
+        assert captured.err.startswith("usage: vecauto run")
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["run", "--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: vecauto run")
+        assert captured.err == ""
 
 
 class TestBuildAndSeparate:
@@ -481,3 +510,80 @@ class TestDiophantineCommand:
         sys_out = tmp_path / "back.sys"
         assert main(["diophantine", "from-famw", str(mach_path), "-o", str(sys_out)]) == 0
         assert json.loads(sys_out.read_text())["coefficients"] == [[1, -1]]
+
+
+class TestSharedParser:
+    """`main` builds its parser once per process; no call sees anything
+    of an earlier call's arguments."""
+
+    @pytest.fixture
+    def leq_path(self, tmp_path, capsys):
+        path = tmp_path / "leq.mach"
+        assert main(["build", "leq", "-o", str(path)]) == 0
+        capsys.readouterr()
+        return path
+
+    def test_second_call_registers_no_arguments(self, capsys, monkeypatch):
+        assert main(["build", "eq"]) == 0
+        added = []
+        original = argparse.ArgumentParser.add_argument
+
+        def counting(self, *args, **kwargs):
+            added.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+        assert main(["build", "eq"]) == 0
+        capsys.readouterr()
+        assert added == []
+
+    def test_trace_does_not_leak(self, capsys, leq_path):
+        code, records = run_cli(capsys, "run", str(leq_path), "ab", "--trace")
+        assert code == 0 and "accepting_path" in records[0]
+        code, records = run_cli(capsys, "run", str(leq_path), "ab")
+        assert code == 0 and "accepting_path" not in records[0]
+
+    def test_others_do_not_leak(self, capsys, tmp_path):
+        out = str(tmp_path / "sep.mach")
+        code, records = run_cli(capsys, "separate", "12", "21", "-o", out)
+        assert code == 0 and records[0]["rejects"] == ["21"]
+        code, records = run_cli(capsys, "separate", "12", "-o", out)
+        assert code == 0 and records[0]["rejects"] == []
+
+    def test_budget_does_not_leak(self, capsys, leq_path):
+        code, _ = run_cli(capsys, "enumerate", str(leq_path), "--maxlen", "3", "--budget", "1")
+        assert code == 3
+        code, records = run_cli(capsys, "enumerate", str(leq_path), "--maxlen", "3")
+        assert code == 0
+        assert [r["accepted"] for r in records] == langlab.enumerate_accepted(
+            load_machine(leq_path), 3)
+
+    def test_usage_error_then_valid_command(self, capsys, leq_path):
+        usual = run_cli(capsys, "run", str(leq_path), "ab")
+        code, records = run_cli(capsys, "run", str(leq_path))
+        assert code == 2 and records[0]["verdict"] == "UsageError"
+        assert run_cli(capsys, "run", str(leq_path), "ab") == usual
+
+
+class TestModuleEntryPoint:
+    """`python -m vecauto`, one process per command as a shell user runs it."""
+
+    @staticmethod
+    def vecauto(cwd, *argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "vecauto", *argv], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_build_verify_and_usage_error(self, tmp_path):
+        built = self.vecauto(tmp_path, "build", "eq")
+        assert built.returncode == 0
+        assert json.loads(built.stdout) == json.loads(write_machine(example("eq")))
+        (tmp_path / "eq.mach").write_text(built.stdout)
+        verified = self.vecauto(tmp_path, "verify", "eq.mach", "--against", "eq", "--maxlen", "6")
+        assert verified.returncode == 0
+        assert [json.loads(line)["verdict"] for line in verified.stdout.splitlines()] == ["Equal"]
+        bad = self.vecauto(tmp_path, "frobnicate")
+        assert bad.returncode == 2
+        assert [json.loads(line)["verdict"] for line in bad.stdout.splitlines()] == ["UsageError"]
