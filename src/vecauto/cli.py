@@ -42,15 +42,6 @@ EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-def _remove_endmarker_cmd(spec, args):
-    # the pass itself insists on nondeterministic input; on the command
-    # line the harmless mode relaxation is applied automatically
-    relaxed = transforms.as_nondeterministic(spec)
-    out, report = transforms.remove_endmarker(relaxed)
-    if relaxed is not spec:
-        report.parameters["relaxed_mode"] = True
-    return out, report
-
 
 def _intersect_cmd(spec, args):
     if args.with_machine is None:
@@ -61,7 +52,7 @@ def _intersect_cmd(spec, args):
 # Every entry looks its pass up in `transforms` when it runs, so a
 # rebinding of the module attribute (a tracer, a test) is seen.
 _PASSES = {
-    "remove-endmarker": _remove_endmarker_cmd,
+    "remove-endmarker": lambda spec, args: transforms.remove_endmarker(spec),
     "rationals-to-integers": lambda spec, args: transforms.rationals_to_integers(spec),
     "eliminate-states": lambda spec, args: transforms.eliminate_states(spec),
     "counters-to-hva1": lambda spec, args: transforms.counters_to_hva1(spec),
@@ -80,7 +71,8 @@ _CHECKS = {
     "commutative-matrices":
         lambda spec, maxlen, budget: langlab.check_commutative_matrices(spec, maxlen, budget),
     "commutative": lambda spec, maxlen, budget: diophantine.check_commutative(
-        lambda w: accepts(spec, w, budget), spec.alphabet, maxlen),
+        ((w, accepts(spec, w, budget)) for w in langlab.all_strings(spec.alphabet, maxlen)),
+        spec.alphabet),
 }
 
 
@@ -215,7 +207,7 @@ def cmd_build(args) -> int:
 def cmd_separate(args) -> int:
     build = builders.binary_distinguisher if args.model == "dbva" else builders.hva_distinguisher
     spec = build(args.x, args.base)
-    _write_or_print(fileformat.write_machine(spec), args.output)
+    fileformat.save_machine(spec, args.output)
     failures = []
     if not accepts(spec, args.x):
         failures.append(args.x)
@@ -355,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("others", nargs="*")
     p.add_argument("--model", choices=("dbva", "dbhva"), default="dbva")
     p.add_argument("--base", type=_integer, default=3)
-    p.add_argument("-o", "--output", default=None)
+    p.add_argument("-o", "--output", required=True,
+                   help="machine file to write; stdout holds the record only")
     p.set_defaults(func=cmd_separate)
 
     p = sub.add_parser("verify", help="bounded equivalence against a reference or machine")

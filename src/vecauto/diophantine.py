@@ -142,19 +142,19 @@ def solutions_up_to(system: DiophantineSystem, bound: int) -> set:
     }
 
 
-def check_commutative(accepts_fn, alphabet, bound: int):
-    """None when membership up to `bound` is permutation-invariant,
-    otherwise the first (accepted-or-not representative, disagreeing
-    permutation) pair in length-lexicographic order."""
+def check_commutative(verdicts, alphabet):
+    """None when membership is permutation-invariant over `verdicts`,
+    ``(word, verdict)`` pairs in length-lexicographic order; otherwise the
+    first (accepted-or-not representative, disagreeing permutation) pair
+    in that order. A Parikh class fixes the word length, so each class is
+    settled among the words of one length. Symbols are single characters,
+    as `validate` requires, so a word's class is its per-symbol counts."""
     alphabet = tuple(alphabet)
-    for length in range(bound + 1):
-        seen = {}
-        for letters in itertools.product(alphabet, repeat=length):
-            word = "".join(letters)
-            cls = tuple(map(letters.count, alphabet))  # parikh(word, alphabet)
-            verdict = accepts_fn(word)
-            if cls not in seen:
-                seen[cls] = (word, verdict)
-            elif seen[cls][1] != verdict:
-                return (seen[cls][0], word)
+    seen = {}
+    for word, verdict in verdicts:
+        cls = tuple(map(word.count, alphabet))
+        if cls not in seen:
+            seen[cls] = (word, verdict)
+        elif seen[cls][1] != verdict:
+            return (seen[cls][0], word)
     return None

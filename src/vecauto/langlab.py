@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import AlphabetError, ReferenceLanguageError, UnsupportedKindError
-from .machines import HVA, MachineSpec, SearchBudget, accepts, prefix_search
+from .machines import HVA, MachineSpec, SearchBudget, accepts, walk
 from .diophantine import check_commutative
 
 
@@ -59,39 +59,15 @@ def _walk(language, maxlen: int, budget: SearchBudget = None):
     order, each asked once, when reached, of `language` (a MachineSpec or
     a ReferenceLanguage). Every verifier reads its verdicts from here.
 
-    A machine is walked over the trie of prefixes: each word's search
-    state is its parent prefix's stepped by one letter, computed just
-    before its verdict is yielded, so a verifier that stops early pays
-    for no later word. A word whose shared search outgrew
-    `max_configurations` is asked of `accepts` alone."""
+    A machine's verdicts come from `machines.walk`, which shares each
+    prefix's search among the words that extend it; a word whose shared
+    search outgrew `max_configurations` is asked of `accepts` alone."""
     if not isinstance(language, MachineSpec):
         for w in all_strings(language.alphabet, maxlen):
             yield w, language.membership(w)
         return
-    alphabet = language.alphabet
-    search = prefix_search(language, budget)
-    for length in range(maxlen + 1):
-        if length == 0 or search.cap_grows:
-            # a cap that grows with the word length gives each length its
-            # own trie, whose prefixes are stepped again, lazily, under it
-            level = [("", search.start(length))]
-            for _ in range(length):
-                level = _children(level, alphabet, search.step)
-        else:
-            level = _children(level, alphabet, search.step)
-        kept = []
-        for w, node in level:
-            verdict = search.verdict(node, w)
-            yield w, accepts(language, w, budget) if verdict is None else verdict
-            kept.append((w, node))
-        level = kept
-
-
-def _children(level, alphabet, step):
-    """The ``(word, node)`` children of a trie level, in length-lex order."""
-    for w, node in level:
-        for letter in alphabet:
-            yield w + letter, step(node, letter)
+    for w, verdict in walk(language, maxlen, budget):
+        yield w, accepts(language, w, budget) if verdict is None else verdict
 
 
 def enumerate_accepted(spec: MachineSpec, maxlen: int, budget: SearchBudget = None) -> list:
@@ -210,10 +186,7 @@ def check_commutative_matrices(spec: MachineSpec, maxlen: int,
         for j in range(i + 1, len(matrices)):
             if matrices[i] * matrices[j] != matrices[j] * matrices[i]:
                 return NOT_APPLICABLE
-    # check_commutative asks about every word in the walk's own
-    # length-lex order, so each question is answered by the next verdict
-    walk = _walk(spec, maxlen, budget)
-    return check_commutative(lambda w: next(walk)[1], spec.alphabet, maxlen)
+    return check_commutative(_walk(spec, maxlen, budget), spec.alphabet)
 
 
 # ---------------------------------------------------------------------------

@@ -173,8 +173,8 @@ class MachineSpec:
         machine (different words and queries reach the same register), so
         they are memoized per (rule index, register); entries are exact
         and immutable and live as long as the machine. Bounded
-        enumeration steps each shared prefix once (`prefix_search`), so
-        its hits come from distinct prefixes that reach one register.
+        enumeration steps each shared prefix once (`walk`), so its hits
+        come from distinct prefixes that reach one register.
         """
         index = self.rule_index
         memo = {}
@@ -405,27 +405,19 @@ def validate(spec: MachineSpec) -> list:
         bad(f"dimension must be >= 1, got {spec.dimension}")
 
     reg_len = spec.register_length()
+    # construction makes the initial vector a tuple of ints for a
+    # counter machine and a RowVector for every other kind
     if spec.kind == COUNTER_MACHINE:
-        if not (
-            isinstance(spec.initial_vector, tuple)
-            and len(spec.initial_vector) == spec.dimension
-        ):
+        if len(spec.initial_vector) != spec.dimension:
             bad("counter machine initial vector must have one integer per counter")
         elif any(spec.initial_vector):
             bad("counters must start at zero")
-    else:
-        if not isinstance(spec.initial_vector, RowVector):
-            bad("initial vector must be a RowVector")
-        elif spec.initial_vector.dim != reg_len:
-            bad(
-                f"initial vector has dim {spec.initial_vector.dim}, expected {reg_len}"
-            )
-        elif spec.kind == EXTENDED_FA and spec.initial_vector != flattened_identity(
-            spec.dimension
-        ):
-            bad("matrix-monoid machines must start from the flattened identity")
-        elif spec.kind == FAM and spec.initial_vector != RowVector([1]):
-            bad("multiplicative registers must start at 1")
+    elif spec.initial_vector.dim != reg_len:
+        bad(f"initial vector has dim {spec.initial_vector.dim}, expected {reg_len}")
+    elif spec.kind == EXTENDED_FA and spec.initial_vector != flattened_identity(spec.dimension):
+        bad("matrix-monoid machines must start from the flattened identity")
+    elif spec.kind == FAM and spec.initial_vector != RowVector([1]):
+        bad("multiplicative registers must start at 1")
 
     if spec.mode == DETERMINISTIC and not spec.realtime:
         bad("deterministic machines must be real-time")
@@ -649,7 +641,7 @@ def _undecided(word: str, budget: SearchBudget) -> UndecidedError:
 
 
 # ---------------------------------------------------------------------------
-# prefix search: the search state after a prefix, shared by every word
+# the verdict walk: one search state per prefix, shared by every word
 # that extends it
 
 
@@ -666,38 +658,28 @@ class Frontier(NamedTuple):
     eps_cap: int
 
 
-class PrefixSearch(NamedTuple):
-    """Membership split at each letter. `start(length)` is the node of
-    the empty prefix, under the eps cap of a word of `length` letters;
-    `step(node, letter)` is the node of the prefix extended by `letter`;
-    `verdict(node, word)` is `accepts(spec, word, budget)` for the word
-    that ends at `node`, or None when the shared search outgrew the
-    budget and the word must be asked alone. `cap_grows` is set when the
-    eps cap depends on the word length, so a node serves the words of
-    one length only."""
+def walk(spec: MachineSpec, maxlen: int, budget: SearchBudget = None):
+    """``(word, verdict)`` for every word up to `maxlen` in length-lex
+    order: the runners' semantics, one letter at a time. The verdict is
+    `accepts(spec, word, budget)`, or None where the shared search
+    outgrew `max_configurations`: such a word is to be asked alone, so
+    budget outcomes stay the per-word search's.
 
-    start: object
-    step: object
-    verdict: object
-    cap_grows: bool
-
-
-def prefix_search(spec: MachineSpec, budget: SearchBudget = None) -> PrefixSearch:
-    """The runners' semantics, one letter at a time.
-
-    A deterministic node is the run's ``(state, register)``, or None once
+    The words are a trie of prefixes, walked level by level. A word's
+    search state is its parent's stepped by one letter, just before its
+    verdict is yielded, so a caller that stops early steps no later word.
+    A deterministic state is the run's ``(state, register)``, or None once
     the run died; a rule conflict raises InconsistentSpecError where
-    `run_deterministic` does. A nondeterministic node is a `Frontier`,
-    which holds what the breadth-first search reaches at that position,
-    each configuration with its fewest eps moves; the verdict is the
-    search's unless the path's configurations outnumber
-    `max_configurations`. Such a node is None: each word below it is to
-    be asked of `accepts` alone, so budget outcomes stay the search's.
+    `run_deterministic` does. A nondeterministic state is a `Frontier`,
+    or None once its path's configurations outnumber `max_configurations`.
+    When the eps cap grows with the word length (eps rules, `eps_per_path`
+    unset), each length gets its own trie under its own cap.
     """
     successors = spec.successors
     accept_states = spec.accept_states
     accepting = spec.register_tests[1]
     endmarker = spec.endmarker
+    alphabet = spec.alphabet
     start_key = (spec.initial_state, spec.initial_vector)
 
     if spec.mode == DETERMINISTIC:
@@ -716,65 +698,90 @@ def prefix_search(spec: MachineSpec, budget: SearchBudget = None) -> PrefixSearc
                 node = step(node, ENDMARKER)
             return node is not None and node[0] in accept_states and accepting(node[1])
 
-        return PrefixSearch(lambda length: start_key, step, verdict, False)
+        def start(length):
+            return start_key
 
-    budget = budget or SearchBudget()
-    eps_sources = frozenset() if spec.realtime else spec.epsilon_sources
-    max_configurations = budget.max_configurations
+        cap_grows = False
+    else:
+        budget = budget or SearchBudget()
+        eps_sources = frozenset() if spec.realtime else spec.epsilon_sources
+        max_configurations = budget.max_configurations
 
-    def close(configurations, spent, capped, eps_cap):
-        # add what eps moves reach, fewest eps moves first, as the search does
-        room = max_configurations - spent
-        pending = {}
-        if eps_sources:
-            for key, eps in configurations.items():
-                pending.setdefault(eps, []).append(key)
-        while pending:
-            eps = min(pending)
-            for key in pending.pop(eps):
-                if key[0] not in eps_sources or configurations[key] < eps:
-                    continue
-                if eps >= eps_cap:
-                    capped = True
-                    continue
-                for _, target, register in successors(key[0], EPSILON, key[1]):
-                    reached = (target, register)
-                    if configurations.get(reached, eps + 2) > eps + 1:
-                        configurations[reached] = eps + 1
-                        pending.setdefault(eps + 1, []).append(reached)
-                if len(configurations) > room:
-                    return None
-        if len(configurations) > room:
-            return None
-        return Frontier(configurations, spent + len(configurations), capped, eps_cap)
+        def close(configurations, spent, capped, eps_cap):
+            # add what eps moves reach, fewest eps moves first, as the search does
+            room = max_configurations - spent
+            pending = {}
+            if eps_sources:
+                for key, eps in configurations.items():
+                    pending.setdefault(eps, []).append(key)
+            while pending:
+                eps = min(pending)
+                for key in pending.pop(eps):
+                    if key[0] not in eps_sources or configurations[key] < eps:
+                        continue
+                    if eps >= eps_cap:
+                        capped = True
+                        continue
+                    for _, target, register in successors(key[0], EPSILON, key[1]):
+                        reached = (target, register)
+                        if configurations.get(reached, eps + 2) > eps + 1:
+                            configurations[reached] = eps + 1
+                            pending.setdefault(eps + 1, []).append(reached)
+                    if len(configurations) > room:
+                        return None
+            if len(configurations) > room:
+                return None
+            return Frontier(configurations, spent + len(configurations), capped, eps_cap)
 
-    def step(node, letter):
-        if node is None:
-            return None
-        reached = {}
-        for (state, register), eps in node.configurations.items():
-            for _, target, updated in successors(state, letter, register):
-                key = (target, updated)
-                if reached.get(key, eps + 1) > eps:
-                    reached[key] = eps
-        return close(reached, node.spent, node.capped, node.eps_cap)
+        def step(node, letter):
+            if node is None:
+                return None
+            reached = {}
+            for (state, register), eps in node.configurations.items():
+                for _, target, updated in successors(state, letter, register):
+                    key = (target, updated)
+                    if reached.get(key, eps + 1) > eps:
+                        reached[key] = eps
+            return close(reached, node.spent, node.capped, node.eps_cap)
 
-    def verdict(node, word):
-        if node is None:
-            return None
-        final = node.configurations
-        if endmarker:
-            final = [(target, updated) for state, register in final
-                     for _, target, updated in successors(state, ENDMARKER, register)]
-        if any(state in accept_states and accepting(register) for state, register in final):
-            return True
-        if node.capped:
-            raise _undecided(word, budget)
-        return False
+        def verdict(node, word):
+            if node is None:
+                return None
+            final = node.configurations
+            if endmarker:
+                final = [(target, updated) for state, register in final
+                         for _, target, updated in successors(state, ENDMARKER, register)]
+            if any(state in accept_states and accepting(register) for state, register in final):
+                return True
+            if node.capped:
+                raise _undecided(word, budget)
+            return False
 
-    return PrefixSearch(
-        lambda length: close({start_key: 0}, 0, False, budget.eps_cap(spec, length)),
-        step, verdict, bool(eps_sources) and budget.eps_per_path is None)
+        def start(length):
+            return close({start_key: 0}, 0, False, budget.eps_cap(spec, length))
+
+        cap_grows = bool(eps_sources) and budget.eps_per_path is None
+
+    def children(level):
+        # lazy, so a word's state is stepped only when its verdict is asked
+        for w, node in level:
+            for letter in alphabet:
+                yield w + letter, step(node, letter)
+
+    for length in range(maxlen + 1):
+        if length == 0 or cap_grows:
+            # a cap that grows with the word length gives each length its
+            # own trie, whose prefixes are stepped again, lazily, under it
+            level = [("", start(length))]
+            for _ in range(length):
+                level = children(level)
+        else:
+            level = children(level)
+        kept = []
+        for w, node in level:
+            yield w, verdict(node, w)
+            kept.append((w, node))
+        level = kept
 
 
 def extendedfa_embed(spec: MachineSpec) -> MachineSpec:

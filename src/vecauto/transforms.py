@@ -71,13 +71,6 @@ def _fresh_name(base: str, taken) -> str:
     return name
 
 
-def as_nondeterministic(spec: MachineSpec) -> MachineSpec:
-    """Relax the mode flag; a deterministic machine is a special case."""
-    if spec.mode == NONDETERMINISTIC:
-        return spec
-    return replace(spec, mode=NONDETERMINISTIC)
-
-
 def scale_initial_vector(spec: MachineSpec, t):
     """Replace the initial vector v0 with t*v0 for a nonzero rational t.
 
@@ -98,8 +91,8 @@ def scale_initial_vector(spec: MachineSpec, t):
 
 
 def remove_endmarker(spec: MachineSpec, budget: SearchBudget = None):
-    """Fold the end-marker postprocessing of a blind nondeterministic HVA
-    into extra states.
+    """Fold the end-marker postprocessing of a blind HVA into extra
+    states; the output is nondeterministic, whatever the input's mode.
 
     The output keeps every original state (now non-accepting) and adds a
     fresh accept state; whenever reading sigma could put the source in a
@@ -111,11 +104,6 @@ def remove_endmarker(spec: MachineSpec, budget: SearchBudget = None):
     """
     if spec.kind != HVA or not spec.blind:
         raise UnsupportedPassError("end-marker removal applies to blind homing machines")
-    if spec.mode != NONDETERMINISTIC:
-        raise UnsupportedPassError(
-            "end-marker removal applies to nondeterministic machines; "
-            "relax the mode first (a deterministic machine is a special case)"
-        )
     if not spec.endmarker:
         raise UnsupportedPassError("machine has no end-marker to remove")
 
@@ -377,7 +365,7 @@ def counters_to_integer_hva3(spec: MachineSpec, budget: SearchBudget = None):
         marked, r2 = attach_trivial_endmarker(marked)
         reports.append(r2)
     lifted, r3 = rationals_to_integers(marked)
-    out, r4 = remove_endmarker(as_nondeterministic(lifted), budget)
+    out, r4 = remove_endmarker(lifted, budget)
     stages = [r.to_record() for r in reports + [r3, r4]]
     return out, _report("counters_to_integer_hva3", spec.summary(), out, stages=stages)
 

@@ -228,6 +228,33 @@ def blind_counter_a_endmarker() -> MachineSpec:
     )
 
 
+def counter_ab_endmarker() -> MachineSpec:
+    """Deterministic non-blind one-counter machine with end-marker for
+    a^n b^n: 'a' counts up in p, 'b' counts down while the counter is
+    nonzero, moving to r, and '$' reads a zero counter into acc."""
+    zero, nonzero = (STATUS_EQ,), (STATUS_NE,)
+    return MachineSpec(
+        kind=COUNTER_MACHINE,
+        mode=DETERMINISTIC,
+        blind=False,
+        endmarker=True,
+        realtime=True,
+        alphabet=("a", "b"),
+        states=("p", "r", "acc"),
+        initial_state="p",
+        accept_states=frozenset({"acc"}),
+        dimension=1,
+        initial_vector=(0,),
+        transitions=(
+            TransitionRule("p", "a", STATUS_ANY, "p", (1,)),
+            TransitionRule("p", "b", nonzero, "r", (-1,)),
+            TransitionRule("r", "b", nonzero, "r", (-1,)),
+            TransitionRule("p", ENDMARKER, zero, "acc", (0,)),
+            TransitionRule("r", ENDMARKER, zero, "acc", (0,)),
+        ),
+    )
+
+
 def extendedfa_a_endmarker() -> MachineSpec:
     """One-dimensional matrix-monoid machine with end-marker for {a}:
     'a' doubles the register and '$' halves it."""

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,8 @@ from vecauto.builders import cyclic_dfa, example
 from vecauto.cli import main
 from test_diophantine import unsupported_famw
 from vecauto.fileformat import load_machine, write_dfa, write_machine
-from vecauto.machines import validate
-from vecauto.transforms import DFA, as_nondeterministic
+from vecauto.machines import NONDETERMINISTIC, validate
+from vecauto.transforms import DFA
 
 
 def run_cli(capsys, *argv):
@@ -214,6 +215,7 @@ class TestMalformedArguments:
             (["separate", "12", "21", "--base", "11", "-o", "{out}"], {}),
             (["separate", "1\u00b2", "-o", "{out}"], {}),
             (["separate", "12", "--base", "x", "-o", "{out}"], {}),
+            (["separate", "12", "21"], {}),
             (["build", "mod", "x"], {}),
             (["run", "{eq}"], {}),
             (["verify", "{eq}", "--maxlen", "2"], {}),
@@ -236,6 +238,7 @@ class TestMalformedArguments:
              "reference-with-extra-parameter", "commutative-matrices-with-states",
              "separate-letter-digit", "separate-digit-of-the-base", "separate-base-two",
              "separate-base-eleven", "separate-superscript-digit", "separate-non-integer-base",
+             "separate-without-output",
              "build-non-integer-parameter", "missing-positional", "missing-required-option",
              "unknown-command", "invalid-choice", "unknown-flag", "empty-argv"],
     )
@@ -408,6 +411,17 @@ class TestEnumerateCommand:
         words = [r["accepted"] for r in records]
         assert words == ["", "ab", "aabb", "abab", "aaabbb", "aabbab", "abaabb", "ababab"]
 
+    def test_non_blind_counter_machine(self, capsys, tmp_path):
+        from machine_gen import counter_ab_endmarker
+
+        path = tmp_path / "counter.mach"
+        path.write_text(write_machine(counter_ab_endmarker()))
+        code, records = run_cli(capsys, "enumerate", str(path), "--maxlen", "7")
+        assert code == 0
+        assert [r["accepted"] for r in records] == ["", "ab", "aabb", "aaabbb"]
+        code, records = run_cli(capsys, "verify", str(path), "--against", "ab", "--maxlen", "8")
+        assert code == 0 and records[0]["verdict"] == "Equal"
+
 
 class TestBudgetAndKinds:
     def test_env_var_budget_override(self, capsys, tmp_path, monkeypatch):
@@ -431,7 +445,10 @@ class TestBudgetAndKinds:
     def test_check_honours_budget(self, capsys, tmp_path, prop):
         # gcd needs a unary machine; the budget only matters to
         # nondeterministic ones
-        spec = as_nondeterministic(example("mod", 2)) if prop == "gcd" else example("leq")
+        if prop == "gcd":
+            spec = replace(example("mod", 2), mode=NONDETERMINISTIC)
+        else:
+            spec = example("leq")
         path = tmp_path / "machine.mach"
         path.write_text(write_machine(spec))
         code, records = run_cli(capsys, "check", prop, str(path), "--maxlen", "4", "--budget", "1")

@@ -135,18 +135,21 @@ class TestSolutionsUpTo:
 class TestCheckCommutative:
     def test_eq_is_commutative(self):
         spec = famw_from_system(EQ_SYSTEM)
-        assert check_commutative(lambda w: accepts(spec, w), ("a", "b"), 6) is None
+        words = all_strings(("a", "b"), 6)
+        assert check_commutative(((w, accepts(spec, w)) for w in words), ("a", "b")) is None
 
     def test_singleton_is_not(self):
-        result = check_commutative(lambda w: w == "ab", ("a", "b"), 4)
+        result = check_commutative(((w, w == "ab") for w in all_strings(("a", "b"), 4)),
+                                   ("a", "b"))
         assert result == ("ab", "ba")
 
     def test_every_multiplicative_machine_language_is_commutative(self):
         for seed in range(5):
             system = random_system(random.Random(77 + seed))
             spec = famw_from_system(system)
+            words = all_strings(system.alphabet, 6)
             assert check_commutative(
-                lambda w: accepts(spec, w), system.alphabet, 6
+                ((w, accepts(spec, w)) for w in words), system.alphabet
             ) is None
 
 

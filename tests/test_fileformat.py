@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from machine_gen import blind_counter_abc
+from machine_gen import blind_counter_abc, counter_ab_endmarker
 from vecauto.builders import cyclic_dfa, example
 from vecauto.diophantine import DiophantineSystem
 from vecauto.errors import MachineFileError
@@ -32,6 +32,15 @@ ALL_EXAMPLES = [
 ]
 
 
+def rule(**changes):
+    """One transition object of a one-state machine, with `changes`."""
+    return dict({"from": "q", "input": "a", "status": "*", "to": "q", "matrix": [["1"]]},
+                **changes)
+
+
+COUNTER = "CounterMachine"
+
+
 class TestMachineRoundTrip:
     @pytest.mark.parametrize("name,param", ALL_EXAMPLES)
     def test_parse_inverts_write(self, name, param):
@@ -46,6 +55,13 @@ class TestMachineRoundTrip:
     def test_counter_machine_round_trip(self):
         spec = blind_counter_abc()
         assert parse_machine(write_machine(spec)) == spec
+
+    def test_counter_statuses_round_trip_byte_for_byte(self):
+        spec = counter_ab_endmarker()
+        text = write_machine(spec)
+        assert json.loads(text)["transitions"][1]["status"] == ["!="]
+        assert parse_machine(text) == spec
+        assert write_machine(parse_machine(text)) == text
 
     def test_gfa_round_trip(self):
         from test_machines import one_state_gfa
@@ -97,6 +113,20 @@ class TestParseErrors:
             (parse_machine, {"transitions": [{"from": ["q"], "input": "a", "status": "*",
                                               "to": "q", "matrix": [["2"]]}]}, "from"),
             (parse_machine, [], "document"),
+            (parse_machine, {"mode": "random"}, "mode: unknown mode 'random'"),
+            (parse_machine, {"blind": "yes"}, "blind: expected true or false"),
+            (parse_machine, {"transitions": [rule(status=["="])]},
+             r"transitions\[0\]\.status: malformed status"),
+            (parse_machine, {"kind": COUNTER, "transitions": [rule(status=["=", "?"])]},
+             r"transitions\[0\]\.status: counter status components must be"),
+            (parse_machine, {"transitions": [rule(matrix=["1"])]},
+             r"transitions\[0\]\.matrix: expected a nested row-major array"),
+            (parse_machine, {"kind": COUNTER, "transitions": [rule(matrix=[["1"], ["0"]])]},
+             r"transitions\[0\]\.matrix: counter updates are a single row"),
+            (parse_machine, {"kind": COUNTER, "transitions": [rule(matrix=[["1/2"]])]},
+             r"transitions\[0\]\.matrix: expected an integer"),
+            (parse_machine, {"kind": COUNTER, "initial_vector": ["1/2"]},
+             "initial_vector: expected an integer"),
             (parse_dfa, {"transitions": 5}, "transitions"),
             (parse_dfa, {"states": 5}, "states"),
             (parse_dfa, {"transitions": [{"from": "q0", "input": ["a"], "to": "q1"}]}, "input"),
@@ -108,7 +138,9 @@ class TestParseErrors:
             (parse_system, {"coefficients": [["1"]]}, "coefficients"),
         ],
         ids=["machine-transitions", "machine-initial-vector", "machine-transition-item",
-             "machine-source", "machine-document", "dfa-transitions", "dfa-states",
+             "machine-source", "machine-document", "machine-mode", "machine-flag",
+             "machine-list-status", "counter-status", "machine-flat-matrix", "counter-rows",
+             "counter-fraction-update", "counter-fraction-start", "dfa-transitions", "dfa-states",
              "dfa-input", "dfa-document", "system-document", "system-float",
              "system-integral-float", "system-bool", "system-string"],
     )

@@ -26,6 +26,7 @@ from vecauto.langlab import (
 from vecauto.exact import Matrix
 from vecauto.machines import (
     HVA,
+    NONDETERMINISTIC,
     STATUS_ANY,
     SearchBudget,
     TransitionRule,
@@ -53,10 +54,10 @@ class TestEnumeration:
 
     def test_budget_exhaustion_propagates(self):
         from machine_gen import blind_counter_ab
-        from vecauto.transforms import as_nondeterministic, counters_to_hva1
+        from vecauto.transforms import counters_to_hva1
 
         spec, _ = counters_to_hva1(blind_counter_ab())
-        spec = as_nondeterministic(spec)
+        spec = replace(spec, mode=NONDETERMINISTIC)
         with pytest.raises(UndecidedError) as info:
             enumerate_accepted(spec, 3, SearchBudget(max_configurations=1))
         assert info.value.word is not None

@@ -1,12 +1,13 @@
 import pickle
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from machine_gen import random_dva
+from machine_gen import blind_counter_ab, counter_ab_endmarker, random_dva
 from vecauto import machines
 from vecauto.builders import example
 from vecauto.errors import AlphabetError, InconsistentSpecError, UndecidedError, UnsupportedKindError
@@ -17,6 +18,7 @@ from vecauto.machines import (
     COUNTER_MACHINE,
     DETERMINISTIC,
     EXTENDED_FA,
+    FAM,
     GFA,
     HVA,
     NONDETERMINISTIC,
@@ -84,9 +86,111 @@ class TestStatelessConstructor:
         )
 
 
+def monoid_machine():
+    """A valid matrix-monoid machine over 2 x 2 matrices."""
+    return stateless(EXTENDED_FA, ("a",), 2, flattened_identity(2),
+                     [("a", embed_monoid_effect(Matrix.from_rows([[1, 1], [0, 1]])))],
+                     mode=NONDETERMINISTIC)
+
+
+VALID = {
+    "hva": lambda: example("eq"),  # q: a doubles, b halves
+    "counter": blind_counter_ab,  # q1 -a-> q1, q1 -b-> q2, q2 -b-> q2
+    "gfa": lambda: one_state_gfa(),
+    "monoid": monoid_machine,
+    "fam": lambda: stateless(FAM, ("a",), 1, [1], [("a", Matrix.from_rows([[2]]))]),
+}
+
+
+def first_rule(**changes):
+    """A change to the transitions: the first rule with `changes`."""
+    return lambda spec: {"transitions": (replace(spec.transitions[0], **changes),)
+                         + spec.transitions[1:]}
+
+
+# (valid machine, the fields one replace changes, one diagnostic it gives)
+DIAGNOSTICS = [
+    ("hva", {"kind": "Turing"}, "unknown kind: 'Turing'"),
+    ("hva", {"mode": "random"}, "unknown mode: 'random'"),
+    ("hva", {"states": (), "initial_state": None, "accept_states": ()},
+     "machine needs at least one state"),
+    ("hva", {"states": ("q", "q")}, "duplicate state names"),
+    ("hva", {"initial_state": "p"}, "initial state 'p' not among states"),
+    ("hva", {"accept_states": ("q", "p")}, "accept state 'p' not among states"),
+    ("hva", {"alphabet": (), "transitions": ()}, "alphabet is empty"),
+    ("hva", {"alphabet": ("a", "b", "a")}, "duplicate alphabet symbols"),
+    ("hva", {"alphabet": ("a", "b", "$")}, "reserved symbol '$' cannot be in the alphabet"),
+    ("hva", {"alphabet": ("a", "b", "cd")}, "alphabet symbols must be single characters, got 'cd'"),
+    ("hva", {"dimension": 0}, "dimension must be >= 1, got 0"),
+    ("counter", {"initial_vector": (0, 0)},
+     "counter machine initial vector must have one integer per counter"),
+    ("counter", {"initial_vector": (1,)}, "counters must start at zero"),
+    ("hva", {"initial_vector": [1, 0]}, "initial vector has dim 2, expected 1"),
+    ("monoid", {"initial_vector": [1, 0, 0, 0]},
+     "matrix-monoid machines must start from the flattened identity"),
+    ("fam", {"initial_vector": [2]}, "multiplicative registers must start at 1"),
+    ("hva", {"realtime": False}, "deterministic machines must be real-time"),
+    ("gfa", {"gfa_cutpoint": None}, "GFA needs a final vector and a cutpoint"),
+    ("gfa", {"gfa_final_vector": [1, 0]}, "GFA final vector dimension mismatch"),
+    ("gfa", {"mode": NONDETERMINISTIC}, "GFA is deterministic and blind"),
+    ("gfa", {"blind": False}, "GFA is deterministic and blind"),
+    ("gfa", {"endmarker": True}, "GFA does not process an end-marker"),
+    ("gfa", {"realtime": False}, "GFA is real-time; eps rules are not allowed"),
+    ("gfa", {"states": ("q", "p")}, "GFA control is carried by the matrices; use a single state"),
+    ("gfa", {"accept_states": ()}, "GFA accepts by its value; its one state must be accepting"),
+    ("gfa", lambda spec: {"transitions": spec.transitions * 2},
+     "GFA must have exactly one matrix per symbol; 'a' repeats"),
+    ("gfa", {"transitions": ()}, "GFA is missing the matrix for symbol 'a'"),
+    ("hva", {"gfa_cutpoint": 1}, "final vector / cutpoint are only meaningful for GFA"),
+    ("monoid", {"blind": False}, "matrix-monoid machines are blind by definition"),
+    ("monoid", {"mode": DETERMINISTIC},
+     "matrix-monoid machines are nondeterministic by definition"),
+    ("fam", {"dimension": 2}, "multiplicative-register machines are one-dimensional"),
+    ("hva", first_rule(source="p"), "transition #0 (p,a): unknown source state"),
+    ("hva", first_rule(target="p"), "transition #0 (q,a): unknown target state"),
+    ("hva", first_rule(input="eps"), "transition #0 (q,eps): eps rule in a real-time machine"),
+    ("gfa", lambda spec: {"transitions": spec.transitions + (
+        TransitionRule("q", "eps", STATUS_ANY, "q", Matrix.identity(1)),)},
+     "transition #1 (q,eps): eps rule in a GFA"),
+    ("hva", first_rule(input="$"),
+     "transition #0 (q,$): end-marker rule but endmarker flag is off"),
+    ("hva", first_rule(input="c"), "transition #0 (q,c): symbol 'c' not in alphabet"),
+    ("hva", first_rule(status="?"), "transition #0 (q,a): malformed status '?'"),
+    ("counter", first_rule(status=("=", "=")), "transition #0 (q1,a): malformed status ('=', '=')"),
+    ("hva", first_rule(status=STATUS_EQ),
+     "transition #0 (q,a): blind machine must use the wildcard status"),
+    ("counter", first_rule(effect=(1, 0)),
+     "transition #0 (q1,a): counter update must have one entry per counter"),
+    ("counter", first_rule(effect=(2,)),
+     "transition #0 (q1,a): counter updates must lie in {-1,0,1}"),
+    ("hva", first_rule(effect=(1,)), "transition #0 (q,a): effect must be a matrix"),
+    ("hva", first_rule(effect=Matrix.identity(2)),
+     "transition #0 (q,a): effect is 2x2, expected 1x1"),
+    ("fam", first_rule(effect=Matrix.from_rows([[-2]])),
+     "transition #0 (q,a): multiplicative register updates must be positive"),
+    ("monoid", first_rule(effect=Matrix.from_rows(
+        [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])),
+     "transition #0 (q,a): effect is not of the form I tensor M"),
+    ("hva", lambda spec: {"transitions": spec.transitions * 2},
+     "deterministic conflict: transitions #0 and #2 both apply in (q,a)"),
+]
+
+
 class TestValidate:
     def test_powr_is_clean(self, powr):
         assert validate(powr) == []
+
+    @pytest.mark.parametrize("name", sorted(VALID))
+    def test_every_base_machine_is_valid(self, name):
+        assert validate(VALID[name]()) == []
+
+    @pytest.mark.parametrize("name,changes,message", DIAGNOSTICS,
+                             ids=[message for _, _, message in DIAGNOSTICS])
+    def test_each_diagnostic(self, name, changes, message):
+        spec = VALID[name]()
+        if callable(changes):
+            changes = changes(spec)
+        assert message in validate(replace(spec, **changes))
 
     def test_deterministic_conflict(self):
         spec = hva1([scalar_rule("a", 2), scalar_rule("a", 3)])
@@ -179,6 +283,16 @@ class TestStatus:
         assert not accepting(RowVector([4]))
         assert status(RowVector([8])) == STATUS_EQ
         assert status(RowVector([1])) == STATUS_NE
+
+
+class TestNonBlindCounterMachine:
+    def test_validates(self):
+        assert validate(counter_ab_endmarker()) == []
+
+    def test_accepts_in_an_accept_state_whatever_the_counters(self):
+        status, accepting = counter_ab_endmarker().register_tests
+        assert accepting((0,)) and accepting((3,))
+        assert status((3,)) == (STATUS_NE,)
 
 
 class TestDeterministicRuns:

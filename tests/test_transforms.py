@@ -30,7 +30,6 @@ from vecauto.machines import (
 )
 from vecauto.transforms import (
     DFA,
-    as_nondeterministic,
     attach_trivial_endmarker,
     bordered_matrix,
     counters_to_hva1,
@@ -87,7 +86,7 @@ class TestScaleInitialVector:
 class TestRemoveEndmarker:
     def test_powr(self):
         powr = example("pow_r")
-        out, report = remove_endmarker(as_nondeterministic(powr))
+        out, report = remove_endmarker(powr)
         assert validate(out) == []
         assert not out.endmarker
         assert len(out.states) <= len(powr.states) + 2
@@ -96,7 +95,7 @@ class TestRemoveEndmarker:
 
     def test_empty_string_member_gets_a_fresh_accepting_start(self):
         eq_marked, _ = attach_trivial_endmarker(example("eq"))
-        out, report = remove_endmarker(as_nondeterministic(eq_marked))
+        out, report = remove_endmarker(eq_marked)
         assert report.parameters["accepts_empty"] is True
         assert accepts(out, "")
         assert out.initial_state in out.accept_states
@@ -146,18 +145,19 @@ class TestRemoveEndmarker:
         out, _ = remove_endmarker(only_empty)
         assert enumerate_accepted(out, 5) == [""]
 
-    def test_rejects_deterministic_input(self):
-        with pytest.raises(UnsupportedPassError):
-            remove_endmarker(example("pow_r"))
+    def test_deterministic_input_gives_its_relaxed_copys_output(self):
+        powr = example("pow_r")
+        relaxed = replace(powr, mode=NONDETERMINISTIC)
+        assert remove_endmarker(powr) == remove_endmarker(relaxed)
 
     def test_rejects_non_blind_input(self):
         dyck_marked, _ = attach_trivial_endmarker(example("dyck"))
         with pytest.raises(UnsupportedPassError):
-            remove_endmarker(as_nondeterministic(dyck_marked))
+            remove_endmarker(dyck_marked)
 
     def test_rejects_machines_without_endmarker(self):
         with pytest.raises(UnsupportedPassError):
-            remove_endmarker(as_nondeterministic(example("eq")))
+            remove_endmarker(example("eq"))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_machines_stay_equivalent(self, seed):
@@ -322,7 +322,7 @@ class TestEliminateStates:
 
     def test_rejects_nondeterministic_input(self):
         with pytest.raises(UnsupportedPassError):
-            eliminate_states(as_nondeterministic(two_state_double_a_dva()))
+            eliminate_states(replace(two_state_double_a_dva(), mode=NONDETERMINISTIC))
 
     def test_rejects_homing_input(self):
         with pytest.raises(UnsupportedPassError):

@@ -1,7 +1,8 @@
 """The prefix-sharing verdict walk against per-word membership.
 
-`langlab._walk` steps one search state per prefix instead of searching
-each word from scratch. It must give every word the verdict `accepts`
+`machines.walk`, which every verifier reads through `langlab._walk`,
+steps one search state per prefix instead of searching each word from
+scratch. It must give every word the verdict `accepts`
 gives it alone, under every budget: the same (word, verdict) sequence
 and the same first UndecidedError word. The CLI's records must not
 change either."""
@@ -20,6 +21,7 @@ from machine_gen import (
     blind_counter_a_endmarker,
     blind_counter_ab,
     blind_counter_abc,
+    counter_ab_endmarker,
     extendedfa_a_endmarker,
     random_dva,
     random_extendedfa,
@@ -79,6 +81,7 @@ MACHINES = {
     "blind_counter_ab": blind_counter_ab,
     "blind_counter_abc": blind_counter_abc,
     "blind_counter_a_endmarker": blind_counter_a_endmarker,
+    "counter_ab_endmarker": counter_ab_endmarker,
     "extendedfa_a_endmarker": extendedfa_a_endmarker,
 }
 
