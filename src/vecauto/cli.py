@@ -134,14 +134,6 @@ def _load_valid(path) -> MachineSpec:
     return spec
 
 
-def _write_or_print(text: str, path) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def cmd_validate(args) -> int:
     try:
         spec = fileformat.load_machine(args.machine)
@@ -199,8 +191,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_build(args) -> int:
-    spec = builders.example(args.name, args.param)
-    _write_or_print(fileformat.write_machine(spec), args.output)
+    fileformat.save_machine(builders.example(args.name, args.param), args.output)
     return EXIT_OK
 
 
@@ -276,11 +267,12 @@ def cmd_diophantine(args) -> int:
         spec = diophantine.famw_from_system(system)
         if _emit_if_invalid(spec):
             return EXIT_USAGE
-        _write_or_print(fileformat.write_machine(spec), args.output)
+        fileformat.save_machine(spec, args.output)
         return EXIT_OK
     if args.subcommand == "from-famw":
         system = diophantine.system_from_famw(_load_valid(args.path))
-        _write_or_print(fileformat.write_system(system), args.output)
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(fileformat.write_system(system))
         return EXIT_OK
     with open(args.path, encoding="utf-8") as handle:
         system = fileformat.parse_system(handle.read())
@@ -339,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="emit an example machine from the catalog")
     p.add_argument("name", choices=builders.EXAMPLE_NAMES)
     p.add_argument("param", nargs="?", type=_integer, default=None)
-    p.add_argument("-o", "--output", default=None)
+    p.add_argument("-o", "--output", required=True, help="machine file to write")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("separate", help="build a machine accepting x and rejecting the rest")
@@ -376,10 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
     dio = p.add_subparsers(dest="subcommand", required=True)
     q = dio.add_parser("to-famw", help="system file -> stateless FAM machine file")
     q.add_argument("path")
-    q.add_argument("-o", "--output", default=None)
+    q.add_argument("-o", "--output", required=True, help="machine file to write")
     q = dio.add_parser("from-famw", help="stateless FAM machine file -> system file")
     q.add_argument("path")
-    q.add_argument("-o", "--output", default=None)
+    q.add_argument("-o", "--output", required=True, help="system file to write")
     q = dio.add_parser("solve", help="enumerate nonnegative solutions up to a bound")
     q.add_argument("path")
     q.add_argument("--bound", type=_count, required=True)

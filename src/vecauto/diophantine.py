@@ -14,13 +14,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import AlphabetError, DomainError, UnsupportedPassError
+from .errors import DomainError, UnsupportedPassError
 from .exact import Matrix
 from .machines import DETERMINISTIC, FAM, MachineSpec, stateless
 from .transforms import prime_power_product
-
-# A Parikh vector is a plain tuple of per-symbol occurrence counts.
-ParikhVector = tuple
 
 
 @dataclass(frozen=True)
@@ -46,18 +43,6 @@ class DiophantineSystem:
         return all(
             sum(c * x for c, x in zip(row, counts)) == 0 for row in self.coefficients
         )
-
-
-def parikh(word: str, alphabet) -> ParikhVector:
-    """Per-symbol occurrence counts of `word`, in alphabet order."""
-    alphabet = tuple(alphabet)
-    index = {sym: i for i, sym in enumerate(alphabet)}
-    counts = [0] * len(alphabet)
-    for ch in word:
-        if ch not in index:
-            raise AlphabetError(f"symbol {ch!r} not in alphabet {alphabet}")
-        counts[index[ch]] += 1
-    return tuple(counts)
 
 
 def famw_from_system(system: DiophantineSystem) -> MachineSpec:

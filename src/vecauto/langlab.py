@@ -6,6 +6,13 @@ Enumeration order is length-lexicographic (length first, then the
 alphabet order of the machine), which pins golden outputs and makes
 every counterexample deterministic: all checks report the first
 violation in that canonical order.
+
+Bounded equivalence of two deterministic languages (deterministic
+machines, and references through their steps) walks pairs of states
+instead of words and extends only the first word to reach each pair;
+the first disagreement is still the length-lex-first one. Every other
+verifier, and equivalence with a nondeterministic machine, asks every
+word of the shared-prefix walk.
 """
 
 from __future__ import annotations
@@ -15,17 +22,31 @@ import math
 from dataclasses import dataclass
 
 from .errors import AlphabetError, ReferenceLanguageError, UnsupportedKindError
-from .machines import HVA, MachineSpec, SearchBudget, accepts, walk
+from .machines import (
+    DETERMINISTIC,
+    HVA,
+    MachineSpec,
+    SearchBudget,
+    accepts,
+    deterministic_steps,
+    walk,
+)
 from .diophantine import check_commutative
 
 
 @dataclass(frozen=True)
 class ReferenceLanguage:
-    """A named language given by a total membership predicate."""
+    """A named language given by a total membership predicate, and
+    optionally by `steps`, a deterministic ``(start, step, accepting)``
+    over hashable states: ``step(state, letter)`` is the next state, or
+    None once no extension is a member; ``accepting(state)`` is
+    membership. The predicate is the ground truth the steps are tested
+    against; verification of a deterministic machine reads the steps."""
 
     name: str
     alphabet: tuple
     membership: object  # str -> bool
+    steps: tuple = None
 
 
 @dataclass(frozen=True)
@@ -93,14 +114,72 @@ def matches_reference(spec: MachineSpec, ref: ReferenceLanguage, maxlen: int,
 
 def _first_disagreement(left, right, maxlen: int, budget: SearchBudget) -> EquivalenceVerdict:
     """The first string up to `maxlen`, in length-lex order, on which two
-    languages differ; each word is asked of `left`, then of `right`."""
+    languages differ; each word is asked of `left`, then of `right`.
+    Two deterministic languages walk pairs of states, any other two walk
+    every word."""
     if tuple(left.alphabet) != tuple(right.alphabet):
         raise AlphabetError(f"alphabets differ: {left.alphabet} vs {right.alphabet}")
+    left_steps, right_steps = _steps(left), _steps(right)
+    if left_steps is None or right_steps is None:
+        counterexample = _word_disagreement(left, right, maxlen, budget)
+    else:
+        counterexample = _pair_disagreement(left_steps, right_steps, left.alphabet, maxlen)
+    return EquivalenceVerdict(counterexample is None, counterexample, maxlen)
+
+
+def _steps(language):
+    """``(start, step, accepting)`` of a deterministic machine or of a
+    reference that has steps; None for any other language."""
+    if isinstance(language, MachineSpec):
+        return deterministic_steps(language) if language.mode == DETERMINISTIC else None
+    return language.steps
+
+
+def _word_disagreement(left, right, maxlen: int, budget: SearchBudget):
+    """The first disagreeing word, asking every word of both walks; None
+    when there is none."""
     for (w, in_left), (_, in_right) in zip(_walk(left, maxlen, budget),
                                            _walk(right, maxlen, budget)):
         if in_left != in_right:
-            return EquivalenceVerdict(False, counterexample=w, bound=maxlen)
-    return EquivalenceVerdict(True, bound=maxlen)
+            return w
+    return None
+
+
+def _pair_disagreement(left, right, alphabet, maxlen: int):
+    """The first disagreeing word of two deterministic languages, given
+    by their ``(start, step, accepting)``, walking pairs of states; None
+    when there is none.
+
+    A word's verdicts and its words' futures depend only on its pair of
+    states, so the walk goes level by level in length-lex order and
+    extends only the first word to reach each pair: a later twin has the
+    same verdicts and its extensions follow the twin's, one by one, so
+    the first disagreement, or the first rule conflict, falls on a word
+    that is walked. Each word's left state is stepped and judged before
+    its right, as in the word walk. A level that reaches no new pair
+    ends the walk: every longer word has a twin already judged."""
+    (left_start, left_step, left_accepting), (right_start, right_step, right_accepting) = left, right
+    if left_accepting(left_start) != right_accepting(right_start):
+        return ""
+    seen = {(left_start, right_start)}
+    level = [("", left_start, right_start)]
+    for _ in range(maxlen):
+        reached = []
+        for w, left_node, right_node in level:
+            for letter in alphabet:
+                left_next = None if left_node is None else left_step(left_node, letter)
+                in_left = left_next is not None and left_accepting(left_next)
+                right_next = None if right_node is None else right_step(right_node, letter)
+                if in_left != (right_next is not None and right_accepting(right_next)):
+                    return w + letter
+                pair = (left_next, right_next)
+                if pair not in seen:
+                    seen.add(pair)
+                    reached.append((w + letter, left_next, right_next))
+        if not reached:
+            break
+        level = reached
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -136,13 +215,18 @@ def check_suffix_property(language, maxlen: int, budget: SearchBudget = None):
     any accepted prefix); otherwise the first (w1, w1w2, w2) violation.
     """
     accepted = [w for w, verdict in _walk(language, maxlen, budget) if verdict]
-    accepted_set = set(accepted)
+    # each accepted word's accepted extensions (itself included), in
+    # length-lex order: the pairs in the order of a loop over all pairs
+    extensions = {w: [] for w in accepted}
+    for w12 in accepted:
+        for i in range(len(w12) + 1):
+            if w12[:i] in extensions:
+                extensions[w12[:i]].append(w12)
     for w1 in accepted:
-        for w12 in accepted:
-            if w12.startswith(w1):
-                w2 = w12[len(w1):]
-                if w2 not in accepted_set:
-                    return (w1, w12, w2)
+        for w12 in extensions[w1]:
+            w2 = w12[len(w1):]
+            if w2 not in extensions:
+                return (w1, w12, w2)
     return None
 
 
@@ -236,29 +320,97 @@ def _positive(param) -> int:
     return value
 
 
+def _ab_count(d: int, letter: str) -> int:
+    """The step of eq and leq: #a - #b."""
+    return d + 1 if letter == "a" else d - 1
+
+
+def _blocks(repeat: bool):
+    """The step of a^n b^n, or with `repeat` of its star, over (0, n)
+    after n a's of a block and (1, n) with n b's still owed."""
+    def step(state, letter):
+        phase, n = state
+        if letter == "b":
+            return (1, n - 1) if n else None
+        if phase == 0:
+            return (0, n + 1)
+        return (0, 1) if repeat and n == 0 else None
+    return step
+
+
+def _pow_r_step(state, letter):
+    """a^i b^j with i = 2^j, over (0, i) while reading a's, then
+    (1, i / 2^j) while that is a positive integer."""
+    phase, n = state
+    if letter == "a":
+        return None if phase else (0, n + 1)
+    return (1, n // 2) if n and n % 2 == 0 else None
+
+
+def _neq_step(state, letter):
+    """a^i b^j, over (0, i) while reading a's, then (1, i - j)."""
+    phase, d = state
+    if letter == "a":
+        return None if phase else (0, d + 1)
+    return (1, d - 1)
+
+
+def _abc_step(state, letter):
+    """Equal a, b and c counts, over (#a - #b, #b - #c)."""
+    ab, bc = state
+    if letter == "a":
+        return (ab + 1, bc)
+    if letter == "b":
+        return (ab - 1, bc + 1)
+    return (ab, bc - 1)
+
+
+def _owes_nothing(state) -> bool:
+    return state[1] == 0
+
+
 _AB = ("a", "b")
 
-# name -> (alphabet, predicate), or for a parametric language
-# (alphabet, parameter -> predicate, parameter parser, name pattern)
+# name -> (alphabet, (predicate, steps)), or for a parametric language
+# (alphabet, parameter -> (predicate, steps), parameter parser, name
+# pattern); steps are ``(start, step, accepting)`` (see ReferenceLanguage)
 _REFERENCES = {
-    "ab": (_AB, lambda w: w == "a" * (len(w) // 2) + "b" * (len(w) // 2)),
-    "ab_star": (_AB, _is_ab_star),
-    "ab_k_star": (_AB, lambda k: lambda w: _is_abk_star(w, k), _positive, "ab_{}_star"),
-    "eq": (_AB, lambda w: w.count("a") == w.count("b")),
-    "leq": (_AB, lambda w: w.count("a") <= w.count("b")),
-    "dyck": (("(", ")"), _balanced_brackets),
-    "mod": (("a",), lambda m: lambda w: len(w) % m == 0, _positive, "mod_{}"),
-    "mod23": (("a",), lambda w: len(w) != 1),
-    "pow_r": (_AB, _is_pow_r),
+    "ab": (_AB, (lambda w: w == "a" * (len(w) // 2) + "b" * (len(w) // 2),
+                 ((0, 0), _blocks(False), _owes_nothing))),
+    "ab_star": (_AB, (_is_ab_star, ((1, 0), _blocks(True), _owes_nothing))),
+    "ab_k_star": (_AB, lambda k: (
+        lambda w: _is_abk_star(w, k),
+        (0, lambda i, c: (i + 1) % (2 * k) if c == ("a" if i < k else "b") else None,
+         lambda i: i == 0)), _positive, "ab_{}_star"),
+    "eq": (_AB, (lambda w: w.count("a") == w.count("b"), (0, _ab_count, lambda d: d == 0))),
+    "leq": (_AB, (lambda w: w.count("a") <= w.count("b"), (0, _ab_count, lambda d: d <= 0))),
+    "dyck": (("(", ")"), (_balanced_brackets,
+                          (0, lambda d, c: d + 1 if c == "(" else d - 1 if d else None,
+                           lambda d: d == 0))),
+    "mod": (("a",), lambda m: (lambda w: len(w) % m == 0,
+                               (0, lambda n, c: (n + 1) % m, lambda n: n == 0)),
+            _positive, "mod_{}"),
+    "mod23": (("a",), (lambda w: len(w) != 1, (0, lambda n, c: min(n + 1, 2), lambda n: n != 1))),
+    "pow_r": (_AB, (_is_pow_r, ((0, 0), _pow_r_step, lambda s: s[1] == 1))),
     # the language of the one-dimensional signed-doubling machine:
-    # equal a/b counts, and the shared count even
-    "evenab": (_AB, lambda w: w.count("a") == w.count("b") and w.count("a") % 2 == 0),
-    "neq": (_AB, lambda w: w == "a" * w.count("a") + "b" * w.count("b")
-            and w.count("a") != w.count("b")),
-    "l_epsilon": (_AB, lambda w: w == ""),
-    "singleton": (("1", "2"), lambda x: lambda w: w == x, str, "only_{}"),
+    # equal a/b counts, and the shared count even; steps over
+    # (#a - #b, #a mod 2)
+    "evenab": (_AB, (lambda w: w.count("a") == w.count("b") and w.count("a") % 2 == 0,
+                     ((0, 0),
+                      lambda s, c: (s[0] + 1, 1 - s[1]) if c == "a" else (s[0] - 1, s[1]),
+                      lambda s: s == (0, 0)))),
+    "neq": (_AB, (lambda w: w == "a" * w.count("a") + "b" * w.count("b")
+                  and w.count("a") != w.count("b"),
+                  ((0, 0), _neq_step, lambda s: s[1] != 0))),
+    "l_epsilon": (_AB, (lambda w: w == "", (0, lambda n, c: None, lambda n: True))),
+    # steps over the position in x
+    "singleton": (("1", "2"), lambda x: (
+        lambda w: w == x,
+        (0, lambda i, c: i + 1 if x[i:i + 1] == c else None, lambda i: i == len(x))),
+        str, "only_{}"),
     "balanced_abc": (("a", "b", "c"),
-                     lambda w: w.count("a") == w.count("b") == w.count("c")),
+                     (lambda w: w.count("a") == w.count("b") == w.count("c"),
+                      ((0, 0), _abc_step, lambda s: s == (0, 0)))),
 }
 
 
@@ -275,11 +427,11 @@ def reference_language(name: str, param=None) -> ReferenceLanguage:
     if key not in _REFERENCES:
         raise ReferenceLanguageError(
             f"unknown reference language {name!r}; know {', '.join(_REFERENCES)}")
-    alphabet, predicate, *parametric = _REFERENCES[key]
+    alphabet, language, *parametric = _REFERENCES[key]
     if not parametric:
         if param is not None:
             raise ReferenceLanguageError(f"reference language {key!r} takes no parameter")
-        return ReferenceLanguage(key, alphabet, predicate)
+        return ReferenceLanguage(key, alphabet, *language)
     parse, pattern = parametric
     if param is None:
         raise ReferenceLanguageError(f"reference language {key!r} needs a parameter: {key}:PARAM")
@@ -287,4 +439,4 @@ def reference_language(name: str, param=None) -> ReferenceLanguage:
         value = parse(param)
     except ValueError as exc:
         raise ReferenceLanguageError(f"reference language {key!r} needs {exc}") from None
-    return ReferenceLanguage(pattern.format(value), alphabet, predicate(value))
+    return ReferenceLanguage(pattern.format(value), alphabet, *language(value))

@@ -645,6 +645,39 @@ def _undecided(word: str, budget: SearchBudget) -> UndecidedError:
 # that extends it
 
 
+def deterministic_steps(spec: MachineSpec):
+    """``(start, step, accepting)``: a deterministic machine's run, one
+    letter at a time, for the walks that step runs themselves. A node is
+    the run's ``(state, register)``; ``step(node, letter)`` is the node
+    after `letter`, or None once the run died; ``accepting(node)`` is the
+    verdict of a run that ends at `node`, after the end-marker when the
+    machine reads one. Neither takes the dead node None: the walks judge
+    it a Reject and step it no further. A rule conflict raises
+    InconsistentSpecError where `run_deterministic` does.
+    """
+    successors = spec.successors
+    accept_states = spec.accept_states
+    home = spec.register_tests[1]
+    endmarker = spec.endmarker
+
+    def step(node, letter):
+        fired = successors(node[0], letter, node[1])
+        if len(fired) == 1:
+            return fired[0][1:]
+        if fired:
+            raise _conflict(fired, node[0], letter)
+        return None
+
+    def accepting(node):
+        if endmarker:
+            node = step(node, ENDMARKER)
+            if node is None:
+                return False
+        return node[0] in accept_states and home(node[1])
+
+    return (spec.initial_state, spec.initial_vector), step, accepting
+
+
 class Frontier(NamedTuple):
     """A search after a prefix: `configurations` maps each (state,
     register) reached at its end to the fewest eps moves that reach it;
@@ -668,41 +701,27 @@ def walk(spec: MachineSpec, maxlen: int, budget: SearchBudget = None):
     The words are a trie of prefixes, walked level by level. A word's
     search state is its parent's stepped by one letter, just before its
     verdict is yielded, so a caller that stops early steps no later word.
-    A deterministic state is the run's ``(state, register)``, or None once
-    the run died; a rule conflict raises InconsistentSpecError where
-    `run_deterministic` does. A nondeterministic state is a `Frontier`,
+    A deterministic state is a `deterministic_steps` node, or None once
+    the run died. A nondeterministic state is a `Frontier`,
     or None once its path's configurations outnumber `max_configurations`.
     When the eps cap grows with the word length (eps rules, `eps_per_path`
     unset), each length gets its own trie under its own cap.
     """
-    successors = spec.successors
-    accept_states = spec.accept_states
-    accepting = spec.register_tests[1]
-    endmarker = spec.endmarker
-    alphabet = spec.alphabet
-    start_key = (spec.initial_state, spec.initial_vector)
-
     if spec.mode == DETERMINISTIC:
-        def step(node, letter):
-            if node is None:
-                return None
-            fired = successors(node[0], letter, node[1])
-            if len(fired) == 1:
-                return fired[0][1:]
-            if fired:
-                raise _conflict(fired, node[0], letter)
-            return None
+        start_node, step, accepting = deterministic_steps(spec)
 
         def verdict(node, word):
-            if endmarker:
-                node = step(node, ENDMARKER)
-            return node is not None and node[0] in accept_states and accepting(node[1])
+            return node is not None and accepting(node)
 
         def start(length):
-            return start_key
+            return start_node
 
         cap_grows = False
     else:
+        successors = spec.successors
+        accept_states = spec.accept_states
+        accepting = spec.register_tests[1]
+        endmarker = spec.endmarker
         budget = budget or SearchBudget()
         eps_sources = frozenset() if spec.realtime else spec.epsilon_sources
         max_configurations = budget.max_configurations
@@ -734,8 +753,6 @@ def walk(spec: MachineSpec, maxlen: int, budget: SearchBudget = None):
             return Frontier(configurations, spent + len(configurations), capped, eps_cap)
 
         def step(node, letter):
-            if node is None:
-                return None
             reached = {}
             for (state, register), eps in node.configurations.items():
                 for _, target, updated in successors(state, letter, register):
@@ -758,15 +775,18 @@ def walk(spec: MachineSpec, maxlen: int, budget: SearchBudget = None):
             return False
 
         def start(length):
-            return close({start_key: 0}, 0, False, budget.eps_cap(spec, length))
+            start_node = (spec.initial_state, spec.initial_vector)
+            return close({start_node: 0}, 0, False, budget.eps_cap(spec, length))
 
         cap_grows = bool(eps_sources) and budget.eps_per_path is None
+
+    alphabet = spec.alphabet
 
     def children(level):
         # lazy, so a word's state is stepped only when its verdict is asked
         for w, node in level:
             for letter in alphabet:
-                yield w + letter, step(node, letter)
+                yield w + letter, None if node is None else step(node, letter)
 
     for length in range(maxlen + 1):
         if length == 0 or cap_grows:

@@ -11,7 +11,7 @@ import pytest
 from vecauto import diophantine, langlab, transforms
 from vecauto.builders import cyclic_dfa, example
 from vecauto.cli import main
-from test_diophantine import unsupported_famw
+from test_diophantine import EQ_SYSTEM, unsupported_famw
 from vecauto.fileformat import load_machine, write_dfa, write_machine
 from vecauto.machines import NONDETERMINISTIC, validate
 from vecauto.transforms import DFA
@@ -199,9 +199,9 @@ class TestMalformedArguments:
             (["diophantine", "solve", "{system_not_object}", "--bound", "2"], {}),
             (["diophantine", "solve", "{system_float}", "--bound", "3"], {}),
             (["diophantine", "solve", "{system_bool}", "--bound", "3"], {}),
-            (["diophantine", "from-famw", "{famw_symbol_without_rule}"], {}),
-            (["diophantine", "from-famw", "{famw_endmarker_rule}"], {}),
-            (["diophantine", "from-famw", "{famw_non_accepting_state}"], {}),
+            (["diophantine", "from-famw", "{famw_symbol_without_rule}", "-o", "{out}"], {}),
+            (["diophantine", "from-famw", "{famw_endmarker_rule}", "-o", "{out}"], {}),
+            (["diophantine", "from-famw", "{famw_non_accepting_state}", "-o", "{out}"], {}),
             (["transform", "dfa-to-stateless", "{dfa_unknown_target}", "{out}"], {}),
             (["verify", "{mod2}", "--against", "mystery", "--maxlen", "2"], {}),
             (["verify", "{mod2}", "--against", "mod", "--maxlen", "2"], {}),
@@ -217,6 +217,9 @@ class TestMalformedArguments:
             (["separate", "12", "--base", "x", "-o", "{out}"], {}),
             (["separate", "12", "21"], {}),
             (["build", "mod", "x"], {}),
+            (["build", "eq"], {}),
+            (["diophantine", "to-famw", "{system}"], {}),
+            (["diophantine", "from-famw", "{famw}"], {}),
             (["run", "{eq}"], {}),
             (["verify", "{eq}", "--maxlen", "2"], {}),
             (["frobnicate"], {}),
@@ -239,7 +242,8 @@ class TestMalformedArguments:
              "separate-letter-digit", "separate-digit-of-the-base", "separate-base-two",
              "separate-base-eleven", "separate-superscript-digit", "separate-non-integer-base",
              "separate-without-output",
-             "build-non-integer-parameter", "missing-positional", "missing-required-option",
+             "build-non-integer-parameter", "build-without-output", "to-famw-without-output",
+             "from-famw-without-output", "missing-positional", "missing-required-option",
              "unknown-command", "invalid-choice", "unknown-flag", "empty-argv"],
     )
     def test_usage_error_record(self, capsys, monkeypatch, tmp_path, powr_path, argv, env):
@@ -261,6 +265,8 @@ class TestMalformedArguments:
             "mod2": write_machine(example("mod", 2)),
             "eq": write_machine(example("eq")),
             "leq": write_machine(example("leq")),
+            "system": '{"alphabet": ["a", "b"], "coefficients": [[1, -1]]}',
+            "famw": write_machine(diophantine.famw_from_system(EQ_SYSTEM)),
         }
         for case in ("symbol-without-rule", "endmarker-rule", "non-accepting-state"):
             texts["famw_" + case.replace("-", "_")] = write_machine(unsupported_famw(case)[0])
@@ -271,7 +277,8 @@ class TestMalformedArguments:
         argv = [a.format(**paths) for a in argv]
         code, records = run_cli(capsys, *argv)
         assert code == 2
-        assert records[0]["verdict"] == "UsageError"
+        assert [r["verdict"] for r in records] == ["UsageError"]
+        assert not paths["out"].exists()
 
     def test_argparse_error_is_one_record(self, capsys, tmp_path):
         path = tmp_path / "eq.mach"
@@ -292,11 +299,12 @@ class TestMalformedArguments:
 
 
 class TestBuildAndSeparate:
-    def test_build_to_stdout(self, capsys):
-        code = main(["build", "mod", "6"])
-        out = capsys.readouterr().out
+    def test_build_writes_the_file_only(self, capsys, tmp_path):
+        path = tmp_path / "mod6.mach"
+        code = main(["build", "mod", "6", "-o", str(path)])
         assert code == 0
-        assert json.loads(out)["dimension"] == 6
+        assert capsys.readouterr().out == ""
+        assert json.loads(path.read_text())["dimension"] == 6
 
     def test_separate_verifies_the_machine(self, capsys, tmp_path):
         out_path = tmp_path / "sep.mach"
@@ -540,8 +548,9 @@ class TestSharedParser:
         capsys.readouterr()
         return path
 
-    def test_second_call_registers_no_arguments(self, capsys, monkeypatch):
-        assert main(["build", "eq"]) == 0
+    def test_second_call_registers_no_arguments(self, capsys, monkeypatch, tmp_path):
+        out = str(tmp_path / "eq.mach")
+        assert main(["build", "eq", "-o", out]) == 0
         added = []
         original = argparse.ArgumentParser.add_argument
 
@@ -550,7 +559,7 @@ class TestSharedParser:
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
-        assert main(["build", "eq"]) == 0
+        assert main(["build", "eq", "-o", out]) == 0
         capsys.readouterr()
         assert added == []
 
@@ -594,10 +603,9 @@ class TestModuleEntryPoint:
                               capture_output=True, text=True, timeout=120)
 
     def test_build_verify_and_usage_error(self, tmp_path):
-        built = self.vecauto(tmp_path, "build", "eq")
-        assert built.returncode == 0
-        assert json.loads(built.stdout) == json.loads(write_machine(example("eq")))
-        (tmp_path / "eq.mach").write_text(built.stdout)
+        built = self.vecauto(tmp_path, "build", "eq", "-o", "eq.mach")
+        assert built.returncode == 0 and built.stdout == ""
+        assert (tmp_path / "eq.mach").read_text() == write_machine(example("eq"))
         verified = self.vecauto(tmp_path, "verify", "eq.mach", "--against", "eq", "--maxlen", "6")
         assert verified.returncode == 0
         assert [json.loads(line)["verdict"] for line in verified.stdout.splitlines()] == ["Equal"]

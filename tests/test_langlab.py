@@ -2,7 +2,10 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vecauto import langlab
 from vecauto.builders import example, unary_distinguisher
 from vecauto.errors import (
     AlphabetError,
@@ -131,6 +134,36 @@ class TestReferencePredicates:
         assert reference_language("singleton", "12").name == "only_12"
 
 
+# every reference language, with parameters that cover each parametric
+# one's edge cases (k = 1, m = 1, the empty string, one letter, repeats)
+REFERENCES = [(name, None) for name in ("ab", "ab_star", "eq", "leq", "dyck", "mod23", "pow_r",
+                                        "evenab", "neq", "l_epsilon", "balanced_abc")] + [
+    ("ab_k_star", k) for k in (1, 2, 3)] + [("mod", m) for m in (1, 2, 5)] + [
+    ("singleton", x) for x in ("", "1", "21", "1121")]
+
+
+@pytest.mark.parametrize("name,param", REFERENCES, ids=str)
+def test_reference_steps_are_their_predicates(name, param):
+    # the steps, walked over the trie of words up to length 12 (8 on
+    # three letters), accept exactly the words the predicate accepts,
+    # over hashable states
+    ref = reference_language(name, param)
+    start, step, accepting = ref.steps
+    maxlen = 12 if len(ref.alphabet) <= 2 else 8
+    level, states = [("", start)], set()
+    for length in range(maxlen + 1):
+        for w, state in level:
+            assert (state is not None and accepting(state)) == ref.membership(w), w
+            states.add(state)
+        if length < maxlen:
+            level = [(w + c, None if state is None else step(state, c))
+                     for w, state in level for c in ref.alphabet]
+
+
+def test_every_reference_language_is_pinned():
+    assert {name for name, _ in REFERENCES} == set(langlab._REFERENCES)
+
+
 class TestStarClosure:
     def test_eq(self):
         assert check_star_closure(example("eq"), 8) is None
@@ -190,6 +223,21 @@ class TestSuffixProperty:
             ReferenceLanguage("gap", ("a",), lambda w: w in ("", "aa", "aaa")), 4
         )
         assert result == ("aa", "aaa", "a")
+
+    @settings(max_examples=300, deadline=None)
+    @given(accepted=st.sets(st.sampled_from(list(all_strings(("a", "b"), 5)))))
+    def test_first_violation_is_the_all_pairs_loops(self, accepted):
+        def all_pairs(accepted):
+            # the definition: every accepted pair, in length-lex order
+            for w1 in accepted:
+                for w12 in accepted:
+                    if w12.startswith(w1) and w12[len(w1):] not in accepted:
+                        return (w1, w12, w12[len(w1):])
+            return None
+
+        language = ReferenceLanguage("set", ("a", "b"), accepted.__contains__)
+        in_order = [w for w in all_strings(("a", "b"), 5) if w in accepted]
+        assert check_suffix_property(language, 5) == all_pairs(in_order)
 
 
 class TestGcdProperty:

@@ -1,17 +1,21 @@
-"""The prefix-sharing verdict walk against per-word membership.
+"""The prefix-sharing verdict walk against per-word membership, and the
+pair walk against the word walk.
 
 `machines.walk`, which every verifier reads through `langlab._walk`,
 steps one search state per prefix instead of searching each word from
 scratch. It must give every word the verdict `accepts`
 gives it alone, under every budget: the same (word, verdict) sequence
-and the same first UndecidedError word. The CLI's records must not
+and the same first UndecidedError word. Bounded equivalence of two
+deterministic languages walks pairs of states and skips a word whose
+pair an earlier word reached; it must find the word walk's first
+disagreement, or raise its rule conflict. The CLI's records must not
 change either."""
 
 import contextlib
 import io
 import random
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 
 import pytest
 from hypothesis import given, settings
@@ -40,13 +44,15 @@ from vecauto.cli import main
 from vecauto.errors import InconsistentSpecError, UndecidedError
 from vecauto.exact import Matrix
 from vecauto.fileformat import write_machine
-from vecauto.langlab import all_strings, equivalent_up_to
+from vecauto.langlab import all_strings, equivalent_up_to, reference_language
 from vecauto.machines import (
     DEFAULT_MAX_CONFIGURATIONS,
+    DETERMINISTIC,
     EPSILON,
     HVA,
     NONDETERMINISTIC,
     STATUS_ANY,
+    VA,
     MachineSpec,
     SearchBudget,
     TransitionRule,
@@ -55,6 +61,7 @@ from vecauto.machines import (
     stateless,
     validate,
 )
+from vecauto.transforms import eliminate_states
 
 BUDGETS = [SearchBudget(eps, configs)
            for configs in (3, 20, 500, DEFAULT_MAX_CONFIGURATIONS)
@@ -258,5 +265,130 @@ def test_cli_records_are_the_per_word_walks(tmp_path, monkeypatch):
     commands = list(catalog_commands(tmp_path))
     walked = [cli_output(argv) for argv in commands]
     monkeypatch.setattr(langlab, "_walk", per_word_walk)
+    monkeypatch.setattr(langlab, "_steps", lambda language: None)  # no pair walk
     assert [cli_output(argv) for argv in commands] == walked
     assert {code for code, _ in walked} >= {0, 1, 3}
+
+
+# ---------------------------------------------------------------------------
+# the pair walk against the word walk
+
+
+def first_disagreements(left, right, maxlen):
+    """The word walk's and the pair walk's first disagreement of two
+    deterministic languages, or the message of the rule conflict each
+    raised."""
+    def outcome(find, *args):
+        try:
+            return find(*args)
+        except InconsistentSpecError as exc:
+            return f"raised: {exc}"
+
+    steps = langlab._steps(left), langlab._steps(right)
+    assert None not in steps
+    return (outcome(langlab._word_disagreement, left, right, maxlen, None),
+            outcome(langlab._pair_disagreement, *steps, left.alphabet, maxlen))
+
+
+# deterministic catalog machines with the reference each recognizes
+CATALOG_REFERENCES = [("pow_r", None, "pow_r"), ("ab_star", None, "ab_star"), ("eq", None, "eq"),
+                      ("dyck", None, "dyck"), ("evenab", None, "evenab"),
+                      ("l_epsilon", None, "l_epsilon"), ("ab_k_star", 2, "ab_k_star:2"),
+                      ("ab_k_star", 3, "ab_k_star:3"), ("mod", 3, "mod:3"), ("mod", 6, "mod:6"),
+                      ("mod_rot", 2, "mod:2"), ("mod_rot", 4, "mod:4")]
+
+
+def reference(text):
+    name, _, param = text.partition(":")
+    return reference_language(name, param or None)
+
+
+def catalog_pair(data):
+    # a catalog machine against its reference, or against another
+    # reference of its alphabet
+    name, param, ref = data.draw(st.sampled_from(CATALOG_REFERENCES))
+    machine = example(name, param)
+    others = [r for _, _, r in CATALOG_REFERENCES if reference(r).alphabet == machine.alphabet]
+    return machine, reference(data.draw(st.sampled_from([ref] + others)))
+
+
+def dva_pair(data):
+    # a random deterministic VA against its eliminate_states output, or
+    # against another random one
+    spec = random_dva(random.Random(data.draw(st.integers(0, 2**32 - 1))))
+    other = random_dva(random.Random(data.draw(st.integers(0, 2**32 - 1))))
+    return spec, data.draw(st.sampled_from([eliminate_states(spec)[0], other]))
+
+
+def eq_evenab_pair(data):
+    # eq and evenab as machines and as references, in either order
+    sides = [example("eq"), example("evenab"), reference("eq"), reference("evenab")]
+    left = data.draw(st.sampled_from(sides[:2]))
+    return (left, data.draw(st.sampled_from(sides))) if data.draw(st.booleans()) else (
+        data.draw(st.sampled_from(sides[2:])), left)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), draw_pair=st.sampled_from([catalog_pair, dva_pair, eq_evenab_pair]),
+       maxlen=st.integers(0, 10))
+def test_pair_walk_finds_the_word_walks_first_disagreement(data, draw_pair, maxlen):
+    left, right = draw_pair(data)
+    word_walk, pair_walk = first_disagreements(left, right, maxlen)
+    assert pair_walk == word_walk
+    check = equivalent_up_to if isinstance(right, MachineSpec) else langlab.matches_reference
+    assert check(left, right, maxlen).counterexample == pair_walk
+
+
+def conflict_machine(accept_states, rules_for_a=2):
+    """A deterministic VA over a/b whose state q has `rules_for_a` rules
+    for a: with more than one, a run raises on the first a read in q,
+    and words of length 2 from "aa" on reach that conflict."""
+    one = Matrix.from_rows([[1]])
+    rules = [("p", "a", "q"), ("p", "b", "p"), ("q", "b", "p")] + [("q", "a", "q")] * rules_for_a
+    return MachineSpec(
+        kind=VA, mode=DETERMINISTIC, blind=True, endmarker=False, realtime=True,
+        alphabet=("a", "b"), states=("p", "q"), initial_state="p",
+        accept_states=accept_states, dimension=1, initial_vector=[1],
+        transitions=[TransitionRule(q, x, STATUS_ANY, t, one) for q, x, t in rules])
+
+
+def test_a_rule_conflict_raises_as_in_the_word_walk():
+    outcomes_seen = set()
+    for accept_states in ({"p"}, {"q"}, {"p", "q"}, set()):
+        for rules_for_a in (1, 2, 3):
+            left, right = conflict_machine({"p"}, 2), conflict_machine(accept_states, rules_for_a)
+            for pair in ((left, right), (right, left)):
+                for maxlen in range(4):
+                    word_walk, pair_walk = first_disagreements(*pair, maxlen)
+                    assert pair_walk == word_walk
+                    outcomes_seen.add(word_walk)
+    # a disagreement before "aa" wins over the conflict, one after loses;
+    # where both sides conflict, the left one raises
+    assert {"", "a", "raised: deterministic machine has 2 successors in (q,a)",
+            "raised: deterministic machine has 3 successors in (q,a)"} <= outcomes_seen
+
+
+def test_cli_verify_steps_each_pair_once(tmp_path, monkeypatch):
+    # eq reaches 31 configurations below depth 16: each is stepped by two
+    # letters on each side, not once per each of the 131,071 words
+    path = tmp_path / "eq.mach"
+    path.write_text(write_machine(example("eq")))
+    compiled = MachineSpec.__dict__["successors"]
+    calls = []
+
+    def counted(spec):
+        successors = compiled.func(spec)
+
+        def counting(*args):
+            calls.append(args)
+            return successors(*args)
+        return counting
+
+    counting_property = cached_property(counted)
+    counting_property.__set_name__(MachineSpec, "successors")
+    monkeypatch.setattr(MachineSpec, "successors", counting_property)
+    assert cli_output(["verify", str(path), "--against", str(path), "--maxlen", "16"])[0] == 0
+    assert len(calls) == 2 * 2 * 31
+    calls.clear()
+    assert cli_output(["verify", str(path), "--against", "eq", "--maxlen", "16"])[0] == 0
+    assert len(calls) == 2 * 31
