@@ -34,6 +34,9 @@ from .errors import ShapeError, SingularMatrixError
 # format and compare.
 Rational = Fraction
 
+# a prime below 2**30, whose residues a register's hash mixes in
+_HASH_PRIME = 1_073_741_789
+
 
 def _norm(value):
     if type(value) is int:
@@ -135,12 +138,14 @@ class RowVector:
         )
 
     def __hash__(self):
-        # Python hashes an int n as n mod 2**61 - 1, so registers c * 2**k
-        # repeat their hashes every 61 letters; mixing in the bit lengths
-        # tells them apart. Cached, since vectors are immutable.
+        # Python hashes an int n as n mod 2**61 - 1, where 2**k repeats
+        # every 61 doublings, so registers built from powers of two collide
+        # in families, even at equal bit lengths; mixing in residues mod a
+        # second prime tells them apart. Cached, since vectors are immutable.
         if self._hash is None:
             nums = self.nums
-            self._hash = hash((self.den, nums, tuple(map(int.bit_length, nums))))
+            self._hash = hash((self.den, nums, self.den % _HASH_PRIME,
+                               tuple([n % _HASH_PRIME for n in nums])))
         return self._hash
 
     def __repr__(self):
@@ -188,9 +193,6 @@ class Matrix:
 
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list:
-        return [list(self.row(i)) for i in range(self.rows)]
 
     def is_square(self) -> bool:
         return self.rows == self.cols

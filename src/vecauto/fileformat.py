@@ -237,22 +237,6 @@ def parse_dfa(text: str) -> DFA:
     )
 
 
-def write_dfa(dfa: DFA) -> str:
-    doc = {
-        "states": list(dfa.states),
-        "alphabet": list(dfa.alphabet),
-        "initial_state": dfa.initial_state,
-        "accept_states": [q for q in dfa.states if q in dfa.accept_states],
-        "transitions": [
-            {"from": q, "input": sym, "to": dfa.delta[(q, sym)]}
-            for q in dfa.states
-            for sym in dfa.alphabet
-            if (q, sym) in dfa.delta
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Diophantine system files
 

@@ -27,7 +27,7 @@ from .machines import (
     HVA,
     MachineSpec,
     SearchBudget,
-    accepts,
+    accepts,  # noqa: F401 -- perfbench's tracer rebinds it in this namespace
     deterministic_steps,
     walk,
 )
@@ -81,14 +81,12 @@ def _walk(language, maxlen: int, budget: SearchBudget = None):
     a ReferenceLanguage). Every verifier reads its verdicts from here.
 
     A machine's verdicts come from `machines.walk`, which shares each
-    prefix's search among the words that extend it; a word whose shared
-    search outgrew `max_configurations` is asked of `accepts` alone."""
-    if not isinstance(language, MachineSpec):
-        for w in all_strings(language.alphabet, maxlen):
-            yield w, language.membership(w)
-        return
-    for w, verdict in walk(language, maxlen, budget):
-        yield w, accepts(language, w, budget) if verdict is None else verdict
+    prefix's search among the words that extend it and counts the
+    budget along each word, so a verdict is the word's own search's; the
+    first word whose search runs out of budget raises UndecidedError."""
+    if isinstance(language, MachineSpec):
+        return walk(language, maxlen, budget)
+    return ((w, language.membership(w)) for w in all_strings(language.alphabet, maxlen))
 
 
 def enumerate_accepted(spec: MachineSpec, maxlen: int, budget: SearchBudget = None) -> list:

@@ -29,11 +29,10 @@ safe.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations
+from functools import cached_property, partial
+from itertools import combinations, islice
 from typing import NamedTuple
 
 from .errors import (
@@ -282,13 +281,14 @@ class Configuration(NamedTuple):
 @dataclass(frozen=True)
 class RunResult:
     """A verdict and `last`, where the run ended, died or accepted (a
-    rejecting search's last explored configuration). A search keeps its
-    parent links, configuration -> (parent, rule index), keyed by tuples
-    in `Configuration` field order; `trace` and `accepting_path` read them."""
+    rejecting search's last configuration at the furthest position it
+    reached). A search keeps `backtrack`, which rebuilds its path from
+    the start to a configuration as (configuration, rule index) pairs;
+    `trace` and `accepting_path` read it."""
 
     verdict: str
     last: Configuration
-    parents: dict = field(default=None, repr=False, compare=False)
+    backtrack: object = field(default=None, repr=False, compare=False)
 
     @property
     def accepted(self) -> bool:
@@ -297,18 +297,14 @@ class RunResult:
     @property
     def trace(self) -> tuple:
         """A search's configurations from the start to `last`."""
-        if self.parents is None:
-            return None
-        path = [self.last]
-        while self.parents[path[-1]] is not None:
-            path.append(Configuration._make(self.parents[path[-1]][0]))
-        return tuple(reversed(path))
+        if self.backtrack is not None:
+            return tuple(configuration for configuration, _ in self.backtrack(self.last))
 
     @property
     def accepting_path(self) -> tuple:
         """The indices of the rules along an accepting search's path."""
-        if self.parents is not None and self.accepted:
-            return tuple(self.parents[c][1] for c in self.trace[1:])
+        if self.backtrack is not None and self.accepted:
+            return tuple(idx for _, idx in self.backtrack(self.last)[1:])
 
 
 @dataclass(frozen=True)
@@ -318,10 +314,11 @@ class SearchBudget:
     One-way machines allow unbounded eps-loops whose register values
     never repeat, so exhaustive search is impossible in general. Paths
     that spend more than `eps_per_path` eps-moves are pruned (default:
-    |states| * (|w| + 2)), and the whole search stops after
-    `max_configurations` distinct configurations. Whenever pruning cut
-    anything off and no accepting path was found, the result is
-    BudgetExceeded rather than a misreported Reject.
+    |states| * (|w| + 2)), and the search stops expanding after
+    `max_configurations` configurations expanded, counted along the
+    word from its start. Whenever pruning cut anything off and no
+    accepting path was found, the result is BudgetExceeded rather than a
+    misreported Reject.
     """
 
     eps_per_path: int = None
@@ -542,67 +539,47 @@ def run_deterministic(spec: MachineSpec, word: str) -> RunResult:
 
 
 def run_nondeterministic(spec: MachineSpec, word: str, budget: SearchBudget = None) -> RunResult:
-    """Breadth-first search over configurations with exact deduplication.
+    """The search of `nondeterministic_steps`, stepped along one word. It
+    keeps each position's configurations, from which `trace` and
+    `accepting_path` rebuild a path backwards (`_backtrack`)."""
+    start, step, end = nondeterministic_steps(spec, budget or SearchBudget(), len(word))
+    frontiers = [start]
+    for letter in word:
+        frontiers.append(step(frontiers[-1], letter))
+    verdict, final, last = end(frontiers[-1])
+    levels = [(f.configurations, f.expanded) for f in frontiers] + [(final, final)] * spec.endmarker
+    position = len(levels) - 1
+    if last is None:  # the last configuration at the furthest position reached
+        position = max(p for p, (configurations, _) in enumerate(levels) if configurations)
+        last = next(reversed(levels[position][0]))
+    return RunResult(verdict, Configuration(*last, position),
+                     partial(_backtrack, spec, word + ENDMARKER * spec.endmarker, levels))
 
-    Configurations are deduplicated on (state, register, position);
-    exact rationals make that sound, and without it blind search blows
-    up on diamond-shaped nondeterminism. Accept as soon as any explored
-    path satisfies the acceptance condition; Reject only when the whole
-    reachable space was exhausted with nothing pruned by the budget.
-    """
-    if budget is None:
-        budget = SearchBudget()
-    eps_cap = budget.eps_cap(spec, len(word))
-    end_position = len(word) + (1 if spec.endmarker else 0)
-    endmarker = spec.endmarker
-    eps_sources = frozenset() if spec.realtime else spec.epsilon_sources
-    accept_states = spec.accept_states
-    accepting = spec.register_tests[1]
+
+def _backtrack(spec: MachineSpec, letters: str, levels: list, last: Configuration) -> list:
+    """A search's path from the start to `last`, as (configuration, index
+    of the rule into it) pairs, from each position's (configurations,
+    expanded) in `levels`. Each configuration's predecessor is the first
+    expanded one, in the order reached, whose move to it accounts for
+    its eps moves: a letter move from the position before, else an eps
+    move; on a real-time machine, the configuration that first reached it."""
     successors = spec.successors
-
-    # configurations are (state, register, position) keys; the queue
-    # carries the eps count separately since it only matters for budget
-    start_key = (spec.initial_state, spec.initial_vector, 0)
-    parents = {start_key: None}
-    queue = deque([(start_key, 0)])
-    pruned = False
-    expanded = 0
-
-    while queue:
-        key, eps_spent = queue.popleft()
-        state, register, position = key
-        if position == end_position:
-            if state in accept_states and accepting(register):
-                return RunResult(ACCEPT, Configuration._make(key), parents)
-            if endmarker:
-                continue  # the end-marker closes the computation
-
-        moves = []
-        if state in eps_sources:
-            if eps_spent < eps_cap:
-                moves.append((EPSILON, position, eps_spent + 1))
-            else:
-                pruned = True
-        if position < len(word):
-            moves.append((word[position], position + 1, eps_spent))
-        elif position == len(word) and endmarker:
-            moves.append((ENDMARKER, position + 1, eps_spent))
-        if expanded >= budget.max_configurations:
-            # keep draining the queue for acceptance checks only; the cap
-            # cuts something off only where a move is left
-            pruned = pruned or bool(moves)
-            continue
-        expanded += 1
-
-        for letter, next_position, next_eps in moves:
-            for rule_idx, target, next_register in successors(state, letter, register):
-                next_key = (target, next_register, next_position)
-                if next_key in parents:
-                    continue
-                parents[next_key] = (key, rule_idx)
-                queue.append((next_key, next_eps))
-
-    return RunResult(BUDGET_EXCEEDED if pruned else REJECT, Configuration._make(key), parents)
+    position, key = last.position, (last.state, last.register)
+    eps = levels[position][0][key]
+    path = []
+    while position or eps:
+        moves = [(position - 1, letters[position - 1], eps)] if position else []
+        for source, letter, source_eps in moves + [(position, EPSILON, eps - 1)]:
+            prior = next(((prior, idx)
+                          for prior, prior_eps in levels[source][1].items()
+                          if prior_eps == source_eps
+                          for idx, target, register in successors(prior[0], letter, prior[1])
+                          if (target, register) == key), None)
+            if prior is not None:
+                break
+        path.append((Configuration(*key, position), prior[1]))
+        position, key, eps = source, prior[0], source_eps
+    return [(Configuration(*key, 0), None)] + path[::-1]
 
 
 def gfa_value(spec: MachineSpec, word: str) -> Fraction:
@@ -641,8 +618,8 @@ def _undecided(word: str, budget: SearchBudget) -> UndecidedError:
 
 
 # ---------------------------------------------------------------------------
-# the verdict walk: one search state per prefix, shared by every word
-# that extends it
+# runs one letter at a time, and the verdict walk: one search state per
+# prefix, shared by every word that extends it
 
 
 def deterministic_steps(spec: MachineSpec):
@@ -679,110 +656,144 @@ def deterministic_steps(spec: MachineSpec):
 
 
 class Frontier(NamedTuple):
-    """A search after a prefix: `configurations` maps each (state,
-    register) reached at its end to the fewest eps moves that reach it;
-    `spent` counts the configurations at every position of the prefix;
-    `capped` records that one of them stood at an eps source with its
-    `eps_cap` used up."""
+    """A search at one position: `configurations` maps each (state,
+    register) reached there to its fewest eps moves, in the order first
+    reached; `expanded` holds those expanded (`configurations` itself
+    when the budget lasted), `spent` counts those expanded so far, and
+    `pruned` records a move cut off (an eps move so far, or any move at
+    an earlier position) by the eps cap or `max_configurations`."""
 
     configurations: dict
+    expanded: dict
     spent: int
-    capped: bool
-    eps_cap: int
+    pruned: bool
+
+
+def nondeterministic_steps(spec: MachineSpec, budget: SearchBudget, length: int):
+    """``(start, step, end)``: the search over a word of `length` letters
+    (which sets the eps cap), one position at a time, as `Frontier`s.
+    ``step(frontier, letter)`` takes the expanded configurations' letter
+    moves, then eps moves; ``end(frontier)`` judges a word that ends
+    there: ``(verdict, final, accepting)``, with `final` the
+    configurations after the last letter (and the end-marker, which no
+    eps move follows), `accepting` the first accepting one or None.
+
+    Configurations are deduplicated exactly per position. One counts
+    against `max_configurations` once, when expanded: its eps moves with
+    its letter or end-marker move. After the cap, the configurations
+    reached are still judged: an accepting one at the last position
+    accepts, and the verdict is BudgetExceeded only where a move was left.
+    """
+    successors = spec.successors
+    accept_states = spec.accept_states
+    home = spec.register_tests[1]
+    endmarker = spec.endmarker
+    eps_sources = frozenset() if spec.realtime else spec.epsilon_sources
+    eps_cap = budget.eps_cap(spec, length)
+    max_configurations = budget.max_configurations
+
+    def moved(frontier, letter):
+        # a configuration reached twice keeps its first place, fewest eps moves
+        reached = {}
+        for (state, register), eps in frontier.expanded.items():
+            for _, target, updated in successors(state, letter, register):
+                key = (target, updated)
+                if reached.setdefault(key, eps) > eps:
+                    reached[key] = eps
+        return reached
+
+    def close(reached, spent, pruned):
+        # take the configurations up by fewest eps moves, then as reached,
+        # expanding each while the budget lasts; `reached` gains what eps
+        # moves reach
+        room = max(max_configurations - spent, 0)
+        taken = reached
+        if eps_sources:
+            taken, pending = [], {}
+            for key, eps in reached.items():
+                pending.setdefault(eps, []).append(key)
+            while pending:
+                eps = min(pending)
+                for key in pending.pop(eps):
+                    taken.append(key)
+                    if key[0] not in eps_sources:
+                        continue
+                    if eps >= eps_cap or len(taken) > room:
+                        pruned = True
+                        continue
+                    for _, target, register in successors(key[0], EPSILON, key[1]):
+                        following = (target, register)
+                        known = reached.get(following)
+                        if known is None or known > eps + 1:
+                            if known is not None:  # still pending, with more eps moves
+                                pending[known].remove(following)
+                            reached[following] = eps + 1
+                            pending.setdefault(eps + 1, []).append(following)
+        if len(taken) <= room:
+            return Frontier(reached, reached, spent + len(taken), pruned)
+        return Frontier(reached, {key: reached[key] for key in islice(taken, room)},
+                        spent + room, pruned)
+
+    def step(frontier, letter):
+        return close(moved(frontier, letter), frontier.spent,
+                     frontier.pruned or len(frontier.expanded) < len(frontier.configurations))
+
+    def end(frontier):
+        final, pruned = frontier.configurations, frontier.pruned
+        if endmarker:
+            final = moved(frontier, ENDMARKER)
+            pruned = pruned or len(frontier.expanded) < len(frontier.configurations)
+        for key in final:
+            if key[0] in accept_states and home(key[1]):
+                return ACCEPT, final, key
+        return (BUDGET_EXCEEDED if pruned else REJECT), final, None
+
+    return close({(spec.initial_state, spec.initial_vector): 0}, 0, False), step, end
 
 
 def walk(spec: MachineSpec, maxlen: int, budget: SearchBudget = None):
     """``(word, verdict)`` for every word up to `maxlen` in length-lex
-    order: the runners' semantics, one letter at a time. The verdict is
-    `accepts(spec, word, budget)`, or None where the shared search
-    outgrew `max_configurations`: such a word is to be asked alone, so
-    budget outcomes stay the per-word search's.
+    order: the verdict is `accepts(spec, word, budget)`, found one letter
+    at a time, and the first word whose search runs out of budget raises
+    UndecidedError.
 
     The words are a trie of prefixes, walked level by level. A word's
     search state is its parent's stepped by one letter, just before its
     verdict is yielded, so a caller that stops early steps no later word.
     A deterministic state is a `deterministic_steps` node, or None once
-    the run died. A nondeterministic state is a `Frontier`,
-    or None once its path's configurations outnumber `max_configurations`.
-    When the eps cap grows with the word length (eps rules, `eps_per_path`
-    unset), each length gets its own trie under its own cap.
+    the run died; a nondeterministic one is a `nondeterministic_steps`
+    `Frontier`, whose budget counts along its own prefix, so each word
+    gets the verdict of its own search. When the eps cap grows with the
+    word length (eps rules, `eps_per_path` unset), each length gets its
+    own trie under its own cap.
     """
     if spec.mode == DETERMINISTIC:
-        start_node, step, accepting = deterministic_steps(spec)
+        start, step, accepting = deterministic_steps(spec)
 
-        def verdict(node, word):
-            return node is not None and accepting(node)
-
-        def start(length):
-            return start_node
+        def search(length):
+            return start, step, lambda node, word: node is not None and accepting(node)
 
         cap_grows = False
     else:
-        successors = spec.successors
-        accept_states = spec.accept_states
-        accepting = spec.register_tests[1]
-        endmarker = spec.endmarker
         budget = budget or SearchBudget()
-        eps_sources = frozenset() if spec.realtime else spec.epsilon_sources
-        max_configurations = budget.max_configurations
 
-        def close(configurations, spent, capped, eps_cap):
-            # add what eps moves reach, fewest eps moves first, as the search does
-            room = max_configurations - spent
-            pending = {}
-            if eps_sources:
-                for key, eps in configurations.items():
-                    pending.setdefault(eps, []).append(key)
-            while pending:
-                eps = min(pending)
-                for key in pending.pop(eps):
-                    if key[0] not in eps_sources or configurations[key] < eps:
-                        continue
-                    if eps >= eps_cap:
-                        capped = True
-                        continue
-                    for _, target, register in successors(key[0], EPSILON, key[1]):
-                        reached = (target, register)
-                        if configurations.get(reached, eps + 2) > eps + 1:
-                            configurations[reached] = eps + 1
-                            pending.setdefault(eps + 1, []).append(reached)
-                    if len(configurations) > room:
-                        return None
-            if len(configurations) > room:
-                return None
-            return Frontier(configurations, spent + len(configurations), capped, eps_cap)
+        def search(length):
+            start, step, end = nondeterministic_steps(spec, budget, length)
 
-        def step(node, letter):
-            reached = {}
-            for (state, register), eps in node.configurations.items():
-                for _, target, updated in successors(state, letter, register):
-                    key = (target, updated)
-                    if reached.get(key, eps + 1) > eps:
-                        reached[key] = eps
-            return close(reached, node.spent, node.capped, node.eps_cap)
+            def verdict(frontier, word):
+                outcome = end(frontier)[0]
+                if outcome == BUDGET_EXCEEDED:
+                    raise _undecided(word, budget)
+                return outcome == ACCEPT
 
-        def verdict(node, word):
-            if node is None:
-                return None
-            final = node.configurations
-            if endmarker:
-                final = [(target, updated) for state, register in final
-                         for _, target, updated in successors(state, ENDMARKER, register)]
-            if any(state in accept_states and accepting(register) for state, register in final):
-                return True
-            if node.capped:
-                raise _undecided(word, budget)
-            return False
+            return start, step, verdict
 
-        def start(length):
-            start_node = (spec.initial_state, spec.initial_vector)
-            return close({start_node: 0}, 0, False, budget.eps_cap(spec, length))
-
-        cap_grows = bool(eps_sources) and budget.eps_per_path is None
+        cap_grows = (not spec.realtime and bool(spec.epsilon_sources)
+                     and budget.eps_per_path is None)
 
     alphabet = spec.alphabet
 
-    def children(level):
+    def children(level, step):
         # lazy, so a word's state is stepped only when its verdict is asked
         for w, node in level:
             for letter in alphabet:
@@ -792,17 +803,17 @@ def walk(spec: MachineSpec, maxlen: int, budget: SearchBudget = None):
         if length == 0 or cap_grows:
             # a cap that grows with the word length gives each length its
             # own trie, whose prefixes are stepped again, lazily, under it
-            level = [("", start(length))]
+            start, step, verdict = search(length)
+            level = [("", start)]
             for _ in range(length):
-                level = children(level)
+                level = children(level, step)
         else:
-            level = children(level)
+            level = children(level, step)
         kept = []
         for w, node in level:
             yield w, verdict(node, w)
             kept.append((w, node))
         level = kept
-
 
 def extendedfa_embed(spec: MachineSpec) -> MachineSpec:
     """Recast a matrix-monoid machine as a blind nondeterministic HVA.

@@ -9,12 +9,12 @@ from pathlib import Path
 import pytest
 
 from vecauto import diophantine, langlab, transforms
-from vecauto.builders import cyclic_dfa, example
+from vecauto.builders import example
 from vecauto.cli import main
 from test_diophantine import EQ_SYSTEM, unsupported_famw
-from vecauto.fileformat import load_machine, write_dfa, write_machine
+from test_fileformat import TWO_CYCLE_DFA
+from vecauto.fileformat import load_machine, write_machine
 from vecauto.machines import NONDETERMINISTIC, validate
-from vecauto.transforms import DFA
 
 
 def run_cli(capsys, *argv):
@@ -158,7 +158,9 @@ class TestTransformCommand:
         # a DFA over a two-letter symbol converts, but the machine fails
         # validation (alphabet symbols are single characters)
         dfa_path = tmp_path / "dfa.json"
-        dfa_path.write_text(write_dfa(DFA(("q",), ("ab",), "q", {"q"}, {("q", "ab"): "q"})))
+        dfa_path.write_text(json.dumps({
+            "states": ["q"], "alphabet": ["ab"], "initial_state": "q", "accept_states": ["q"],
+            "transitions": [{"from": "q", "input": "ab", "to": "q"}]}))
         out_path = tmp_path / "out.mach"
         code, records = run_cli(capsys, "transform", "dfa-to-stateless", str(dfa_path), str(out_path))
         assert code == 2
@@ -250,7 +252,7 @@ class TestMalformedArguments:
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         powr = json.loads(powr_path.read_text())
-        dfa = json.loads(write_dfa(cyclic_dfa(2)))
+        dfa = TWO_CYCLE_DFA
         texts = {
             "invalid": powr_path.read_text().replace('"dimension": 2', '"dimension": 3'),
             "transitions_not_list": json.dumps(dict(powr, transitions=5)),

@@ -87,12 +87,12 @@ class TestTensor:
     def test_identity_gives_block_diagonal(self):
         b = Matrix.from_rows([[1, 2], [3, 4]])
         t = tensor(Matrix.identity(2), b)
-        assert t.to_rows() == [
+        assert t == Matrix.from_rows([
             [1, 2, 0, 0],
             [3, 4, 0, 0],
             [0, 0, 1, 2],
             [0, 0, 3, 4],
-        ]
+        ])
 
 
 class TestTensorVec:
@@ -231,6 +231,10 @@ def test_vec_mat_mul_chains_match_fraction_reference(chain):
 
 def test_doubling_registers_hash_apart():
     # Python hashes an int modulo 2**61 - 1, so hashing the entries alone
-    # repeats these hashes every 61 letters
-    hashes = {hash(RowVector([3 * 2**k, 2**k])) for k in range(200)}
-    assert len(hashes) == 200
+    # repeats these hashes every 61 letters; in the second family the bit
+    # lengths are equal too, and in the third the denominators repeat
+    for family in (lambda k: [3 * 2**k, 2**k],
+                   lambda k: [2**4000 - 2**(k + 1) + 1, 1],
+                   lambda k: [Fraction(1, 2**k)]):
+        hashes = {hash(RowVector(family(k))) for k in range(200)}
+        assert len(hashes) == 200

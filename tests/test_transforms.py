@@ -423,7 +423,7 @@ class TestDfaToStateless:
     def test_mod3_cycle(self):
         out, _ = dfa_to_stateless_dbhva(cyclic_dfa(3))
         a_effect = out.transitions[0].effect
-        assert a_effect.to_rows() == [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+        assert a_effect == Matrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
         assert matches_reference(out, reference_language("mod", 3), 9).equal
 
     def test_single_state_loop(self):

@@ -9,7 +9,9 @@ and the same first UndecidedError word. Bounded equivalence of two
 deterministic languages walks pairs of states and skips a word whose
 pair an earlier word reached; it must find the word walk's first
 disagreement, or raise its rule conflict. The CLI's records must not
-change either."""
+change either. The one nondeterministic search that the walk and the
+one-word runs step is checked against the breadth-first search it
+replaced (`bfs_reference`)."""
 
 import contextlib
 import io
@@ -21,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bfs_reference import bfs
 from machine_gen import (
     blind_counter_a_endmarker,
     blind_counter_ab,
@@ -32,7 +35,7 @@ from machine_gen import (
     random_nbhva_endmarker,
 )
 from test_machines import one_state_gfa
-from vecauto import langlab
+from vecauto import langlab, machines
 from vecauto.builders import (
     binary_distinguisher,
     example,
@@ -46,6 +49,8 @@ from vecauto.exact import Matrix
 from vecauto.fileformat import write_machine
 from vecauto.langlab import all_strings, equivalent_up_to, reference_language
 from vecauto.machines import (
+    ACCEPT,
+    BUDGET_EXCEEDED,
     DEFAULT_MAX_CONFIGURATIONS,
     DETERMINISTIC,
     EPSILON,
@@ -58,6 +63,8 @@ from vecauto.machines import (
     TransitionRule,
     accepts,
     extendedfa_embed,
+    nondeterministic_steps,
+    run_nondeterministic,
     stateless,
     validate,
 )
@@ -171,54 +178,63 @@ def test_eps_loops_leave_the_same_word_undecided():
     assert assert_walk_agrees(eps_loop_machine(), 5, SearchBudget(eps_per_path=0))[1] == "bb"
 
 
-def test_eps_cap_grows_with_the_word_length():
-    # each a multiplies by 4 and each eps move halves: a^n needs 2n eps
-    # moves, within the cap n + 2 of a one-state machine up to n = 2
-    spec = one_dimensional([("q", "a", "q", 4), ("q", EPSILON, "q", Fraction(1, 2))],
+def quartering_machine():
+    """Each a multiplies by 4 and each eps move halves: a^n needs 2n eps
+    moves, within the cap n + 2 of a one-state machine up to n = 2."""
+    return one_dimensional([("q", "a", "q", 4), ("q", EPSILON, "q", Fraction(1, 2))],
                            ("q",), {"q"}, alphabet=("a",))
-    seen, undecided = assert_walk_agrees(spec, 4, None)
+
+
+def fewest_eps_machine():
+    """(t, 0) is reached on a from s with no eps move and from s2 with
+    one; under a one-move cap only the first lets t take its eps move
+    without reaching the cap."""
+    return one_dimensional([("s", EPSILON, "s2", 1), ("s", "a", "t", 0), ("s2", "a", "t", 0),
+                            ("t", EPSILON, "u", 1)], ("s", "s2", "t", "u"), {"u"})
+
+
+def undercut_machine():
+    """On a, x is reached from s3 after two eps moves and from y after
+    one; with x's fewest moves (one), its eps move to z stays within a
+    two-move cap."""
+    return one_dimensional([("s", EPSILON, "s2", 1), ("s2", EPSILON, "s3", 1),
+                            ("s", "a", "y", 1), ("s3", "a", "x", 1), ("y", EPSILON, "x", 1),
+                            ("x", EPSILON, "z", 2)], ("s", "s2", "s3", "x", "y", "z"), {"z"})
+
+
+EPS_MACHINES = {"eps_loop": eps_loop_machine, "quartering": quartering_machine,
+                "fewest_eps": fewest_eps_machine, "undercut": undercut_machine}
+
+
+def test_eps_cap_grows_with_the_word_length():
+    seen, undecided = assert_walk_agrees(quartering_machine(), 4, None)
     assert seen == [("", True), ("a", True), ("aa", True)] and undecided == "aaa"
 
 
 def test_a_configuration_keeps_its_fewest_eps_moves():
-    # (t, 0) is reached on a from s with no eps move and from s2 with
-    # one; under a one-move cap only the first lets t take its eps move
-    # without reaching the cap, so "a" is a clean Reject
-    spec = one_dimensional([("s", EPSILON, "s2", 1), ("s", "a", "t", 0), ("s2", "a", "t", 0),
-                            ("t", EPSILON, "u", 1)], ("s", "s2", "t", "u"), {"u"})
-    seen, undecided = assert_walk_agrees(spec, 2, SearchBudget(eps_per_path=1))
-    assert ("a", False) in seen
+    seen, undecided = assert_walk_agrees(fewest_eps_machine(), 2, SearchBudget(eps_per_path=1))
+    assert ("a", False) in seen  # a clean Reject
 
 
 def test_an_eps_move_can_undercut_a_letter_move():
-    # on a, x is reached from s3 after two eps moves and from y after
-    # one; with x's fewest moves (one), its eps move to z stays within a
-    # two-move cap, so "a" is a clean Reject
-    spec = one_dimensional([("s", EPSILON, "s2", 1), ("s2", EPSILON, "s3", 1),
-                            ("s", "a", "y", 1), ("s3", "a", "x", 1), ("y", EPSILON, "x", 1),
-                            ("x", EPSILON, "z", 2)], ("s", "s2", "s3", "x", "y", "z"), {"z"})
-    seen, undecided = assert_walk_agrees(spec, 2, SearchBudget(eps_per_path=2))
-    assert ("a", False) in seen
+    seen, undecided = assert_walk_agrees(undercut_machine(), 2, SearchBudget(eps_per_path=2))
+    assert ("a", False) in seen  # a clean Reject
 
 
-def test_only_words_over_budget_are_searched_alone(monkeypatch):
+def test_no_word_is_searched_alone(monkeypatch):
+    # the walk counts the budget along each word as the word's own search
+    # does, so under every budget it asks no word of a one-word search
     asked = []
-
-    def counting(spec, word, budget=None):
-        asked.append(word)
-        return accepts(spec, word, budget)
-
-    monkeypatch.setattr(langlab, "accepts", counting)
-    leq = example("leq")
-    assert_walk_agrees(leq, 6, None)
-    assert asked == []
-    small = SearchBudget(max_configurations=3)
-    seen, undecided = assert_walk_agrees(leq, 6, small)
-    # sharing stops below a prefix whose search outgrew the budget: that
-    # prefix and every extension of it are asked alone, in walk order
-    assert "" not in asked and asked[-1] == undecided
-    assert asked == [w for w, _ in seen + [(undecided, None)]
-                     if any(w.startswith(u) for u in asked)]
+    for name in ("accepts", "run_nondeterministic"):
+        def ask(spec, word, budget=None, search=getattr(machines, name)):
+            asked.append(word)
+            return search(spec, word, budget)
+        monkeypatch.setattr(machines, name, ask)
+    undecided = set()
+    for budget in BUDGETS + [None]:
+        for spec in (example("leq"), eps_loop_machine()):
+            undecided.add(outcomes(langlab._walk(spec, 6, budget))[1])
+    assert asked == [] and len(undecided) > 1
 
 
 def test_walk_steps_no_word_beyond_the_one_asked():
@@ -235,6 +251,65 @@ def test_walk_steps_no_word_beyond_the_one_asked():
         accepts(spec, "b")
     # a verifier that stops at "a" never reaches the conflict
     assert equivalent_up_to(spec, example("l_epsilon"), 3).counterexample == "a"
+
+
+# ---------------------------------------------------------------------------
+# the search against the breadth-first reference
+
+
+REFERENCE_BUDGETS = BUDGETS + [SearchBudget(eps, 50) for eps in (None, 0, 2)]
+
+
+def expanded(spec, word, budget):
+    """The configurations the one search expands on `word`."""
+    start, step, _ = nondeterministic_steps(spec, budget, len(word))
+    frontier = start
+    for letter in word:
+        frontier = step(frontier, letter)
+    return frontier.spent
+
+
+def assert_path_replays(spec, trace, path):
+    # each configuration is reached from the one before by the rule named
+    # in the path: a letter (or end-marker) move or an eps move
+    assert trace[0] == (spec.initial_state, spec.initial_vector, 0)
+    for before, after, idx in zip(trace, trace[1:], path):
+        rule = spec.transitions[idx]
+        assert after.position == before.position + (rule.input != EPSILON)
+        assert (idx, after.state, after.register) in spec.successors(
+            before.state, rule.input, before.register)
+
+
+def assert_search_as_reference(spec, maxlen, budget):
+    real_time = not (spec.epsilon_sources and not spec.realtime)
+    for w in all_strings(spec.alphabet, maxlen):
+        reference, run = bfs(spec, w, budget), run_nondeterministic(spec, w, budget)
+        if run.accepted:
+            assert_path_replays(spec, run.trace, run.accepting_path)
+        if real_time:
+            assert (run.verdict, run.trace, run.accepting_path) == (
+                reference.verdict, reference.trace, reference.accepting_path)
+        elif run.verdict != reference.verdict:
+            # the two orders spend the cap on different configurations:
+            # a verdict can become BudgetExceeded, or stop being one, only
+            # where a search reached the cap; it never flips
+            assert BUDGET_EXCEEDED in (run.verdict, reference.verdict), w
+            cap = budget.max_configurations
+            assert reference.expanded >= cap or (
+                reference.verdict == ACCEPT and expanded(spec, w, budget) >= cap), w
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), budget=st.sampled_from(REFERENCE_BUDGETS))
+def test_the_search_agrees_with_the_breadth_first_reference(data, budget):
+    source = data.draw(st.sampled_from(["generated", "catalog", "eps"]))
+    if source == "generated":
+        spec = GENERATORS[data.draw(st.sampled_from(sorted(GENERATORS)))](
+            random.Random(data.draw(st.integers(0, 2**32 - 1))))
+    else:
+        machines_of = MACHINES if source == "catalog" else EPS_MACHINES
+        spec = machines_of[data.draw(st.sampled_from(sorted(machines_of)))]()
+    assert_search_as_reference(spec, 5 if len(spec.alphabet) <= 2 else 3, budget)
 
 
 def catalog_commands(tmp_path):
