@@ -146,12 +146,17 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _check_symbols(word: str, alphabet) -> None:
+    """A word with a symbol outside `alphabet` is a usage error."""
+    foreign = [ch for ch in word if ch not in alphabet]
+    if foreign:
+        raise VecautoError(f"input symbols {foreign} not in alphabet {list(alphabet)}")
+
+
 def cmd_run(args) -> int:
     spec = _load_valid(args.machine)
     word = args.input
-    foreign = [ch for ch in word if ch not in spec.alphabet]
-    if foreign:
-        raise VecautoError(f"input symbols {foreign} not in alphabet {list(spec.alphabet)}")
+    _check_symbols(word, spec.alphabet)
     budget = _budget_from(args)  # a malformed budget is a usage error in either mode
     record = {"verdict": None, "machine": spec.summary(), "input": word}
     deterministic = spec.mode == DETERMINISTIC
@@ -198,6 +203,8 @@ def cmd_build(args) -> int:
 def cmd_separate(args) -> int:
     build = builders.binary_distinguisher if args.model == "dbva" else builders.hva_distinguisher
     spec = build(args.x, args.base)
+    for other in args.others:
+        _check_symbols(other, spec.alphabet)
     fileformat.save_machine(spec, args.output)
     failures = []
     if not accepts(spec, args.x):

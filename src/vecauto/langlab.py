@@ -7,12 +7,13 @@ alphabet order of the machine), which pins golden outputs and makes
 every counterexample deterministic: all checks report the first
 violation in that canonical order.
 
-Bounded equivalence of two deterministic languages (deterministic
-machines, and references through their steps) walks pairs of states
-instead of words and extends only the first word to reach each pair;
-the first disagreement is still the length-lex-first one. Every other
-verifier, and equivalence with a nondeterministic machine, asks every
-word of the shared-prefix walk.
+Every verifier reads one walk, `machines.walk`, over the trie of words:
+a machine walks its search, a reference its deterministic steps (the
+predicate is the ground truth the steps are tested against), and bounded
+equivalence walks the pairs of two languages' nodes. Pairs of two
+deterministic languages are deduplicated: the walk extends only the
+first word to reach each pair, and the first disagreement is still the
+length-lex-first one.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .machines import (
     MachineSpec,
     SearchBudget,
     accepts,  # noqa: F401 -- perfbench's tracer rebinds it in this namespace
-    deterministic_steps,
+    searches,
     walk,
 )
 from .diophantine import check_commutative
@@ -40,8 +41,8 @@ class ReferenceLanguage:
     optionally by `steps`, a deterministic ``(start, step, accepting)``
     over hashable states: ``step(state, letter)`` is the next state, or
     None once no extension is a member; ``accepting(state)`` is
-    membership. The predicate is the ground truth the steps are tested
-    against; verification of a deterministic machine reads the steps."""
+    membership. Every walk reads the steps when there are some; the
+    predicate is the ground truth they are tested against."""
 
     name: str
     alphabet: tuple
@@ -75,18 +76,28 @@ def all_strings(alphabet, maxlen: int):
             yield "".join(letters)
 
 
+def _search(language, budget: SearchBudget = None):
+    """``(search, cap_grows, distinct)`` of `language` for `machines.walk`:
+    a machine's `searches`, a reference's steps, or, for a reference
+    without steps, the words themselves as nodes. `distinct` marks nodes
+    that fix their futures and can repeat: deterministic runs and states."""
+    if isinstance(language, MachineSpec):
+        return (*searches(language, budget), language.mode == DETERMINISTIC)
+    if language.steps is None:
+        membership = language.membership
+        return (lambda length: ("", str.__add__, lambda w, word: membership(w))), False, False
+    start, step, accepting = language.steps
+    return (lambda length: (start, step, lambda state, word: accepting(state))), False, True
+
+
 def _walk(language, maxlen: int, budget: SearchBudget = None):
     """``(word, verdict)`` for every word up to `maxlen` in length-lex
     order, each asked once, when reached, of `language` (a MachineSpec or
-    a ReferenceLanguage). Every verifier reads its verdicts from here.
-
-    A machine's verdicts come from `machines.walk`, which shares each
-    prefix's search among the words that extend it and counts the
-    budget along each word, so a verdict is the word's own search's; the
-    first word whose search runs out of budget raises UndecidedError."""
-    if isinstance(language, MachineSpec):
-        return walk(language, maxlen, budget)
-    return ((w, language.membership(w)) for w in all_strings(language.alphabet, maxlen))
+    a ReferenceLanguage): the walk that every verifier but bounded
+    equivalence reads. A machine's verdict is `accepts`'s, and the first
+    word whose search runs out of budget raises UndecidedError."""
+    search, cap_grows, _ = _search(language, budget)
+    return walk(search, language.alphabet, maxlen, cap_grows)
 
 
 def enumerate_accepted(spec: MachineSpec, maxlen: int, budget: SearchBudget = None) -> list:
@@ -112,72 +123,36 @@ def matches_reference(spec: MachineSpec, ref: ReferenceLanguage, maxlen: int,
 
 def _first_disagreement(left, right, maxlen: int, budget: SearchBudget) -> EquivalenceVerdict:
     """The first string up to `maxlen`, in length-lex order, on which two
-    languages differ; each word is asked of `left`, then of `right`.
-    Two deterministic languages walk pairs of states, any other two walk
-    every word."""
+    languages differ, from one walk of pairs of their nodes: each word's
+    left node is stepped, then its right, then each is judged in that
+    order. Two deterministic languages walk distinct pairs."""
     if tuple(left.alphabet) != tuple(right.alphabet):
         raise AlphabetError(f"alphabets differ: {left.alphabet} vs {right.alphabet}")
-    left_steps, right_steps = _steps(left), _steps(right)
-    if left_steps is None or right_steps is None:
-        counterexample = _word_disagreement(left, right, maxlen, budget)
-    else:
-        counterexample = _pair_disagreement(left_steps, right_steps, left.alphabet, maxlen)
-    return EquivalenceVerdict(counterexample is None, counterexample, maxlen)
+    left_search, left_grows, left_distinct = _search(left, budget)
+    right_search, right_grows, right_distinct = _search(right, budget)
 
+    def search(length):
+        left_start, left_step, left_verdict = left_search(length)
+        right_start, right_step, right_verdict = right_search(length)
 
-def _steps(language):
-    """``(start, step, accepting)`` of a deterministic machine or of a
-    reference that has steps; None for any other language."""
-    if isinstance(language, MachineSpec):
-        return deterministic_steps(language) if language.mode == DETERMINISTIC else None
-    return language.steps
+        # a dead side (None) is a Reject, stepped no further, as in the walk
+        def step(pair, letter):
+            left_node, right_node = pair
+            return (None if left_node is None else left_step(left_node, letter),
+                    None if right_node is None else right_step(right_node, letter))
 
+        def verdict(pair, word):
+            left_node, right_node = pair
+            return ((left_node is not None and left_verdict(left_node, word))
+                    != (right_node is not None and right_verdict(right_node, word)))
 
-def _word_disagreement(left, right, maxlen: int, budget: SearchBudget):
-    """The first disagreeing word, asking every word of both walks; None
-    when there is none."""
-    for (w, in_left), (_, in_right) in zip(_walk(left, maxlen, budget),
-                                           _walk(right, maxlen, budget)):
-        if in_left != in_right:
-            return w
-    return None
+        return (left_start, right_start), step, verdict
 
-
-def _pair_disagreement(left, right, alphabet, maxlen: int):
-    """The first disagreeing word of two deterministic languages, given
-    by their ``(start, step, accepting)``, walking pairs of states; None
-    when there is none.
-
-    A word's verdicts and its words' futures depend only on its pair of
-    states, so the walk goes level by level in length-lex order and
-    extends only the first word to reach each pair: a later twin has the
-    same verdicts and its extensions follow the twin's, one by one, so
-    the first disagreement, or the first rule conflict, falls on a word
-    that is walked. Each word's left state is stepped and judged before
-    its right, as in the word walk. A level that reaches no new pair
-    ends the walk: every longer word has a twin already judged."""
-    (left_start, left_step, left_accepting), (right_start, right_step, right_accepting) = left, right
-    if left_accepting(left_start) != right_accepting(right_start):
-        return ""
-    seen = {(left_start, right_start)}
-    level = [("", left_start, right_start)]
-    for _ in range(maxlen):
-        reached = []
-        for w, left_node, right_node in level:
-            for letter in alphabet:
-                left_next = None if left_node is None else left_step(left_node, letter)
-                in_left = left_next is not None and left_accepting(left_next)
-                right_next = None if right_node is None else right_step(right_node, letter)
-                if in_left != (right_next is not None and right_accepting(right_next)):
-                    return w + letter
-                pair = (left_next, right_next)
-                if pair not in seen:
-                    seen.add(pair)
-                    reached.append((w + letter, left_next, right_next))
-        if not reached:
-            break
-        level = reached
-    return None
+    for w, differs in walk(search, left.alphabet, maxlen, left_grows or right_grows,
+                           left_distinct and right_distinct):
+        if differs:
+            return EquivalenceVerdict(False, w, maxlen)
+    return EquivalenceVerdict(True, None, maxlen)
 
 
 # ---------------------------------------------------------------------------

@@ -622,39 +622,6 @@ def _undecided(word: str, budget: SearchBudget) -> UndecidedError:
 # prefix, shared by every word that extends it
 
 
-def deterministic_steps(spec: MachineSpec):
-    """``(start, step, accepting)``: a deterministic machine's run, one
-    letter at a time, for the walks that step runs themselves. A node is
-    the run's ``(state, register)``; ``step(node, letter)`` is the node
-    after `letter`, or None once the run died; ``accepting(node)`` is the
-    verdict of a run that ends at `node`, after the end-marker when the
-    machine reads one. Neither takes the dead node None: the walks judge
-    it a Reject and step it no further. A rule conflict raises
-    InconsistentSpecError where `run_deterministic` does.
-    """
-    successors = spec.successors
-    accept_states = spec.accept_states
-    home = spec.register_tests[1]
-    endmarker = spec.endmarker
-
-    def step(node, letter):
-        fired = successors(node[0], letter, node[1])
-        if len(fired) == 1:
-            return fired[0][1:]
-        if fired:
-            raise _conflict(fired, node[0], letter)
-        return None
-
-    def accepting(node):
-        if endmarker:
-            node = step(node, ENDMARKER)
-            if node is None:
-                return False
-        return node[0] in accept_states and home(node[1])
-
-    return (spec.initial_state, spec.initial_vector), step, accepting
-
-
 class Frontier(NamedTuple):
     """A search at one position: `configurations` maps each (state,
     register) reached there to its fewest eps moves, in the order first
@@ -751,69 +718,107 @@ def nondeterministic_steps(spec: MachineSpec, budget: SearchBudget, length: int)
     return close({(spec.initial_state, spec.initial_vector): 0}, 0, False), step, end
 
 
-def walk(spec: MachineSpec, maxlen: int, budget: SearchBudget = None):
-    """``(word, verdict)`` for every word up to `maxlen` in length-lex
-    order: the verdict is `accepts(spec, word, budget)`, found one letter
-    at a time, and the first word whose search runs out of budget raises
-    UndecidedError.
+def searches(spec: MachineSpec, budget: SearchBudget = None):
+    """``(search, cap_grows)`` for `walk`: ``search(length)`` is ``(start,
+    step, verdict)`` for words of `length` letters, where ``step(node,
+    letter)`` is the next node and ``verdict(node, word)`` is
+    `accepts(spec, word, budget)`. Only when `cap_grows` (eps rules,
+    `eps_per_path` unset) does the search depend on the length.
 
-    The words are a trie of prefixes, walked level by level. A word's
-    search state is its parent's stepped by one letter, just before its
-    verdict is yielded, so a caller that stops early steps no later word.
-    A deterministic state is a `deterministic_steps` node, or None once
-    the run died; a nondeterministic one is a `nondeterministic_steps`
-    `Frontier`, whose budget counts along its own prefix, so each word
-    gets the verdict of its own search. When the eps cap grows with the
-    word length (eps rules, `eps_per_path` unset), each length gets its
-    own trie under its own cap.
+    A deterministic node is the run's ``(state, register)``, and its step
+    None once the run dies; a rule conflict raises where
+    `run_deterministic` raises. A
+    nondeterministic node is a `nondeterministic_steps` `Frontier`, whose
+    budget counts along its own prefix; an exhausted one's verdict raises
+    UndecidedError.
     """
     if spec.mode == DETERMINISTIC:
-        start, step, accepting = deterministic_steps(spec)
+        successors = spec.successors
+        accept_states = spec.accept_states
+        home = spec.register_tests[1]
+        endmarker = spec.endmarker
 
-        def search(length):
-            return start, step, lambda node, word: node is not None and accepting(node)
+        def step(node, letter):
+            fired = successors(node[0], letter, node[1])
+            if len(fired) == 1:
+                return fired[0][1:]
+            if fired:
+                raise _conflict(fired, node[0], letter)
+            return None
 
-        cap_grows = False
-    else:
-        budget = budget or SearchBudget()
+        def verdict(node, word):
+            if endmarker:
+                node = step(node, ENDMARKER)
+            return node is not None and node[0] in accept_states and home(node[1])
 
-        def search(length):
-            start, step, end = nondeterministic_steps(spec, budget, length)
+        start = (spec.initial_state, spec.initial_vector)
+        return (lambda length: (start, step, verdict)), False
 
-            def verdict(frontier, word):
-                outcome = end(frontier)[0]
-                if outcome == BUDGET_EXCEEDED:
-                    raise _undecided(word, budget)
-                return outcome == ACCEPT
+    budget = budget or SearchBudget()
 
-            return start, step, verdict
+    def search(length):
+        start, step, end = nondeterministic_steps(spec, budget, length)
 
-        cap_grows = (not spec.realtime and bool(spec.epsilon_sources)
-                     and budget.eps_per_path is None)
+        def verdict(frontier, word):
+            outcome = end(frontier)[0]
+            if outcome == BUDGET_EXCEEDED:
+                raise _undecided(word, budget)
+            return outcome == ACCEPT
 
-    alphabet = spec.alphabet
+        return start, step, verdict
 
+    return search, (not spec.realtime and bool(spec.epsilon_sources)
+                    and budget.eps_per_path is None)
+
+
+def walk(search, alphabet, maxlen: int, cap_grows: bool = False, distinct: bool = False):
+    """``(word, verdict)`` for the words over `alphabet` up to `maxlen`, in
+    length-lex order, from `search` (see `searches`).
+
+    The words are a trie of prefixes, walked level by level. A word's node
+    is its parent's stepped by one letter just before its verdict is
+    asked, so a caller that stops early steps no later word. A node None
+    is dead: a Reject, stepped and judged no further. When `cap_grows`,
+    each length gets its own trie, stepped again, lazily, under
+    ``search(length)``.
+
+    With `distinct`, for nodes that fix their words' verdicts and futures,
+    a word whose node an earlier word reached is stepped, but neither
+    judged, yielded nor extended: it and its extensions have earlier twins
+    with the same verdicts. The walk then ends at the first level that
+    reaches no new node (Hopcroft and Karp 1971).
+    """
     def children(level, step):
-        # lazy, so a word's state is stepped only when its verdict is asked
         for w, node in level:
             for letter in alphabet:
                 yield w + letter, None if node is None else step(node, letter)
 
-    for length in range(maxlen + 1):
-        if length == 0 or cap_grows:
-            # a cap that grows with the word length gives each length its
-            # own trie, whose prefixes are stepped again, lazily, under it
+    start, step, verdict = search(0)
+    seen = {start} if distinct else None
+    yield "", verdict(start, "")
+    level = [("", start)]
+    for length in range(1, maxlen + 1):
+        if cap_grows:
             start, step, verdict = search(length)
             level = [("", start)]
-            for _ in range(length):
+            for _ in range(length - 1):
                 level = children(level, step)
-        else:
-            level = children(level, step)
         kept = []
-        for w, node in level:
-            yield w, verdict(node, w)
-            kept.append((w, node))
+        for w, node in level:  # stepped here, not by `children`: one generator less per word
+            for letter in alphabet:
+                child = None if node is None else step(node, letter)
+                if distinct:  # one hash per node: a node seen before leaves the size
+                    known = len(seen)
+                    seen.add(child)
+                    if len(seen) == known:
+                        continue
+                word = w + letter
+                kept.append((word, child))
+                yield word, child is not None and verdict(child, word)
+        if not kept:
+            return
         level = kept
+
 
 def extendedfa_embed(spec: MachineSpec) -> MachineSpec:
     """Recast a matrix-monoid machine as a blind nondeterministic HVA.

@@ -217,6 +217,7 @@ class TestMalformedArguments:
             (["separate", "12", "21", "--base", "11", "-o", "{out}"], {}),
             (["separate", "1\u00b2", "-o", "{out}"], {}),
             (["separate", "12", "--base", "x", "-o", "{out}"], {}),
+            (["separate", "12", "13", "-o", "{out}"], {}),
             (["separate", "12", "21"], {}),
             (["build", "mod", "x"], {}),
             (["build", "eq"], {}),
@@ -243,6 +244,7 @@ class TestMalformedArguments:
              "reference-with-extra-parameter", "commutative-matrices-with-states",
              "separate-letter-digit", "separate-digit-of-the-base", "separate-base-two",
              "separate-base-eleven", "separate-superscript-digit", "separate-non-integer-base",
+             "separate-other-with-a-foreign-symbol",
              "separate-without-output",
              "build-non-integer-parameter", "build-without-output", "to-famw-without-output",
              "from-famw-without-output", "missing-positional", "missing-required-option",

@@ -158,6 +158,10 @@ def test_reference_steps_are_their_predicates(name, param):
         if length < maxlen:
             level = [(w + c, None if state is None else step(state, c))
                      for w, state in level for c in ref.alphabet]
+    # the walk of the reference reads its steps, and gives the verdicts
+    # of its predicate
+    predicate_only = ReferenceLanguage(ref.name, ref.alphabet, ref.membership)
+    assert list(langlab._walk(ref, maxlen)) == list(langlab._walk(predicate_only, maxlen))
 
 
 def test_every_reference_language_is_pinned():

@@ -1,17 +1,17 @@
-"""The prefix-sharing verdict walk against per-word membership, and the
-pair walk against the word walk.
+"""The verdict walk against per-word membership.
 
-`machines.walk`, which every verifier reads through `langlab._walk`,
-steps one search state per prefix instead of searching each word from
-scratch. It must give every word the verdict `accepts`
-gives it alone, under every budget: the same (word, verdict) sequence
-and the same first UndecidedError word. Bounded equivalence of two
-deterministic languages walks pairs of states and skips a word whose
-pair an earlier word reached; it must find the word walk's first
-disagreement, or raise its rule conflict. The CLI's records must not
-change either. The one nondeterministic search that the walk and the
-one-word runs step is checked against the breadth-first search it
-replaced (`bfs_reference`)."""
+`machines.walk`, which every verifier reads, steps one node per prefix
+instead of searching each word from scratch. Through `langlab._walk` it
+must give every word the verdict `accepts` gives it alone, under every
+budget: the same (word, verdict) sequence and the same first
+UndecidedError word. Bounded equivalence walks pairs of the two sides'
+nodes, and skips a word whose pair an earlier word reached when both
+sides are deterministic; it must find the first disagreement of the
+per-word oracle (a zip of the two per-word walks, left side first), or
+raise its error on the same word. The CLI's records must not change
+either. The one nondeterministic search that the walk and the one-word
+runs step is checked against the breadth-first search it replaced
+(`bfs_reference`)."""
 
 import contextlib
 import io
@@ -47,7 +47,12 @@ from vecauto.cli import main
 from vecauto.errors import InconsistentSpecError, UndecidedError
 from vecauto.exact import Matrix
 from vecauto.fileformat import write_machine
-from vecauto.langlab import all_strings, equivalent_up_to, reference_language
+from vecauto.langlab import (
+    ReferenceLanguage,
+    all_strings,
+    equivalent_up_to,
+    reference_language,
+)
 from vecauto.machines import (
     ACCEPT,
     BUDGET_EXCEEDED,
@@ -68,7 +73,7 @@ from vecauto.machines import (
     stateless,
     validate,
 )
-from vecauto.transforms import eliminate_states
+from vecauto.transforms import eliminate_states, remove_endmarker
 
 BUDGETS = [SearchBudget(eps, configs)
            for configs in (3, 20, 500, DEFAULT_MAX_CONFIGURATIONS)
@@ -107,6 +112,21 @@ def per_word_walk(language, maxlen, budget=None):
             yield w, accepts(language, w, budget)
         else:
             yield w, language.membership(w)
+
+
+def per_word_disagreement(left, right, maxlen, budget=None):
+    """The first disagreement as each word alone would have it: the two
+    per-word walks zipped, each word asked of the left side first."""
+    for (w, in_left), (_, in_right) in zip(per_word_walk(left, maxlen, budget),
+                                           per_word_walk(right, maxlen, budget)):
+        if in_left != in_right:
+            return w
+    return None
+
+
+def per_word_verdict(left, right, maxlen, budget):
+    counterexample = per_word_disagreement(left, right, maxlen, budget)
+    return langlab.EquivalenceVerdict(counterexample is None, counterexample, maxlen)
 
 
 def outcomes(walk):
@@ -340,29 +360,30 @@ def test_cli_records_are_the_per_word_walks(tmp_path, monkeypatch):
     commands = list(catalog_commands(tmp_path))
     walked = [cli_output(argv) for argv in commands]
     monkeypatch.setattr(langlab, "_walk", per_word_walk)
-    monkeypatch.setattr(langlab, "_steps", lambda language: None)  # no pair walk
+    monkeypatch.setattr(langlab, "_first_disagreement", per_word_verdict)
     assert [cli_output(argv) for argv in commands] == walked
     assert {code for code, _ in walked} >= {0, 1, 3}
 
 
 # ---------------------------------------------------------------------------
-# the pair walk against the word walk
+# equivalence on the walk against the per-word oracle
 
 
-def first_disagreements(left, right, maxlen):
-    """The word walk's and the pair walk's first disagreement of two
-    deterministic languages, or the message of the rule conflict each
-    raised."""
-    def outcome(find, *args):
+def first_disagreements(left, right, maxlen, budget=None):
+    """The per-word oracle's and the walk's first disagreement of two
+    languages, or the error each raised: a rule conflict's message, or
+    the word an exhausted budget left undecided."""
+    def outcome(find):
         try:
-            return find(*args)
+            return find()
         except InconsistentSpecError as exc:
             return f"raised: {exc}"
+        except UndecidedError as exc:
+            return f"undecided: {exc.word}"
 
-    steps = langlab._steps(left), langlab._steps(right)
-    assert None not in steps
-    return (outcome(langlab._word_disagreement, left, right, maxlen, None),
-            outcome(langlab._pair_disagreement, *steps, left.alphabet, maxlen))
+    check = equivalent_up_to if isinstance(right, MachineSpec) else langlab.matches_reference
+    return (outcome(lambda: per_word_disagreement(left, right, maxlen, budget)),
+            outcome(lambda: check(left, right, maxlen, budget).counterexample))
 
 
 # deterministic catalog machines with the reference each recognizes
@@ -408,10 +429,48 @@ def eq_evenab_pair(data):
        maxlen=st.integers(0, 10))
 def test_pair_walk_finds_the_word_walks_first_disagreement(data, draw_pair, maxlen):
     left, right = draw_pair(data)
-    word_walk, pair_walk = first_disagreements(left, right, maxlen)
-    assert pair_walk == word_walk
-    check = equivalent_up_to if isinstance(right, MachineSpec) else langlab.matches_reference
-    assert check(left, right, maxlen).counterexample == pair_walk
+    assert all(langlab._search(side)[2] for side in (left, right))  # distinct pairs
+    per_word, walked = first_disagreements(left, right, maxlen)
+    assert walked == per_word
+
+
+def endmarker_pair(data):
+    # a random nondeterministic machine against its remove_endmarker
+    # output, in either order
+    spec = random_nbhva_endmarker(random.Random(data.draw(st.integers(0, 2**32 - 1))))
+    pair = (spec, remove_endmarker(spec)[0])
+    return pair if data.draw(st.booleans()) else pair[::-1]
+
+
+def leq_pair(data):
+    # the leq machine against the leq and eq references and the eq machine
+    return example("leq"), data.draw(st.sampled_from(
+        [reference("leq"), reference("eq"), example("eq")]))
+
+
+def eps_pair(data):
+    # an eps machine against an eps machine of its alphabet (itself
+    # included), or against a reference that has only a predicate
+    left = EPS_MACHINES[data.draw(st.sampled_from(sorted(EPS_MACHINES)))]()
+    first = left.alphabet[0]
+    predicate_only = ReferenceLanguage("even_first", left.alphabet,
+                                       lambda w: w.count(first) % 2 == 0)
+    others = [spec for spec in (make() for make in EPS_MACHINES.values())
+              if spec.alphabet == left.alphabet]
+    return left, data.draw(st.sampled_from(others + [predicate_only]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), draw_pair=st.sampled_from([endmarker_pair, leq_pair, eps_pair]),
+       maxlen=st.integers(0, 5))
+def test_nondeterministic_pairs_find_the_per_word_first_disagreement(data, draw_pair, maxlen):
+    # no pair is deduplicated, and each side's budget counts along each
+    # word: the counterexample, or the undecided word, is the oracle's
+    left, right = draw_pair(data)
+    assert not all(langlab._search(side)[2] for side in (left, right))
+    for budget in BUDGETS + [None]:
+        per_word, walked = first_disagreements(left, right, maxlen, budget)
+        assert walked == per_word, budget
 
 
 def conflict_machine(accept_states, rules_for_a=2):
@@ -434,13 +493,34 @@ def test_a_rule_conflict_raises_as_in_the_word_walk():
             left, right = conflict_machine({"p"}, 2), conflict_machine(accept_states, rules_for_a)
             for pair in ((left, right), (right, left)):
                 for maxlen in range(4):
-                    word_walk, pair_walk = first_disagreements(*pair, maxlen)
-                    assert pair_walk == word_walk
-                    outcomes_seen.add(word_walk)
+                    per_word, walked = first_disagreements(*pair, maxlen)
+                    assert walked == per_word
+                    outcomes_seen.add(per_word)
     # a disagreement before "aa" wins over the conflict, one after loses;
     # where both sides conflict, the left one raises
     assert {"", "a", "raised: deterministic machine has 2 successors in (q,a)",
             "raised: deterministic machine has 3 successors in (q,a)"} <= outcomes_seen
+
+
+def test_a_step_conflict_comes_before_an_end_marker_conflict():
+    # both sides of a pair are stepped before either is judged: on "a",
+    # the right side's conflict on reading a raises before the left
+    # side's conflict on the end-marker, which the per-word oracle,
+    # running the left side's whole word first, raises
+    one = Matrix.from_rows([[1]])
+
+    def machine(rules, endmarker):
+        return MachineSpec(
+            kind=VA, mode=DETERMINISTIC, blind=True, endmarker=endmarker, realtime=True,
+            alphabet=("a",), states=("p", "q"), initial_state="p", accept_states={"p", "q"},
+            dimension=1, initial_vector=[1],
+            transitions=[TransitionRule(q, x, STATUS_ANY, t, one) for q, x, t in rules])
+
+    left = machine([("p", "a", "q"), ("p", "$", "p"), ("q", "$", "q"), ("q", "$", "q")], True)
+    right = machine([("p", "a", "p"), ("p", "a", "q")], False)
+    assert first_disagreements(left, right, 1) == (
+        "raised: deterministic machine has 2 successors in (q,$)",
+        "raised: deterministic machine has 2 successors in (p,a)")
 
 
 def test_cli_verify_steps_each_pair_once(tmp_path, monkeypatch):
