@@ -231,8 +231,8 @@ def cmd_verify(args) -> int:
         verdict = langlab.equivalent_up_to(spec, other, args.maxlen, budget)
         against = {"machine": other.summary()}
     else:
-        name, _, param = args.against.partition(":")
-        ref = langlab.reference_language(name, param or None)
+        name, sep, param = args.against.partition(":")
+        ref = langlab.reference_language(name, param if sep else None)
         verdict = langlab.matches_reference(spec, ref, args.maxlen, budget)
         against = {"reference": ref.name}
     _emit(

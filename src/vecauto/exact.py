@@ -41,7 +41,7 @@ _HASH_PRIME = 1_073_741_789
 def _norm(value):
     if type(value) is int:
         return value
-    q = Fraction(value)
+    q = value if type(value) is Fraction else Fraction(value)
     return q.numerator if q.denominator == 1 else q
 
 

@@ -24,18 +24,31 @@ def _fail(field, detail):
     raise MachineFileError(f"{field}: {detail}")
 
 
-def _rational(field, value):
+def _rational(field, value, tokens):
+    """The rational that `value` reads as, an int when integral. `tokens`
+    holds one document's parsed string tokens, so a token repeated in
+    its matrices is parsed once; other JSON values (numbers, and `true`,
+    which hash-equals 1) are parsed each time."""
+    if type(value) is str:
+        q = tokens.get(value)
+        if q is not None:
+            return q
     try:
-        return parse_rational(value)
+        q = parse_rational(value)
     except (ValueError, TypeError):
         _fail(field, f"expected a rational 'p/q' string, got {value!r}")
+    if q.denominator == 1:
+        q = q.numerator
+    if type(value) is str:
+        tokens[value] = q
+    return q
 
 
-def _int(field, value):
-    q = _rational(field, value)
+def _int(field, value, tokens):
+    q = _rational(field, value, tokens)
     if q.denominator != 1:
         _fail(field, f"expected an integer, got {value!r}")
-    return q.numerator
+    return q
 
 
 def _list(field, value):
@@ -93,17 +106,17 @@ def _parse_status(field, value, kind):
     _fail(field, f"malformed status {value!r}")
 
 
-def _parse_effect(field, value, kind):
+def _parse_effect(field, value, kind, tokens):
     if not isinstance(value, list) or not value or not all(isinstance(r, list) for r in value):
         _fail(field, "expected a nested row-major array")
     if kind == COUNTER_MACHINE:
         if len(value) != 1:
             _fail(field, "counter updates are a single row of increments")
-        return tuple(_int(field, x) for x in value[0])
+        return tuple(_int(field, x, tokens) for x in value[0])
     width = len(value[0])
     if any(len(row) != width for row in value):
         _fail(field, "matrix rows have unequal lengths")
-    return Matrix.from_rows([[_rational(field, x) for x in row] for row in value])
+    return Matrix.from_rows([[_rational(field, x, tokens) for x in row] for row in value])
 
 
 def parse_machine(text: str) -> MachineSpec:
@@ -125,11 +138,12 @@ def parse_machine(text: str) -> MachineSpec:
     if isinstance(doc["dimension"], bool) or not isinstance(doc["dimension"], int):
         _fail("dimension", "expected an integer")
 
+    tokens = {}
     entries = _list("initial_vector", doc["initial_vector"])
     if kind == COUNTER_MACHINE:
-        initial_vector = tuple(_int("initial_vector", x) for x in entries)
+        initial_vector = tuple(_int("initial_vector", x, tokens) for x in entries)
     else:
-        initial_vector = RowVector(_rational("initial_vector", x) for x in entries)
+        initial_vector = RowVector(_rational("initial_vector", x, tokens) for x in entries)
 
     rules = []
     for where, t in _transitions(doc["transitions"], ("status", "matrix")):
@@ -139,7 +153,7 @@ def parse_machine(text: str) -> MachineSpec:
                 input=t["input"],
                 status=_parse_status(f"{where}.status", t["status"], kind),
                 target=t["to"],
-                effect=_parse_effect(f"{where}.matrix", t["matrix"], kind),
+                effect=_parse_effect(f"{where}.matrix", t["matrix"], kind, tokens),
             )
         )
 
@@ -147,9 +161,9 @@ def parse_machine(text: str) -> MachineSpec:
     gfa_cutpoint = None
     if doc.get("gfa_final_vector") is not None:
         entries = _list("gfa_final_vector", doc["gfa_final_vector"])
-        gfa_final_vector = RowVector(_rational("gfa_final_vector", x) for x in entries)
+        gfa_final_vector = RowVector(_rational("gfa_final_vector", x, tokens) for x in entries)
     if doc.get("gfa_cutpoint") is not None:
-        gfa_cutpoint = _rational("gfa_cutpoint", doc["gfa_cutpoint"])
+        gfa_cutpoint = _rational("gfa_cutpoint", doc["gfa_cutpoint"], tokens)
 
     return MachineSpec(
         kind=kind,

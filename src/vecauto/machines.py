@@ -165,39 +165,47 @@ class MachineSpec:
     @cached_property
     def successors(self):
         """The transition function: ``successors(state, letter, register)``
-        lists ``(rule index, target, register)`` for every rule that fires.
+        is the tuple of ``(rule index, target, register)`` for every rule
+        that fires, in rule order.
 
         A rule fires when its status is the wildcard or equals the
-        register's status. Register updates recur across the runs of one
+        register's status. Whole steps recur across the runs of one
         machine (different words and queries reach the same register), so
-        they are memoized per (rule index, register); entries are exact
-        and immutable and live as long as the machine. Bounded
-        enumeration steps each shared prefix once (`walk`), so its hits
-        come from distinct prefixes that reach one register.
+        each is memoized: a table built once from `rule_index` maps
+        ``(state, letter)`` to its rules and a memo from register to the
+        step's tuple (``()`` when no rule fires). A hit is one table
+        lookup and one register-keyed ``get``; a ``(state, letter)`` with
+        no rules stores nothing. Entries are exact and immutable and live
+        as long as the machine. Bounded enumeration steps each shared
+        prefix once (`walk`), so its hits come from distinct prefixes
+        that reach one register.
         """
-        index = self.rule_index
-        memo = {}
+        table = {key: (rules, {}) for key, rules in self.rule_index.items()}
         status_of_register = self.register_tests[0]
         counter = self.kind == COUNTER_MACHINE
 
         def successors(state, letter, register):
+            entry = table.get((state, letter))
+            if entry is None:
+                return ()
+            rules, memo = entry
+            fired = memo.get(register)
+            if fired is not None:
+                return fired
             fired = []
             current = None
-            for idx, status, effect, target in index.get((state, letter), ()):
+            for idx, status, effect, target in rules:
                 if status != STATUS_ANY:
                     if current is None:
                         current = status_of_register(register)
                     if status != current:
                         continue
-                key = (idx, register)
-                updated = memo.get(key)
-                if updated is None:
-                    if counter:
-                        updated = tuple(c + d for c, d in zip(register, effect))
-                    else:
-                        updated = vec_mat_mul(register, effect)
-                    memo[key] = updated
+                if counter:
+                    updated = tuple(c + d for c, d in zip(register, effect))
+                else:
+                    updated = vec_mat_mul(register, effect)
                 fired.append((idx, target, updated))
+            fired = memo[register] = tuple(fired)
             return fired
 
         return successors
@@ -607,7 +615,7 @@ def accepts(spec: MachineSpec, word: str, budget: SearchBudget = None) -> bool:
     return result.accepted
 
 
-def _conflict(fired: list, state: str, letter: str) -> InconsistentSpecError:
+def _conflict(fired: tuple, state: str, letter: str) -> InconsistentSpecError:
     return InconsistentSpecError(
         f"deterministic machine has {len(fired)} successors in ({state},{letter})")
 

@@ -210,6 +210,7 @@ class TestMalformedArguments:
             (["verify", "{mod2}", "--against", "mod:x", "--maxlen", "2"], {}),
             (["verify", "{mod2}", "--against", "mod:0", "--maxlen", "2"], {}),
             (["verify", "{powr}", "--against", "eq:5", "--maxlen", "2"], {}),
+            (["verify", "{eq}", "--against", "eq:", "--maxlen", "2"], {}),
             (["check", "commutative-matrices", "{powr}", "--maxlen", "2"], {}),
             (["separate", "1a", "--model", "dbhva", "-o", "{out}"], {}),
             (["separate", "3", "--model", "dbhva", "-o", "{out}"], {}),
@@ -241,7 +242,8 @@ class TestMalformedArguments:
              "famw-symbol-without-rule", "famw-endmarker-rule", "famw-non-accepting-state",
              "dfa-move-to-unknown-state", "unknown-reference", "reference-without-parameter",
              "non-integer-reference-parameter", "zero-reference-parameter",
-             "reference-with-extra-parameter", "commutative-matrices-with-states",
+             "reference-with-extra-parameter", "reference-with-extra-empty-parameter",
+             "commutative-matrices-with-states",
              "separate-letter-digit", "separate-digit-of-the-base", "separate-base-two",
              "separate-base-eleven", "separate-superscript-digit", "separate-non-integer-base",
              "separate-other-with-a-foreign-symbol",
@@ -338,6 +340,19 @@ class TestVerifyAndCheck:
         )
         assert code == 0
         assert records[0]["verdict"] == "Equal"
+
+    def test_verify_against_reference_with_empty_parameter(self, capsys, tmp_path):
+        # `singleton:` is the language {eps}: the empty parameter is read
+        # as the empty string, not as a missing one
+        path = tmp_path / "sep.mach"
+        main(["separate", "12", "21", "-o", str(path)])
+        capsys.readouterr()
+        code, records = run_cli(
+            capsys, "verify", str(path), "--against", "singleton:", "--maxlen", "3"
+        )
+        assert code == 1
+        assert records[0]["counterexample"] == ""
+        assert records[0]["against"] == {"reference": "only_"}
 
     def test_verify_counterexample_exit_one(self, capsys, tmp_path):
         m2 = tmp_path / "m2.mach"

@@ -1,6 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from machine_gen import blind_counter_abc, counter_ab_endmarker
 from vecauto.builders import cyclic_dfa, example
@@ -164,6 +167,78 @@ class TestParseErrors:
         text = write_machine(example("eq")).replace('"*"', '"?"', 1)
         with pytest.raises(MachineFileError, match="status"):
             parse_machine(text)
+
+
+def token_machine(kind, start, update):
+    """A one-state, dimension-1 machine document whose initial vector is
+    ``[start]`` and whose one rule's matrix is ``[[update]]``."""
+    return json.dumps({
+        "kind": kind, "mode": "deterministic", "blind": True, "endmarker": False,
+        "realtime": True, "alphabet": ["a"], "states": ["q"], "initial_state": "q",
+        "accept_states": ["q"], "dimension": 1, "initial_vector": [start],
+        "transitions": [rule(matrix=[[update]])],
+    })
+
+
+def as_fraction(token):
+    """What a token meant before parsed tokens were shared: Fraction of its
+    text, stripped."""
+    return Fraction(str(token).strip())
+
+
+# every form a rational token takes: "p", "-p", "p/q", spaces, decimals,
+# exponents, and JSON ints and floats
+RATIONAL_TOKENS = ["3", "-3", "+3", "0", "2/4", "-6/4", "4/2", " 1/2 ", " 7", "0.25", "-1.50",
+                   "1e3", "2.5e-1", 3, -3, 0, 0.5, 2.0, -0.125]
+MALFORMED_TOKENS = [True, False, None, "1/0", "", " ", "two", "1/2/3", "1 / 2", "1/", [1]]
+
+
+class TestRationalTokens:
+    @pytest.mark.parametrize("token", RATIONAL_TOKENS, ids=repr)
+    def test_token_parses_as_fraction_did(self, token):
+        # the second use of a token, in the matrix, reads the parsed one
+        spec = parse_machine(token_machine("HVA", token, token))
+        value = as_fraction(token)
+        for parsed in (spec.initial_vector.entries[0], spec.transitions[0].effect.entries[0]):
+            assert parsed == value
+            assert type(parsed) is (int if value.denominator == 1 else Fraction)
+
+    @pytest.mark.parametrize("token", [t for t in RATIONAL_TOKENS if as_fraction(t).denominator == 1],
+                             ids=repr)
+    def test_integral_token_is_a_counter_value(self, token):
+        spec = parse_machine(token_machine(COUNTER, token, token))
+        assert spec.initial_vector == spec.transitions[0].effect == (as_fraction(token),)
+
+    @pytest.mark.parametrize("token", MALFORMED_TOKENS, ids=repr)
+    @pytest.mark.parametrize("kind", ["HVA", COUNTER])
+    def test_malformed_token_names_its_field(self, kind, token):
+        with pytest.raises(MachineFileError, match=r"^initial_vector: expected a rational"):
+            parse_machine(token_machine(kind, token, "1"))
+        # after a parsed "1": JSON true hash-equals 1 and must not read it
+        with pytest.raises(MachineFileError,
+                           match=r"^transitions\[0\]\.matrix: expected a rational"):
+            parse_machine(token_machine(kind, "1", token))
+
+    def test_non_integral_token_in_a_counter_field(self):
+        with pytest.raises(MachineFileError, match="^initial_vector: expected an integer"):
+            parse_machine(token_machine(COUNTER, "1/2", "1"))
+        with pytest.raises(MachineFileError,
+                           match=r"^transitions\[0\]\.matrix: expected an integer"):
+            parse_machine(token_machine(COUNTER, "1", "1/2"))
+
+    @settings(max_examples=200)
+    @given(st.integers(-10**20, 10**20), st.integers(1, 10**6),
+           st.sampled_from(["{p}/{q}", " {p}/{q} ", "{p}", "{d}", "json-int", "json-float"]))
+    def test_drawn_token_parses_as_fraction_did(self, p, q, form):
+        if form == "json-int":
+            token = p
+        elif form == "json-float":
+            token = p / q
+        else:
+            token = form.format(p=p, q=q, d=float(Fraction(p, q)))
+        spec = parse_machine(token_machine("HVA", token, token))
+        assert spec.initial_vector.entries[0] == as_fraction(token)
+        assert spec.transitions[0].effect.entries[0] == as_fraction(token)
 
 
 class TestDfaFiles:

@@ -11,7 +11,8 @@ per-word oracle (a zip of the two per-word walks, left side first), or
 raise its error on the same word. The CLI's records must not change
 either. The one nondeterministic search that the walk and the one-word
 runs step is checked against the breadth-first search it replaced
-(`bfs_reference`)."""
+(`bfs_reference`), and the memoized step under both against the rules
+evaluated directly."""
 
 import contextlib
 import io
@@ -33,6 +34,7 @@ from machine_gen import (
     random_dva,
     random_extendedfa,
     random_nbhva_endmarker,
+    random_system,
 )
 from test_machines import one_state_gfa
 from vecauto import langlab, machines
@@ -44,8 +46,9 @@ from vecauto.builders import (
     hva_distinguisher,
 )
 from vecauto.cli import main
+from vecauto.diophantine import famw_from_system
 from vecauto.errors import InconsistentSpecError, UndecidedError
-from vecauto.exact import Matrix
+from vecauto.exact import Matrix, RowVector
 from vecauto.fileformat import write_machine
 from vecauto.langlab import (
     ReferenceLanguage,
@@ -56,12 +59,18 @@ from vecauto.langlab import (
 from vecauto.machines import (
     ACCEPT,
     BUDGET_EXCEEDED,
+    COUNTER_MACHINE,
     DEFAULT_MAX_CONFIGURATIONS,
     DETERMINISTIC,
+    ENDMARKER,
     EPSILON,
+    FAM,
+    GFA,
     HVA,
     NONDETERMINISTIC,
     STATUS_ANY,
+    STATUS_EQ,
+    STATUS_NE,
     VA,
     MachineSpec,
     SearchBudget,
@@ -547,3 +556,93 @@ def test_cli_verify_steps_each_pair_once(tmp_path, monkeypatch):
     calls.clear()
     assert cli_output(["verify", str(path), "--against", "eq", "--maxlen", "16"])[0] == 0
     assert len(calls) == 2 * 31
+
+
+# ---------------------------------------------------------------------------
+# the memoized step against the rules
+
+
+def direct_successors(spec, state, letter, register):
+    """The ``(rule index, target, register)`` of each rule of
+    `spec.transitions` that fires, in rule order, evaluated in Fractions
+    from the rule list, and the register's status."""
+    counter = spec.kind == COUNTER_MACHINE
+    if counter:
+        status = tuple(STATUS_EQ if c == 0 else STATUS_NE for c in register)
+    else:
+        values = register.entries
+        if spec.kind == VA:
+            home = values[0] == 1
+        elif spec.kind == GFA:
+            final = spec.gfa_final_vector.entries
+            home = sum(v * f for v, f in zip(values, final)) == spec.gfa_cutpoint
+        elif spec.kind == FAM:
+            home = values == (1,)
+        else:
+            home = values == spec.initial_vector.entries
+        status = STATUS_EQ if home else STATUS_NE
+    fired = []
+    for idx, rule in enumerate(spec.transitions):
+        if (rule.source, rule.input) != (state, letter) or rule.status not in (STATUS_ANY, status):
+            continue
+        if counter:
+            updated = tuple(c + d for c, d in zip(register, rule.effect))
+        else:
+            effect = rule.effect
+            updated = RowVector(sum(v * effect.entries[i * effect.cols + j]
+                                    for i, v in enumerate(values))
+                                for j in range(effect.cols))
+        fired.append((idx, rule.target, updated))
+    return tuple(fired), status
+
+
+def assert_steps_are_the_rules(spec, depth=6, width=40):
+    """Steps every configuration of the trie of registers reached up to
+    `depth` letters (at most `width` per level) by each letter, the
+    end-marker and eps, twice, so that the second ask is a memo hit. Returns
+    the (fired, blocked) counts of status-dependent rules."""
+    letters = spec.alphabet + (EPSILON, ENDMARKER)
+    dependent = [0, 0]
+    level = [(spec.initial_state, spec.initial_vector)]
+    for _ in range(depth + 1):
+        following = {}
+        for state, register in level:
+            for letter in letters:
+                expected, status = direct_successors(spec, state, letter, register)
+                for _ in range(2):
+                    assert spec.successors(state, letter, register) == expected
+                for idx, rule in enumerate(spec.transitions):
+                    if (rule.source, rule.input) == (state, letter) and rule.status != STATUS_ANY:
+                        dependent[rule.status != status] += 1
+                for _, target, updated in expected:
+                    following.setdefault((target, updated))
+        level = list(following)[:width]
+    return dependent
+
+
+STEP_GENERATORS = {**GENERATORS,
+                   "famw": lambda rng: famw_from_system(random_system(rng))}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_memoized_steps_are_the_rules(data):
+    source = data.draw(st.sampled_from(["generated", "catalog", "eps"]))
+    if source == "generated":
+        spec = STEP_GENERATORS[data.draw(st.sampled_from(sorted(STEP_GENERATORS)))](
+            random.Random(data.draw(st.integers(0, 2**32 - 1))))
+    else:
+        machines_of = MACHINES if source == "catalog" else EPS_MACHINES
+        spec = machines_of[data.draw(st.sampled_from(sorted(machines_of)))]()
+    assert_steps_are_the_rules(spec)
+
+
+@pytest.mark.parametrize("name", ["dyck", "counter_ab_endmarker", "random_dva"])
+def test_status_dependent_steps_fire_and_block_as_the_rules(name):
+    if name == "random_dva":
+        spec = next(s for s in map(random_dva, map(random.Random, range(50)))
+                    if any(r.status != STATUS_ANY for r in s.transitions))
+    else:
+        spec = MACHINES[name]()
+    fired, blocked = assert_steps_are_the_rules(spec)
+    assert fired and blocked
