@@ -25,11 +25,14 @@ from . import builders, diophantine, fileformat, langlab, transforms
 from .errors import UndecidedError, VecautoError
 from .exact import dot, format_rational
 from .machines import (
+    ACCEPT,
     BUDGET_EXCEEDED,
     DEFAULT_MAX_CONFIGURATIONS,
     DETERMINISTIC,
     GFA,
+    REJECT,
     MachineSpec,
+    RunResult,
     SearchBudget,
     accepts,
     run_deterministic,
@@ -162,10 +165,15 @@ def cmd_run(args) -> int:
     deterministic = spec.mode == DETERMINISTIC
     if deterministic and not args.trace:
         result = run_deterministic(spec, word)
-    else:
+    elif args.trace:
         # a deterministic run has at most len(word) + 2 configurations, so
         # the default budget never cuts it; --budget bounds searches only
         result = run_nondeterministic(spec, word, None if deterministic else budget)
+    else:  # the verdict alone: `accepts` keeps one frontier, not every position's
+        try:
+            result = RunResult(ACCEPT if accepts(spec, word, budget) else REJECT, None)
+        except UndecidedError:
+            result = RunResult(BUDGET_EXCEEDED, None)
     record["verdict"] = result.verdict
     if spec.kind == GFA:
         record["value"] = format_rational(dot(result.last.register, spec.gfa_final_vector))
@@ -177,7 +185,7 @@ def cmd_run(args) -> int:
     _emit(record)
     if record["verdict"] == BUDGET_EXCEEDED:
         return EXIT_BUDGET
-    return EXIT_OK if record["verdict"] == "Accept" else EXIT_NO
+    return EXIT_OK if record["verdict"] == ACCEPT else EXIT_NO
 
 
 def cmd_transform(args) -> int:

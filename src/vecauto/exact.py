@@ -34,8 +34,13 @@ from .errors import ShapeError, SingularMatrixError
 # format and compare.
 Rational = Fraction
 
-# a prime below 2**30, whose residues a register's hash mixes in
+# a prime below 2**30, whose residues a wide register's hash mixes in
 _HASH_PRIME = 1_073_741_789
+
+# Python hashes an int n as n mod 2**61 - 1, so an int below 2**60 in
+# absolute value hashes to itself (bar -1 and -2): a register whose
+# integers all fit in WORD_BITS bits needs nothing mixed into its hash.
+WORD_BITS = 60
 
 
 def _norm(value):
@@ -49,6 +54,10 @@ def _demote(value):
     if type(value) is int:
         return value
     return value.numerator if value.denominator == 1 else value
+
+
+def _bit_length(nums, den) -> int:
+    return max(den.bit_length(), max(map(int.bit_length, nums), default=0))
 
 
 def _common_denominator(values) -> int:
@@ -84,22 +93,32 @@ class RowVector:
     `den` is positive and gcd(den, *nums) is 1, so the form is canonical
     and equality compares it directly. `entries`, the values as ints and
     Fractions, is built on first use.
+
+    `bits` bounds the bit length of `den` and of every numerator. It is
+    exact whenever it exceeds `WORD_BITS` (and from the constructor), so
+    ``bits <= WORD_BITS`` depends on the value alone. Such a narrow
+    register hashes as ``(den, nums)``; a wider one mixes in residues
+    mod a second prime, since powers of two repeat Python's int hash
+    every 61 doublings.
     """
 
-    __slots__ = ("nums", "den", "_entries", "_hash")
+    __slots__ = ("nums", "den", "bits", "_entries", "_hash")
 
     def __init__(self, entries):
         entries = tuple(_norm(e) for e in entries)
         self.nums, self.den = _over_common_denominator(entries)
+        self.bits = _bit_length(self.nums, self.den)
         self._entries = entries
         self._hash = None
 
     @classmethod
-    def _trusted(cls, nums: tuple, den: int) -> "RowVector":
-        # internal fast path: nums / den must already be in lowest terms
+    def _trusted(cls, nums: tuple, den: int, bits: int) -> "RowVector":
+        # internal fast path: nums / den must already be in lowest terms,
+        # and bits a bound on their bit lengths, exact above WORD_BITS
         v = cls.__new__(cls)
         v.nums = nums
         v.den = den
+        v.bits = bits
         v._entries = None
         v._hash = None
         return v
@@ -138,14 +157,17 @@ class RowVector:
         )
 
     def __hash__(self):
-        # Python hashes an int n as n mod 2**61 - 1, where 2**k repeats
+        # Past WORD_BITS, Python's int hash (n mod 2**61 - 1) repeats 2**k
         # every 61 doublings, so registers built from powers of two collide
         # in families, even at equal bit lengths; mixing in residues mod a
         # second prime tells them apart. Cached, since vectors are immutable.
         if self._hash is None:
             nums = self.nums
-            self._hash = hash((self.den, nums, self.den % _HASH_PRIME,
-                               tuple([n % _HASH_PRIME for n in nums])))
+            if self.bits <= WORD_BITS:
+                self._hash = hash((self.den, nums))
+            else:
+                self._hash = hash((self.den, nums, self.den % _HASH_PRIME,
+                                   tuple([n % _HASH_PRIME for n in nums])))
         return self._hash
 
     def __repr__(self):
@@ -199,13 +221,18 @@ class Matrix:
 
     @property
     def integer_form(self) -> tuple:
-        """``(columns, d)``: the matrix is the integer matrix with the
-        given columns divided by d, the least common denominator of its
-        entries. Built on first use and cached."""
+        """``(columns, d, growth)``: the matrix is the integer matrix with
+        the given columns divided by d, the least common denominator of
+        its entries. A row vector times the matrix grows by at most
+        `growth` bits: the bit length of d or of a column's sum of
+        absolute values, whichever is larger. Built on first use and
+        cached."""
         if self._integer_form is None:
             scaled, d = _over_common_denominator(self.entries)
             columns = tuple(scaled[j :: self.cols] for j in range(self.cols))
-            self._integer_form = (columns, d)
+            growth = max(d.bit_length(),
+                         *(sum(map(abs, column)).bit_length() for column in columns))
+            self._integer_form = (columns, d, growth)
         return self._integer_form
 
     def scale(self, t) -> "Matrix":
@@ -259,7 +286,7 @@ def vec_mat_mul(v: RowVector, a: Matrix) -> RowVector:
     nums = v.nums
     if len(nums) != a.rows:
         raise ShapeError(f"cannot multiply dim-{v.dim} vector by {a.rows}x{a.cols}")
-    columns, d = a.integer_form
+    columns, d, growth = a.integer_form
     out = tuple([sum(map(mul, nums, column)) for column in columns])
     den = v.den * d
     if den != 1:
@@ -267,7 +294,12 @@ def vec_mat_mul(v: RowVector, a: Matrix) -> RowVector:
         if g != 1:
             den //= g
             out = tuple([n // g for n in out])
-    return RowVector._trusted(out, den)
+    # each product entry is a numerator times a column sum, so the bound
+    # grows by `growth`; past WORD_BITS it is made exact again
+    bits = v.bits + growth
+    if bits > WORD_BITS:
+        bits = _bit_length(out, den)
+    return RowVector._trusted(out, den, bits)
 
 
 def tensor(a: Matrix, b: Matrix) -> Matrix:

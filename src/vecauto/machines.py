@@ -42,7 +42,7 @@ from .errors import (
     UndecidedError,
     UnsupportedKindError,
 )
-from .exact import Matrix, RowVector, dot, tensor, vec_mat_mul
+from .exact import WORD_BITS, Matrix, RowVector, dot, tensor, vec_mat_mul
 
 VA = "VA"
 HVA = "HVA"
@@ -179,6 +179,11 @@ class MachineSpec:
         as long as the machine. Bounded enumeration steps each shared
         prefix once (`walk`), so its hits come from distinct prefixes
         that reach one register.
+
+        A register wider than `WORD_BITS` (`RowVector.bits`) is neither
+        looked up nor stored: such registers grow along long words and
+        are almost never reached twice, so the memo would only hash and
+        keep them. Counter registers are always memoized.
         """
         table = {key: (rules, {}) for key, rules in self.rule_index.items()}
         status_of_register = self.register_tests[0]
@@ -189,9 +194,11 @@ class MachineSpec:
             if entry is None:
                 return ()
             rules, memo = entry
-            fired = memo.get(register)
-            if fired is not None:
-                return fired
+            narrow = counter or register.bits <= WORD_BITS
+            if narrow:
+                fired = memo.get(register)
+                if fired is not None:
+                    return fired
             fired = []
             current = None
             for idx, status, effect, target in rules:
@@ -205,7 +212,9 @@ class MachineSpec:
                 else:
                     updated = vec_mat_mul(register, effect)
                 fired.append((idx, target, updated))
-            fired = memo[register] = tuple(fired)
+            fired = tuple(fired)
+            if narrow:
+                memo[register] = fired
             return fired
 
         return successors
@@ -604,15 +613,19 @@ def gfa_value(spec: MachineSpec, word: str) -> Fraction:
 def accepts(spec: MachineSpec, word: str, budget: SearchBudget = None) -> bool:
     """Language membership verdict; assumes the spec validates cleanly.
 
-    Raises UndecidedError when nondeterministic search runs out of
-    budget, so an unfinished search is never reported as a Reject.
+    A nondeterministic machine's search is stepped along the word keeping
+    only the current `Frontier` (`searches`), with the verdict of
+    `run_nondeterministic`, which keeps every position's for a trace.
+    Raises UndecidedError when that search runs out of budget, so an
+    unfinished search is never reported as a Reject.
     """
     if spec.mode == DETERMINISTIC:
         return run_deterministic(spec, word).accepted
-    result = run_nondeterministic(spec, word, budget)
-    if result.verdict == BUDGET_EXCEEDED:
-        raise _undecided(word, budget)
-    return result.accepted
+    start, step, verdict = searches(spec, budget)[0](len(word))
+    frontier = start
+    for letter in word:
+        frontier = step(frontier, letter)
+    return verdict(frontier, word)
 
 
 def _conflict(fired: tuple, state: str, letter: str) -> InconsistentSpecError:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from vecauto.errors import ShapeError, SingularMatrixError
 from vecauto.exact import (
+    WORD_BITS,
     Matrix,
     RowVector,
     common_denominator_scalar,
@@ -238,3 +239,62 @@ def test_doubling_registers_hash_apart():
                    lambda k: [Fraction(1, 2**k)]):
         hashes = {hash(RowVector(family(k))) for k in range(200)}
         assert len(hashes) == 200
+
+
+def exact_bits(v):
+    return max(v.den.bit_length(), *(n.bit_length() for n in v.nums))
+
+
+@st.composite
+def boundary_chains(draw):
+    """A start vector and matrices that carry it past 2**WORD_BITS: a
+    scaling repeated up to 80 times and then undone as often, with a
+    permutation or sign flip mixed in, or up to 60 integer 3x3 matrices."""
+    if draw(st.booleans()):
+        n = 3
+        start = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        matrices = draw(st.lists(st.lists(st.integers(-3, 3), min_size=9, max_size=9),
+                                 min_size=1, max_size=60))
+        return start, [Matrix(n, n, m) for m in matrices]
+    n = draw(st.integers(1, 3))
+    start = draw(st.lists(st.sampled_from(KERNEL_ENTRIES), min_size=n, max_size=n))
+    t = draw(st.sampled_from([2, 3, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)]))
+    k = draw(st.integers(30, 80))
+    flip = Matrix.from_rows([[-int(i == n - 1 - j) for j in range(n)] for i in range(n)])
+    up, down = Matrix.identity(n).scale(t), Matrix.identity(n).scale(1 / Fraction(t))
+    twists = draw(st.lists(st.integers(0, 2 * k), max_size=3))
+    matrices = [up] * k + [down] * k
+    for at in sorted(twists, reverse=True):
+        matrices.insert(at, flip)
+    return start, matrices
+
+
+@settings(max_examples=100, deadline=None)
+@given(boundary_chains())
+def test_register_bits_bound_the_width_and_hash_as_the_value(chain):
+    start, matrices = chain
+    n = len(start)
+    got, expected = RowVector(start), [Fraction(x) for x in start]
+    assert got.bits == exact_bits(got)
+    for m in matrices:
+        got = vec_mat_mul(got, m)
+        expected = [sum(expected[i] * m.entry(i, j) for i in range(n)) for j in range(n)]
+        rebuilt = RowVector(expected)
+        assert got.bits >= exact_bits(got) == rebuilt.bits
+        if got.bits > WORD_BITS:
+            assert got.bits == exact_bits(got)
+        assert got == rebuilt and hash(got) == hash(rebuilt)
+
+
+def test_a_register_hashes_alike_across_the_width_boundary():
+    # doubled 70 times the register passes 2**60, halved as often it is
+    # back to its start: equal values hash alike on both sides
+    doubling, halving = Matrix.identity(2).scale(2), Matrix.identity(2).scale(Fraction(1, 2))
+    start = RowVector([3, Fraction(-1, 5)])
+    v, widths = start, []
+    for m in [doubling] * 70 + [halving] * 70:
+        v = vec_mat_mul(v, m)
+        widths.append(v.bits)
+        assert v == RowVector(v.entries) and hash(v) == hash(RowVector(v.entries))
+    assert max(widths) > WORD_BITS >= widths[-1]
+    assert v == start and hash(v) == hash(start)

@@ -16,6 +16,7 @@ evaluated directly."""
 
 import contextlib
 import io
+import json
 import random
 from fractions import Fraction
 from functools import cached_property, partial
@@ -48,7 +49,7 @@ from vecauto.builders import (
 from vecauto.cli import main
 from vecauto.diophantine import famw_from_system
 from vecauto.errors import InconsistentSpecError, UndecidedError
-from vecauto.exact import Matrix, RowVector
+from vecauto.exact import WORD_BITS, Matrix, RowVector
 from vecauto.fileformat import write_machine
 from vecauto.langlab import (
     ReferenceLanguage,
@@ -82,7 +83,7 @@ from vecauto.machines import (
     stateless,
     validate,
 )
-from vecauto.transforms import eliminate_states, remove_endmarker
+from vecauto.transforms import counters_to_integer_hva3, eliminate_states, remove_endmarker
 
 BUDGETS = [SearchBudget(eps, configs)
            for configs in (3, 20, 500, DEFAULT_MAX_CONFIGURATIONS)
@@ -339,6 +340,59 @@ def test_the_search_agrees_with_the_breadth_first_reference(data, budget):
         machines_of = MACHINES if source == "catalog" else EPS_MACHINES
         spec = machines_of[data.draw(st.sampled_from(sorted(machines_of)))]()
     assert_search_as_reference(spec, 5 if len(spec.alphabet) <= 2 else 3, budget)
+
+
+NONDETERMINISTIC_MACHINES = {
+    **{f"{name}_generated": generator for name, generator in GENERATORS.items()
+       if generator(random.Random(0)).mode == NONDETERMINISTIC},
+    **{name: build for name, build in {**MACHINES, **EPS_MACHINES}.items()
+       if build().mode == NONDETERMINISTIC},
+}
+
+
+def nondeterministic_machine(data):
+    name = data.draw(st.sampled_from(sorted(NONDETERMINISTIC_MACHINES)))
+    build = NONDETERMINISTIC_MACHINES[name]
+    if name.endswith("_generated"):
+        return build(random.Random(data.draw(st.integers(0, 2**32 - 1))))
+    return build()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), budget=st.sampled_from(REFERENCE_BUDGETS))
+def test_accepts_is_the_verdict_of_the_traced_search(data, budget):
+    # `accepts` keeps one frontier; `run_nondeterministic` keeps them all
+    spec = nondeterministic_machine(data)
+    for w in all_strings(spec.alphabet, 5 if len(spec.alphabet) <= 2 else 3):
+        verdict = run_nondeterministic(spec, w, budget).verdict
+        if verdict == BUDGET_EXCEEDED:
+            with pytest.raises(UndecidedError):
+                accepts(spec, w, budget)
+        else:
+            assert accepts(spec, w, budget) == (verdict == ACCEPT), w
+
+
+def test_cli_run_prints_the_traced_verdict(tmp_path):
+    # without --trace, `run` reads the verdict from `accepts`: the record
+    # is the traced one without its path, with the same exit code
+    budgets = ([], ["--budget", "3"], ["--eps-per-path", "0", "--budget", "20"])
+    codes = set()
+    for name in sorted(NONDETERMINISTIC_MACHINES):
+        if name.endswith("_generated"):
+            continue
+        spec = NONDETERMINISTIC_MACHINES[name]()
+        path = tmp_path / f"{name}.mach"
+        path.write_text(write_machine(spec))
+        for w in all_strings(spec.alphabet, 4 if len(spec.alphabet) <= 2 else 2):
+            for budget in budgets:
+                argv = ["run", str(path), w] + budget
+                code, out = cli_output(argv)
+                traced_code, traced = cli_output(argv + ["--trace"])
+                traced = json.loads(traced)
+                traced.pop("accepting_path", None)
+                assert (code, out) == (traced_code, json.dumps(traced) + "\n"), argv
+                codes.add(code)
+    assert codes == {0, 1, 3}
 
 
 def catalog_commands(tmp_path):
@@ -646,3 +700,50 @@ def test_status_dependent_steps_fire_and_block_as_the_rules(name):
         spec = MACHINES[name]()
     fired, blocked = assert_steps_are_the_rules(spec)
     assert fired and blocked
+
+
+def wide_steps_along(spec, word, width=8):
+    """Steps the configurations reached along `word` (at most `width` per
+    position) by its letters, twice each, against the rules. A register
+    wider than WORD_BITS is not memoized, so its second step is rebuilt:
+    equal, not identical; a narrow one's second step is the memo's tuple.
+    Returns the numbers of (wide, narrow) steps."""
+    counts = [0, 0]
+    level = [(spec.initial_state, spec.initial_vector)]
+    for letter in word:
+        following = {}
+        for state, register in level:
+            expected, _ = direct_successors(spec, state, letter, register)
+            first, second = spec.successors(state, letter, register), spec.successors(
+                state, letter, register)
+            assert first == second == expected
+            wide = register.bits > WORD_BITS
+            counts[not wide] += 1
+            if expected:
+                assert (first is second) != wide
+            for _, target, updated in expected:
+                following.setdefault((target, updated))
+        level = list(following)[:width]
+    return counts
+
+
+def wide_random_dva():
+    # the first random machine whose run on its 100 random letters passes
+    # WORD_BITS
+    for seed in range(50):
+        rng = random.Random(seed)
+        spec, word = random_dva(rng), "".join(rng.choice("ab") for _ in range(100))
+        if wide_steps_along(spec, word)[0]:
+            return spec, word
+
+
+@pytest.mark.parametrize("name", ["eq", "blind_counter_ab_hva3", "random_dva"])
+def test_wide_registers_step_as_the_rules_without_the_memo(name):
+    if name == "eq":
+        spec, word = example("eq"), "a" * 80
+    elif name == "blind_counter_ab_hva3":
+        spec, word = counters_to_integer_hva3(blind_counter_ab())[0], "a" * 50 + "b" * 50
+    else:
+        spec, word = wide_random_dva()
+    wide, narrow = wide_steps_along(spec, word)
+    assert wide and narrow
