@@ -29,6 +29,7 @@ safe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import cached_property, partial
@@ -93,7 +94,8 @@ class MachineSpec:
     immutable types (tuples, frozensets, RowVectors, Fractions).
 
     `rule_index` and the compiled transition function `successors` are
-    built on first use and cached on the instance; equality and hashing
+    built on first use and cached on the instance (`extendedfa_embed`
+    gives its output its source's `successors`); equality and hashing
     see only the fields.
     """
 
@@ -184,6 +186,11 @@ class MachineSpec:
         looked up nor stored: such registers grow along long words and
         are almost never reached twice, so the memo would only hash and
         keep them. Counter registers are always memoized.
+
+        The function reads the machine only through `rule_index` and, for
+        a rule with a status, `register_tests`: a blind machine with the
+        same rules and registers can share it, memo included
+        (`extendedfa_embed`).
         """
         table = {key: (rules, {}) for key, rules in self.rule_index.items()}
         status_of_register = self.register_tests[0]
@@ -253,6 +260,25 @@ class MachineSpec:
     def epsilon_sources(self) -> frozenset:
         """States with at least one eps rule, whatever its status."""
         return frozenset(r.source for r in self.transitions if r.input == EPSILON)
+
+    @cached_property
+    def epsilon_cycle(self) -> bool:
+        """Whether eps rules, whatever their status, lead from a state back
+        to itself (a self-loop included). Without such a cycle a path
+        takes at most |states| - 1 eps moves at each position."""
+        targets = {}
+        for r in self.transitions:
+            if r.input == EPSILON:
+                targets.setdefault(r.source, set()).add(r.target)
+        # peel off states whose eps rules all lead out of what is left;
+        # what cannot be peeled lies on or leads into a cycle
+        while targets:
+            peeled = [q for q, after in targets.items() if after.isdisjoint(targets)]
+            if not peeled:
+                return True
+            for q in peeled:
+                del targets[q]
+        return False
 
 
 def stateless(kind, alphabet, dimension, initial_vector, rules, *,
@@ -336,6 +362,10 @@ class SearchBudget:
     word from its start. Whenever pruning cut anything off and no
     accepting path was found, the result is BudgetExceeded rather than a
     misreported Reject.
+
+    The default cap binds only through an eps cycle: without one a path
+    takes at most |states| - 1 eps moves at each of |w| + 1 positions,
+    fewer than the cap, so `searches` leaves it out for such a machine.
     """
 
     eps_per_path: int = None
@@ -659,7 +689,9 @@ class Frontier(NamedTuple):
 
 def nondeterministic_steps(spec: MachineSpec, budget: SearchBudget, length: int):
     """``(start, step, end)``: the search over a word of `length` letters
-    (which sets the eps cap), one position at a time, as `Frontier`s.
+    (which sets the eps cap; None keeps only `eps_per_path`, for a
+    machine whose default cap cannot bind), one position at a time, as
+    `Frontier`s.
     ``step(frontier, letter)`` takes the expanded configurations' letter
     moves, then eps moves; ``end(frontier)`` judges a word that ends
     there: ``(verdict, final, accepting)``, with `final` the
@@ -677,7 +709,10 @@ def nondeterministic_steps(spec: MachineSpec, budget: SearchBudget, length: int)
     home = spec.register_tests[1]
     endmarker = spec.endmarker
     eps_sources = frozenset() if spec.realtime else spec.epsilon_sources
-    eps_cap = budget.eps_cap(spec, length)
+    if length is None:
+        eps_cap = math.inf if budget.eps_per_path is None else budget.eps_per_path
+    else:
+        eps_cap = budget.eps_cap(spec, length)
     max_configurations = budget.max_configurations
 
     def moved(frontier, letter):
@@ -743,8 +778,10 @@ def searches(spec: MachineSpec, budget: SearchBudget = None):
     """``(search, cap_grows)`` for `walk`: ``search(length)`` is ``(start,
     step, verdict)`` for words of `length` letters, where ``step(node,
     letter)`` is the next node and ``verdict(node, word)`` is
-    `accepts(spec, word, budget)`. Only when `cap_grows` (eps rules,
-    `eps_per_path` unset) does the search depend on the length.
+    `accepts(spec, word, budget)`. Only when `cap_grows` (an eps cycle,
+    `eps_per_path` unset) does the search depend on the length; an
+    eps-acyclic machine's search is the same for every length, as the
+    default cap cannot bind on it (`SearchBudget`).
 
     A deterministic node is the run's ``(state, register)``, and its step
     None once the run dies; a rule conflict raises where
@@ -776,9 +813,10 @@ def searches(spec: MachineSpec, budget: SearchBudget = None):
         return (lambda length: (start, step, verdict)), False
 
     budget = budget or SearchBudget()
+    cap_grows = not spec.realtime and spec.epsilon_cycle and budget.eps_per_path is None
 
     def search(length):
-        start, step, end = nondeterministic_steps(spec, budget, length)
+        start, step, end = nondeterministic_steps(spec, budget, length if cap_grows else None)
 
         def verdict(frontier, word):
             outcome = end(frontier)[0]
@@ -788,8 +826,7 @@ def searches(spec: MachineSpec, budget: SearchBudget = None):
 
         return start, step, verdict
 
-    return search, (not spec.realtime and bool(spec.epsilon_sources)
-                    and budget.eps_per_path is None)
+    return search, cap_grows
 
 
 def walk(search, alphabet, maxlen: int, cap_grows: bool = False, distinct: bool = False):
@@ -799,8 +836,9 @@ def walk(search, alphabet, maxlen: int, cap_grows: bool = False, distinct: bool 
     The words are a trie of prefixes, walked level by level. A word's node
     is its parent's stepped by one letter just before its verdict is
     asked, so a caller that stops early steps no later word. A node None
-    is dead: a Reject, stepped and judged no further. When `cap_grows`,
-    each length gets its own trie, stepped again, lazily, under
+    is dead: a Reject, stepped and judged no further. One trie serves
+    every length unless `cap_grows` (an eps cycle under the default cap):
+    then each length gets its own, stepped again, lazily, under
     ``search(length)``.
 
     With `distinct`, for nodes that fix their words' verdicts and futures,
@@ -850,8 +888,14 @@ def extendedfa_embed(spec: MachineSpec) -> MachineSpec:
     identity-register acceptance becomes vector-equals-initial
     acceptance over the flattened identity. Everything else, the
     end-marker included, carries over.
+
+    Both machines fire the same rules on the same registers and, blind,
+    read no status, so the embedding shares its source's `successors`,
+    memo included: its runs reuse the steps its source's runs computed.
     """
     if spec.kind != EXTENDED_FA:
         raise UnsupportedKindError("extendedfa_embed needs a matrix-monoid machine")
-    return replace(spec, kind=HVA, mode=NONDETERMINISTIC, blind=True,
-                   dimension=spec.dimension * spec.dimension)
+    embedded = replace(spec, kind=HVA, mode=NONDETERMINISTIC, blind=True,
+                       dimension=spec.dimension * spec.dimension)
+    vars(embedded)["successors"] = spec.successors  # where cached_property keeps it
+    return embedded

@@ -2,8 +2,9 @@
 
 `machines.walk`, which every verifier reads, steps one node per prefix
 instead of searching each word from scratch. Through `langlab._walk` it
-must give every word the verdict `accepts` gives it alone, under every
-budget: the same (word, verdict) sequence and the same first
+must give every word the verdict the word's own run gives it alone
+(`run_nondeterministic`, whose eps cap is set by the word's length),
+under every budget: the same (word, verdict) sequence and the same first
 UndecidedError word. Bounded equivalence walks pairs of the two sides'
 nodes, and skips a word whose pair an earlier word reached when both
 sides are deterministic; it must find the first disagreement of the
@@ -18,11 +19,12 @@ import contextlib
 import io
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property, partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bfs_reference import bfs
@@ -80,10 +82,16 @@ from vecauto.machines import (
     extendedfa_embed,
     nondeterministic_steps,
     run_nondeterministic,
+    searches,
     stateless,
     validate,
 )
-from vecauto.transforms import counters_to_integer_hva3, eliminate_states, remove_endmarker
+from vecauto.transforms import (
+    counters_to_integer_hva3,
+    eliminate_states,
+    rationals_to_integers,
+    remove_endmarker,
+)
 
 BUDGETS = [SearchBudget(eps, configs)
            for configs in (3, 20, 500, DEFAULT_MAX_CONFIGURATIONS)
@@ -115,11 +123,23 @@ MACHINES = {
 }
 
 
+def member(spec, word, budget=None):
+    """A machine's verdict on `word` from the word's own run, raising
+    UndecidedError where its search runs out of budget. Not `accepts`:
+    a nondeterministic one steps the search `searches` gives the walk."""
+    if spec.mode == DETERMINISTIC:
+        return accepts(spec, word)
+    verdict = run_nondeterministic(spec, word, budget).verdict
+    if verdict == BUDGET_EXCEEDED:
+        raise machines._undecided(word, budget)
+    return verdict == ACCEPT
+
+
 def per_word_walk(language, maxlen, budget=None):
     """The walk as each word alone would have it."""
     for w in all_strings(language.alphabet, maxlen):
         if isinstance(language, MachineSpec):
-            yield w, accepts(language, w, budget)
+            yield w, member(language, w, budget)
         else:
             yield w, language.membership(w)
 
@@ -215,6 +235,13 @@ def quartering_machine():
                            ("q",), {"q"}, alphabet=("a",))
 
 
+def two_state_cycle_machine():
+    """Each a multiplies by 4, and an eps move from p to r and back
+    halves: a^n needs 4n eps moves, within the cap 2(n + 2) up to n = 2."""
+    return one_dimensional([("p", "a", "p", 4), ("p", EPSILON, "r", Fraction(1, 2)),
+                            ("r", EPSILON, "p", 1)], ("p", "r"), {"p"}, alphabet=("a",))
+
+
 def fewest_eps_machine():
     """(t, 0) is reached on a from s with no eps move and from s2 with
     one; under a one-move cap only the first lets t take its eps move
@@ -232,13 +259,33 @@ def undercut_machine():
                             ("x", EPSILON, "z", 2)], ("s", "s2", "s3", "x", "y", "z"), {"z"})
 
 
+def eps_chain_machine():
+    """Eps rules chain q1 -> q2 -> ... -> q5, and a or b leads from q5 back
+    to q1, so a path that reads every letter from q5 takes |states| - 1
+    eps moves at every position: within one move per position of the
+    default cap. Around the chain a doubles the register and b halves it;
+    q5 also reads a in place, so the words with at least as many a's as
+    b's are accepted."""
+    return one_dimensional(
+        [("q1", EPSILON, "q2", 2), ("q2", EPSILON, "q3", Fraction(1, 2)),
+         ("q3", EPSILON, "q4", 3), ("q4", EPSILON, "q5", Fraction(1, 3)),
+         ("q5", "a", "q1", 2), ("q5", "b", "q1", Fraction(1, 2)), ("q5", "a", "q5", 1)],
+        ("q1", "q2", "q3", "q4", "q5"), {"q5"})
+
+
 EPS_MACHINES = {"eps_loop": eps_loop_machine, "quartering": quartering_machine,
-                "fewest_eps": fewest_eps_machine, "undercut": undercut_machine}
+                "two_state_cycle": two_state_cycle_machine, "fewest_eps": fewest_eps_machine,
+                "undercut": undercut_machine, "eps_chain": eps_chain_machine}
 
 
 def test_eps_cap_grows_with_the_word_length():
-    seen, undecided = assert_walk_agrees(quartering_machine(), 4, None)
-    assert seen == [("", True), ("a", True), ("aa", True)] and undecided == "aaa"
+    # an eps self-loop and a two-state eps cycle; the capped configuration
+    # count comes first, as a search that lost its eps cap would expand
+    # every configuration the count allows
+    for spec in (quartering_machine(), two_state_cycle_machine()):
+        for budget in (SearchBudget(max_configurations=500), None):
+            seen, undecided = assert_walk_agrees(spec, 4, budget)
+            assert seen == [("", True), ("a", True), ("aa", True)] and undecided == "aaa"
 
 
 def test_a_configuration_keeps_its_fewest_eps_moves():
@@ -747,3 +794,139 @@ def test_wide_registers_step_as_the_rules_without_the_memo(name):
         spec, word = wide_random_dva()
     wide, narrow = wide_steps_along(spec, word)
     assert wide and narrow
+
+
+# ---------------------------------------------------------------------------
+# one trie for every length: the default eps cap binds only through an eps
+# cycle
+
+
+def status_cycle_machine():
+    """A non-blind HVA whose eps rules lead from p to r only at the initial
+    vector, and back only away from it."""
+    one = Matrix.from_rows([[1]])
+    return MachineSpec(
+        kind=HVA, mode=NONDETERMINISTIC, blind=False, endmarker=False, realtime=False,
+        alphabet=("a",), states=("p", "r"), initial_state="p", accept_states={"p"},
+        dimension=1, initial_vector=[1],
+        transitions=[TransitionRule("p", "a", STATUS_ANY, "p", Matrix.from_rows([[2]])),
+                     TransitionRule("p", EPSILON, STATUS_EQ, "r", one),
+                     TransitionRule("r", EPSILON, STATUS_NE, "p", one)])
+
+
+ONE_TRIE_MACHINES = {name: make for name, make in EPS_MACHINES.items()
+                     if not make().epsilon_cycle}
+
+
+def assert_one_trie_as_per_word(spec, others, maxlen):
+    """Under every budget, the walk of `spec` and its pair walk against
+    each of `others` give the per-word runs' verdicts, first disagreement
+    and first undecided word. Where no budget binds, the verdicts are the
+    breadth-first reference's too."""
+    assert validate(spec) == [] and spec.epsilon_sources and not spec.realtime
+    assert not searches(spec)[1]
+    for budget in BUDGETS:
+        assert_walk_agrees(spec, maxlen, budget)
+        for other in others:
+            per_word, walked = first_disagreements(spec, other, maxlen, budget)
+            assert walked == per_word, budget
+    for budget in (None, SearchBudget()):
+        seen, undecided = assert_walk_agrees(spec, maxlen, budget)
+        references = [bfs(spec, w, budget).verdict for w, _ in seen]
+        assert undecided is None and BUDGET_EXCEEDED not in references
+        assert seen == [(w, verdict == ACCEPT) for (w, _), verdict in zip(seen, references)]
+
+
+@pytest.mark.parametrize("name", sorted(ONE_TRIE_MACHINES))
+def test_eps_acyclic_machines_walk_one_trie_as_per_word(name):
+    spec = ONE_TRIE_MACHINES[name]()
+    others = [make() for make in ONE_TRIE_MACHINES.values()]
+    assert_one_trie_as_per_word(spec, others, 5)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_eps_acyclic_random_machines_and_their_passes_walk_one_trie_as_per_word(seed):
+    spec = random_nbhva_endmarker(random.Random(seed))
+    assume(not spec.realtime)
+    outputs = [remove_endmarker(spec)[0], rationals_to_integers(spec)[0]]
+    for machine in [spec] + outputs:
+        assert_one_trie_as_per_word(machine, [spec] + outputs, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_passes_keep_random_machines_eps_acyclic(seed):
+    spec = random_nbhva_endmarker(random.Random(seed))
+    assert not spec.epsilon_cycle
+    for out in (remove_endmarker(spec)[0], rationals_to_integers(spec)[0]):
+        assert validate(out) == [] and not out.epsilon_cycle
+
+
+def test_only_an_eps_cycle_grows_the_cap():
+    acyclic = [example("leq"), eps_chain_machine(), fewest_eps_machine(), undercut_machine()]
+    cyclic = [eps_loop_machine(), quartering_machine(), two_state_cycle_machine(),
+              status_cycle_machine()]
+    for spec in acyclic + cyclic:
+        assert validate(spec) == []
+        for eps in (0, 2):
+            assert not searches(spec, SearchBudget(eps_per_path=eps))[1]
+    for spec in acyclic:
+        assert not searches(spec)[1] and not searches(spec, SearchBudget())[1]
+    for spec in cyclic:
+        assert searches(spec)[1] and searches(spec, SearchBudget())[1]
+    assert example("leq").realtime
+
+
+def test_walk_builds_one_search_unless_an_eps_cycle_grows_the_cap(monkeypatch):
+    # the pair walk's searches are counted as built; a word the budget
+    # leaves undecided counts as no disagreement, so every length is walked
+    built = []
+
+    def counting_walk(search, *args):
+        def counted(length):
+            built.append(length)
+            start, step, verdict = search(length)
+
+            def judged(node, word):
+                try:
+                    return verdict(node, word)
+                except UndecidedError:
+                    return False
+            return start, step, judged
+        return machines.walk(counted, *args)
+
+    monkeypatch.setattr(langlab, "walk", counting_walk)
+    assert equivalent_up_to(eps_chain_machine(), eps_chain_machine(), 6).equal
+    assert built == [0]
+    built.clear()
+    assert equivalent_up_to(quartering_machine(), quartering_machine(), 6).equal
+    assert built == list(range(7))
+
+
+# ---------------------------------------------------------------------------
+# a monoid machine and its embedding share one step
+
+
+def test_an_embedding_shares_its_source_step():
+    spec = extendedfa_a_endmarker()
+    embedded = extendedfa_embed(spec)
+    assert embedded.successors is spec.successors
+    derived = replace(embedded, accept_states=embedded.accept_states)
+    assert derived == embedded and derived.successors is not spec.successors
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.none() | st.integers(0, 2**32 - 1), budget=st.sampled_from(REFERENCE_BUDGETS),
+       source_first=st.booleans())
+def test_an_embedding_runs_as_its_source(seed, budget, source_first):
+    # the source and the embedding share one memo, filled by whichever
+    # runs first; a copy by `replace` steps from its own
+    spec = extendedfa_a_endmarker() if seed is None else random_extendedfa(random.Random(seed))
+    embedded = extendedfa_embed(spec)
+    own = replace(embedded, accept_states=embedded.accept_states)
+    order = (spec, embedded, own) if source_first else (embedded, spec, own)
+    for w in all_strings(spec.alphabet, 5 if len(spec.alphabet) == 1 else 4):
+        runs = {(run.verdict, run.trace, run.accepting_path)
+                for run in (run_nondeterministic(m, w, budget) for m in order)}
+        assert len(runs) == 1, w
