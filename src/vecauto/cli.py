@@ -83,11 +83,12 @@ def _emit(record: dict) -> None:
     print(json.dumps(record))
 
 
-def _count(text: str, name: str = "value") -> int:
-    """A nonnegative integer: the argparse type of --maxlen, --budget,
-    --eps-per-path and --bound, and the parser of the budget environment
-    variables. It raises VecautoError, which argparse does not catch, so
-    a bad value ends in a UsageError record."""
+def _count(text: str, name: str) -> int:
+    """A nonnegative integer read from the option or environment variable
+    `name`: the argparse type of --maxlen, --budget, --eps-per-path and
+    --bound (a partial that fixes `name`), and the parser of the budget
+    environment variables. It raises VecautoError, which argparse does
+    not catch, so a bad value ends in a UsageError record naming `name`."""
     try:
         value = int(text)
     except ValueError:
@@ -297,10 +298,10 @@ def cmd_diophantine(args) -> int:
 
 
 def _add_budget_flags(parser) -> None:
-    parser.add_argument("--budget", type=_count, default=None,
+    parser.add_argument("--budget", type=functools.partial(_count, name="--budget"), default=None,
                         help="cap on explored configurations per search")
-    parser.add_argument("--eps-per-path", type=_count, default=None,
-                        help="cap on eps-moves along any one path")
+    parser.add_argument("--eps-per-path", type=functools.partial(_count, name="--eps-per-path"),
+                        default=None, help="cap on eps-moves along any one path")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -362,20 +363,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("machine")
     p.add_argument("--against", required=True,
                    help="machine file, reference name, or reference name:param")
-    p.add_argument("--maxlen", type=_count, required=True)
+    p.add_argument("--maxlen", type=functools.partial(_count, name="--maxlen"), required=True)
     _add_budget_flags(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("check", help="run a structural property check")
     p.add_argument("property", choices=_CHECKS)
     p.add_argument("machine")
-    p.add_argument("--maxlen", type=_count, required=True)
+    p.add_argument("--maxlen", type=functools.partial(_count, name="--maxlen"), required=True)
     _add_budget_flags(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("enumerate", help="list accepted strings up to a length bound")
     p.add_argument("machine")
-    p.add_argument("--maxlen", type=_count, required=True)
+    p.add_argument("--maxlen", type=functools.partial(_count, name="--maxlen"), required=True)
     _add_budget_flags(p)
     p.set_defaults(func=cmd_enumerate)
 
@@ -389,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("-o", "--output", required=True, help="system file to write")
     q = dio.add_parser("solve", help="enumerate nonnegative solutions up to a bound")
     q.add_argument("path")
-    q.add_argument("--bound", type=_count, required=True)
+    q.add_argument("--bound", type=functools.partial(_count, name="--bound"), required=True)
     p.set_defaults(func=cmd_diophantine)
 
     return parser

@@ -24,7 +24,16 @@ end-marker included when ``endmarker`` is set):
 
 Simulators are pure functions of (spec, input, budget); specs are
 immutable after validation, so evaluating many inputs in parallel is
-safe.
+safe. A machine caches what it derives from its fields on first use:
+its rule index, its memoized transition function and one last-run slot.
+The slot holds `run_nondeterministic`'s last search, keyed by the budget
+and the eps cap of the word's length: the word, the built search and
+the word's frontiers, which the run's `RunResult` holds anyway, so a
+machine keeps at most one word's frontiers there. A run under the same
+key steps only the letters after the longest prefix it shares with that
+word. Each frontier is a pure function of the machine, the key and the
+prefix, and is never changed once built; a run reads the slot once and
+replaces it whole, so concurrent runs can only evict each other's entry.
 """
 
 from __future__ import annotations
@@ -93,10 +102,11 @@ class MachineSpec:
     """An immutable machine; construction normalizes containers to
     immutable types (tuples, frozensets, RowVectors, Fractions).
 
-    `rule_index` and the compiled transition function `successors` are
-    built on first use and cached on the instance (`extendedfa_embed`
-    gives its output its source's `successors`); equality and hashing
-    see only the fields.
+    `rule_index`, the compiled transition function `successors` and
+    the `last_run` slot are built on first use and cached on the
+    instance (`extendedfa_embed` gives its output its source's
+    `successors` and `last_run`); equality and hashing see only the
+    fields.
     """
 
     kind: str
@@ -225,6 +235,15 @@ class MachineSpec:
             return fired
 
         return successors
+
+    @cached_property
+    def last_run(self) -> list:
+        """One slot, ``[None]`` until `run_nondeterministic` fills it with
+        its last search: ``(key, word, (start, step, end), frontiers)``,
+        `key` being ``(budget, eps cap for the word's length)`` and
+        `frontiers` the word's `Frontier`s, one per position. A run reads
+        it once and replaces the item whole."""
+        return [None]
 
     @cached_property
     def register_tests(self):
@@ -588,11 +607,29 @@ def run_deterministic(spec: MachineSpec, word: str) -> RunResult:
 def run_nondeterministic(spec: MachineSpec, word: str, budget: SearchBudget = None) -> RunResult:
     """The search of `nondeterministic_steps`, stepped along one word. It
     keeps each position's configurations, from which `trace` and
-    `accepting_path` rebuild a path backwards (`_backtrack`)."""
-    start, step, end = nondeterministic_steps(spec, budget or SearchBudget(), len(word))
-    frontiers = [start]
-    for letter in word:
+    `accepting_path` rebuild a path backwards (`_backtrack`).
+
+    The machine's `last_run` slot keeps the last run's search and
+    frontiers: a run under the same budget and eps cap takes the
+    frontiers of the prefix it shares with that run's word and steps
+    only the rest (a monoid machine and its `extendedfa_embed` share
+    one slot)."""
+    budget = budget or SearchBudget()
+    key = (budget, budget.eps_cap(spec, len(word)))
+    slot = spec.last_run
+    last_run = slot[0]
+    if last_run is not None and last_run[0] == key:
+        _, previous, steps, frontiers = last_run
+        shared = next((i for i, (a, b) in enumerate(zip(previous, word)) if a != b),
+                      min(len(previous), len(word)))
+        frontiers = list(frontiers[:shared + 1])
+    else:
+        steps = nondeterministic_steps(spec, budget, len(word))
+        frontiers = [steps[0]]
+    _, step, end = steps
+    for letter in word[len(frontiers) - 1:]:
         frontiers.append(step(frontiers[-1], letter))
+    slot[0] = (key, word, steps, tuple(frontiers))
     verdict, final, last = end(frontiers[-1])
     levels = [(f.configurations, f.expanded) for f in frontiers] + [(final, final)] * spec.endmarker
     position = len(levels) - 1
@@ -892,10 +929,15 @@ def extendedfa_embed(spec: MachineSpec) -> MachineSpec:
     Both machines fire the same rules on the same registers and, blind,
     read no status, so the embedding shares its source's `successors`,
     memo included: its runs reuse the steps its source's runs computed.
+    With the same states, accept states, end-marker and home test
+    (register equal to the flattened identity), their searches are the
+    same function of the word, so they share one `last_run` slot too:
+    the embedding's run of the word its source just ran steps no letter.
     """
     if spec.kind != EXTENDED_FA:
         raise UnsupportedKindError("extendedfa_embed needs a matrix-monoid machine")
     embedded = replace(spec, kind=HVA, mode=NONDETERMINISTIC, blind=True,
                        dimension=spec.dimension * spec.dimension)
-    vars(embedded)["successors"] = spec.successors  # where cached_property keeps it
+    for name in ("successors", "last_run"):
+        vars(embedded)[name] = getattr(spec, name)  # where cached_property keeps it
     return embedded

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .errors import InvalidScalarError, UnsupportedPassError
+from .errors import InvalidScalarError, UndecidedError, UnsupportedPassError
 from .exact import (
     Matrix,
     RowVector,
@@ -32,11 +32,9 @@ from .machines import (
     MachineSpec,
     SearchBudget,
     TransitionRule,
-    run_nondeterministic,
+    accepts,
     stateless,
 )
-from .machines import ACCEPT as _ACCEPT
-from .machines import BUDGET_EXCEEDED as _BUDGET
 
 _FRESH_ACCEPT = "q_acc"
 _FRESH_INITIAL = "q_init"
@@ -128,12 +126,12 @@ def remove_endmarker(spec: MachineSpec, budget: SearchBudget = None):
     accept_states = {accept_name}
     initial_state = spec.initial_state
 
-    empty_run = run_nondeterministic(spec, "", budget)
-    if empty_run.verdict == _BUDGET:
+    try:
+        accepts_empty = accepts(spec, "", budget)
+    except UndecidedError:
         raise UnsupportedPassError(
             "could not decide empty-string membership within the search budget"
-        )
-    accepts_empty = empty_run.verdict == _ACCEPT
+        ) from None
     if accepts_empty:
         initial_state = _fresh_name(_FRESH_INITIAL, states)
         for r in list(rules):

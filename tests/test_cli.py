@@ -194,6 +194,10 @@ class TestMalformedArguments:
             (["run", "{powr}", "ab", "--budget", "-1"], {}),
             (["run", "{powr}", "ab", "--eps-per-path", "-1"], {}),
             (["enumerate", "{powr}", "--maxlen", "2"], {"VECAUTO_EPS_PER_PATH": "-1"}),
+            (["enumerate", "{powr}", "--maxlen", "2"], {"VECAUTO_MAX_CONFIGS": "-1"}),
+            (["check", "suffix", "{powr}", "--maxlen", "-1"], {}),
+            (["run", "{powr}", "ab", "--eps-per-path", "x"], {}),
+            (["diophantine", "solve", "{system}", "--bound", "-1"], {}),
             (["run", "{transitions_not_list}", "a"], {}),
             (["run", "{initial_vector_not_list}", "a"], {}),
             (["transform", "dfa-to-stateless", "{dfa_not_object}", "{out}"], {}),
@@ -236,7 +240,8 @@ class TestMalformedArguments:
              "bad-env-budget-deterministic-run", "bad-env-budget-nondeterministic-run",
              "directory-as-machine",
              "negative-maxlen", "non-integer-maxlen", "negative-budget", "negative-eps-per-path",
-             "negative-env-eps-per-path", "transitions-not-a-list", "initial-vector-not-a-list",
+             "negative-env-eps-per-path", "negative-env-max-configs", "negative-check-maxlen",
+             "non-integer-eps-per-path", "negative-bound", "transitions-not-a-list", "initial-vector-not-a-list",
              "dfa-not-an-object", "dfa-transitions-not-a-list", "system-not-an-object",
              "system-float-coefficient", "system-bool-coefficient",
              "famw-symbol-without-rule", "famw-endmarker-rule", "famw-non-accepting-state",
@@ -285,6 +290,11 @@ class TestMalformedArguments:
         assert code == 2
         assert [r["verdict"] for r in records] == ["UsageError"]
         assert not paths["out"].exists()
+        # a bad count names the option or environment variable it came from
+        name, _, rest = records[0]["detail"].partition(" must be a nonnegative integer, got ")
+        if rest:
+            given = env.get(name) or argv[argv.index(name) + 1]
+            assert rest == repr(given)
 
     def test_argparse_error_is_one_record(self, capsys, tmp_path):
         path = tmp_path / "eq.mach"

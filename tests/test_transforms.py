@@ -22,6 +22,7 @@ from vecauto.machines import (
     STATUS_ANY,
     VA,
     MachineSpec,
+    SearchBudget,
     TransitionRule,
     accepts,
     run_deterministic,
@@ -158,6 +159,26 @@ class TestRemoveEndmarker:
     def test_rejects_machines_without_endmarker(self):
         with pytest.raises(UnsupportedPassError):
             remove_endmarker(example("eq"))
+
+    def test_refuses_an_empty_string_the_budget_leaves_undecided(self):
+        # an eps self-loop doubles the register, the end-marker halves it:
+        # the empty string is accepted after one eps move, which a budget of
+        # one configuration reaches but does not expand
+        looping = MachineSpec(
+            kind=HVA, mode=NONDETERMINISTIC, blind=True, endmarker=True, realtime=False,
+            alphabet=("a",), states=("q", "acc"), initial_state="q",
+            accept_states=frozenset({"acc"}), dimension=1, initial_vector=RowVector([1]),
+            transitions=(
+                TransitionRule("q", "eps", STATUS_ANY, "q", Matrix.from_rows([[2]])),
+                TransitionRule("q", ENDMARKER, STATUS_ANY, "acc",
+                               Matrix.from_rows([[Fraction(1, 2)]])),
+            ),
+        )
+        assert validate(looping) == []
+        assert remove_endmarker(looping)[1].parameters["accepts_empty"] is True
+        with pytest.raises(UnsupportedPassError, match="could not decide empty-string "
+                                                       "membership within the search budget"):
+            remove_endmarker(looping, SearchBudget(max_configurations=1))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_machines_stay_equivalent(self, seed):
