@@ -25,15 +25,19 @@ end-marker included when ``endmarker`` is set):
 Simulators are pure functions of (spec, input, budget); specs are
 immutable after validation, so evaluating many inputs in parallel is
 safe. A machine caches what it derives from its fields on first use:
-its rule index, its memoized transition function and one last-run slot.
-The slot holds `run_nondeterministic`'s last search, keyed by the budget
-and the eps cap of the word's length: the word, the built search and
-the word's frontiers, which the run's `RunResult` holds anyway, so a
-machine keeps at most one word's frontiers there. A run under the same
-key steps only the letters after the longest prefix it shares with that
-word. Each frontier is a pure function of the machine, the key and the
-prefix, and is never changed once built; a run reads the slot once and
-replaces it whole, so concurrent runs can only evict each other's entry.
+its rule index, its memoized transition function, its end test and one
+last-run slot. The end test judges a word that ends in a configuration
+from the end-marker rules' integer columns, without building the
+registers after the end-marker: every verdict but a traced run's reads
+it. The slot holds `run_nondeterministic`'s last search, keyed by the
+budget and the eps cap of the word's length: the word, the built search
+and the word's frontiers, which the run's `RunResult` holds anyway, so
+a machine keeps at most one word's frontiers there. A run under the
+same key steps only the letters after the longest prefix it shares
+with that word. Each frontier is a pure function of the machine, the
+key and the prefix, and is never changed once built; a run reads the
+slot once and replaces it whole, so concurrent runs can only evict each
+other's entry.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations, islice
+from operator import mul
 from typing import NamedTuple
 
 from .errors import (
@@ -102,11 +107,11 @@ class MachineSpec:
     """An immutable machine; construction normalizes containers to
     immutable types (tuples, frozensets, RowVectors, Fractions).
 
-    `rule_index`, the compiled transition function `successors` and
-    the `last_run` slot are built on first use and cached on the
-    instance (`extendedfa_embed` gives its output its source's
-    `successors` and `last_run`); equality and hashing see only the
-    fields.
+    `rule_index`, the compiled transition function `successors`, the
+    `end_test` and the `last_run` slot are built on first use and
+    cached on the instance (`extendedfa_embed` gives its output its
+    source's `successors` and `last_run`); equality and hashing see only
+    the fields.
     """
 
     kind: str
@@ -274,6 +279,84 @@ class MachineSpec:
             def home(register):
                 return register == initial
         return (lambda register: STATUS_EQ if home(register) else STATUS_NE), home
+
+    @cached_property
+    def end_test(self):
+        """``end_test(state, register)``: whether a word whose letters end
+        in this configuration is accepted, built on first use.
+
+        Without an end-marker that is an accept state and `register_tests`'
+        home test. With one, it reads the `$` rules of `rule_index` that
+        lead to an accept state, fired under their status as in
+        `successors`, and asks whether one takes the register home,
+        building no register. With the matrix's integer columns C over d
+        (`Matrix.integer_form`) and the register's nums over den, a VA's
+        test is sum(nums * C_0) == den * d; the other vector kinds compare
+        each entry with the home vector u's, sum(nums * C_j) * u.den ==
+        u.nums_j * den * d, up to the first that differs. A counter
+        machine adds the effect to the register. A deterministic machine
+        first counts the `$` rules that fire and raises
+        `run_deterministic`'s conflict if more than one does.
+        """
+        accept_states = self.accept_states
+        status_of_register, home = self.register_tests
+        if not self.endmarker:
+            return lambda state, register: state in accept_states and home(register)
+        if self.kind == COUNTER_MACHINE:
+            def home_after(effect):
+                return lambda register: home(tuple(c + d for c, d in zip(register, effect)))
+        elif self.kind == GFA:  # never valid with an end-marker
+            def home_after(effect):
+                return lambda register: home(vec_mat_mul(register, effect))
+        else:
+            # the home entries over their denominator: a VA's is its first, 1
+            if self.kind == VA:
+                home_nums, home_den = (1,), 1
+            else:
+                initial = RowVector([1]) if self.kind == FAM else self.initial_vector
+                home_nums, home_den = initial.nums, initial.den
+
+            def home_after(effect):
+                columns, d, _ = effect.integer_form
+                targets = tuple(zip(columns, home_nums))
+
+                def lands_home(register):
+                    nums, den = register.nums, register.den * d
+                    for column, target in targets:
+                        if sum(map(mul, nums, column)) * home_den != target * den:
+                            return False
+                    return True
+                return lands_home
+
+        # per state its `$` rules as (status, home test, or None for a rule
+        # into a state that does not accept), and whether one reads the
+        # status; a nondeterministic machine keeps only the accepting rules
+        deterministic = self.mode == DETERMINISTIC
+        table = {}
+        for (state, letter), rules in self.rule_index.items():
+            if letter == ENDMARKER:
+                rules = tuple((status, home_after(effect) if target in accept_states else None)
+                              for _, status, effect, target in rules
+                              if deterministic or target in accept_states)
+                if rules:
+                    table[state] = rules, any(status != STATUS_ANY for status, _ in rules)
+
+        def end_test(state, register):
+            entry = table.get(state)
+            if entry is None:
+                return False
+            rules, reads_status = entry
+            if reads_status:
+                current = status_of_register(register)
+                rules = [rule for rule in rules if rule[0] == STATUS_ANY or rule[0] == current]
+            if deterministic and len(rules) > 1:
+                raise _conflict(rules, state, ENDMARKER)
+            for _, lands_home in rules:
+                if lands_home is not None and lands_home(register):
+                    return True
+            return False
+
+        return end_test
 
     @cached_property
     def epsilon_sources(self) -> frozenset:
@@ -731,9 +814,12 @@ def nondeterministic_steps(spec: MachineSpec, budget: SearchBudget, length: int)
     `Frontier`s.
     ``step(frontier, letter)`` takes the expanded configurations' letter
     moves, then eps moves; ``end(frontier)`` judges a word that ends
-    there: ``(verdict, final, accepting)``, with `final` the
+    there for the traced run (`run_nondeterministic`), which keeps where
+    the word ends: ``(verdict, final, accepting)``, with `final` the
     configurations after the last letter (and the end-marker, which no
-    eps move follows), `accepting` the first accepting one or None.
+    eps move follows), `accepting` the first accepting one or None. A
+    verdict alone (`searches`) reads `MachineSpec.end_test` instead and
+    builds no end-marker step.
 
     Configurations are deduplicated exactly per position. One counts
     against `max_configurations` once, when expanded: its eps moves with
@@ -826,12 +912,16 @@ def searches(spec: MachineSpec, budget: SearchBudget = None):
     nondeterministic node is a `nondeterministic_steps` `Frontier`, whose
     budget counts along its own prefix; an exhausted one's verdict raises
     UndecidedError.
+
+    Both verdicts ask `MachineSpec.end_test` of the node's configurations
+    (a frontier's expanded ones when the end-marker is read, else all it
+    reached), so a verdict builds no end-marker step. A frontier's verdict
+    is BudgetExceeded, raised, where `end` finds it: no configuration
+    accepts and a move was cut off, the end-marker's included.
     """
+    end_test = spec.end_test
     if spec.mode == DETERMINISTIC:
         successors = spec.successors
-        accept_states = spec.accept_states
-        home = spec.register_tests[1]
-        endmarker = spec.endmarker
 
         def step(node, letter):
             fired = successors(node[0], letter, node[1])
@@ -842,24 +932,27 @@ def searches(spec: MachineSpec, budget: SearchBudget = None):
             return None
 
         def verdict(node, word):
-            if endmarker:
-                node = step(node, ENDMARKER)
-            return node is not None and node[0] in accept_states and home(node[1])
+            return node is not None and end_test(*node)
 
         start = (spec.initial_state, spec.initial_vector)
         return (lambda length: (start, step, verdict)), False
 
     budget = budget or SearchBudget()
     cap_grows = not spec.realtime and spec.epsilon_cycle and budget.eps_per_path is None
+    endmarker = spec.endmarker
 
     def search(length):
-        start, step, end = nondeterministic_steps(spec, budget, length if cap_grows else None)
+        start, step, _ = nondeterministic_steps(spec, budget, length if cap_grows else None)
 
         def verdict(frontier, word):
-            outcome = end(frontier)[0]
-            if outcome == BUDGET_EXCEEDED:
+            # the end-marker is read from the expanded configurations only
+            for state, register in frontier.expanded if endmarker else frontier.configurations:
+                if end_test(state, register):
+                    return True
+            if frontier.pruned or (endmarker and
+                                   len(frontier.expanded) < len(frontier.configurations)):
                 raise _undecided(word, budget)
-            return outcome == ACCEPT
+            return False
 
         return start, step, verdict
 

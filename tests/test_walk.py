@@ -12,8 +12,9 @@ per-word oracle (a zip of the two per-word walks, left side first), or
 raise its error on the same word. The CLI's records must not change
 either. The one nondeterministic search that the walk and the one-word
 runs step is checked against the breadth-first search it replaced
-(`bfs_reference`), and the memoized step under both against the rules
-evaluated directly."""
+(`bfs_reference`), the memoized step under both against the rules
+evaluated directly, and the end test that judges a word's last
+configuration against the end-marker step it replaces."""
 
 import contextlib
 import io
@@ -38,6 +39,7 @@ from machine_gen import (
     extendedfa_a_endmarker,
     random_dva,
     random_extendedfa,
+    random_matrix,
     random_nbhva_endmarker,
     random_system,
 )
@@ -83,16 +85,19 @@ from vecauto.machines import (
     accepts,
     extendedfa_embed,
     nondeterministic_steps,
+    run_deterministic,
     run_nondeterministic,
     searches,
     stateless,
     validate,
 )
 from vecauto.transforms import (
+    attach_trivial_endmarker,
     counters_to_integer_hva3,
     eliminate_states,
     rationals_to_integers,
     remove_endmarker,
+    scale_initial_vector,
 )
 
 BUDGETS = [SearchBudget(eps, configs)
@@ -444,13 +449,27 @@ def test_cli_run_prints_the_traced_verdict(tmp_path):
     assert codes == {0, 1, 3}
 
 
-def catalog_commands(tmp_path):
+def command_machines():
+    """(file name, machine, reference) of each machine file of the command
+    set: catalog machines, and end-marker machines from `separate`, the
+    finite-language builder and a `random_dva` with `=`/`!=` end-marker
+    rules."""
     for name, param in [("pow_r", None), ("ab_star", None), ("eq", None), ("leq", None),
                         ("dyck", None), ("evenab", None), ("ab_k_star", 2), ("mod", 6),
                         ("mod_rot", 4)]:
-        path = tmp_path / f"{name}_{param}.mach"
-        path.write_text(write_machine(example(name, param)))
         reference = "mod:4" if name == "mod_rot" else name if param is None else f"{name}:{param}"
+        yield f"{name}_{param}", example(name, param), reference
+    yield "separate_dbva_212", binary_distinguisher("212"), "singleton:212"
+    yield "separate_dbhva_212", hva_distinguisher("212"), "singleton:212"
+    yield "finite_language_va", finite_language_va(["1", "22", "211"]), "singleton:22"
+    # accepts 15 words up to length 6, reading the end-marker under `=`/`!=` in q3
+    yield "random_dva_6", split_endmarker_dva(random.Random(6)), "eq"
+
+
+def catalog_commands(tmp_path):
+    for name, spec, reference in command_machines():
+        path = tmp_path / f"{name}.mach"
+        path.write_text(write_machine(spec))
         unary = name.startswith("mod")
         for budget in ([], ["--budget", "3"], ["--eps-per-path", "0", "--budget", "20"]):
             yield ["enumerate", str(path), "--maxlen", "6"] + budget
@@ -614,25 +633,55 @@ def test_a_rule_conflict_raises_as_in_the_word_walk():
             "raised: deterministic machine has 3 successors in (q,a)"} <= outcomes_seen
 
 
+def unary_va(rules, endmarker, accept_states=("p", "q")):
+    """A deterministic VA over a on states p and q, from (source, input,
+    target) rules that keep its one-dimensional register as it is."""
+    one = Matrix.from_rows([[1]])
+    return MachineSpec(
+        kind=VA, mode=DETERMINISTIC, blind=True, endmarker=endmarker, realtime=True,
+        alphabet=("a",), states=("p", "q"), initial_state="p", accept_states=accept_states,
+        dimension=1, initial_vector=[1],
+        transitions=[TransitionRule(q, x, STATUS_ANY, t, one) for q, x, t in rules])
+
+
+# reads a into q, where two rules read the end-marker
+END_MARKER_CONFLICT = [("p", "a", "q"), ("p", "$", "p"), ("q", "$", "q"), ("q", "$", "q")]
+
+
 def test_a_step_conflict_comes_before_an_end_marker_conflict():
     # both sides of a pair are stepped before either is judged: on "a",
     # the right side's conflict on reading a raises before the left
     # side's conflict on the end-marker, which the per-word oracle,
     # running the left side's whole word first, raises
-    one = Matrix.from_rows([[1]])
-
-    def machine(rules, endmarker):
-        return MachineSpec(
-            kind=VA, mode=DETERMINISTIC, blind=True, endmarker=endmarker, realtime=True,
-            alphabet=("a",), states=("p", "q"), initial_state="p", accept_states={"p", "q"},
-            dimension=1, initial_vector=[1],
-            transitions=[TransitionRule(q, x, STATUS_ANY, t, one) for q, x, t in rules])
-
-    left = machine([("p", "a", "q"), ("p", "$", "p"), ("q", "$", "q"), ("q", "$", "q")], True)
-    right = machine([("p", "a", "p"), ("p", "a", "q")], False)
+    left = unary_va(END_MARKER_CONFLICT, True)
+    right = unary_va([("p", "a", "p"), ("p", "a", "q")], False)
     assert first_disagreements(left, right, 1) == (
         "raised: deterministic machine has 2 successors in (q,$)",
         "raised: deterministic machine has 2 successors in (p,a)")
+
+
+@pytest.mark.parametrize("accept_states", [("p", "q"), ("p",), ()], ids=str)
+def test_an_end_marker_conflict_raises_in_the_walk(accept_states):
+    # the machine's only conflict: the walk judges "" and raises on "a"
+    # with the run's message, whether or not the two end-marker rules lead
+    # to an accept state
+    spec = unary_va(END_MARKER_CONFLICT, True, accept_states)
+    message = "deterministic machine has 2 successors in (q,$)"
+    with pytest.raises(InconsistentSpecError) as raised:
+        run_deterministic(spec, "a")
+    assert str(raised.value) == message
+    walk = langlab._walk(spec, 1)
+    assert next(walk) == ("", "p" in accept_states)
+    with pytest.raises(InconsistentSpecError) as raised:
+        next(walk)
+    assert str(raised.value) == message
+    with pytest.raises(InconsistentSpecError) as raised:
+        langlab.enumerate_accepted(spec, 1)
+    assert str(raised.value) == message
+    every_word = unary_va([("p", "a", "p"), ("p", "$", "p")], True)
+    expected = f"raised: {message}" if "p" in accept_states else ""
+    for pair in ((spec, every_word), (every_word, spec)):
+        assert first_disagreements(*pair, 1) == (expected, expected)
 
 
 def test_cli_verify_steps_each_pair_once(tmp_path, monkeypatch):
@@ -1093,3 +1142,144 @@ def test_threads_sharing_a_slot_get_cold_runs():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
+
+
+# ---------------------------------------------------------------------------
+# the end test against the end-marker step
+
+
+def split_endmarker_dva(rng):
+    """A `random_dva` that reads the end-marker under `=` and `!=`."""
+    while True:
+        spec = random_dva(rng)
+        if any(r.input == ENDMARKER and r.status != STATUS_ANY for r in spec.transitions):
+            return spec
+
+
+def nonzero_initial_vector(generate, rng):
+    while True:
+        spec = generate(rng)
+        if any(spec.initial_vector.nums):
+            return spec
+
+
+# 3^40 / 2^64 takes a nonzero register past WORD_BITS at once
+WIDE = Fraction(3 ** 40, 2 ** 64)
+
+
+def wide_dva(rng):
+    spec = nonzero_initial_vector(split_endmarker_dva, rng)
+    return replace(spec, initial_vector=spec.initial_vector.scale(WIDE))
+
+
+def wide_nbhva(rng):
+    return scale_initial_vector(nonzero_initial_vector(random_nbhva_endmarker, rng), WIDE)[0]
+
+
+def fam_endmarker(rng):
+    """A `famw_from_system` FAM given an end-marker that divides by its
+    first letter's factor; nondeterministic, it may also keep the register."""
+    fam = famw_from_system(random_system(rng))
+    factor = fam.transitions[0].effect.entry(0, 0)
+    marker = [Matrix.from_rows([[1 / factor]])]
+    if rng.random() < 0.5:
+        marker.append(Matrix.identity(1))
+    return replace(fam, mode=NONDETERMINISTIC if len(marker) > 1 else DETERMINISTIC,
+                   endmarker=True, transitions=fam.transitions + tuple(
+                       TransitionRule("q", ENDMARKER, STATUS_ANY, "q", m) for m in marker))
+
+
+def nonblind_hva_endmarker(rng):
+    """A `random_nbhva_endmarker` whose end-marker rules fire only at home,
+    each next to a random rule for a register away from home."""
+    spec = random_nbhva_endmarker(rng)
+    rules = []
+    for r in spec.transitions:
+        if r.input != ENDMARKER:
+            rules.append(r)
+            continue
+        rules.append(replace(r, status=STATUS_EQ))
+        rules.append(TransitionRule(r.source, ENDMARKER, STATUS_NE, rng.choice(spec.states),
+                                    random_matrix(rng, spec.dimension)))
+    return replace(spec, blind=False, transitions=tuple(rules))
+
+
+def trivially_marked(rng):
+    plain = rng.choice([remove_endmarker(random_nbhva_endmarker(rng))[0],
+                        hva_distinguisher(rng.choice(["1", "21", "212"])),
+                        status_cycle_machine()])
+    return attach_trivial_endmarker(plain)[0]
+
+
+END_MACHINES = {
+    "random_dva": split_endmarker_dva,
+    "random_nbhva_endmarker": random_nbhva_endmarker,
+    "rationals_to_integers": lambda rng: rationals_to_integers(random_nbhva_endmarker(rng))[0],
+    "attach_trivial_endmarker": trivially_marked,
+    "scale_initial_vector": lambda rng: scale_initial_vector(
+        random_nbhva_endmarker(rng), rng.choice([Fraction(-2, 3), 3, Fraction(1, 6)]))[0],
+    "blind_counter_a_endmarker": lambda rng: blind_counter_a_endmarker(),
+    "counter_ab_endmarker": lambda rng: counter_ab_endmarker(),
+    "extendedfa_a_endmarker": lambda rng: extendedfa_a_endmarker(),
+    "pow_r": lambda rng: example("pow_r"),
+    "finite_language_va": lambda rng: finite_language_va(
+        rng.sample(["1", "2", "12", "22", "211"], rng.randint(1, 3))),
+    "binary_distinguisher": lambda rng: binary_distinguisher(rng.choice(["1", "21", "212"])),
+    "hva_distinguisher": lambda rng: hva_distinguisher(rng.choice(["1", "21", "212"])),
+    "fam_endmarker": fam_endmarker,
+    "nonblind_hva_endmarker": nonblind_hva_endmarker,
+    "wide_dva": wide_dva,
+    "wide_nbhva": wide_nbhva,
+}
+
+
+def reached_configurations(spec, letters=4, width=40):
+    """The configurations reached within `letters` letters, eps moves
+    included, from the first `width` reached at each position."""
+    reached = {}
+    level = [(spec.initial_state, spec.initial_vector)]
+    for position in range(letters + 1):
+        closed, moving = dict.fromkeys(level), level
+        for _ in range(len(spec.states)):  # eps moves, a bounded number
+            moving = [(target, register) for state, before in moving
+                      for _, target, register in spec.successors(state, EPSILON, before)]
+            closed.update(dict.fromkeys(moving))
+        reached.update(closed)
+        level = list(dict.fromkeys(
+            (target, register) for state, before in list(closed)[:width]
+            for letter in spec.alphabet
+            for _, target, register in spec.successors(state, letter, before)))[:width]
+    return list(reached)
+
+
+def end_by_the_step(spec, state, register):
+    """A word ending in (state, register) is accepted: some end-marker move
+    that fires, built by `successors`, lands in an accept state at home;
+    without an end-marker, the configuration is one."""
+    home = spec.register_tests[1]
+    if not spec.endmarker:
+        return state in spec.accept_states and home(register)
+    fired = spec.successors(state, ENDMARKER, register)
+    if spec.mode == DETERMINISTIC and len(fired) > 1:
+        raise machines._conflict(fired, state, ENDMARKER)
+    return any(target in spec.accept_states and home(after) for _, target, after in fired)
+
+
+def end_outcome(test, *args):
+    try:
+        return test(*args)
+    except InconsistentSpecError as exc:
+        return f"raised: {exc}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(END_MACHINES)), seed=st.integers(0, 2**32 - 1))
+def test_the_end_test_is_the_end_marker_step(name, seed):
+    spec = END_MACHINES[name](random.Random(seed))
+    assert validate(spec) == []
+    configurations = reached_configurations(spec)
+    for state, register in configurations:
+        assert end_outcome(spec.end_test, state, register) == end_outcome(
+            end_by_the_step, spec, state, register), (state, register)
+    if name.startswith("wide"):
+        assert any(register.bits > WORD_BITS for _, register in configurations)
