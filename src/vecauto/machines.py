@@ -25,19 +25,25 @@ end-marker included when ``endmarker`` is set):
 Simulators are pure functions of (spec, input, budget); specs are
 immutable after validation, so evaluating many inputs in parallel is
 safe. A machine caches what it derives from its fields on first use:
-its rule index, its memoized transition function, its end test and one
-last-run slot. The end test judges a word that ends in a configuration
-from the end-marker rules' integer columns, without building the
-registers after the end-marker: every verdict but a traced run's reads
-it. The slot holds `run_nondeterministic`'s last search, keyed by the
-budget and the eps cap of the word's length: the word, the built search
-and the word's frontiers, which the run's `RunResult` holds anyway, so
-a machine keeps at most one word's frontiers there. A run under the
-same key steps only the letters after the longest prefix it shares
-with that word. Each frontier is a pure function of the machine, the
-key and the prefix, and is never changed once built; a run reads the
-slot once and replaces it whole, so concurrent runs can only evict each
-other's entry.
+its rule index, its memoized transition function, its block memo, its
+end test and one last-run slot. The block memo maps a state and
+`BLOCK_LETTERS` letters read by lone wildcard rules to the state they
+reach and their matrices' product, so a deterministic run whose
+register is wider than `WORD_BITS` multiplies it once per block; it
+keeps at most a few matrices per block a run stepped, for as long as
+the machine, each a pure function of its key, so concurrent runs can
+at worst build one twice. The end test judges a word that ends in a
+configuration from the end-marker rules' integer columns, without
+building the registers after the end-marker: every verdict but a
+traced run's reads it. The slot holds `run_nondeterministic`'s last
+search, keyed by the budget and the eps cap of the word's length: the
+word, the built search and the word's frontiers, which the run's
+`RunResult` holds anyway, so a machine keeps at most one word's
+frontiers there. A run under the same key steps only the letters after
+the longest prefix it shares with that word. Each frontier is a pure
+function of the machine, the key and the prefix, and is never changed
+once built; a run reads the slot once and replaces it whole, so
+concurrent runs can only evict each other's entry.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ from .errors import (
     UndecidedError,
     UnsupportedKindError,
 )
-from .exact import WORD_BITS, Matrix, RowVector, dot, tensor, vec_mat_mul
+from .exact import WORD_BITS, Matrix, RowVector, dot, mat_mul, tensor, vec_mat_mul
 
 VA = "VA"
 HVA = "HVA"
@@ -82,6 +88,10 @@ REJECT = "Reject"
 BUDGET_EXCEEDED = "BudgetExceeded"
 
 DEFAULT_MAX_CONFIGURATIONS = 1_000_000
+
+# letters a wide deterministic run multiplies in one block; a random word
+# has 2**16 distinct 16-letter blocks, too many to build, and 256 of 8
+BLOCK_LETTERS = 8
 
 
 @dataclass(frozen=True)
@@ -108,10 +118,10 @@ class MachineSpec:
     immutable types (tuples, frozensets, RowVectors, Fractions).
 
     `rule_index`, the compiled transition function `successors`, the
-    `end_test` and the `last_run` slot are built on first use and
-    cached on the instance (`extendedfa_embed` gives its output its
-    source's `successors` and `last_run`); equality and hashing see only
-    the fields.
+    `blocks` memo, the `end_test` and the `last_run` slot are built on
+    first use and cached on the instance (`extendedfa_embed` gives its
+    output its source's `successors` and `last_run`); equality and
+    hashing see only the fields.
     """
 
     kind: str
@@ -240,6 +250,49 @@ class MachineSpec:
             return fired
 
         return successors
+
+    @cached_property
+    def blocks(self):
+        """The block memo of a wide deterministic run: ``blocks(state,
+        letters)``, for up to `BLOCK_LETTERS` letters, is ``(target,
+        product)`` when each letter has exactly one rule at the state the
+        letters before it reach, with the wildcard status: that run ends in
+        `target` with its register times `product`, the rules' effects
+        multiplied in order. It is None when a letter meets a status rule,
+        no rule or a rule conflict, where a run must step that letter
+        through `successors`.
+
+        Each block is built from the block one letter shorter with one
+        `mat_mul`, after its states are walked, so a block cut short builds
+        no product: a block stepped adds at most `BLOCK_LETTERS` matrices,
+        one unless its prefixes are new. Entries are exact and immutable
+        and live as long as the machine; a run that finds none builds one,
+        so concurrent runs can only build an equal entry twice. Vector
+        registers only: a counter effect is not a matrix.
+        """
+        lone = {key: (rules[0][3], rules[0][2]) for key, rules in self.rule_index.items()
+                if len(rules) == 1 and rules[0][1] == STATUS_ANY}
+        memo = {}
+
+        def blocks(state, letters):
+            key = (state, letters)
+            try:
+                return memo[key]
+            except KeyError:
+                pass
+            target = state
+            for letter in letters:
+                rule = lone.get((target, letter))
+                if rule is None:
+                    break
+                target = rule[0]
+            block = rule
+            if rule is not None and len(letters) > 1:
+                block = target, mat_mul(blocks(state, letters[:-1])[1], rule[1])
+            memo[key] = block
+            return block
+
+        return blocks
 
     @cached_property
     def last_run(self) -> list:
@@ -670,13 +723,34 @@ def run_deterministic(spec: MachineSpec, word: str) -> RunResult:
 
     A configuration with no applicable rule ends the run as a Reject;
     `last` is then the configuration that had no move.
+
+    A vector register wider than `WORD_BITS` takes the next
+    `BLOCK_LETTERS` letters of the word in one `vec_mat_mul` by their
+    product from `MachineSpec.blocks`, where that block is not None:
+    v·M1···Mk = v·(M1···Mk), and both registers are in canonical form, so
+    the register is the one the letters give one at a time. Every other
+    letter is stepped through `successors`, the end-marker included: a
+    narrow register, whose steps the memo keeps; a block cut short by a
+    status rule, a dead letter or a conflict, so a Reject or a conflict
+    comes at the letter it would come at; the word's last letters short
+    of a block; a counter register.
     """
     if spec.mode != DETERMINISTIC:
         raise InconsistentSpecError("run_deterministic needs a deterministic machine")
     successors = spec.successors
     state, register = spec.initial_state, spec.initial_vector
     letters = word + ENDMARKER if spec.endmarker else word
-    for position, letter in enumerate(letters):
+    # the last position a block fits at; a counter register takes none
+    last_block = -1 if spec.kind == COUNTER_MACHINE else len(word) - BLOCK_LETTERS
+    steps = enumerate(letters)
+    for position, letter in steps:
+        if position <= last_block and register.bits > WORD_BITS:
+            block = spec.blocks(state, word[position:position + BLOCK_LETTERS])
+            if block is not None:
+                state, product = block
+                register = vec_mat_mul(register, product)
+                next(islice(steps, BLOCK_LETTERS - 2, None))  # past the block's other letters
+                continue
         fired = successors(state, letter, register)
         if not fired:
             return RunResult(REJECT, Configuration(state, register, position))

@@ -13,8 +13,10 @@ raise its error on the same word. The CLI's records must not change
 either. The one nondeterministic search that the walk and the one-word
 runs step is checked against the breadth-first search it replaced
 (`bfs_reference`), the memoized step under both against the rules
-evaluated directly, and the end test that judges a word's last
-configuration against the end-marker step it replaces."""
+evaluated directly, the end test that judges a word's last
+configuration against the end-marker step it replaces, and a wide
+deterministic run, which multiplies letter blocks, against the run that
+steps each letter by the rules."""
 
 import contextlib
 import io
@@ -54,8 +56,8 @@ from vecauto.builders import (
 )
 from vecauto.cli import main
 from vecauto.diophantine import famw_from_system
-from vecauto.errors import InconsistentSpecError, UndecidedError
-from vecauto.exact import WORD_BITS, Matrix, RowVector
+from vecauto.errors import AlphabetError, InconsistentSpecError, UndecidedError
+from vecauto.exact import WORD_BITS, Matrix, RowVector, vec_mat_mul
 from vecauto.fileformat import write_machine
 from vecauto.langlab import (
     ReferenceLanguage,
@@ -65,6 +67,7 @@ from vecauto.langlab import (
 )
 from vecauto.machines import (
     ACCEPT,
+    BLOCK_LETTERS,
     BUDGET_EXCEEDED,
     COUNTER_MACHINE,
     DEFAULT_MAX_CONFIGURATIONS,
@@ -75,6 +78,7 @@ from vecauto.machines import (
     GFA,
     HVA,
     NONDETERMINISTIC,
+    REJECT,
     STATUS_ANY,
     STATUS_EQ,
     STATUS_NE,
@@ -84,6 +88,7 @@ from vecauto.machines import (
     TransitionRule,
     accepts,
     extendedfa_embed,
+    gfa_value,
     nondeterministic_steps,
     run_deterministic,
     run_nondeterministic,
@@ -95,6 +100,7 @@ from vecauto.transforms import (
     attach_trivial_endmarker,
     counters_to_integer_hva3,
     eliminate_states,
+    intersect_blind_hva,
     rationals_to_integers,
     remove_endmarker,
     scale_initial_vector,
@@ -1283,3 +1289,220 @@ def test_the_end_test_is_the_end_marker_step(name, seed):
             end_by_the_step, spec, state, register), (state, register)
     if name.startswith("wide"):
         assert any(register.bits > WORD_BITS for _, register in configurations)
+
+
+# ---------------------------------------------------------------------------
+# a wide deterministic run's letter blocks against the per-letter run
+
+
+def direct_runs(spec, word, ends=1):
+    """A deterministic run stepped one letter at a time by
+    `direct_successors`, with no memo and no blocks, judged on each of the
+    `ends` longest prefixes of `word`, shortest first: the verdict and where
+    the run ended, ``(state, register, position)``, or the message of the
+    rule conflict it meets."""
+    def stepped(state, letter, register):
+        fired, _ = direct_successors(spec, state, letter, register)
+        if len(fired) > 1:
+            return f"deterministic machine has {len(fired)} successors in ({state},{letter})"
+        return fired[0][1:] if fired else None
+
+    def judged(state, register, position):
+        if spec.endmarker:
+            after = stepped(state, ENDMARKER, register)
+            if after is None or isinstance(after, str):
+                return after or (REJECT, (state, register, position))
+            (state, register), position = after, position + 1
+        _, status = direct_successors(spec, state, None, register)
+        if spec.kind == COUNTER_MACHINE:
+            home = not spec.blind or set(status) <= {STATUS_EQ}
+        else:
+            home = status == STATUS_EQ
+        return ACCEPT if state in spec.accept_states and home else REJECT, (
+            state, register, position)
+
+    outcomes = []
+    state, register = spec.initial_state, spec.initial_vector
+    for position in range(len(word) + 1):
+        if position > len(word) - ends:
+            outcomes.append(judged(state, register, position))
+        if position == len(word):
+            return outcomes
+        after = stepped(state, word[position], register)
+        if after is None or isinstance(after, str):  # every longer prefix ends here too
+            return outcomes + [after or (REJECT, (state, register, position))] * (
+                ends - len(outcomes))
+        state, register = after
+
+
+def direct_run(spec, word):
+    return direct_runs(spec, word)[0]
+
+
+def assert_runs_as_the_rules(spec, word, expected):
+    """`run_deterministic`, deterministic `accepts` and, for a GFA,
+    `gfa_value` give the `direct_runs` outcome `expected`."""
+    if isinstance(expected, str):
+        for run in (run_deterministic, accepts):
+            with pytest.raises(InconsistentSpecError) as raised:
+                run(spec, word)
+            assert str(raised.value) == expected
+        return
+    verdict, last = expected
+    result = run_deterministic(spec, word)
+    assert (result.verdict, tuple(result.last)) == expected
+    assert accepts(spec, word) == (verdict == ACCEPT)
+    if spec.kind == GFA:
+        state, register, position = last
+        if position < len(word):
+            with pytest.raises(AlphabetError):
+                gfa_value(spec, word)
+        else:
+            assert gfa_value(spec, word) == sum(
+                v * f for v, f in zip(register.entries, spec.gfa_final_vector.entries))
+
+
+def runs_word(rng, alphabet, length):
+    """`length` letters in runs of one letter, each up to a quarter of the
+    word long; one word in four has a foreign letter c somewhere."""
+    word = ""
+    while len(word) < length:
+        word += rng.choice(alphabet) * rng.randint(1, length // 4)
+    if rng.random() < 0.25:
+        at = rng.randrange(length)
+        word = word[:at] + "c" + word[at + 1:]
+    return word[:length]
+
+
+def living_word(spec, rng, length):
+    """`length` letters that a run of `spec` mostly survives: each is drawn
+    among the letters that have a rule at the configuration reached, one
+    in a hundred from the whole alphabet, which may end the run there."""
+    state, register, word = spec.initial_state, spec.initial_vector, ""
+    for _ in range(length):
+        moves = {}
+        for letter in spec.alphabet:
+            fired = spec.successors(state, letter, register)
+            if len(fired) == 1:
+                moves[letter] = fired[0]
+        if not moves or rng.random() < 0.01:
+            return word + "".join(rng.choice(spec.alphabet) for _ in range(length - len(word)))
+        letter = rng.choice(sorted(moves))
+        word += letter
+        _, state, register = moves[letter]
+    return word
+
+
+def wide_conflict_machine():
+    """A deterministic VA over a/b whose register doubles on every letter;
+    its state q, reached by a b, has two rules for a."""
+    double = Matrix.from_rows([[2]])
+    rules = [("p", "a", "p"), ("p", "b", "q"), ("q", "b", "q"), ("q", "a", "q"), ("q", "a", "p")]
+    return MachineSpec(
+        kind=VA, mode=DETERMINISTIC, blind=True, endmarker=False, realtime=True,
+        alphabet=("a", "b"), states=("p", "q"), initial_state="p", accept_states={"p"},
+        dimension=1, initial_vector=[1],
+        transitions=[TransitionRule(q, x, STATUS_ANY, t, double) for q, x, t in rules])
+
+
+def wide_random_dva_run(rng, length):
+    # a random DVA started from a register past WORD_BITS, its status rules
+    # and dead letters inside the blocks of a word it mostly survives
+    spec = nonzero_initial_vector(random_dva, rng)
+    spec = replace(spec, initial_vector=spec.initial_vector.scale(WIDE))
+    return spec, living_word(spec, rng, length)
+
+
+def catalog_run(make, alphabet):
+    return lambda rng, length: (make(), runs_word(rng, alphabet, length))
+
+
+BLOCK_RUNS = {
+    "random_dva": wide_random_dva_run,
+    "eq": catalog_run(partial(example, "eq"), "ab"),
+    "pow_r": catalog_run(partial(example, "pow_r"), "ab"),
+    "ab_k_star_2": catalog_run(partial(example, "ab_k_star", 2), "ab"),
+    "intersect(eq,evenab)": catalog_run(
+        lambda: intersect_blind_hva(example("eq"), example("evenab"))[0], "ab"),
+    "intersect(eq,ab_k_star_2)": catalog_run(
+        lambda: intersect_blind_hva(example("eq"), example("ab_k_star", 2))[0], "ab"),
+    "rationals_to_integers(eq$)": catalog_run(
+        lambda: rationals_to_integers(attach_trivial_endmarker(example("eq"))[0])[0], "ab"),
+    "gfa": catalog_run(one_state_gfa, "a"),
+    "wide_conflict": catalog_run(wide_conflict_machine, "ab"),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(BLOCK_RUNS)), seed=st.integers(0, 2**32 - 1),
+       length=st.integers(64, 600))
+def test_a_run_by_letter_blocks_is_the_per_letter_run(name, seed, length):
+    # the word's last BLOCK_LETTERS prefixes end a block at each offset
+    # from the end-marker
+    spec, word = BLOCK_RUNS[name](random.Random(seed), length)
+    for cut, expected in enumerate(reversed(direct_runs(spec, word, BLOCK_LETTERS))):
+        assert_runs_as_the_rules(spec, word[:len(word) - cut], expected)
+
+
+def counted_products(monkeypatch):
+    calls = []
+
+    def counting(register, matrix):
+        calls.append(matrix)
+        return vec_mat_mul(register, matrix)
+    monkeypatch.setattr(machines, "vec_mat_mul", counting)
+    return calls
+
+
+def test_a_wide_blind_run_multiplies_a_block_at_a_time(monkeypatch):
+    # eq's register 2**k is narrow for k < 60, at both ends of the word:
+    # those letters are stepped one at a time, the rest a block at a time
+    calls = counted_products(monkeypatch)
+    word = "a" * 3000 + "b" * 3000
+    assert run_deterministic(example("eq"), word).accepted
+    blocks = len(word) // BLOCK_LETTERS
+    assert blocks <= len(calls) <= blocks + 2 * WORD_BITS
+
+
+def test_a_run_through_status_rules_steps_every_letter(monkeypatch):
+    # every block of dyck's word holds a ), which reads the status, and no
+    # register repeats: one product per letter
+    calls = counted_products(monkeypatch)
+    word = "(" * WORD_BITS + "((((((()" * 100
+    run_deterministic(example("dyck"), word)
+    assert len(calls) == len(word)
+
+
+def test_threads_sharing_a_block_memo_get_per_letter_runs():
+    # six threads run distinct long blind words on one machine, whose one
+    # block memo they fill at once, switching as often as the interpreter
+    # allows: a block built twice is built equal
+    spec = intersect_blind_hva(example("eq"), example("evenab"))[0]
+    rng = random.Random(19)
+    work = [[runs_word(rng, "ab", 400) for _ in range(4)] for _ in range(6)]
+    expected = {w: direct_run(spec, w) for words in work for w in words}
+    start = threading.Barrier(6, timeout=60)
+    wrong = []
+
+    def runner(words):
+        try:
+            start.wait()
+            for w in words * 2:
+                result = run_deterministic(spec, w)
+                if (result.verdict, tuple(result.last)) != expected[w]:
+                    wrong.append(w)
+        except Exception as exc:  # raised in a thread, it would only warn
+            wrong.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=runner, args=(words,)) for words in work]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
