@@ -25,25 +25,32 @@ end-marker included when ``endmarker`` is set):
 Simulators are pure functions of (spec, input, budget); specs are
 immutable after validation, so evaluating many inputs in parallel is
 safe. A machine caches what it derives from its fields on first use:
-its rule index, its memoized transition function, its block memo, its
-end test and one last-run slot. The block memo maps a state and
-`BLOCK_LETTERS` letters read by lone wildcard rules to the state they
-reach and their matrices' product, so a deterministic run whose
-register is wider than `WORD_BITS` multiplies it once per block; it
-keeps at most a few matrices per block a run stepped, for as long as
-the machine, each a pure function of its key, so concurrent runs can
-at worst build one twice. The end test judges a word that ends in a
-configuration from the end-marker rules' integer columns, without
-building the registers after the end-marker: every verdict but a
-traced run's reads it. The slot holds `run_nondeterministic`'s last
-search, keyed by the budget and the eps cap of the word's length: the
-word, the built search and the word's frontiers, which the run's
-`RunResult` holds anyway, so a machine keeps at most one word's
-frontiers there. A run under the same key steps only the letters after
-the longest prefix it shares with that word. Each frontier is a pure
-function of the machine, the key and the prefix, and is never changed
-once built; a run reads the slot once and replaces it whole, so
-concurrent runs can only evict each other's entry.
+its rule index, its memoized transition function, its sinks, its block
+memo, its end test and one last-run slot. The block memo maps a state
+and `BLOCK_LETTERS` lone letters (one rule that leads on, the others
+into distinct sinks, all wildcards) to the state they reach, their
+matrices' product and the configurations they reach, so a run whose one
+live register is wider than `WORD_BITS` multiplies it once per block:
+a deterministic run, and a nondeterministic verdict run (`accepts`) on
+a machine without eps rules. It keeps at most a few matrices per block
+a run stepped, for as long as the machine, each a pure function of its
+key, so concurrent runs can at worst build one twice. The end test
+judges a word that ends in a configuration from the end-marker rules'
+integer columns, without building the registers after the end-marker:
+every verdict but a traced run's reads it. The slot holds
+`run_nondeterministic`'s last search, keyed by the budget and the eps
+cap of the word's length: the word, the built search and the word's
+frontiers, which the run's `RunResult` holds anyway, so a machine keeps
+at most one word's frontiers there. A run under the same key steps only
+the letters after the longest prefix it shares with that word. Each
+frontier is a pure function of the machine, the key and the prefix, and
+is never changed once built; a run reads the slot once and replaces it
+whole, so concurrent runs can only evict each other's entry.
+
+A `$` inside a word is no letter of any alphabet: `run_deterministic`,
+`accepts` and `run_nondeterministic` treat it as a letter without a
+rule, and only the end-marker step after the word's letters reads the
+`$` rules.
 """
 
 from __future__ import annotations
@@ -89,8 +96,8 @@ BUDGET_EXCEEDED = "BudgetExceeded"
 
 DEFAULT_MAX_CONFIGURATIONS = 1_000_000
 
-# letters a wide deterministic run multiplies in one block; a random word
-# has 2**16 distinct 16-letter blocks, too many to build, and 256 of 8
+# letters a wide run multiplies in one block; a random word has 2**16
+# distinct 16-letter blocks, too many to build, and 256 of 8
 BLOCK_LETTERS = 8
 
 
@@ -118,10 +125,10 @@ class MachineSpec:
     immutable types (tuples, frozensets, RowVectors, Fractions).
 
     `rule_index`, the compiled transition function `successors`, the
-    `blocks` memo, the `end_test` and the `last_run` slot are built on
-    first use and cached on the instance (`extendedfa_embed` gives its
-    output its source's `successors` and `last_run`); equality and
-    hashing see only the fields.
+    `sinks`, the `blocks` memo, the `end_test` and the `last_run` slot
+    are built on first use and cached on the instance (`extendedfa_embed`
+    gives its output its source's `successors` and `last_run`); equality
+    and hashing see only the fields.
     """
 
     kind: str
@@ -252,15 +259,30 @@ class MachineSpec:
         return successors
 
     @cached_property
+    def sinks(self) -> frozenset:
+        """States with no rule on a letter and no eps rule: a configuration
+        in one has no move but, at the word's end, the end-marker's."""
+        moving = {state for state, letter in self.rule_index if letter != ENDMARKER}
+        return frozenset(self.states) - moving
+
+    @cached_property
     def blocks(self):
-        """The block memo of a wide deterministic run: ``blocks(state,
-        letters)``, for up to `BLOCK_LETTERS` letters, is ``(target,
-        product)`` when each letter has exactly one rule at the state the
-        letters before it reach, with the wildcard status: that run ends in
-        `target` with its register times `product`, the rules' effects
-        multiplied in order. It is None when a letter meets a status rule,
-        no rule or a rule conflict, where a run must step that letter
-        through `successors`.
+        """The block memo of a wide run: ``blocks(state, letters)``, for up
+        to `BLOCK_LETTERS` letters, is ``(target, product, reached)`` when
+        each letter is lone at the state the letters before it reach: the
+        run's one live configuration ends in `target` with its register
+        times `product`, the lone rules' effects multiplied in order, and
+        the letters reach `reached` configurations, 1 plus the sink rules
+        for each letter. Otherwise it is the index of the first letter that
+        is not lone, where a run must step through `successors`, and no
+        block that starts before that letter is whole either.
+
+        A letter is lone at a state when all its rules have the wildcard
+        status and, for a deterministic machine, there is one; for a
+        nondeterministic one, exactly one leads outside `sinks` and the
+        others lead to distinct sinks, so their configurations neither meet
+        in the dedupe nor move at the next letter. `$` and `eps` are never
+        lone, so no block reads a `$` inside a word.
 
         Each block is built from the block one letter shorter with one
         `mat_mul`, after its states are walked, so a block cut short builds
@@ -270,8 +292,20 @@ class MachineSpec:
         so concurrent runs can only build an equal entry twice. Vector
         registers only: a counter effect is not a matrix.
         """
-        lone = {key: (rules[0][3], rules[0][2]) for key, rules in self.rule_index.items()
-                if len(rules) == 1 and rules[0][1] == STATUS_ANY}
+        deterministic = self.mode == DETERMINISTIC
+        sinks = self.sinks
+        lone = {}
+        for key, rules in self.rule_index.items():
+            if key[1] in (ENDMARKER, EPSILON) or any(rule[1] != STATUS_ANY for rule in rules):
+                continue
+            if deterministic:
+                live = rules if len(rules) == 1 else ()
+            elif len({rule[3] for rule in rules}) == len(rules):
+                live = [rule for rule in rules if rule[3] not in sinks]
+            else:  # two rules into one sink state
+                continue
+            if len(live) == 1:
+                lone[key] = live[0][3], live[0][2], len(rules)
         memo = {}
 
         def blocks(state, letters):
@@ -281,14 +315,16 @@ class MachineSpec:
             except KeyError:
                 pass
             target = state
-            for letter in letters:
+            for cut, letter in enumerate(letters):
                 rule = lone.get((target, letter))
                 if rule is None:
-                    break
+                    memo[key] = cut
+                    return cut
                 target = rule[0]
             block = rule
-            if rule is not None and len(letters) > 1:
-                block = target, mat_mul(blocks(state, letters[:-1])[1], rule[1])
+            if len(letters) > 1:
+                _, product, reached = blocks(state, letters[:-1])
+                block = target, mat_mul(product, rule[1]), reached + rule[2]
             memo[key] = block
             return block
 
@@ -722,18 +758,20 @@ def run_deterministic(spec: MachineSpec, word: str) -> RunResult:
     """Run a deterministic machine, keeping only where it ends.
 
     A configuration with no applicable rule ends the run as a Reject;
-    `last` is then the configuration that had no move.
+    `last` is then the configuration that had no move. A `$` inside the
+    word is such a letter: the run ends there, before the end-marker.
 
     A vector register wider than `WORD_BITS` takes the next
     `BLOCK_LETTERS` letters of the word in one `vec_mat_mul` by their
-    product from `MachineSpec.blocks`, where that block is not None:
+    product from `MachineSpec.blocks`, where that block is whole:
     v·M1···Mk = v·(M1···Mk), and both registers are in canonical form, so
     the register is the one the letters give one at a time. Every other
     letter is stepped through `successors`, the end-marker included: a
     narrow register, whose steps the memo keeps; a block cut short by a
     status rule, a dead letter or a conflict, so a Reject or a conflict
-    comes at the letter it would come at; the word's last letters short
-    of a block; a counter register.
+    comes at the letter it would come at, and no block is asked again
+    until the run is past the letter that cut it; the word's last letters
+    short of a block; a counter register.
     """
     if spec.mode != DETERMINISTIC:
         raise InconsistentSpecError("run_deterministic needs a deterministic machine")
@@ -742,16 +780,22 @@ def run_deterministic(spec: MachineSpec, word: str) -> RunResult:
     letters = word + ENDMARKER if spec.endmarker else word
     # the last position a block fits at; a counter register takes none
     last_block = -1 if spec.kind == COUNTER_MACHINE else len(word) - BLOCK_LETTERS
+    next_block = 0
     steps = enumerate(letters)
     for position, letter in steps:
-        if position <= last_block and register.bits > WORD_BITS:
+        if next_block <= position <= last_block and register.bits > WORD_BITS:
             block = spec.blocks(state, word[position:position + BLOCK_LETTERS])
-            if block is not None:
-                state, product = block
+            if type(block) is int:
+                next_block = position + block + 1
+            else:
+                state, product, _ = block
                 register = vec_mat_mul(register, product)
                 next(islice(steps, BLOCK_LETTERS - 2, None))  # past the block's other letters
                 continue
-        fired = successors(state, letter, register)
+        if letter == ENDMARKER and position < len(word):
+            fired = ()  # a `$` inside the word is a letter without a rule
+        else:
+            fired = successors(state, letter, register)
         if not fired:
             return RunResult(REJECT, Configuration(state, register, position))
         if len(fired) > 1:
@@ -842,12 +886,43 @@ def accepts(spec: MachineSpec, word: str, budget: SearchBudget = None) -> bool:
     `run_nondeterministic`, which keeps every position's for a trace.
     Raises UndecidedError when that search runs out of budget, so an
     unfinished search is never reported as a Reject.
+
+    On a machine without eps rules, a frontier with one configuration
+    outside `MachineSpec.sinks`, whose register is wider than
+    `WORD_BITS`, jumps over the next `BLOCK_LETTERS` letters when their
+    block is whole, a letter follows it and the budget holds the
+    configurations it reaches: the frontier becomes that configuration
+    times the block's product, having spent them. Each letter's step
+    would have expanded all it reached, and the sinks' configurations
+    have no move at the next letter, so that letter's step gives the
+    frontier the per-letter search gives, `spent` and `pruned` included.
+    A frontier that is not fully expanded has spent the whole budget, so
+    it never jumps.
     """
     if spec.mode == DETERMINISTIC:
         return run_deterministic(spec, word).accepted
-    start, step, verdict = searches(spec, budget)[0](len(word))
-    frontier = start
-    for letter in word:
+    budget = budget or SearchBudget()
+    frontier, step, verdict = searches(spec, budget)[0](len(word))
+    sinks = spec.sinks
+    # a block leaves a letter after it; a counter register takes none
+    last_block = (-1 if spec.kind == COUNTER_MACHINE or spec.epsilon_sources
+                  else len(word) - BLOCK_LETTERS - 1)
+    next_block = 0
+    steps = enumerate(word)
+    for position, letter in steps:
+        if next_block <= position <= last_block and len(frontier.configurations) <= len(sinks) + 1:
+            live = [key for key in frontier.configurations if key[0] not in sinks]
+            if len(live) == 1 and live[0][1].bits > WORD_BITS:
+                (state, register), = live
+                block = spec.blocks(state, word[position:position + BLOCK_LETTERS])
+                if type(block) is int:
+                    next_block = position + block + 1
+                elif frontier.spent + block[2] <= budget.max_configurations:
+                    target, product, reached = block
+                    jumped = {(target, vec_mat_mul(register, product)): 0}
+                    frontier = Frontier(jumped, jumped, frontier.spent + reached, frontier.pruned)
+                    next(islice(steps, BLOCK_LETTERS - 2, None))  # past the block's other letters
+                    continue
         frontier = step(frontier, letter)
     return verdict(frontier, word)
 
@@ -955,7 +1030,8 @@ def nondeterministic_steps(spec: MachineSpec, budget: SearchBudget, length: int)
                         spent + room, pruned)
 
     def step(frontier, letter):
-        return close(moved(frontier, letter), frontier.spent,
+        # a `$` inside a word is a letter without a rule
+        return close(moved(frontier, letter) if letter != ENDMARKER else {}, frontier.spent,
                      frontier.pruned or len(frontier.expanded) < len(frontier.configurations))
 
     def end(frontier):

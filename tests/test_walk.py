@@ -1464,23 +1464,44 @@ def test_a_wide_blind_run_multiplies_a_block_at_a_time(monkeypatch):
     assert blocks <= len(calls) <= blocks + 2 * WORD_BITS
 
 
+def counted_blocks(spec):
+    """The letters of each block a run of `spec` asks its block memo for."""
+    asked = []
+    blocks = spec.blocks
+
+    def counting(state, letters):
+        asked.append(letters)
+        return blocks(state, letters)
+    vars(spec)["blocks"] = counting  # where cached_property keeps it
+    return asked
+
+
 def test_a_run_through_status_rules_steps_every_letter(monkeypatch):
     # every block of dyck's word holds a ), which reads the status, and no
-    # register repeats: one product per letter
+    # register repeats: one product per letter. Once the register is wide,
+    # the run asks for one block per ), the block that ends at it: that
+    # block is cut there, and so would be every block before the )
     calls = counted_products(monkeypatch)
+    spec = example("dyck")
+    asked = counted_blocks(spec)
     word = "(" * WORD_BITS + "((((((()" * 100
-    run_deterministic(example("dyck"), word)
+    run_deterministic(spec, word)
     assert len(calls) == len(word)
+    assert asked == ["((((((()"] * 100
 
 
 def test_threads_sharing_a_block_memo_get_per_letter_runs():
-    # six threads run distinct long blind words on one machine, whose one
-    # block memo they fill at once, switching as often as the interpreter
-    # allows: a block built twice is built equal
+    # six threads run distinct long blind words on two machines, whose
+    # block memos they fill at once, switching as often as the interpreter
+    # allows: a block built twice is built equal. One machine is
+    # deterministic; the other, eq without its end-marker, is
+    # nondeterministic only in its rules into the sink q_acc
     spec = intersect_blind_hva(example("eq"), example("evenab"))[0]
+    unmarked = eq_without_endmarker()
     rng = random.Random(19)
     work = [[runs_word(rng, "ab", 400) for _ in range(4)] for _ in range(6)]
-    expected = {w: direct_run(spec, w) for words in work for w in words}
+    expected = {w: (direct_run(spec, w), per_letter_outcome(unmarked, w, None)[0])
+                for words in work for w in words}
     start = threading.Barrier(6, timeout=60)
     wrong = []
 
@@ -1489,7 +1510,7 @@ def test_threads_sharing_a_block_memo_get_per_letter_runs():
             start.wait()
             for w in words * 2:
                 result = run_deterministic(spec, w)
-                if (result.verdict, tuple(result.last)) != expected[w]:
+                if ((result.verdict, tuple(result.last)), accepts(unmarked, w)) != expected[w]:
                     wrong.append(w)
         except Exception as exc:  # raised in a thread, it would only warn
             wrong.append(exc)
@@ -1506,3 +1527,185 @@ def test_threads_sharing_a_block_memo_get_per_letter_runs():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
+
+
+# ---------------------------------------------------------------------------
+# a wide nondeterministic verdict run's letter blocks against the search
+# stepped one letter at a time
+
+
+def eq_without_endmarker():
+    """eq given a trivial end-marker and then rid of it: a blind HVA whose
+    every letter has one rule that leads on and one into the sink q_acc."""
+    return remove_endmarker(attach_trivial_endmarker(example("eq"))[0])[0]
+
+
+def verdict_or_undecided(judge, *args):
+    try:
+        return judge(*args)
+    except UndecidedError:
+        return "undecided"
+
+
+def per_letter_outcome(spec, word, budget):
+    """The verdict of `searches`' search stepped one letter at a time, or
+    "undecided", and the `spent` of the frontier it judged."""
+    frontier, step, verdict = searches(spec, budget)[0](len(word))
+    for letter in word:
+        frontier = step(frontier, letter)
+    return verdict_or_undecided(verdict, frontier, word), frontier.spent
+
+
+def accepts_outcome(spec, word, budget):
+    """`accepts`' verdict, or "undecided", and the `spent` of the frontier
+    it judged, read by wrapping the verdict of the search it builds."""
+    judged = []
+    search, cap_grows = searches(spec, budget)
+
+    def recording_search(length):
+        start, step, verdict = search(length)
+
+        def recorded(frontier, word):
+            judged.append(frontier.spent)
+            return verdict(frontier, word)
+        return start, step, recorded
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(machines, "searches", lambda spec, budget=None: (recording_search, cap_grows))
+        outcome = verdict_or_undecided(accepts, spec, word, budget)
+    (spent,) = judged
+    return outcome, spent
+
+
+def with_endmarker_letter(rng, word):
+    """`word`, or, one time in eight, with a `$` in place of one letter."""
+    if rng.random() < 0.125:
+        at = rng.randrange(len(word))
+        word = word[:at] + ENDMARKER + word[at + 1:]
+    return word
+
+
+def runs_or_sorted_word(rng, alphabet, length):
+    """A `runs_word`, or, one time in two, each letter of `alphabet` as
+    often in one run, in order, one letter of it changed one time in two:
+    a word the machines below accept, or one that misses by a letter."""
+    if rng.random() < 0.5:
+        return runs_word(rng, alphabet, length)
+    word = "".join(letter * (length // len(alphabet)) for letter in alphabet)
+    if rng.random() < 0.5:
+        at = rng.randrange(len(word))
+        word = word[:at] + rng.choice(alphabet) + word[at + 1:]
+    return word
+
+
+def two_sink_rules_machine():
+    """A nondeterministic VA whose register doubles in p on every letter.
+    Besides, a leads to the sinks s and t, and b to s by two equal rules,
+    whose configurations meet in the dedupe: a is lone at p, b is not."""
+    double, keep = Matrix.from_rows([[2]]), Matrix.identity(1)
+    rules = [("a", "p", double), ("a", "s", keep), ("a", "t", keep),
+             ("b", "p", double), ("b", "s", keep), ("b", "s", keep)]
+    return MachineSpec(
+        kind=VA, mode=NONDETERMINISTIC, blind=True, endmarker=False, realtime=True,
+        alphabet=("a", "b"), states=("p", "s", "t"), initial_state="p",
+        accept_states={"p", "s"}, dimension=1, initial_vector=[1],
+        transitions=[TransitionRule("p", x, STATUS_ANY, t, m) for x, t, m in rules])
+
+
+def nondeterministic_run(make, alphabet):
+    return lambda rng, length: (make(rng), runs_or_sorted_word(rng, alphabet, length))
+
+
+NONDETERMINISTIC_BLOCK_RUNS = {
+    "remove_endmarker(wide_nbhva)": nondeterministic_run(
+        lambda rng: remove_endmarker(wide_nbhva(rng))[0], "ab"),
+    "counters_to_integer_hva3(blind_counter_ab)": nondeterministic_run(
+        lambda rng: counters_to_integer_hva3(blind_counter_ab())[0], "ab"),
+    "counters_to_integer_hva3(blind_counter_abc)": nondeterministic_run(
+        lambda rng: counters_to_integer_hva3(blind_counter_abc())[0], "abc"),
+    "remove_endmarker(eq$)": nondeterministic_run(lambda rng: eq_without_endmarker(), "ab"),
+    # home is wide: an accepted word ends in q_acc with a wide register
+    "remove_endmarker(wide eq$)": nondeterministic_run(
+        lambda rng: scale_initial_vector(eq_without_endmarker(), WIDE)[0], "ab"),
+    "two_sink_rules": nondeterministic_run(lambda rng: two_sink_rules_machine(), "ab"),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(NONDETERMINISTIC_BLOCK_RUNS)),
+       seed=st.integers(0, 2**32 - 1), length=st.integers(16, 300),
+       configurations=st.integers(1, 1000))
+def test_a_verdict_run_by_letter_blocks_is_the_per_letter_search(name, seed, length,
+                                                                 configurations):
+    # a budget of up to about three configurations a letter runs out
+    # before, inside or after a block as often as not
+    rng = random.Random(seed)
+    spec, word = NONDETERMINISTIC_BLOCK_RUNS[name](rng, length)
+    assert validate(spec) == []
+    word = with_endmarker_letter(rng, word)
+    budget = SearchBudget(max_configurations=configurations)
+    assert accepts_outcome(spec, word, budget) == per_letter_outcome(spec, word, budget)
+
+
+EQ_WORD = "a" * 3000 + "b" * 3000
+
+
+@pytest.mark.parametrize("configurations, verdict", [(11_997, "undecided"), (11_998, True)])
+def test_a_verdict_run_by_letter_blocks_runs_out_of_budget_at_the_same_count(
+        configurations, verdict):
+    # each letter reaches two configurations, one in q_acc: the last
+    # letter needs the live one at the letter before expanded, not q_acc
+    spec, budget = eq_without_endmarker(), SearchBudget(max_configurations=configurations)
+    assert accepts_outcome(spec, EQ_WORD, budget)[0] == verdict
+    assert per_letter_outcome(spec, EQ_WORD, budget)[0] == verdict
+    traced = run_nondeterministic(spec, EQ_WORD, budget).verdict
+    assert traced == (ACCEPT if verdict is True else BUDGET_EXCEEDED)
+
+
+@pytest.mark.parametrize("n", range(36, 40))
+def test_a_verdict_run_steps_the_last_letter_into_the_sinks(n):
+    # this eq accepts in q_acc at its home, which is wide, and jumps from
+    # the first letter: the last letter, at any offset from a block's end,
+    # is stepped so that it reaches q_acc
+    spec = scale_initial_vector(eq_without_endmarker(), WIDE)[0]
+    word = "a" * n + "b" * n
+    assert accepts(spec, word)
+    assert per_letter_outcome(spec, word, None)[0] is True
+
+
+def test_a_wide_nondeterministic_verdict_run_multiplies_a_block_at_a_time(monkeypatch):
+    # the register 2**k is narrow for k < 60, at both ends of the word:
+    # those letters step the live configuration and its q_acc twin, the
+    # rest jump a block at a time; the search stepped one letter at a time
+    # makes two products per letter
+    spec = eq_without_endmarker()
+    calls = counted_products(monkeypatch)
+    assert accepts(spec, EQ_WORD)
+    blocks = len(EQ_WORD) // BLOCK_LETTERS
+    assert blocks - 2 <= len(calls) <= blocks + 4 * WORD_BITS
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(END_MACHINES)), seed=st.integers(0, 2**32 - 1),
+       length=st.integers(1, 12), at=st.integers(0, 12))
+def test_a_dollar_inside_a_word_is_a_letter_without_a_rule(name, seed, length, at):
+    rng = random.Random(seed)
+    spec = END_MACHINES[name](rng)
+    word = "".join(rng.choice(spec.alphabet) for _ in range(length))
+    at = min(at, length - 1)
+    dollar, foreign = (word[:at] + letter + word[at + 1:] for letter in (ENDMARKER, "#"))
+    assert "#" not in spec.alphabet
+    if spec.mode == DETERMINISTIC:
+        runs = [run_deterministic(spec, w) for w in (dollar, foreign)]
+    else:
+        budget = SearchBudget(max_configurations=500)
+        assert (verdict_or_undecided(accepts, spec, dollar, budget)
+                == verdict_or_undecided(accepts, spec, foreign, budget))
+        runs = [run_nondeterministic(spec, w, budget) for w in (dollar, foreign)]
+    assert runs[0].verdict == runs[1].verdict
+    assert runs[0].last == runs[1].last
+
+
+def test_a_dollar_inside_a_word_reads_no_end_marker_rule():
+    assert not accepts(random_dva(random.Random(1)), ENDMARKER)
+    assert run_deterministic(example("pow_r"), "a$").last.position == 1
