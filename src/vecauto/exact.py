@@ -230,9 +230,7 @@ class Matrix:
         if self._integer_form is None:
             scaled, d = _over_common_denominator(self.entries)
             columns = tuple(scaled[j :: self.cols] for j in range(self.cols))
-            growth = max(d.bit_length(),
-                         *(sum(map(abs, column)).bit_length() for column in columns))
-            self._integer_form = (columns, d, growth)
+            self._integer_form = (columns, d, _growth(columns, d))
         return self._integer_form
 
     def scale(self, t) -> "Matrix":
@@ -262,6 +260,42 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
+def _growth(columns: tuple, d: int) -> int:
+    # the bit length of d or of a column's sum of absolute values, whichever is larger
+    return max(d.bit_length(), *(sum(map(abs, column)).bit_length() for column in columns))
+
+
+class IntegerMatrix:
+    """A matrix held only as its `integer_form`, for a product that
+    only `vec_mat_mul` and integer column tests read: `integer_product`
+    builds it without a Fraction."""
+
+    __slots__ = ("rows", "integer_form")
+
+    def __init__(self, integer_form: tuple):
+        self.rows = len(integer_form[0][0])  # the length of a column
+        self.integer_form = integer_form
+
+
+def integer_product(a, b) -> IntegerMatrix:
+    """The product a*b of two matrices (each a `Matrix` or an
+    `IntegerMatrix`), from their integer forms: column j of the
+    integer product holds the rows of a times b's column j, over the
+    product of the denominators, reduced by their gcd."""
+    a_columns, a_d, _ = a.integer_form
+    b_columns, b_d, _ = b.integer_form
+    rows = tuple(zip(*a_columns))
+    columns = [[sum(map(mul, row, column)) for row in rows] for column in b_columns]
+    d = a_d * b_d
+    if d != 1:
+        g = math.gcd(d, *(n for column in columns for n in column))
+        if g != 1:
+            d //= g
+            columns = [[n // g for n in column] for column in columns]
+    columns = tuple(map(tuple, columns))
+    return IntegerMatrix((columns, d, _growth(columns, d)))
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Exact matrix product a*b."""
     if a.cols != b.rows:
@@ -282,7 +316,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def vec_mat_mul(v: RowVector, a: Matrix) -> RowVector:
-    """Exact row-vector-times-matrix product v*a."""
+    """Exact row-vector-times-matrix product v*a; `a` may be an
+    `IntegerMatrix`."""
     nums = v.nums
     if len(nums) != a.rows:
         raise ShapeError(f"cannot multiply dim-{v.dim} vector by {a.rows}x{a.cols}")

@@ -26,18 +26,23 @@ Simulators are pure functions of (spec, input, budget); specs are
 immutable after validation, so evaluating many inputs in parallel is
 safe. A machine caches what it derives from its fields on first use:
 its rule index, its memoized transition function, its sinks, its block
-memo, its end test and one last-run slot. The block memo maps a state
-and `BLOCK_LETTERS` lone letters (one rule that leads on, the others
-into distinct sinks, all wildcards) to the state they reach, their
-matrices' product and the configurations they reach, so a run whose one
-live register is wider than `WORD_BITS` multiplies it once per block:
-a deterministic run, and a nondeterministic verdict run (`accepts`) on
-a machine without eps rules. It keeps at most a few matrices per block
+memo, its home test after a matrix, its end test and one last-run slot.
+The block memo maps a state and `BLOCK_LETTERS` lone letters (one rule
+that fires and leads on, the others into distinct sinks) to the state
+they reach, their matrices' integer product and the configurations they
+reach, so a run whose one live register is wider than `WORD_BITS`
+multiplies it once per block (`_jump`): a deterministic run, and a
+nondeterministic verdict run (`accepts`) on a machine without eps rules.
+A letter whose rules read the register's status is lone under the
+status the register has there, which the block reads exactly from the
+integer columns of the product of the letters before it, and the block
+branches on it. The memo keeps at most a few integer matrices per block
 a run stepped, for as long as the machine, each a pure function of its
 key, so concurrent runs can at worst build one twice. The end test
 judges a word that ends in a configuration from the end-marker rules'
-integer columns, without building the registers after the end-marker:
-every verdict but a traced run's reads it. The slot holds
+integer columns, with the same home test as the blocks, without
+building the registers after the end-marker: every verdict but a traced
+run's reads it. The slot holds
 `run_nondeterministic`'s last search, keyed by the budget and the eps
 cap of the word's length: the word, the built search and the word's
 frontiers, which the run's `RunResult` holds anyway, so a machine keeps
@@ -70,7 +75,7 @@ from .errors import (
     UndecidedError,
     UnsupportedKindError,
 )
-from .exact import WORD_BITS, Matrix, RowVector, dot, mat_mul, tensor, vec_mat_mul
+from .exact import WORD_BITS, Matrix, RowVector, dot, integer_product, tensor, vec_mat_mul
 
 VA = "VA"
 HVA = "HVA"
@@ -101,6 +106,20 @@ DEFAULT_MAX_CONFIGURATIONS = 1_000_000
 BLOCK_LETTERS = 8
 
 
+class _Probe:
+    """A letter of a block that reads the status: ``lands_home(register)``
+    decides it from the register at the block's start, `block` and
+    `statuses` are what the letters before it make and read, and
+    `branches` keeps the rest of the block under `!=` and under `=`,
+    indexed by whether the register is home there, once built."""
+
+    __slots__ = ("lands_home", "block", "statuses", "branches")
+
+    def __init__(self, lands_home, block, statuses):
+        self.lands_home, self.block, self.statuses = lands_home, block, statuses
+        self.branches = [None, None]
+
+
 @dataclass(frozen=True)
 class TransitionRule:
     """One rule: in `source`, reading `input` under `status`, go to `target`.
@@ -125,8 +144,8 @@ class MachineSpec:
     immutable types (tuples, frozensets, RowVectors, Fractions).
 
     `rule_index`, the compiled transition function `successors`, the
-    `sinks`, the `blocks` memo, the `end_test` and the `last_run` slot
-    are built on first use and cached on the instance (`extendedfa_embed`
+    `sinks`, the `blocks` memo, `home_after`, the `end_test` and the
+    `last_run` slot are built on first use and cached on the instance (`extendedfa_embed`
     gives its output its source's `successors` and `last_run`); equality
     and hashing see only the fields.
     """
@@ -267,66 +286,114 @@ class MachineSpec:
 
     @cached_property
     def blocks(self):
-        """The block memo of a wide run: ``blocks(state, letters)``, for up
-        to `BLOCK_LETTERS` letters, is ``(target, product, reached)`` when
-        each letter is lone at the state the letters before it reach: the
-        run's one live configuration ends in `target` with its register
-        times `product`, the lone rules' effects multiplied in order, and
-        the letters reach `reached` configurations, 1 plus the sink rules
-        for each letter. Otherwise it is the index of the first letter that
-        is not lone, where a run must step through `successors`, and no
-        block that starts before that letter is whole either.
+        """The block memo of a wide run: ``blocks(state, letters, register)``,
+        for up to `BLOCK_LETTERS` letters read by a run whose one live
+        configuration is ``(state, register)``, is ``(length, target,
+        product, reached)``: the first `length` letters take that
+        configuration to `target` with its register times `product` (None
+        for no letter), and reach `reached` configurations, 1 plus the sink
+        rules for each letter. The block is whole when `length` is that of
+        `letters`; otherwise the letter after them is not lone, and the run
+        must step it through `successors`.
 
-        A letter is lone at a state when all its rules have the wildcard
-        status and, for a deterministic machine, there is one; for a
-        nondeterministic one, exactly one leads outside `sinks` and the
-        others lead to distinct sinks, so their configurations neither meet
-        in the dedupe nor move at the next letter. `$` and `eps` are never
-        lone, so no block reads a `$` inside a word.
+        A letter is lone at a state when the rules that fire there, under
+        the status the register has at that letter, are, for a
+        deterministic machine, one; for a nondeterministic one, one that
+        leads outside `sinks` and others that lead to distinct sinks, so
+        their configurations neither meet in the dedupe nor move at the
+        next letter. `$` and `eps` are never lone, so no block reads a `$`
+        inside a word.
 
-        Each block is built from the block one letter shorter with one
-        `mat_mul`, after its states are walked, so a block cut short builds
-        no product: a block stepped adds at most `BLOCK_LETTERS` matrices,
-        one unless its prefixes are new. Entries are exact and immutable
-        and live as long as the machine; a run that finds none builds one,
-        so concurrent runs can only build an equal entry twice. Vector
-        registers only: a counter effect is not a matrix.
+        A letter whose rules all have the wildcard status is looked up by
+        its state alone. At a letter that reads the status, the block
+        probes the register: its status there is that of v·P, P the
+        product of the block's letters before it, which `home_after`
+        decides from P's integer columns, exactly and building no
+        register. The status picks the rules that fire, and the block
+        branches on it like a trie (`_Probe`), so a block whose letters
+        read no status is one memo lookup.
+
+        Each product is built from the one a letter shorter with one
+        `integer_product`, no Fraction matrix, after the letter is found
+        lone, so a block cut short builds nothing past its cut. Entries
+        are exact and immutable and live as long as the machine; a run
+        that finds none builds one, so concurrent runs can only build an
+        equal entry twice. Vector registers only: a counter effect is not
+        a matrix.
         """
         deterministic = self.mode == DETERMINISTIC
         sinks = self.sinks
-        lone = {}
-        for key, rules in self.rule_index.items():
-            if key[1] in (ENDMARKER, EPSILON) or any(rule[1] != STATUS_ANY for rule in rules):
-                continue
+        home, home_after = self.register_tests[1], self.home_after
+
+        def lone(rules):
+            # the rule the live configuration takes when `rules` fire, as
+            # (target, effect, configurations reached), or None
             if deterministic:
                 live = rules if len(rules) == 1 else ()
             elif len({rule[3] for rule in rules}) == len(rules):
                 live = [rule for rule in rules if rule[3] not in sinks]
             else:  # two rules into one sink state
+                return None
+            return (live[0][3], live[0][2], len(rules)) if len(live) == 1 else None
+
+        # per (state, letter) its lone rule or None, or, where a rule reads
+        # the status, those of both statuses
+        table = {}
+        for key, rules in self.rule_index.items():
+            if key[1] in (ENDMARKER, EPSILON):
                 continue
-            if len(live) == 1:
-                lone[key] = live[0][3], live[0][2], len(rules)
+            if all(rule[1] == STATUS_ANY for rule in rules):
+                table[key] = lone(rules)
+            else:
+                table[key] = {status: lone([rule for rule in rules if rule[1] in (STATUS_ANY, status)])
+                              for status in (STATUS_EQ, STATUS_NE)}
+
+        # (state, letters, statuses read) -> the block those letters
+        # make from that state under those statuses, and the home test
+        # after them: what the blocks that start with them share
+        prefixes, tests = {}, {}
+
+        def grow(start, letters, block, statuses, status=None):
+            # the rest of the block of `letters` from `start` whose first
+            # block.length letters make `block` under `statuses`; `status`
+            # is the next letter's, once probed
+            length, state, product, reached = block
+            for letter in letters[length:]:
+                rule = table.get((state, letter))
+                if type(rule) is dict:
+                    if status is None:
+                        key = (start, letters[:length], statuses)
+                        lands_home = tests.get(key)
+                        if lands_home is None:
+                            lands_home = home if product is None else home_after(product)
+                            tests[key] = lands_home
+                        return _Probe(lands_home, block, statuses)
+                    rule, statuses, status = rule[status], statuses + (status,), None
+                if rule is None:
+                    break
+                key = (start, letters[:length + 1], statuses)
+                block = prefixes.get(key)
+                if block is None:
+                    target, effect, count = rule
+                    product = effect if product is None else integer_product(product, effect)
+                    block = prefixes[key] = (length + 1, target, product, reached + count)
+                length, state, product, reached = block
+            return block
+
         memo = {}
 
-        def blocks(state, letters):
-            key = (state, letters)
-            try:
-                return memo[key]
-            except KeyError:
-                pass
-            target = state
-            for cut, letter in enumerate(letters):
-                rule = lone.get((target, letter))
-                if rule is None:
-                    memo[key] = cut
-                    return cut
-                target = rule[0]
-            block = rule
-            if len(letters) > 1:
-                _, product, reached = blocks(state, letters[:-1])
-                block = target, mat_mul(product, rule[1]), reached + rule[2]
-            memo[key] = block
-            return block
+        def blocks(state, letters, register):
+            node = memo.get((state, letters))
+            if node is None:
+                node = memo[state, letters] = grow(state, letters, (0, state, None, 0), ())
+            while type(node) is _Probe:
+                at_home = node.lands_home(register)
+                branch = node.branches[at_home]
+                if branch is None:
+                    branch = node.branches[at_home] = grow(
+                        state, letters, node.block, node.statuses, STATUS_EQ if at_home else STATUS_NE)
+                node = branch
+            return node
 
         return blocks
 
@@ -370,6 +437,45 @@ class MachineSpec:
         return (lambda register: STATUS_EQ if home(register) else STATUS_NE), home
 
     @cached_property
+    def home_after(self):
+        """``home_after(matrix)``, for a vector machine: `register_tests`'
+        home test of a register times `matrix` (a `Matrix` or an
+        `IntegerMatrix`), as a function of the register, building no
+        register. With the matrix's integer columns C over d
+        (`integer_form`) and the register's nums over den, a VA's test is
+        sum(nums * C_0) == den * d. A GFA's compares the column C·f, f its
+        final vector, with its cutpoint in the same way. The other kinds
+        compare each entry with the home vector u's, sum(nums * C_j) *
+        u.den == u.nums_j * den * d, from the first up to the first that
+        differs."""
+        final = None
+        if self.kind == GFA:
+            final, cutpoint = self.gfa_final_vector, self.gfa_cutpoint
+            home_nums, home_den = (cutpoint.numerator,), cutpoint.denominator
+        elif self.kind == VA:  # the first entry, 1
+            home_nums, home_den = (1,), 1
+        else:
+            initial = RowVector([1]) if self.kind == FAM else self.initial_vector
+            home_nums, home_den = initial.nums, initial.den
+
+        def home_after(matrix):
+            columns, d, _ = matrix.integer_form
+            if final is not None:
+                columns = (tuple(sum(map(mul, row, final.nums)) for row in zip(*columns)),)
+                d *= final.den
+            targets = tuple(zip(columns, home_nums))
+
+            def lands_home(register):
+                nums, den = register.nums, register.den * d
+                for column, target in targets:
+                    if sum(map(mul, nums, column)) * home_den != target * den:
+                        return False
+                return True
+            return lands_home
+
+        return home_after
+
+    @cached_property
     def end_test(self):
         """``end_test(state, register)``: whether a word whose letters end
         in this configuration is accepted, built on first use.
@@ -377,15 +483,11 @@ class MachineSpec:
         Without an end-marker that is an accept state and `register_tests`'
         home test. With one, it reads the `$` rules of `rule_index` that
         lead to an accept state, fired under their status as in
-        `successors`, and asks whether one takes the register home,
-        building no register. With the matrix's integer columns C over d
-        (`Matrix.integer_form`) and the register's nums over den, a VA's
-        test is sum(nums * C_0) == den * d; the other vector kinds compare
-        each entry with the home vector u's, sum(nums * C_j) * u.den ==
-        u.nums_j * den * d, up to the first that differs. A counter
-        machine adds the effect to the register. A deterministic machine
-        first counts the `$` rules that fire and raises
-        `run_deterministic`'s conflict if more than one does.
+        `successors`, and asks `home_after` whether one takes the register
+        home, building no register; a counter machine adds the effect to
+        the register. A deterministic machine first counts the `$` rules
+        that fire and raises `run_deterministic`'s conflict if more than
+        one does.
         """
         accept_states = self.accept_states
         status_of_register, home = self.register_tests
@@ -394,28 +496,8 @@ class MachineSpec:
         if self.kind == COUNTER_MACHINE:
             def home_after(effect):
                 return lambda register: home(tuple(c + d for c, d in zip(register, effect)))
-        elif self.kind == GFA:  # never valid with an end-marker
-            def home_after(effect):
-                return lambda register: home(vec_mat_mul(register, effect))
         else:
-            # the home entries over their denominator: a VA's is its first, 1
-            if self.kind == VA:
-                home_nums, home_den = (1,), 1
-            else:
-                initial = RowVector([1]) if self.kind == FAM else self.initial_vector
-                home_nums, home_den = initial.nums, initial.den
-
-            def home_after(effect):
-                columns, d, _ = effect.integer_form
-                targets = tuple(zip(columns, home_nums))
-
-                def lands_home(register):
-                    nums, den = register.nums, register.den * d
-                    for column, target in targets:
-                        if sum(map(mul, nums, column)) * home_den != target * den:
-                            return False
-                    return True
-                return lands_home
+            home_after = self.home_after
 
         # per state its `$` rules as (status, home test, or None for a rule
         # into a state that does not accept), and whether one reads the
@@ -761,17 +843,12 @@ def run_deterministic(spec: MachineSpec, word: str) -> RunResult:
     `last` is then the configuration that had no move. A `$` inside the
     word is such a letter: the run ends there, before the end-marker.
 
-    A vector register wider than `WORD_BITS` takes the next
-    `BLOCK_LETTERS` letters of the word in one `vec_mat_mul` by their
-    product from `MachineSpec.blocks`, where that block is whole:
-    v·M1···Mk = v·(M1···Mk), and both registers are in canonical form, so
-    the register is the one the letters give one at a time. Every other
-    letter is stepped through `successors`, the end-marker included: a
-    narrow register, whose steps the memo keeps; a block cut short by a
-    status rule, a dead letter or a conflict, so a Reject or a conflict
-    comes at the letter it would come at, and no block is asked again
-    until the run is past the letter that cut it; the word's last letters
-    short of a block; a counter register.
+    A vector register wider than `WORD_BITS` takes the word's letters a
+    block at a time (`_jump`). Every other letter is stepped through
+    `successors`, the end-marker included: a narrow register, whose steps
+    the memo keeps; the letter that cuts a block, a dead letter or a
+    conflict, so a Reject or a conflict comes at the letter it would come
+    at; the word's last letters short of a block; a counter register.
     """
     if spec.mode != DETERMINISTIC:
         raise InconsistentSpecError("run_deterministic needs a deterministic machine")
@@ -780,18 +857,15 @@ def run_deterministic(spec: MachineSpec, word: str) -> RunResult:
     letters = word + ENDMARKER if spec.endmarker else word
     # the last position a block fits at; a counter register takes none
     last_block = -1 if spec.kind == COUNTER_MACHINE else len(word) - BLOCK_LETTERS
-    next_block = 0
     steps = enumerate(letters)
     for position, letter in steps:
-        if next_block <= position <= last_block and register.bits > WORD_BITS:
-            block = spec.blocks(state, word[position:position + BLOCK_LETTERS])
-            if type(block) is int:
-                next_block = position + block + 1
-            else:
-                state, product, _ = block
-                register = vec_mat_mul(register, product)
-                next(islice(steps, BLOCK_LETTERS - 2, None))  # past the block's other letters
-                continue
+        if position <= last_block and register.bits > WORD_BITS:
+            jumped, state, register, _ = _jump(spec, letters, position, last_block,
+                                               state, register, math.inf)
+            if jumped == len(letters):
+                break
+            if jumped > position:  # on to the letter after those jumped
+                position, letter = next(islice(steps, jumped - position - 1, None))
         if letter == ENDMARKER and position < len(word):
             fired = ()  # a `$` inside the word is a letter without a rule
         else:
@@ -803,6 +877,37 @@ def run_deterministic(spec: MachineSpec, word: str) -> RunResult:
         _, state, register = fired[0]
     accepted = state in spec.accept_states and spec.register_tests[1](register)
     return RunResult(ACCEPT if accepted else REJECT, Configuration(state, register, len(letters)))
+
+
+def _jump(spec: MachineSpec, letters: str, position: int, last_block: int, state: str,
+          register: RowVector, room) -> tuple:
+    """The jump of a run whose one live configuration, ``(state,
+    register)`` at `position`, has a register wider than `WORD_BITS` and
+    may reach `room` more configurations: ``(position, state, register,
+    reached)`` after the letter blocks of `MachineSpec.blocks` it jumps,
+    `reached` the configurations their letters reach.
+
+    It takes whole blocks that start up to `last_block`, while the
+    register stays wide and the letters reach no more than `room`, and
+    the lone letters of a block cut short, then stops: the letter after
+    it is one the run must step. A block multiplies the register once by
+    its product: v·M1···Mk = v·(M1···Mk), and both registers are in
+    canonical form, so it is the register the letters give one at a
+    time. Both `run_deterministic` and `accepts` jump here.
+    """
+    blocks = spec.blocks
+    reached = 0
+    while position <= last_block and register.bits > WORD_BITS:
+        length, target, product, count = blocks(
+            state, letters[position:position + BLOCK_LETTERS], register)
+        if not length or reached + count > room:
+            break
+        state, register = target, vec_mat_mul(register, product)
+        position += length
+        reached += count
+        if length < BLOCK_LETTERS:
+            break
+    return position, state, register, reached
 
 
 def run_nondeterministic(spec: MachineSpec, word: str, budget: SearchBudget = None) -> RunResult:
@@ -889,15 +994,14 @@ def accepts(spec: MachineSpec, word: str, budget: SearchBudget = None) -> bool:
 
     On a machine without eps rules, a frontier with one configuration
     outside `MachineSpec.sinks`, whose register is wider than
-    `WORD_BITS`, jumps over the next `BLOCK_LETTERS` letters when their
-    block is whole, a letter follows it and the budget holds the
-    configurations it reaches: the frontier becomes that configuration
-    times the block's product, having spent them. Each letter's step
-    would have expanded all it reached, and the sinks' configurations
-    have no move at the next letter, so that letter's step gives the
-    frontier the per-letter search gives, `spent` and `pruned` included.
-    A frontier that is not fully expanded has spent the whole budget, so
-    it never jumps.
+    `WORD_BITS`, jumps over letter blocks (`_jump`) when a letter follows
+    them and the budget holds the configurations they reach: the
+    frontier becomes that configuration times their products, having
+    spent them. Each letter's step would have expanded
+    all it reached, and the sinks' configurations have no move at the
+    next letter, so that letter's step gives the frontier the per-letter
+    search gives, `spent` and `pruned` included. A frontier that is not
+    fully expanded has spent the whole budget, so it never jumps.
     """
     if spec.mode == DETERMINISTIC:
         return run_deterministic(spec, word).accepted
@@ -907,22 +1011,20 @@ def accepts(spec: MachineSpec, word: str, budget: SearchBudget = None) -> bool:
     # a block leaves a letter after it; a counter register takes none
     last_block = (-1 if spec.kind == COUNTER_MACHINE or spec.epsilon_sources
                   else len(word) - BLOCK_LETTERS - 1)
-    next_block = 0
     steps = enumerate(word)
     for position, letter in steps:
-        if next_block <= position <= last_block and len(frontier.configurations) <= len(sinks) + 1:
+        if position <= last_block and len(frontier.configurations) <= len(sinks) + 1:
             live = [key for key in frontier.configurations if key[0] not in sinks]
             if len(live) == 1 and live[0][1].bits > WORD_BITS:
                 (state, register), = live
-                block = spec.blocks(state, word[position:position + BLOCK_LETTERS])
-                if type(block) is int:
-                    next_block = position + block + 1
-                elif frontier.spent + block[2] <= budget.max_configurations:
-                    target, product, reached = block
-                    jumped = {(target, vec_mat_mul(register, product)): 0}
-                    frontier = Frontier(jumped, jumped, frontier.spent + reached, frontier.pruned)
-                    next(islice(steps, BLOCK_LETTERS - 2, None))  # past the block's other letters
-                    continue
+                jumped, state, register, reached = _jump(
+                    spec, word, position, last_block, state, register,
+                    budget.max_configurations - frontier.spent)
+                if jumped > position:
+                    configurations = {(state, register): 0}
+                    frontier = Frontier(configurations, configurations,
+                                        frontier.spent + reached, frontier.pruned)
+                    position, letter = next(islice(steps, jumped - position - 1, None))
         frontier = step(frontier, letter)
     return verdict(frontier, word)
 

@@ -12,6 +12,7 @@ from vecauto.exact import (
     RowVector,
     common_denominator_scalar,
     format_rational,
+    integer_product,
     inverse,
     mat_mul,
     parse_rational,
@@ -228,6 +229,25 @@ def test_vec_mat_mul_chains_match_fraction_reference(chain):
         assert all(type(e) is int or e.denominator > 1 for e in got.entries)
         rebuilt = RowVector(expected)
         assert got == rebuilt and hash(got) == hash(rebuilt)
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_chains())
+def test_integer_products_are_the_fraction_products(chain):
+    # a chain's running product built from integer forms is the Fraction
+    # product's integer form, and a vector times it is the vector times
+    # each matrix in turn
+    start, matrices = chain
+    n = len(start)
+    matrices = [Matrix(n, n, entries) for entries in matrices]
+    product, expected, vector = matrices[0], matrices[0], RowVector(start)
+    for matrix in matrices[1:]:
+        product, expected = integer_product(product, matrix), mat_mul(expected, matrix)
+        assert product.rows == n
+        assert product.integer_form == expected.integer_form
+    for matrix in matrices:
+        vector = vec_mat_mul(vector, matrix)
+    assert vec_mat_mul(RowVector(start), product) == vector
 
 
 def test_doubling_registers_hash_apart():

@@ -57,7 +57,7 @@ from vecauto.builders import (
 from vecauto.cli import main
 from vecauto.diophantine import famw_from_system
 from vecauto.errors import AlphabetError, InconsistentSpecError, UndecidedError
-from vecauto.exact import WORD_BITS, Matrix, RowVector, vec_mat_mul
+from vecauto.exact import WORD_BITS, Matrix, RowVector, integer_product, vec_mat_mul
 from vecauto.fileformat import write_machine
 from vecauto.langlab import (
     ReferenceLanguage,
@@ -1417,6 +1417,82 @@ def catalog_run(make, alphabet):
     return lambda rng, length: (make(), runs_word(rng, alphabet, length))
 
 
+# the second entry of a register reaches 2**70 at once
+WIDE_SECOND = (1, 2 ** 70)
+
+
+def home_returning_va(initial_vector=WIDE_SECOND, mode=DETERMINISTIC, extra=()):
+    """A non-blind VA over a/b whose first entry stays exactly 1 under a
+    at home, status `=`, while its second entry grows: b doubles the first
+    entry, and an a away from home halves it on the way to q, so that the
+    register returns home, wide, after each b."""
+    grow, halve = Matrix.from_rows([[1, 1], [0, 2]]), Matrix.from_rows([[Fraction(1, 2), 0], [0, 1]])
+    double, triple = Matrix.from_rows([[2, 0], [0, 1]]), Matrix.from_rows([[1, 0], [0, 3]])
+    rules = [("p", "a", STATUS_EQ, "p", grow), ("p", "a", STATUS_NE, "q", halve),
+             ("p", "b", STATUS_ANY, "p", double), ("q", "a", STATUS_ANY, "p", triple),
+             ("q", "b", STATUS_EQ, "q", Matrix.identity(2)), *extra]
+    states = sorted({"p", "q"} | {rule[3] for rule in extra})
+    return MachineSpec(
+        kind=VA, mode=mode, blind=False, endmarker=False, realtime=True,
+        alphabet=("a", "b"), states=states, initial_state="p",
+        accept_states={"p", "s"} & set(states),
+        dimension=2, initial_vector=initial_vector,
+        transitions=[TransitionRule(*rule) for rule in rules])
+
+
+def home_conflict_va():
+    """`home_returning_va`, started away from home, with a second rule for
+    b at p that fires only at home: a deterministic run that reads b there
+    meets a conflict."""
+    return home_returning_va((2, 2 ** 70), extra=[("p", "b", STATUS_EQ, "p", Matrix.identity(2))])
+
+
+def home_matching_hva():
+    """A non-blind HVA over a/b/c whose first entry always matches its wide
+    home vector's at p, while a doubles and c halves its second entry: the
+    status at a b compares both entries, and is `=` where the a's and c's
+    balance. A b away from home moves to q, doubling the first entry,
+    where c brings it back."""
+    second = [Matrix.from_rows([[1, 0], [0, 2]]), Matrix.from_rows([[1, 0], [0, Fraction(1, 2)]])]
+    first = [Matrix.from_rows([[2, 0], [0, 1]]), Matrix.from_rows([[Fraction(1, 2), 0], [0, 1]])]
+    rules = [("p", "a", STATUS_ANY, "p", second[0]), ("p", "c", STATUS_ANY, "p", second[1]),
+             ("p", "b", STATUS_EQ, "p", second[0]), ("p", "b", STATUS_NE, "q", first[0]),
+             ("q", "b", STATUS_NE, "q", second[1]), ("q", "c", STATUS_ANY, "p", first[1])]
+    return MachineSpec(
+        kind=HVA, mode=DETERMINISTIC, blind=False, endmarker=False, realtime=True,
+        alphabet=("a", "b", "c"), states=("p", "q"), initial_state="p", accept_states={"p"},
+        dimension=2, initial_vector=WIDE_SECOND,
+        transitions=[TransitionRule(*rule) for rule in rules])
+
+
+def halving_fam():
+    """A non-blind FAM over a/b: a doubles the register, b halves it away
+    from home and triples it at home."""
+    rules = [("a", 2, STATUS_ANY), ("b", Fraction(1, 2), STATUS_NE), ("b", 3, STATUS_EQ)]
+    return stateless(FAM, ("a", "b"), 1, [1],
+                     [(x, Matrix.from_rows([[m]]), status) for x, m, status in rules], blind=False)
+
+
+def balanced_word(rng, length):
+    """A word of ( and ) that climbs past WORD_BITS open brackets, wanders,
+    and closes them all; one time in two, one bracket is flipped."""
+    word = "(" * rng.randint(WORD_BITS, 2 * WORD_BITS)
+    depth = len(word)
+    while len(word) + depth < length:
+        opens = depth == 0 or rng.random() < 0.5
+        word += "(" if opens else ")"
+        depth += 1 if opens else -1
+    word += ")" * depth
+    if rng.random() < 0.5:
+        at = rng.randrange(len(word))
+        word = word[:at] + ("(" if word[at] == ")" else ")") + word[at + 1:]
+    return word
+
+
+def living_run(make):
+    return lambda rng, length: (make(), living_word(make(), rng, length))
+
+
 BLOCK_RUNS = {
     "random_dva": wide_random_dva_run,
     "eq": catalog_run(partial(example, "eq"), "ab"),
@@ -1430,6 +1506,14 @@ BLOCK_RUNS = {
         lambda: rationals_to_integers(attach_trivial_endmarker(example("eq"))[0])[0], "ab"),
     "gfa": catalog_run(one_state_gfa, "a"),
     "wide_conflict": catalog_run(wide_conflict_machine, "ab"),
+    # status rules inside the blocks: read `=` on wide registers, compare
+    # every entry, or conflict only under `=`
+    "home_returning_va": living_run(home_returning_va),
+    "home_returning_va from 1": living_run(partial(home_returning_va, [1, 1])),
+    "home_conflict_va": catalog_run(home_conflict_va, "ab"),
+    "home_matching_hva": living_run(home_matching_hva),
+    "halving_fam": catalog_run(halving_fam, "ab"),
+    "dyck": lambda rng, length: (example("dyck"), balanced_word(rng, length)),
 }
 
 
@@ -1469,38 +1553,76 @@ def counted_blocks(spec):
     asked = []
     blocks = spec.blocks
 
-    def counting(state, letters):
+    def counting(state, letters, register):
         asked.append(letters)
-        return blocks(state, letters)
+        return blocks(state, letters, register)
     vars(spec)["blocks"] = counting  # where cached_property keeps it
     return asked
 
 
-def test_a_run_through_status_rules_steps_every_letter(monkeypatch):
+def test_a_run_through_status_rules_multiplies_a_block_at_a_time(monkeypatch):
     # every block of dyck's word holds a ), which reads the status, and no
-    # register repeats: one product per letter. Once the register is wide,
-    # the run asks for one block per ), the block that ends at it: that
-    # block is cut there, and so would be every block before the )
+    # register repeats. The register 2**k is narrow for k < 60: those
+    # letters are stepped one at a time. Then each block probes its ) and
+    # is whole: one product per block
     calls = counted_products(monkeypatch)
     spec = example("dyck")
     asked = counted_blocks(spec)
     word = "(" * WORD_BITS + "((((((()" * 100
-    run_deterministic(spec, word)
-    assert len(calls) == len(word)
+    assert run_deterministic(spec, word).verdict == REJECT
+    assert len(calls) == WORD_BITS + 100
     assert asked == ["((((((()"] * 100
 
 
+def test_a_wide_non_blind_run_asks_one_block_per_block_of_letters():
+    # a random DVA whose status rules read over a third of its word's
+    # letters: its blocks are whole where the run lives, so it asks for
+    # about one block per BLOCK_LETTERS letters, not one per letter
+    for seed in range(100):  # the first that lives through its word, wide
+        spec, word = wide_random_dva_run(random.Random(seed), 4000)
+        last = run_deterministic(spec, word).last
+        if (2 * sum(r.status != STATUS_ANY for r in spec.transitions) >= len(spec.transitions)
+                and last.position == len(word) and last.register.bits > WORD_BITS):
+            break
+    reading = sum(any(rule[1] != STATUS_ANY for rule in spec.rule_index[before.state, letter])
+                  for letter, before in zip(word, run_nondeterministic(spec, word).trace))
+    asked = counted_blocks(spec)
+    assert run_deterministic(spec, word).last == last
+    assert 3 * reading > len(word)
+    assert len(word) // BLOCK_LETTERS <= len(asked) <= len(word) // BLOCK_LETTERS + 2
+
+
+def test_home_after_is_the_home_test_of_the_product():
+    # probes a register against products of one to four rules of each kind
+    # with a matrix register, integer products included, and the GFA's column
+    rng = random.Random(3)
+    specs = [example("dyck"), halving_fam(), home_matching_hva(), one_state_gfa(),
+             extendedfa_a_endmarker(), *(random_dva(rng) for _ in range(4))]
+    for spec in specs:
+        effects = [r.effect for r in spec.transitions]
+        home = spec.register_tests[1]
+        for _ in range(20):
+            register, product = spec.initial_vector, rng.choice(effects)
+            for _ in range(rng.randint(0, 4)):
+                register = vec_mat_mul(register, rng.choice(effects))
+            for _ in range(rng.randint(0, 3)):
+                product = integer_product(product, rng.choice(effects))
+            assert spec.home_after(product)(register) == home(vec_mat_mul(register, product))
+
+
 def test_threads_sharing_a_block_memo_get_per_letter_runs():
-    # six threads run distinct long blind words on two machines, whose
-    # block memos they fill at once, switching as often as the interpreter
-    # allows: a block built twice is built equal. One machine is
-    # deterministic; the other, eq without its end-marker, is
-    # nondeterministic only in its rules into the sink q_acc
-    spec = intersect_blind_hva(example("eq"), example("evenab"))[0]
+    # six threads run distinct long words on three machines, whose block
+    # memos they fill at once, switching as often as the interpreter
+    # allows: a block built twice is built equal. Two machines are
+    # deterministic, one blind and one whose blocks branch on the status;
+    # the third, eq without its end-marker, is nondeterministic only in
+    # its rules into the sink q_acc
+    spec, status = intersect_blind_hva(example("eq"), example("evenab"))[0], home_returning_va()
     unmarked = eq_without_endmarker()
     rng = random.Random(19)
     work = [[runs_word(rng, "ab", 400) for _ in range(4)] for _ in range(6)]
-    expected = {w: (direct_run(spec, w), per_letter_outcome(unmarked, w, None)[0])
+    expected = {w: (direct_run(spec, w), direct_run(status, w),
+                    per_letter_outcome(unmarked, w, None)[0])
                 for words in work for w in words}
     start = threading.Barrier(6, timeout=60)
     wrong = []
@@ -1509,8 +1631,9 @@ def test_threads_sharing_a_block_memo_get_per_letter_runs():
         try:
             start.wait()
             for w in words * 2:
-                result = run_deterministic(spec, w)
-                if ((result.verdict, tuple(result.last)), accepts(unmarked, w)) != expected[w]:
+                results = [run_deterministic(machine, w) for machine in (spec, status)]
+                if (*((r.verdict, tuple(r.last)) for r in results),
+                        accepts(unmarked, w)) != expected[w]:
                     wrong.append(w)
         except Exception as exc:  # raised in a thread, it would only warn
             wrong.append(exc)
@@ -1628,6 +1751,14 @@ NONDETERMINISTIC_BLOCK_RUNS = {
     "remove_endmarker(wide eq$)": nondeterministic_run(
         lambda rng: scale_initial_vector(eq_without_endmarker(), WIDE)[0], "ab"),
     "two_sink_rules": nondeterministic_run(lambda rng: two_sink_rules_machine(), "ab"),
+    # status rules beside the sinks: an a at home and a b away from it
+    # also lead into a sink, so the sink rules reached depend on the status
+    "home_returning_nva": lambda rng, length: (
+        home_returning_va(mode=NONDETERMINISTIC,
+                          extra=[("p", "a", STATUS_EQ, "s", Matrix.identity(2)),
+                                 ("p", "b", STATUS_ANY, "t", Matrix.identity(2)),
+                                 ("q", "b", STATUS_NE, "s", Matrix.identity(2))]),
+        living_word(home_returning_va(), rng, length)),
 }
 
 
