@@ -8,12 +8,13 @@ dimensions stay small (at most a few dozen), so sparsity is not worth
 the complexity.
 
 A row vector is held as integer numerators over one positive common
-denominator in lowest terms, and each matrix is compiled once into an
+denominator in lowest terms, and each matrix, when built, as an
 integer matrix over its own common denominator: the paper's scaling of
 a machine by a common c, applied to every register update at run time.
-A product is then integer multiply-adds and one gcd, and the reduced
-form is canonical, so equal vectors have equal numerators and
-denominators. Entries are exact rationals at the API boundary.
+A vector or matrix product is then integer multiply-adds and one gcd,
+and the reduced form is canonical, so equal values have equal
+numerators and denominators. Entries are exact rationals at the API
+boundary.
 
 All values are immutable after construction and all operations are
 pure, so they can be shared freely between concurrent tasks.
@@ -175,9 +176,19 @@ class RowVector:
 
 
 class Matrix:
-    """Immutable dense rational matrix, stored row-major."""
+    """Immutable dense rational matrix, stored row-major.
 
-    __slots__ = ("rows", "cols", "entries", "_integer_form")
+    `integer_form` is ``(columns, d, growth)``: the matrix is the integer
+    matrix with the given columns divided by d, the least common
+    denominator of its entries. A row vector times the matrix grows by
+    at most `growth` bits: the bit length of d or of a column's sum of
+    absolute values, whichever is larger. It is built with the matrix,
+    and as canonical as the entries, so equality and hashing read it. A
+    product (`mat_mul`) is built from integer forms alone, and builds its
+    `entries`, ints and Fractions, on first use.
+    """
+
+    __slots__ = ("rows", "cols", "integer_form", "_entries")
 
     def __init__(self, rows: int, cols: int, entries):
         entries = tuple(_norm(e) for e in entries)
@@ -189,8 +200,30 @@ class Matrix:
             )
         self.rows = rows
         self.cols = cols
-        self.entries = entries
-        self._integer_form = None
+        scaled, d = _over_common_denominator(entries)
+        columns = tuple(scaled[j :: cols] for j in range(cols))
+        self.integer_form = (columns, d, _growth(columns, d))
+        self._entries = entries
+
+    @classmethod
+    def _trusted(cls, columns: tuple, d: int) -> "Matrix":
+        # internal fast path: columns over d must already be in lowest terms
+        m = cls.__new__(cls)
+        m.rows = len(columns[0])
+        m.cols = len(columns)
+        m.integer_form = (columns, d, _growth(columns, d))
+        m._entries = None
+        return m
+
+    @property
+    def entries(self) -> tuple:
+        if self._entries is None:
+            columns, d, _ = self.integer_form
+            scaled = [n for row in zip(*columns) for n in row]
+            self._entries = tuple(scaled) if d == 1 else tuple(
+                _demote(Fraction(n, d)) for n in scaled
+            )
+        return self._entries
 
     @classmethod
     def from_rows(cls, rows) -> "Matrix":
@@ -219,34 +252,16 @@ class Matrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    @property
-    def integer_form(self) -> tuple:
-        """``(columns, d, growth)``: the matrix is the integer matrix with
-        the given columns divided by d, the least common denominator of
-        its entries. A row vector times the matrix grows by at most
-        `growth` bits: the bit length of d or of a column's sum of
-        absolute values, whichever is larger. Built on first use and
-        cached."""
-        if self._integer_form is None:
-            scaled, d = _over_common_denominator(self.entries)
-            columns = tuple(scaled[j :: self.cols] for j in range(self.cols))
-            self._integer_form = (columns, d, _growth(columns, d))
-        return self._integer_form
-
     def scale(self, t) -> "Matrix":
         t = Fraction(t)
         return Matrix(self.rows, self.cols, (e * t for e in self.entries))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        # the columns fix the shape, and with d the value
+        return isinstance(other, Matrix) and self.integer_form[:2] == other.integer_form[:2]
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash(self.integer_form[:2])
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -265,23 +280,12 @@ def _growth(columns: tuple, d: int) -> int:
     return max(d.bit_length(), *(sum(map(abs, column)).bit_length() for column in columns))
 
 
-class IntegerMatrix:
-    """A matrix held only as its `integer_form`, for a product that
-    only `vec_mat_mul` and integer column tests read: `integer_product`
-    builds it without a Fraction."""
-
-    __slots__ = ("rows", "integer_form")
-
-    def __init__(self, integer_form: tuple):
-        self.rows = len(integer_form[0][0])  # the length of a column
-        self.integer_form = integer_form
-
-
-def integer_product(a, b) -> IntegerMatrix:
-    """The product a*b of two matrices (each a `Matrix` or an
-    `IntegerMatrix`), from their integer forms: column j of the
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Exact matrix product a*b, from the integer forms: column j of the
     integer product holds the rows of a times b's column j, over the
     product of the denominators, reduced by their gcd."""
+    if a.cols != b.rows:
+        raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     a_columns, a_d, _ = a.integer_form
     b_columns, b_d, _ = b.integer_form
     rows = tuple(zip(*a_columns))
@@ -292,32 +296,11 @@ def integer_product(a, b) -> IntegerMatrix:
         if g != 1:
             d //= g
             columns = [[n // g for n in column] for column in columns]
-    columns = tuple(map(tuple, columns))
-    return IntegerMatrix((columns, d, _growth(columns, d)))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact matrix product a*b."""
-    if a.cols != b.rows:
-        raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    n, m, p = a.rows, a.cols, b.cols
-    ae, be = a.entries, b.entries
-    out = []
-    for i in range(n):
-        arow = ae[i * m : (i + 1) * m]
-        for j in range(p):
-            acc = 0
-            for k in range(m):
-                aik = arow[k]
-                if aik:
-                    acc += aik * be[k * p + j]
-            out.append(acc)
-    return Matrix(n, p, out)
+    return Matrix._trusted(tuple(map(tuple, columns)), d)
 
 
 def vec_mat_mul(v: RowVector, a: Matrix) -> RowVector:
-    """Exact row-vector-times-matrix product v*a; `a` may be an
-    `IntegerMatrix`."""
+    """Exact row-vector-times-matrix product v*a."""
     nums = v.nums
     if len(nums) != a.rows:
         raise ShapeError(f"cannot multiply dim-{v.dim} vector by {a.rows}x{a.cols}")

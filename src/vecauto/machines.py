@@ -28,17 +28,18 @@ safe. A machine caches what it derives from its fields on first use:
 its rule index, its memoized transition function, its sinks, its block
 memo, its home test after a matrix, its end test and one last-run slot.
 The block memo maps a state and `BLOCK_LETTERS` lone letters (one rule
-that fires and leads on, the others into distinct sinks) to the state
-they reach, their matrices' integer product and the configurations they
-reach, so a run whose one live register is wider than `WORD_BITS`
-multiplies it once per block (`_jump`): a deterministic run, and a
-nondeterministic verdict run (`accepts`) on a machine without eps rules.
+that fires and leads on, the others into distinct sinks, which a
+deterministic machine's blocks do not see) to the state they reach,
+their matrices' product and the configurations they reach, so a run
+whose one live register is wider than `WORD_BITS` multiplies it once
+per block (`_jump`): a deterministic run, and a nondeterministic verdict
+run (`accepts`) on a machine without eps rules.
 A letter whose rules read the register's status is lone under the
 status the register has there, which the block reads exactly from the
 integer columns of the product of the letters before it, and the block
-branches on it. The memo keeps at most a few integer matrices per block
-a run stepped, for as long as the machine, each a pure function of its
-key, so concurrent runs can at worst build one twice. The end test
+branches on it. The memo keeps at most a few matrices per block a run
+stepped, for as long as the machine, each a pure function of its key,
+so concurrent runs can at worst build one twice. The end test
 judges a word that ends in a configuration from the end-marker rules'
 integer columns, with the same home test as the blocks, without
 building the registers after the end-marker: every verdict but a traced
@@ -75,7 +76,7 @@ from .errors import (
     UndecidedError,
     UnsupportedKindError,
 )
-from .exact import WORD_BITS, Matrix, RowVector, dot, integer_product, tensor, vec_mat_mul
+from .exact import WORD_BITS, Matrix, RowVector, dot, mat_mul, tensor, vec_mat_mul
 
 VA = "VA"
 HVA = "HVA"
@@ -118,6 +119,13 @@ class _Probe:
     def __init__(self, lands_home, block, statuses):
         self.lands_home, self.block, self.statuses = lands_home, block, statuses
         self.branches = [None, None]
+
+
+def _firing(rules, status) -> list:
+    """The rules among `rules`, tuples whose second item is the status as
+    in `MachineSpec.rule_index`, that fire under the register status
+    `status`: the wildcard's and that status's, in rule order."""
+    return [rule for rule in rules if rule[1] == STATUS_ANY or rule[1] == status]
 
 
 @dataclass(frozen=True)
@@ -222,9 +230,9 @@ class MachineSpec:
         that fires, in rule order.
 
         A rule fires when its status is the wildcard or equals the
-        register's status. Whole steps recur across the runs of one
-        machine (different words and queries reach the same register), so
-        each is memoized: a table built once from `rule_index` maps
+        register's status (`_firing`). Whole steps recur across the runs
+        of one machine (different words and queries reach the same
+        register), so each is memoized: a table built once from `rule_index` maps
         ``(state, letter)`` to its rules and a memo from register to the
         step's tuple (``()`` when no rule fires). A hit is one table
         lookup and one register-keyed ``get``; a ``(state, letter)`` with
@@ -243,7 +251,8 @@ class MachineSpec:
         same rules and registers can share it, memo included
         (`extendedfa_embed`).
         """
-        table = {key: (rules, {}) for key, rules in self.rule_index.items()}
+        table = {key: (rules, any(rule[1] != STATUS_ANY for rule in rules), {})
+                 for key, rules in self.rule_index.items()}
         status_of_register = self.register_tests[0]
         counter = self.kind == COUNTER_MACHINE
 
@@ -251,20 +260,16 @@ class MachineSpec:
             entry = table.get((state, letter))
             if entry is None:
                 return ()
-            rules, memo = entry
+            rules, reads_status, memo = entry
             narrow = counter or register.bits <= WORD_BITS
             if narrow:
                 fired = memo.get(register)
                 if fired is not None:
                     return fired
+            if reads_status:
+                rules = _firing(rules, status_of_register(register))
             fired = []
-            current = None
-            for idx, status, effect, target in rules:
-                if status != STATUS_ANY:
-                    if current is None:
-                        current = status_of_register(register)
-                    if status != current:
-                        continue
+            for idx, _, effect, target in rules:
                 if counter:
                     updated = tuple(c + d for c, d in zip(register, effect))
                 else:
@@ -297,12 +302,13 @@ class MachineSpec:
         must step it through `successors`.
 
         A letter is lone at a state when the rules that fire there, under
-        the status the register has at that letter, are, for a
-        deterministic machine, one; for a nondeterministic one, one that
-        leads outside `sinks` and others that lead to distinct sinks, so
-        their configurations neither meet in the dedupe nor move at the
-        next letter. `$` and `eps` are never lone, so no block reads a `$`
-        inside a word.
+        the status the register has at that letter (`_firing`), are one
+        that leads outside `sinks` and others that lead to distinct sinks,
+        so their configurations neither meet in the dedupe nor move at the
+        next letter. A deterministic machine's blocks see no sinks: a
+        second rule that fires is a conflict, which the run steps to raise
+        it. `$` and `eps` are never lone, so no block reads a `$` inside a
+        word.
 
         A letter whose rules all have the wildcard status is looked up by
         its state alone. At a letter that reads the status, the block
@@ -314,26 +320,21 @@ class MachineSpec:
         read no status is one memo lookup.
 
         Each product is built from the one a letter shorter with one
-        `integer_product`, no Fraction matrix, after the letter is found
-        lone, so a block cut short builds nothing past its cut. Entries
-        are exact and immutable and live as long as the machine; a run
-        that finds none builds one, so concurrent runs can only build an
-        equal entry twice. Vector registers only: a counter effect is not
-        a matrix.
+        `mat_mul` of integer forms, after the letter is found lone, so a
+        block cut short builds nothing past its cut. Entries are exact and
+        immutable and live as long as the machine; a run that finds none
+        builds one, so concurrent runs can only build an equal entry
+        twice. Vector registers only: a counter effect is not a matrix.
         """
-        deterministic = self.mode == DETERMINISTIC
-        sinks = self.sinks
+        sinks = frozenset() if self.mode == DETERMINISTIC else self.sinks
         home, home_after = self.register_tests[1], self.home_after
 
         def lone(rules):
             # the rule the live configuration takes when `rules` fire, as
             # (target, effect, configurations reached), or None
-            if deterministic:
-                live = rules if len(rules) == 1 else ()
-            elif len({rule[3] for rule in rules}) == len(rules):
-                live = [rule for rule in rules if rule[3] not in sinks]
-            else:  # two rules into one sink state
+            if len({rule[3] for rule in rules}) < len(rules):  # two rules into one state
                 return None
+            live = [rule for rule in rules if rule[3] not in sinks]
             return (live[0][3], live[0][2], len(rules)) if len(live) == 1 else None
 
         # per (state, letter) its lone rule or None, or, where a rule reads
@@ -345,7 +346,7 @@ class MachineSpec:
             if all(rule[1] == STATUS_ANY for rule in rules):
                 table[key] = lone(rules)
             else:
-                table[key] = {status: lone([rule for rule in rules if rule[1] in (STATUS_ANY, status)])
+                table[key] = {status: lone(_firing(rules, status))
                               for status in (STATUS_EQ, STATUS_NE)}
 
         # (state, letters, statuses read) -> the block those letters
@@ -375,7 +376,7 @@ class MachineSpec:
                 block = prefixes.get(key)
                 if block is None:
                     target, effect, count = rule
-                    product = effect if product is None else integer_product(product, effect)
+                    product = effect if product is None else mat_mul(product, effect)
                     block = prefixes[key] = (length + 1, target, product, reached + count)
                 length, state, product, reached = block
             return block
@@ -439,15 +440,14 @@ class MachineSpec:
     @cached_property
     def home_after(self):
         """``home_after(matrix)``, for a vector machine: `register_tests`'
-        home test of a register times `matrix` (a `Matrix` or an
-        `IntegerMatrix`), as a function of the register, building no
-        register. With the matrix's integer columns C over d
-        (`integer_form`) and the register's nums over den, a VA's test is
-        sum(nums * C_0) == den * d. A GFA's compares the column C·f, f its
-        final vector, with its cutpoint in the same way. The other kinds
-        compare each entry with the home vector u's, sum(nums * C_j) *
-        u.den == u.nums_j * den * d, from the first up to the first that
-        differs."""
+        home test of a register times `matrix`, as a function of the
+        register, building no register. With the matrix's integer columns
+        C over d (`integer_form`) and the register's nums over den, a VA's
+        test is sum(nums * C_0) == den * d. A GFA's compares the column
+        C·f, f its final vector, with its cutpoint in the same way. The
+        other kinds compare each entry with the home vector u's,
+        sum(nums * C_j) * u.den == u.nums_j * den * d, from the first up
+        to the first that differs."""
         final = None
         if self.kind == GFA:
             final, cutpoint = self.gfa_final_vector, self.gfa_cutpoint
@@ -482,12 +482,11 @@ class MachineSpec:
 
         Without an end-marker that is an accept state and `register_tests`'
         home test. With one, it reads the `$` rules of `rule_index` that
-        lead to an accept state, fired under their status as in
-        `successors`, and asks `home_after` whether one takes the register
-        home, building no register; a counter machine adds the effect to
-        the register. A deterministic machine first counts the `$` rules
-        that fire and raises `run_deterministic`'s conflict if more than
-        one does.
+        lead to an accept state, fired under their status (`_firing`), and
+        asks `home_after` whether one takes the register home, building no
+        register; a counter machine adds the effect to the register. A
+        deterministic machine first counts the `$` rules that fire and
+        raises `run_deterministic`'s conflict if more than one does.
         """
         accept_states = self.accept_states
         status_of_register, home = self.register_tests
@@ -499,18 +498,19 @@ class MachineSpec:
         else:
             home_after = self.home_after
 
-        # per state its `$` rules as (status, home test, or None for a rule
-        # into a state that does not accept), and whether one reads the
-        # status; a nondeterministic machine keeps only the accepting rules
+        # per state its `$` rules as (rule index, status, home test, or None
+        # for a rule into a state that does not accept), and whether one
+        # reads the status; a nondeterministic machine keeps only the
+        # accepting rules
         deterministic = self.mode == DETERMINISTIC
         table = {}
         for (state, letter), rules in self.rule_index.items():
             if letter == ENDMARKER:
-                rules = tuple((status, home_after(effect) if target in accept_states else None)
-                              for _, status, effect, target in rules
+                rules = tuple((idx, status, home_after(effect) if target in accept_states else None)
+                              for idx, status, effect, target in rules
                               if deterministic or target in accept_states)
                 if rules:
-                    table[state] = rules, any(status != STATUS_ANY for status, _ in rules)
+                    table[state] = rules, any(rule[1] != STATUS_ANY for rule in rules)
 
         def end_test(state, register):
             entry = table.get(state)
@@ -518,11 +518,10 @@ class MachineSpec:
                 return False
             rules, reads_status = entry
             if reads_status:
-                current = status_of_register(register)
-                rules = [rule for rule in rules if rule[0] == STATUS_ANY or rule[0] == current]
+                rules = _firing(rules, status_of_register(register))
             if deterministic and len(rules) > 1:
                 raise _conflict(rules, state, ENDMARKER)
-            for _, lands_home in rules:
+            for _, _, lands_home in rules:
                 if lands_home is not None and lands_home(register):
                     return True
             return False
@@ -638,16 +637,20 @@ class SearchBudget:
 
     The default cap binds only through an eps cycle: without one a path
     takes at most |states| - 1 eps moves at each of |w| + 1 positions,
-    fewer than the cap, so `searches` leaves it out for such a machine.
+    fewer than the cap, so `eps_cap` leaves it out for such a machine.
     """
 
     eps_per_path: int = None
     max_configurations: int = DEFAULT_MAX_CONFIGURATIONS
 
-    def eps_cap(self, spec: MachineSpec, length: int) -> int:
-        """The eps moves a path may spend on a word of `length` letters."""
+    def eps_cap(self, spec: MachineSpec, length: int):
+        """The eps moves a path may spend on a word of `length` letters:
+        `eps_per_path`, else the default cap, or ``math.inf`` on a
+        real-time or eps-acyclic machine, where it cannot bind."""
         if self.eps_per_path is not None:
             return self.eps_per_path
+        if spec.realtime or not spec.epsilon_cycle:
+            return math.inf
         return len(spec.states) * (length + 2)
 
 
@@ -919,7 +922,8 @@ def run_nondeterministic(spec: MachineSpec, word: str, budget: SearchBudget = No
     frontiers: a run under the same budget and eps cap takes the
     frontiers of the prefix it shares with that run's word and steps
     only the rest (a monoid machine and its `extendedfa_embed` share
-    one slot)."""
+    one slot). The cap is one for every length on a machine whose
+    default cap cannot bind (`SearchBudget.eps_cap`)."""
     budget = budget or SearchBudget()
     key = (budget, budget.eps_cap(spec, len(word)))
     slot = spec.last_run
@@ -1060,9 +1064,8 @@ class Frontier(NamedTuple):
 
 def nondeterministic_steps(spec: MachineSpec, budget: SearchBudget, length: int):
     """``(start, step, end)``: the search over a word of `length` letters
-    (which sets the eps cap; None keeps only `eps_per_path`, for a
-    machine whose default cap cannot bind), one position at a time, as
-    `Frontier`s.
+    (which sets the eps cap, `SearchBudget.eps_cap`), one position at a
+    time, as `Frontier`s.
     ``step(frontier, letter)`` takes the expanded configurations' letter
     moves, then eps moves; ``end(frontier)`` judges a word that ends
     there for the traced run (`run_nondeterministic`), which keeps where
@@ -1083,10 +1086,7 @@ def nondeterministic_steps(spec: MachineSpec, budget: SearchBudget, length: int)
     home = spec.register_tests[1]
     endmarker = spec.endmarker
     eps_sources = frozenset() if spec.realtime else spec.epsilon_sources
-    if length is None:
-        eps_cap = math.inf if budget.eps_per_path is None else budget.eps_per_path
-    else:
-        eps_cap = budget.eps_cap(spec, length)
+    eps_cap = budget.eps_cap(spec, length)
     max_configurations = budget.max_configurations
 
     def moved(frontier, letter):
@@ -1153,10 +1153,9 @@ def searches(spec: MachineSpec, budget: SearchBudget = None):
     """``(search, cap_grows)`` for `walk`: ``search(length)`` is ``(start,
     step, verdict)`` for words of `length` letters, where ``step(node,
     letter)`` is the next node and ``verdict(node, word)`` is
-    `accepts(spec, word, budget)`. Only when `cap_grows` (an eps cycle,
-    `eps_per_path` unset) does the search depend on the length; an
-    eps-acyclic machine's search is the same for every length, as the
-    default cap cannot bind on it (`SearchBudget`).
+    `accepts(spec, word, budget)`. Only when `cap_grows` (an eps cap that
+    grows with the length, `SearchBudget.eps_cap`) does the search depend
+    on the length.
 
     A deterministic node is the run's ``(state, register)``, and its step
     None once the run dies; a rule conflict raises where
@@ -1190,11 +1189,11 @@ def searches(spec: MachineSpec, budget: SearchBudget = None):
         return (lambda length: (start, step, verdict)), False
 
     budget = budget or SearchBudget()
-    cap_grows = not spec.realtime and spec.epsilon_cycle and budget.eps_per_path is None
+    cap_grows = budget.eps_cap(spec, 0) != budget.eps_cap(spec, 1)
     endmarker = spec.endmarker
 
     def search(length):
-        start, step, _ = nondeterministic_steps(spec, budget, length if cap_grows else None)
+        start, step, _ = nondeterministic_steps(spec, budget, length)
 
         def verdict(frontier, word):
             # the end-marker is read from the expanded configurations only
@@ -1219,7 +1218,7 @@ def walk(search, alphabet, maxlen: int, cap_grows: bool = False, distinct: bool 
     is its parent's stepped by one letter just before its verdict is
     asked, so a caller that stops early steps no later word. A node None
     is dead: a Reject, stepped and judged no further. One trie serves
-    every length unless `cap_grows` (an eps cycle under the default cap):
+    every length unless `cap_grows` (an eps cap that grows with the length):
     then each length gets its own, stepped again, lazily, under
     ``search(length)``.
 

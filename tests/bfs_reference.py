@@ -50,7 +50,11 @@ def bfs(spec, word: str, budget: SearchBudget = None) -> Search:
     of the word; Reject only when the whole reachable space was searched
     with nothing pruned by the budget."""
     budget = budget or SearchBudget()
-    eps_cap = budget.eps_cap(spec, len(word))
+    # the cap as written in `SearchBudget`'s contract, whether or not it
+    # can bind, so the reference shares no rule with the program's search
+    eps_cap = budget.eps_per_path
+    if eps_cap is None:
+        eps_cap = len(spec.states) * (len(word) + 2)
     end_position = len(word) + (1 if spec.endmarker else 0)
     eps_sources = frozenset() if spec.realtime else spec.epsilon_sources
     accepting = spec.register_tests[1]

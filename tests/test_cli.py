@@ -620,6 +620,68 @@ class TestSharedParser:
         assert run_cli(capsys, "run", str(leq_path), "ab") == usual
 
 
+# the summary records of the catalog machines the shell commands read
+HVA_1 = {"kind": "HVA", "states": 1, "dimension": 1}
+
+
+def equal(bound, machine, against):
+    return {"verdict": "Equal", "counterexample": None, "bound": bound, "machine": machine,
+            "against": against}
+
+
+class TestShellCommands:
+    """Commands as a shell user runs them, one after another in one folder
+    that holds eq.mach, powr.mach and leq.mach built by `vecauto build`:
+    each step's exit code and the whole of its records."""
+
+    @pytest.fixture
+    def folder(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for name, path in (("eq", "eq.mach"), ("pow_r", "powr.mach"), ("leq", "leq.mach")):
+            assert main(["build", name, "-o", path]) == 0
+        assert capsys.readouterr().out == ""
+        return tmp_path
+
+    @pytest.mark.parametrize("steps", [
+        [(["verify", "eq.mach", "--against", "eq.mach", "--maxlen", "8"], 0,
+          [equal(8, HVA_1, {"machine": HVA_1})])],
+        [(["check", "commutative", "eq.mach", "--maxlen", "6"], 0,
+          [{"verdict": "Ok", "machine": HVA_1, "bound": 6}])],
+        [(["check", "suffix", "eq.mach", "--maxlen", "6"], 0,
+          [{"verdict": "Ok", "machine": HVA_1, "bound": 6}])],
+        [(["enumerate", "eq.mach", "--maxlen", "4"], 0,
+          [{"accepted": w} for w in ("", "ab", "ba", "aabb", "abab", "abba", "baab", "baba",
+                                     "bbaa")])],
+        [(["separate", "12", "21", "-o", "sep.mach"], 0,
+          [{"verdict": "Separated", "accepts": "12", "rejects": ["21"], "failures": []}]),
+         (["verify", "sep.mach", "--against", "singleton:12", "--maxlen", "6"], 0,
+          [equal(6, {"kind": "VA", "states": 1, "dimension": 2}, {"reference": "only_12"})])],
+        [(["separate", "212", "--model", "dbhva", "-o", "sep_hva.mach"], 0,
+          [{"verdict": "Separated", "accepts": "212", "rejects": [], "failures": []}]),
+         (["verify", "sep_hva.mach", "--against", "singleton:212", "--maxlen", "6"], 0,
+          [equal(6, {"kind": "HVA", "states": 2, "dimension": 2}, {"reference": "only_212"})])],
+        # verdicts read at the end-marker
+        [(["verify", "powr.mach", "--against", "pow_r", "--maxlen", "10"], 0,
+          [equal(10, {"kind": "HVA", "states": 3, "dimension": 2}, {"reference": "pow_r"})])],
+        # a traced nondeterministic run, and nondeterministic verifies on the
+        # shared walk, one within budget and one out of it
+        [(["run", "leq.mach", "ab", "--trace"], 0,
+          [{"verdict": "Accept", "machine": HVA_1, "input": "ab", "accepting_path": [0, 1]}])],
+        [(["verify", "leq.mach", "--against", "leq", "--maxlen", "8"], 0,
+          [equal(8, HVA_1, {"reference": "leq"})])],
+        [(["verify", "leq.mach", "--against", "leq", "--maxlen", "6", "--budget", "1"], 3,
+          [{"verdict": "BudgetExceeded", "detail": "search budget exhausted on input 'aa'"}])],
+        [(["run", "leq.mach", "abbb", "--budget", "1"], 3,
+          [{"verdict": "BudgetExceeded", "machine": HVA_1, "input": "abbb"}])],
+    ], ids=["verify-against-a-machine", "check-commutative", "check-suffix", "enumerate",
+            "separate-and-verify", "separate-homing-and-verify", "verify-at-the-end-marker",
+            "traced-run", "verify-nondeterministic", "verify-out-of-budget",
+            "run-out-of-budget"])
+    def test_records_and_exit_codes(self, capsys, folder, steps):
+        for argv, code, records in steps:
+            assert run_cli(capsys, *argv) == (code, records), argv
+
+
 class TestModuleEntryPoint:
     """`python -m vecauto`, one process per command as a shell user runs it."""
 

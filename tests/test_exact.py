@@ -12,7 +12,6 @@ from vecauto.exact import (
     RowVector,
     common_denominator_scalar,
     format_rational,
-    integer_product,
     inverse,
     mat_mul,
     parse_rational,
@@ -231,20 +230,31 @@ def test_vec_mat_mul_chains_match_fraction_reference(chain):
         assert got == rebuilt and hash(got) == hash(rebuilt)
 
 
+def fraction_product(a: list, b: list, n: int) -> list:
+    """The n x n product of two row-major entry lists, by the schoolbook
+    triple loop over Fractions."""
+    return [sum(Fraction(a[i * n + k]) * b[k * n + j] for k in range(n))
+            for i in range(n) for j in range(n)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(product_chains())
 def test_integer_products_are_the_fraction_products(chain):
-    # a chain's running product built from integer forms is the Fraction
-    # product's integer form, and a vector times it is the vector times
-    # each matrix in turn
-    start, matrices = chain
+    # a chain's running product, built from integer forms, is the
+    # Fraction product: the same value, hash and entries, and a vector
+    # times it is the vector times each matrix in turn
+    start, chain_entries = chain
     n = len(start)
-    matrices = [Matrix(n, n, entries) for entries in matrices]
-    product, expected, vector = matrices[0], matrices[0], RowVector(start)
-    for matrix in matrices[1:]:
-        product, expected = integer_product(product, matrix), mat_mul(expected, matrix)
-        assert product.rows == n
-        assert product.integer_form == expected.integer_form
+    matrices = [Matrix(n, n, entries) for entries in chain_entries]
+    product, expected, vector = matrices[0], chain_entries[0], RowVector(start)
+    for matrix, entries in zip(matrices[1:], chain_entries[1:]):
+        product, expected = mat_mul(product, matrix), fraction_product(expected, entries, n)
+        reference = Matrix(n, n, expected)
+        assert (product.rows, product.cols) == (n, n)
+        assert product == reference and hash(product) == hash(reference)
+        assert product.integer_form == reference.integer_form
+        assert product.entries == tuple(expected)
+        assert all(type(e) is int or e.denominator > 1 for e in product.entries)
     for matrix in matrices:
         vector = vec_mat_mul(vector, matrix)
     assert vec_mat_mul(RowVector(start), product) == vector

@@ -21,6 +21,7 @@ steps each letter by the rules."""
 import contextlib
 import io
 import json
+import math
 import random
 import sys
 import threading
@@ -57,7 +58,7 @@ from vecauto.builders import (
 from vecauto.cli import main
 from vecauto.diophantine import famw_from_system
 from vecauto.errors import AlphabetError, InconsistentSpecError, UndecidedError
-from vecauto.exact import WORD_BITS, Matrix, RowVector, integer_product, vec_mat_mul
+from vecauto.exact import WORD_BITS, Matrix, RowVector, mat_mul, vec_mat_mul
 from vecauto.fileformat import write_machine
 from vecauto.langlab import (
     ReferenceLanguage,
@@ -933,6 +934,12 @@ def test_only_an_eps_cycle_grows_the_cap():
     for spec in cyclic:
         assert searches(spec)[1] and searches(spec, SearchBudget())[1]
     assert example("leq").realtime
+    # the default cap, |states| * (|w| + 2), is left out where it cannot
+    # bind; `eps_per_path` holds on every machine
+    for spec, default in ((eps_chain_machine(), math.inf), (example("leq"), math.inf),
+                          (two_state_cycle_machine(), 2 * (3 + 2))):
+        assert SearchBudget().eps_cap(spec, 3) == default
+        assert SearchBudget(eps_per_path=1).eps_cap(spec, 3) == 1
 
 
 def test_walk_builds_one_search_unless_an_eps_cycle_grows_the_cap(monkeypatch):
@@ -1092,6 +1099,21 @@ def test_the_words_of_one_length_step_each_prefix_once(monkeypatch):
             assert len(stepped) == 2 ** (n + 1) - 2, n
             assert [traced(run) for run in runs] == [
                 traced(run_nondeterministic(replace(spec), w, budget)) for w in words]
+
+
+def test_an_eps_acyclic_machine_steps_only_past_its_last_word_at_any_length(monkeypatch):
+    # its eps cap cannot bind, so one slot key serves every length: a
+    # word two letters longer than the last steps those two letters
+    stepped = counted_letter_steps(monkeypatch)
+    spec = random_nbhva_endmarker(random.Random(5))
+    assert not spec.realtime and not spec.epsilon_cycle
+    word = "abbaab"
+    run_nondeterministic(spec, word)
+    assert len(stepped) == len(word)
+    stepped.clear()
+    longer = run_nondeterministic(spec, word + "ba")
+    assert stepped == ["b", "a"]
+    assert traced(longer) == traced(run_nondeterministic(replace(spec), word + "ba"))
 
 
 def test_an_embedding_steps_no_letter_of_the_word_its_source_just_ran(monkeypatch):
@@ -1405,6 +1427,27 @@ def wide_conflict_machine():
         transitions=[TransitionRule(q, x, STATUS_ANY, t, double) for q, x, t in rules])
 
 
+def sink_conflict_machine():
+    """A deterministic VA over a/b whose first entry doubles on every
+    letter; at p, b has two rules, one into the sink s, so a run that
+    reads b meets a conflict."""
+    double = Matrix.from_rows([[2, 0], [0, 1]])
+    rules = [("p", "a", "p"), ("p", "b", "p"), ("p", "b", "s")]
+    return MachineSpec(
+        kind=VA, mode=DETERMINISTIC, blind=True, endmarker=False, realtime=True,
+        alphabet=("a", "b"), states=("p", "s"), initial_state="p", accept_states={"p"},
+        dimension=2, initial_vector=[1, 1],
+        transitions=[TransitionRule(q, x, STATUS_ANY, t, double) for q, x, t in rules])
+
+
+def sink_conflict_run(rng, length):
+    # the first b comes after 70 or more a's, when the register is wide,
+    # so that the conflict falls inside a block
+    a_count = rng.randint(70, max(70, length))
+    return sink_conflict_machine(), "a" * a_count + "b" + runs_word(
+        rng, "ab", max(length - a_count, BLOCK_LETTERS))
+
+
 def wide_random_dva_run(rng, length):
     # a random DVA started from a register past WORD_BITS, its status rules
     # and dead letters inside the blocks of a word it mostly survives
@@ -1506,6 +1549,7 @@ BLOCK_RUNS = {
         lambda: rationals_to_integers(attach_trivial_endmarker(example("eq"))[0])[0], "ab"),
     "gfa": catalog_run(one_state_gfa, "a"),
     "wide_conflict": catalog_run(wide_conflict_machine, "ab"),
+    "sink_conflict": sink_conflict_run,
     # status rules inside the blocks: read `=` on wide registers, compare
     # every entry, or conflict only under `=`
     "home_returning_va": living_run(home_returning_va),
@@ -1594,7 +1638,7 @@ def test_a_wide_non_blind_run_asks_one_block_per_block_of_letters():
 
 def test_home_after_is_the_home_test_of_the_product():
     # probes a register against products of one to four rules of each kind
-    # with a matrix register, integer products included, and the GFA's column
+    # with a matrix register, and the GFA's column
     rng = random.Random(3)
     specs = [example("dyck"), halving_fam(), home_matching_hva(), one_state_gfa(),
              extendedfa_a_endmarker(), *(random_dva(rng) for _ in range(4))]
@@ -1606,7 +1650,7 @@ def test_home_after_is_the_home_test_of_the_product():
             for _ in range(rng.randint(0, 4)):
                 register = vec_mat_mul(register, rng.choice(effects))
             for _ in range(rng.randint(0, 3)):
-                product = integer_product(product, rng.choice(effects))
+                product = mat_mul(product, rng.choice(effects))
             assert spec.home_after(product)(register) == home(vec_mat_mul(register, product))
 
 
