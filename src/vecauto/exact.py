@@ -353,6 +353,8 @@ def direct_sum(a: Matrix, b: Matrix) -> Matrix:
 
 def dot(u: RowVector, v: RowVector):
     """Exact dot product of two row vectors of one dimension."""
+    if u.dim != v.dim:
+        raise ShapeError(f"cannot take the dot product of dim-{u.dim} and dim-{v.dim} vectors")
     return _demote(Fraction(sum(map(mul, u.nums, v.nums)), u.den * v.den))
 
 

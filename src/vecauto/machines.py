@@ -24,34 +24,12 @@ end-marker included when ``endmarker`` is set):
 
 Simulators are pure functions of (spec, input, budget); specs are
 immutable after validation, so evaluating many inputs in parallel is
-safe. A machine caches what it derives from its fields on first use:
-its rule index, its memoized transition function, its sinks, its block
-memo, its home test after a matrix, its end test and one last-run slot.
-The block memo maps a state and `BLOCK_LETTERS` lone letters (one rule
-that fires and leads on, the others into distinct sinks, which a
-deterministic machine's blocks do not see) to the state they reach,
-their matrices' product and the configurations they reach, so a run
-whose one live register is wider than `WORD_BITS` multiplies it once
-per block (`_jump`): a deterministic run, and a nondeterministic verdict
-run (`accepts`) on a machine without eps rules.
-A letter whose rules read the register's status is lone under the
-status the register has there, which the block reads exactly from the
-integer columns of the product of the letters before it, and the block
-branches on it. The memo keeps at most a few matrices per block a run
-stepped, for as long as the machine, each a pure function of its key,
-so concurrent runs can at worst build one twice. The end test
-judges a word that ends in a configuration from the end-marker rules'
-integer columns, with the same home test as the blocks, without
-building the registers after the end-marker: every verdict but a traced
-run's reads it. The slot holds
-`run_nondeterministic`'s last search, keyed by the budget and the eps
-cap of the word's length: the word, the built search and the word's
-frontiers, which the run's `RunResult` holds anyway, so a machine keeps
-at most one word's frontiers there. A run under the same key steps only
-the letters after the longest prefix it shares with that word. Each
-frontier is a pure function of the machine, the key and the prefix, and
-is never changed once built; a run reads the slot once and replaces it
-whole, so concurrent runs can only evict each other's entry.
+safe. A machine caches what it derives from its fields on first use,
+each cache described where it lives: `MachineSpec.successors` (the step
+memo), `sinks`, `blocks` (letter blocks for wide registers, which
+`_jump` multiplies), `home_after`, `end_test` and the `last_run` slot.
+Each entry is a pure function of the machine and its key, so concurrent
+runs can at worst build one twice or evict each other's.
 
 A `$` inside a word is no letter of any alphabet: `run_deterministic`,
 `accepts` and `run_nondeterministic` treat it as a letter without a
@@ -327,7 +305,7 @@ class MachineSpec:
         twice. Vector registers only: a counter effect is not a matrix.
         """
         sinks = frozenset() if self.mode == DETERMINISTIC else self.sinks
-        home, home_after = self.register_tests[1], self.home_after
+        home_after = self.home_after
 
         def lone(rules):
             # the rule the live configuration takes when `rules` fire, as
@@ -366,8 +344,7 @@ class MachineSpec:
                         key = (start, letters[:length], statuses)
                         lands_home = tests.get(key)
                         if lands_home is None:
-                            lands_home = home if product is None else home_after(product)
-                            tests[key] = lands_home
+                            lands_home = tests[key] = home_after(product)
                         return _Probe(lands_home, block, statuses)
                     rule, statuses, status = rule[status], statuses + (status,), None
                 if rule is None:
@@ -401,64 +378,76 @@ class MachineSpec:
     @cached_property
     def last_run(self) -> list:
         """One slot, ``[None]`` until `run_nondeterministic` fills it with
-        its last search: ``(key, word, (start, step, end), frontiers)``,
-        `key` being ``(budget, eps cap for the word's length)`` and
-        `frontiers` the word's `Frontier`s, one per position. A run reads
-        it once and replaces the item whole."""
+        its last search: ``(key, word, steps, frontiers)``, `key` being
+        ``(budget, eps cap for the word's length)``, `steps` the
+        `nondeterministic_steps` built under it and `frontiers` the word's
+        `Frontier`s, one per position. A run reads it once and replaces the
+        item whole."""
         return [None]
 
     @cached_property
     def register_tests(self):
         """``(status, accepting)`` functions of a register, both from the
-        kind's one "register is home" test: first entry 1 for VA, the
-        initial vector for HVA and monoid machines, 1 for FAM, value
-        (register times final vector) at the cutpoint for GFA, all
-        counters 0 for counter machines. A counter machine's status is
-        that test per counter; an unblind one accepts any register.
+        kind's one "register is home" test, ``home_after(None)``. A counter
+        machine's status is that test per counter; an unblind one accepts
+        any register.
         """
+        home = self.home_after(None)
         if self.kind == COUNTER_MACHINE:
             def status(register):
                 return tuple(STATUS_EQ if c == 0 else STATUS_NE for c in register)
-            if self.blind:
-                return status, lambda register: not any(register)
-            return status, lambda register: True
-        if self.kind == VA:
-            def home(register):
-                return register.nums[0] == register.den
-        elif self.kind == GFA:
-            final, cutpoint = self.gfa_final_vector, self.gfa_cutpoint
-
-            def home(register):
-                return dot(register, final) == cutpoint
-        else:
-            initial = RowVector([1]) if self.kind == FAM else self.initial_vector
-
-            def home(register):
-                return register == initial
+            return status, home
         return (lambda register: STATUS_EQ if home(register) else STATUS_NE), home
 
     @cached_property
     def home_after(self):
-        """``home_after(matrix)``, for a vector machine: `register_tests`'
-        home test of a register times `matrix`, as a function of the
-        register, building no register. With the matrix's integer columns
-        C over d (`integer_form`) and the register's nums over den, a VA's
+        """``home_after(effect)``: the kind's "register is home" test of a
+        register after `effect`, as a function of the register before it;
+        ``home_after(None)`` is the plain test. Home is: first entry 1 for
+        VA, the initial vector for HVA and monoid machines, 1 for FAM,
+        value (register times final vector) at the cutpoint for GFA, all
+        counters 0 for a blind counter machine, any register for an unblind
+        one.
+
+        A counter machine's test adds the effect to the register. A vector
+        machine's builds no register: with the matrix's integer columns C
+        over d (`integer_form`) and the register's nums over den, a VA's
         test is sum(nums * C_0) == den * d. A GFA's compares the column
         C·f, f its final vector, with its cutpoint in the same way. The
         other kinds compare each entry with the home vector u's,
         sum(nums * C_j) * u.den == u.nums_j * den * d, from the first up
         to the first that differs."""
+        if self.kind == COUNTER_MACHINE:
+            home = (lambda register: not any(register)) if self.blind else (lambda register: True)
+
+            def home_after(effect):
+                if effect is None:
+                    return home
+                return lambda register: home(tuple(c + d for c, d in zip(register, effect)))
+            return home_after
+
         final = None
         if self.kind == GFA:
             final, cutpoint = self.gfa_final_vector, self.gfa_cutpoint
             home_nums, home_den = (cutpoint.numerator,), cutpoint.denominator
+
+            def home(register):
+                return dot(register, final) == cutpoint
         elif self.kind == VA:  # the first entry, 1
             home_nums, home_den = (1,), 1
+
+            def home(register):
+                return register.nums[0] == register.den
         else:
             initial = RowVector([1]) if self.kind == FAM else self.initial_vector
             home_nums, home_den = initial.nums, initial.den
 
+            def home(register):
+                return register == initial
+
         def home_after(matrix):
+            if matrix is None:
+                return home
             columns, d, _ = matrix.integer_form
             if final is not None:
                 columns = (tuple(sum(map(mul, row, final.nums)) for row in zip(*columns)),)
@@ -480,23 +469,18 @@ class MachineSpec:
         """``end_test(state, register)``: whether a word whose letters end
         in this configuration is accepted, built on first use.
 
-        Without an end-marker that is an accept state and `register_tests`'
-        home test. With one, it reads the `$` rules of `rule_index` that
-        lead to an accept state, fired under their status (`_firing`), and
-        asks `home_after` whether one takes the register home, building no
-        register; a counter machine adds the effect to the register. A
-        deterministic machine first counts the `$` rules that fire and
-        raises `run_deterministic`'s conflict if more than one does.
+        Without an end-marker that is an accept state and the home test.
+        With one, it reads the `$` rules of `rule_index` that lead to an
+        accept state, fired under their status (`_firing`), and asks
+        `home_after` whether one takes the register home, building no
+        register. A deterministic machine first counts the `$` rules that
+        fire and raises `run_deterministic`'s conflict if more than one does.
         """
         accept_states = self.accept_states
         status_of_register, home = self.register_tests
         if not self.endmarker:
             return lambda state, register: state in accept_states and home(register)
-        if self.kind == COUNTER_MACHINE:
-            def home_after(effect):
-                return lambda register: home(tuple(c + d for c, d in zip(register, effect)))
-        else:
-            home_after = self.home_after
+        home_after = self.home_after
 
         # per state its `$` rules as (rule index, status, home test, or None
         # for a rule into a state that does not accept), and whether one
@@ -860,15 +844,14 @@ def run_deterministic(spec: MachineSpec, word: str) -> RunResult:
     letters = word + ENDMARKER if spec.endmarker else word
     # the last position a block fits at; a counter register takes none
     last_block = -1 if spec.kind == COUNTER_MACHINE else len(word) - BLOCK_LETTERS
-    steps = enumerate(letters)
-    for position, letter in steps:
+    position, end = 0, len(letters)
+    while position < end:
         if position <= last_block and register.bits > WORD_BITS:
-            jumped, state, register, _ = _jump(spec, letters, position, last_block,
-                                               state, register, math.inf)
-            if jumped == len(letters):
+            position, state, register, _ = _jump(spec, letters, position, last_block,
+                                                 state, register, math.inf)
+            if position == end:
                 break
-            if jumped > position:  # on to the letter after those jumped
-                position, letter = next(islice(steps, jumped - position - 1, None))
+        letter = letters[position]
         if letter == ENDMARKER and position < len(word):
             fired = ()  # a `$` inside the word is a letter without a rule
         else:
@@ -878,8 +861,9 @@ def run_deterministic(spec: MachineSpec, word: str) -> RunResult:
         if len(fired) > 1:
             raise _conflict(fired, state, letter)
         _, state, register = fired[0]
+        position += 1
     accepted = state in spec.accept_states and spec.register_tests[1](register)
-    return RunResult(ACCEPT if accepted else REJECT, Configuration(state, register, len(letters)))
+    return RunResult(ACCEPT if accepted else REJECT, Configuration(state, register, end))
 
 
 def _jump(spec: MachineSpec, letters: str, position: int, last_block: int, state: str,
@@ -936,7 +920,7 @@ def run_nondeterministic(spec: MachineSpec, word: str, budget: SearchBudget = No
     else:
         steps = nondeterministic_steps(spec, budget, len(word))
         frontiers = [steps[0]]
-    _, step, end = steps
+    _, step, end, _ = steps
     for letter in word[len(frontiers) - 1:]:
         frontiers.append(step(frontiers[-1], letter))
     slot[0] = (key, word, steps, tuple(frontiers))
@@ -1015,8 +999,8 @@ def accepts(spec: MachineSpec, word: str, budget: SearchBudget = None) -> bool:
     # a block leaves a letter after it; a counter register takes none
     last_block = (-1 if spec.kind == COUNTER_MACHINE or spec.epsilon_sources
                   else len(word) - BLOCK_LETTERS - 1)
-    steps = enumerate(word)
-    for position, letter in steps:
+    position, end = 0, len(word)
+    while position < end:
         if position <= last_block and len(frontier.configurations) <= len(sinks) + 1:
             live = [key for key in frontier.configurations if key[0] not in sinks]
             if len(live) == 1 and live[0][1].bits > WORD_BITS:
@@ -1028,8 +1012,9 @@ def accepts(spec: MachineSpec, word: str, budget: SearchBudget = None) -> bool:
                     configurations = {(state, register): 0}
                     frontier = Frontier(configurations, configurations,
                                         frontier.spent + reached, frontier.pruned)
-                    position, letter = next(islice(steps, jumped - position - 1, None))
-        frontier = step(frontier, letter)
+                    position = jumped
+        frontier = step(frontier, word[position])
+        position += 1
     return verdict(frontier, word)
 
 
@@ -1063,25 +1048,30 @@ class Frontier(NamedTuple):
 
 
 def nondeterministic_steps(spec: MachineSpec, budget: SearchBudget, length: int):
-    """``(start, step, end)``: the search over a word of `length` letters
-    (which sets the eps cap, `SearchBudget.eps_cap`), one position at a
-    time, as `Frontier`s.
+    """``(start, step, end, verdict)``: the search over a word of `length`
+    letters (which sets the eps cap, `SearchBudget.eps_cap`), one position
+    at a time, as `Frontier`s.
     ``step(frontier, letter)`` takes the expanded configurations' letter
-    moves, then eps moves; ``end(frontier)`` judges a word that ends
-    there for the traced run (`run_nondeterministic`), which keeps where
-    the word ends: ``(verdict, final, accepting)``, with `final` the
-    configurations after the last letter (and the end-marker, which no
-    eps move follows), `accepting` the first accepting one or None. A
-    verdict alone (`searches`) reads `MachineSpec.end_test` instead and
-    builds no end-marker step.
+    moves, then eps moves. Both judgments of a word that ends at a
+    frontier are here. ``end(frontier)`` is the traced run's
+    (`run_nondeterministic`), which keeps where the word ends:
+    ``(verdict, final, accepting)``, with `final` the configurations after
+    the last letter (and the end-marker, which no eps move follows),
+    `accepting` the first accepting one or None. ``verdict(frontier,
+    word)`` is `accepts`': it asks `MachineSpec.end_test` of the
+    configurations (the expanded ones when the end-marker is read, else
+    all reached), builds no end-marker step, and raises UndecidedError
+    where `end` finds BudgetExceeded.
 
     Configurations are deduplicated exactly per position. One counts
     against `max_configurations` once, when expanded: its eps moves with
     its letter or end-marker move. After the cap, the configurations
     reached are still judged: an accepting one at the last position
-    accepts, and the verdict is BudgetExceeded only where a move was left.
+    accepts, and the verdict is BudgetExceeded only where a move was cut
+    off, before the frontier or, when its configurations move on (after
+    a letter, or to the end-marker), at one it left unexpanded.
     """
-    successors = spec.successors
+    successors, end_test = spec.successors, spec.end_test
     accept_states = spec.accept_states
     home = spec.register_tests[1]
     endmarker = spec.endmarker
@@ -1131,22 +1121,34 @@ def nondeterministic_steps(spec: MachineSpec, budget: SearchBudget, length: int)
         return Frontier(reached, {key: reached[key] for key in islice(taken, room)},
                         spent + room, pruned)
 
+    def cut(frontier, moving):
+        # whether a move was cut off: before `frontier`, or, where its
+        # configurations move on, at one it left unexpanded
+        return frontier.pruned or (
+            moving and len(frontier.expanded) < len(frontier.configurations))
+
     def step(frontier, letter):
         # a `$` inside a word is a letter without a rule
         return close(moved(frontier, letter) if letter != ENDMARKER else {}, frontier.spent,
-                     frontier.pruned or len(frontier.expanded) < len(frontier.configurations))
+                     cut(frontier, True))
 
     def end(frontier):
-        final, pruned = frontier.configurations, frontier.pruned
-        if endmarker:
-            final = moved(frontier, ENDMARKER)
-            pruned = pruned or len(frontier.expanded) < len(frontier.configurations)
+        final = moved(frontier, ENDMARKER) if endmarker else frontier.configurations
         for key in final:
             if key[0] in accept_states and home(key[1]):
                 return ACCEPT, final, key
-        return (BUDGET_EXCEEDED if pruned else REJECT), final, None
+        return (BUDGET_EXCEEDED if cut(frontier, endmarker) else REJECT), final, None
 
-    return close({(spec.initial_state, spec.initial_vector): 0}, 0, False), step, end
+    def verdict(frontier, word):
+        # the end-marker is read from the expanded configurations only
+        for state, register in frontier.expanded if endmarker else frontier.configurations:
+            if end_test(state, register):
+                return True
+        if cut(frontier, endmarker):
+            raise _undecided(word, budget)
+        return False
+
+    return close({(spec.initial_state, spec.initial_vector): 0}, 0, False), step, end, verdict
 
 
 def searches(spec: MachineSpec, budget: SearchBudget = None):
@@ -1159,20 +1161,13 @@ def searches(spec: MachineSpec, budget: SearchBudget = None):
 
     A deterministic node is the run's ``(state, register)``, and its step
     None once the run dies; a rule conflict raises where
-    `run_deterministic` raises. A
-    nondeterministic node is a `nondeterministic_steps` `Frontier`, whose
-    budget counts along its own prefix; an exhausted one's verdict raises
-    UndecidedError.
-
-    Both verdicts ask `MachineSpec.end_test` of the node's configurations
-    (a frontier's expanded ones when the end-marker is read, else all it
-    reached), so a verdict builds no end-marker step. A frontier's verdict
-    is BudgetExceeded, raised, where `end` finds it: no configuration
-    accepts and a move was cut off, the end-marker's included.
+    `run_deterministic` raises. Its verdict asks `MachineSpec.end_test`,
+    so it builds no end-marker step. A nondeterministic search is
+    `nondeterministic_steps`', whose node is a `Frontier` that counts the
+    budget along its own prefix.
     """
-    end_test = spec.end_test
     if spec.mode == DETERMINISTIC:
-        successors = spec.successors
+        successors, end_test = spec.successors, spec.end_test
 
         def step(node, letter):
             fired = successors(node[0], letter, node[1])
@@ -1189,25 +1184,12 @@ def searches(spec: MachineSpec, budget: SearchBudget = None):
         return (lambda length: (start, step, verdict)), False
 
     budget = budget or SearchBudget()
-    cap_grows = budget.eps_cap(spec, 0) != budget.eps_cap(spec, 1)
-    endmarker = spec.endmarker
 
     def search(length):
-        start, step, _ = nondeterministic_steps(spec, budget, length)
-
-        def verdict(frontier, word):
-            # the end-marker is read from the expanded configurations only
-            for state, register in frontier.expanded if endmarker else frontier.configurations:
-                if end_test(state, register):
-                    return True
-            if frontier.pruned or (endmarker and
-                                   len(frontier.expanded) < len(frontier.configurations)):
-                raise _undecided(word, budget)
-            return False
-
+        start, step, _, verdict = nondeterministic_steps(spec, budget, length)
         return start, step, verdict
 
-    return search, cap_grows
+    return search, budget.eps_cap(spec, 0) != budget.eps_cap(spec, 1)
 
 
 def walk(search, alphabet, maxlen: int, cap_grows: bool = False, distinct: bool = False):

@@ -30,7 +30,6 @@ from .machines import (
     STATUS_NE,
     VA,
     MachineSpec,
-    SearchBudget,
     TransitionRule,
     accepts,
     stateless,
@@ -88,7 +87,7 @@ def scale_initial_vector(spec: MachineSpec, t):
     return out, _report("scale_initial_vector", spec.summary(), out, t=str(t))
 
 
-def remove_endmarker(spec: MachineSpec, budget: SearchBudget = None):
+def remove_endmarker(spec: MachineSpec):
     """Fold the end-marker postprocessing of a blind HVA into extra
     states; the output is nondeterministic, whatever the input's mode.
 
@@ -99,6 +98,8 @@ def remove_endmarker(spec: MachineSpec, budget: SearchBudget = None):
     effect A_sigma * A_$. If the source accepts the empty string, one
     more state is added: a fresh initial accept state with no incoming
     transitions that otherwise behaves like the original initial state.
+    Whether it does is decided under the default `SearchBudget`; a source
+    that the search leaves undecided is refused.
     """
     if spec.kind != HVA or not spec.blind:
         raise UnsupportedPassError("end-marker removal applies to blind homing machines")
@@ -127,7 +128,7 @@ def remove_endmarker(spec: MachineSpec, budget: SearchBudget = None):
     initial_state = spec.initial_state
 
     try:
-        accepts_empty = accepts(spec, "", budget)
+        accepts_empty = accepts(spec, "")
     except UndecidedError:
         raise UnsupportedPassError(
             "could not decide empty-string membership within the search budget"
@@ -338,18 +339,14 @@ def attach_trivial_endmarker(spec: MachineSpec):
         raise UnsupportedPassError("can only attach an end-marker to a plain HVA")
     identity = Matrix.identity(spec.dimension)
     rules = list(spec.transitions) + [
-        TransitionRule(q, ENDMARKER, STATUS_ANY if spec.blind else STATUS_EQ, q, identity)
-        for q in spec.states
+        TransitionRule(q, ENDMARKER, status, q, identity)
+        for status in _status_variants(spec) for q in spec.states
     ]
-    if not spec.blind:
-        rules += [
-            TransitionRule(q, ENDMARKER, STATUS_NE, q, identity) for q in spec.states
-        ]
     out = replace(spec, endmarker=True, transitions=tuple(rules))
     return out, _report("attach_trivial_endmarker", spec.summary(), out)
 
 
-def counters_to_integer_hva3(spec: MachineSpec, budget: SearchBudget = None):
+def counters_to_integer_hva3(spec: MachineSpec):
     """Pipeline: blind counter machine -> integer 3-dimensional blind HVA.
 
     Composes the prime encoding, a trivial end-marker (only when the
@@ -363,7 +360,7 @@ def counters_to_integer_hva3(spec: MachineSpec, budget: SearchBudget = None):
         marked, r2 = attach_trivial_endmarker(marked)
         reports.append(r2)
     lifted, r3 = rationals_to_integers(marked)
-    out, r4 = remove_endmarker(lifted, budget)
+    out, r4 = remove_endmarker(lifted)
     stages = [r.to_record() for r in reports + [r3, r4]]
     return out, _report("counters_to_integer_hva3", spec.summary(), out, stages=stages)
 

@@ -6,7 +6,13 @@ sets no deadline; select it with ``HYPOTHESIS_PROFILE=ci``.
 
 import os
 
+import pytest
 from hypothesis import settings
+
+# modules whose tests `test_walk` collects: their asserts report as a test
+# module's do
+pytest.register_assert_rewrite("walk_oracles", "walk_search", "walk_step_memo", "walk_slot",
+                               "walk_end", "walk_blocks")
 
 settings.register_profile("ci", derandomize=True, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))

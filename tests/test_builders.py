@@ -189,6 +189,10 @@ class TestFiniteLanguageVa:
         with pytest.raises(BuilderError):
             finite_language_va(["1", ""])
 
+    def test_rejects_the_empty_set(self):
+        with pytest.raises(BuilderError, match="the string set must be nonempty"):
+            finite_language_va([])
+
 
 class TestHvaDistinguisher:
     def test_accepts_only_the_target(self):
@@ -206,6 +210,10 @@ class TestHvaDistinguisher:
         spec = hva_distinguisher("1")
         assert accepts(spec, "1")
         assert not accepts(spec, "11")
+
+    def test_rejects_empty_target(self):
+        with pytest.raises(BuilderError, match="cannot build a distinguisher for the empty string"):
+            hva_distinguisher("")
 
     def test_final_vector_encodes_the_difference(self):
         spec = hva_distinguisher("12")
@@ -232,6 +240,10 @@ class TestFiniteLanguageNbhva:
         spec = finite_language_nbhva(["", "1"])
         assert len(spec.states) == 3
         assert enumerate_accepted(spec, 4) == ["", "1"]
+
+    def test_rejects_the_empty_set(self):
+        with pytest.raises(BuilderError, match="the string set must be nonempty"):
+            finite_language_nbhva([])
 
 
 class TestCatalog:

@@ -13,8 +13,19 @@ from vecauto.builders import example
 from vecauto.cli import main
 from test_diophantine import EQ_SYSTEM, unsupported_famw
 from test_fileformat import TWO_CYCLE_DFA
+from vecauto.exact import Matrix
 from vecauto.fileformat import load_machine, write_machine
-from vecauto.machines import NONDETERMINISTIC, validate
+from vecauto.machines import (
+    DETERMINISTIC,
+    FAM,
+    NONDETERMINISTIC,
+    STATUS_ANY,
+    VA,
+    MachineSpec,
+    TransitionRule,
+    stateless,
+    validate,
+)
 
 
 def run_cli(capsys, *argv):
@@ -296,6 +307,68 @@ class TestMalformedArguments:
             given = env.get(name) or argv[argv.index(name) + 1]
             assert rest == repr(given)
 
+    @pytest.mark.parametrize(
+        "argv,record",
+        [
+            (["transform", "eliminate-states", "{unmarked_va}", "{out}"],
+             ("UsageError", "state elimination relies on the end-marker acceptance step")),
+            (["transform", "attach-endmarker", "{powr}", "{out}"],
+             ("UsageError", "can only attach an end-marker to a plain HVA")),
+            (["transform", "rationals-to-integers", "{dyck}", "{out}"],
+             ("UsageError", "integer conversion applies to blind homing machines")),
+            (["transform", "counters-to-hva1", "{eq}", "{out}"],
+             ("UsageError", "prime encoding applies to counter machines")),
+            (["transform", "intersect", "{eq}", "{out}", "--with", "{powr}"],
+             ("UsageError", "intersection needs matching end-marker flags")),
+            (["build", "mod", "0", "-o", "{out}"], ("UsageError", "modulus must be >= 1")),
+            (["build", "unary_point", "-1", "-o", "{out}"],
+             ("UsageError", "exponent must be nonnegative")),
+            (["validate", "{integer_alphabet}"],
+             ("ParseError", "alphabet: expected a list of strings")),
+            (["validate", "{transition_without_to}"], ("ParseError", "transitions[0].to: missing")),
+            (["transform", "dfa-to-stateless", "{dfa_unknown_initial}", "{out}"],
+             ("UsageError", "DFA initial state is not a state")),
+            (["diophantine", "from-famw", "{two_state_fam}", "-o", "{out}"],
+             ("UsageError", "system extraction applies to stateless machines")),
+        ],
+        ids=["eliminate-states-without-end-marker", "attach-endmarker-to-marked",
+             "rationals-to-integers-non-blind", "counters-to-hva1-not-counters",
+             "intersect-end-marker-flags-differ", "build-mod-zero", "build-negative-exponent",
+             "integer-alphabet", "transition-without-to", "dfa-unknown-initial-state",
+             "from-famw-two-states"],
+    )
+    def test_refusal_record(self, capsys, tmp_path, argv, record):
+        # a valid machine that a command refuses, or a file its parser
+        # refuses: one whole record, exit 2, and no output file
+        one, two = Matrix.from_rows([[1]]), Matrix.from_rows([[2]])
+        powr = json.loads(write_machine(example("pow_r")))
+        without_to = [dict(powr["transitions"][0])] + powr["transitions"][1:]
+        del without_to[0]["to"]
+        two_state_fam = MachineSpec(
+            kind=FAM, mode=DETERMINISTIC, blind=True, endmarker=False, realtime=True,
+            alphabet=("a",), states=("p", "q"), initial_state="p", accept_states={"p"},
+            dimension=1, initial_vector=[1],
+            transitions=[TransitionRule("p", "a", STATUS_ANY, "q", two),
+                         TransitionRule("q", "a", STATUS_ANY, "p", two)])
+        texts = {
+            "unmarked_va": write_machine(stateless(VA, ("a",), 1, [1], [("a", one)])),
+            "powr": json.dumps(powr),
+            "dyck": write_machine(example("dyck")),
+            "eq": write_machine(example("eq")),
+            "integer_alphabet": json.dumps(dict(powr, alphabet=[1, 2])),
+            "transition_without_to": json.dumps(dict(powr, transitions=without_to)),
+            "dfa_unknown_initial": json.dumps(dict(TWO_CYCLE_DFA, initial_state="q9")),
+            "two_state_fam": write_machine(two_state_fam),
+        }
+        paths = {"out": tmp_path / "out.mach"}
+        for name, text in texts.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(text)
+        argv = [a.format(**paths) for a in argv]
+        verdict, detail = record
+        assert run_cli(capsys, *argv) == (2, [{"verdict": verdict, "detail": detail}])
+        assert not paths["out"].exists()
+
     def test_argparse_error_is_one_record(self, capsys, tmp_path):
         path = tmp_path / "eq.mach"
         path.write_text(write_machine(example("eq")))
@@ -493,7 +566,7 @@ class TestBudgetAndKinds:
         assert records[0]["verdict"] == "BudgetExceeded"
 
     def test_gfa_run_reports_value(self, capsys, tmp_path):
-        from test_machines import one_state_gfa
+        from walk_oracles import one_state_gfa
 
         path = tmp_path / "gfa.mach"
         path.write_text(write_machine(one_state_gfa()))
@@ -502,7 +575,7 @@ class TestBudgetAndKinds:
         assert records[0]["value"] == "8"
 
     def test_gfa_run_trace_ends_at_the_valued_register(self, capsys, tmp_path):
-        from test_machines import one_state_gfa
+        from walk_oracles import one_state_gfa
 
         path = tmp_path / "gfa.mach"
         path.write_text(write_machine(one_state_gfa()))

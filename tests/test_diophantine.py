@@ -87,6 +87,14 @@ class TestSystemFromFamw:
         with pytest.raises(UnsupportedPassError):
             system_from_famw(example("leq"))
 
+    @pytest.mark.parametrize("multiplier", [0, -2])
+    def test_rejects_a_non_positive_multiplier(self, multiplier):
+        # validation refuses such a machine; the extraction refuses it too
+        spec = stateless(FAM, ("a",), 1, [1], [("a", Matrix.from_rows([[multiplier]]))])
+        assert validate(spec) != []
+        with pytest.raises(DomainError, match="multiplicative registers must stay positive"):
+            system_from_famw(spec)
+
 
 class TestSolutionsUpTo:
     def test_eq_bound_two(self):

@@ -11,6 +11,7 @@ from vecauto.exact import (
     Matrix,
     RowVector,
     common_denominator_scalar,
+    dot,
     format_rational,
     inverse,
     mat_mul,
@@ -73,6 +74,16 @@ class TestVecMatMul:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             vec_mat_mul(RowVector([1]), Matrix.identity(2))
+
+
+class TestDot:
+    def test_hand_multiplied(self):
+        assert dot(RowVector([Fraction(1, 2), 3]), RowVector([4, Fraction(1, 3)])) == 3
+
+    def test_shape_mismatch(self):
+        # as vec_mat_mul, not a sum over the shorter vector's entries
+        with pytest.raises(ShapeError):
+            dot(RowVector([1, 2, 3]), RowVector([1, 1]))
 
 
 class TestTensor:

@@ -73,7 +73,7 @@ class TestMachineRoundTrip:
         assert write_machine(parse_machine(text)) == text
 
     def test_gfa_round_trip(self):
-        from test_machines import one_state_gfa
+        from walk_oracles import one_state_gfa
 
         spec = one_state_gfa()
         again = parse_machine(write_machine(spec))

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from machine_gen import blind_counter_ab, counter_ab_endmarker, random_dva
 from vecauto import machines
 from vecauto.builders import example
-from vecauto.errors import AlphabetError, InconsistentSpecError, UndecidedError, UnsupportedKindError
+from vecauto.errors import (
+    AlphabetError,
+    InconsistentSpecError,
+    ShapeError,
+    UndecidedError,
+    UnsupportedKindError,
+)
 from vecauto.exact import Matrix, RowVector
 from vecauto.machines import (
     ACCEPT,
@@ -41,6 +47,7 @@ from vecauto.machines import (
     validate,
 )
 from vecauto.langlab import all_strings
+from walk_oracles import one_state_gfa
 
 
 def hva1(rules, mode=DETERMINISTIC, blind=True, alphabet=("a", "b")):
@@ -347,6 +354,11 @@ class TestDeterministicRuns:
         with pytest.raises(InconsistentSpecError):
             run_deterministic(spec, "a")
 
+    def test_refuses_a_nondeterministic_machine(self):
+        spec = hva1([scalar_rule("a", 2), scalar_rule("a", 3)], mode=NONDETERMINISTIC)
+        with pytest.raises(InconsistentSpecError, match="run_deterministic needs a deterministic"):
+            run_deterministic(spec, "a")
+
 
 class TestNondeterministicRuns:
     def test_leq_accepts_ab(self, leq):
@@ -449,25 +461,6 @@ class TestNondeterministicRuns:
         assert run_nondeterministic(leq, "ab", tight).verdict in (ACCEPT, BUDGET_EXCEEDED)
 
 
-def one_state_gfa(multiplier=2, cutpoint=8):
-    return MachineSpec(
-        kind=GFA,
-        mode=DETERMINISTIC,
-        blind=True,
-        endmarker=False,
-        realtime=True,
-        alphabet=("a",),
-        states=("q",),
-        initial_state="q",
-        accept_states=frozenset({"q"}),
-        dimension=1,
-        initial_vector=RowVector([1]),
-        transitions=(scalar_rule("a", multiplier),),
-        gfa_final_vector=RowVector([1]),
-        gfa_cutpoint=Fraction(cutpoint),
-    )
-
-
 class TestGfa:
     def test_empty_word_value(self):
         assert gfa_value(one_state_gfa(), "") == 1
@@ -561,6 +554,10 @@ class TestMonoidMachines:
             [0, 0, 0, 1],
             [0, 0, 1, 0],
         ])
+
+    def test_embed_effect_refuses_a_non_square_matrix(self):
+        with pytest.raises(ShapeError, match="monoid elements must be square matrices"):
+            embed_monoid_effect(Matrix.from_rows([[1, 0, 1], [0, 1, 0]]))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

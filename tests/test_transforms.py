@@ -15,6 +15,7 @@ from vecauto.errors import InvalidScalarError, UnsupportedPassError
 from vecauto.exact import Matrix, RowVector, vec_mat_mul
 from vecauto.langlab import enumerate_accepted, equivalent_up_to, reference_language, matches_reference
 from vecauto.machines import (
+    BUDGET_EXCEEDED,
     DETERMINISTIC,
     ENDMARKER,
     HVA,
@@ -146,6 +147,25 @@ class TestRemoveEndmarker:
         out, _ = remove_endmarker(only_empty)
         assert enumerate_accepted(out, 5) == [""]
 
+    @pytest.mark.parametrize("make, names, fresh, maxlen", [
+        # pow_r, whose language lacks the empty word: a fresh accept state
+        (lambda: example("pow_r"), ("q_acc", "q_init", "q_acc2"), ("q_acc3",), 10),
+        # eq with a trivial end-marker, which accepts it: a fresh initial state too
+        (lambda: attach_trivial_endmarker(example("eq"))[0], ("q_init",), ("q_acc", "q_init2"), 8),
+    ], ids=["pow_r", "eq$"])
+    def test_fresh_states_skip_the_names_taken(self, make, names, fresh, maxlen):
+        source = make()
+        name = dict(zip(source.states, names))
+        spec = replace(
+            source, states=names, initial_state=name[source.initial_state],
+            accept_states={name[q] for q in source.accept_states},
+            transitions=tuple(replace(r, source=name[r.source], target=name[r.target])
+                              for r in source.transitions))
+        out, _ = remove_endmarker(spec)
+        assert validate(out) == []
+        assert out.states == names + fresh
+        assert equivalent_up_to(source, out, maxlen).equal
+
     def test_deterministic_input_gives_its_relaxed_copys_output(self):
         powr = example("pow_r")
         relaxed = replace(powr, mode=NONDETERMINISTIC)
@@ -161,24 +181,30 @@ class TestRemoveEndmarker:
             remove_endmarker(example("eq"))
 
     def test_refuses_an_empty_string_the_budget_leaves_undecided(self):
-        # an eps self-loop doubles the register, the end-marker halves it:
-        # the empty string is accepted after one eps move, which a budget of
-        # one configuration reaches but does not expand
-        looping = MachineSpec(
-            kind=HVA, mode=NONDETERMINISTIC, blind=True, endmarker=True, realtime=False,
-            alphabet=("a",), states=("q", "acc"), initial_state="q",
-            accept_states=frozenset({"acc"}), dimension=1, initial_vector=RowVector([1]),
-            transitions=(
-                TransitionRule("q", "eps", STATUS_ANY, "q", Matrix.from_rows([[2]])),
-                TransitionRule("q", ENDMARKER, STATUS_ANY, "acc",
-                               Matrix.from_rows([[Fraction(1, 2)]])),
-            ),
-        )
-        assert validate(looping) == []
-        assert remove_endmarker(looping)[1].parameters["accepts_empty"] is True
+        # an eps self-loop doubles the register, the end-marker scales it by
+        # `closing`: at 1/2 the empty string is accepted after one eps move;
+        # at 1/32 it needs five, past the default cap |Q| * (0 + 2) = 4
+        def looping(closing):
+            return MachineSpec(
+                kind=HVA, mode=NONDETERMINISTIC, blind=True, endmarker=True, realtime=False,
+                alphabet=("a",), states=("q", "acc"), initial_state="q",
+                accept_states=frozenset({"acc"}), dimension=1, initial_vector=RowVector([1]),
+                transitions=(
+                    TransitionRule("q", "eps", STATUS_ANY, "q", Matrix.from_rows([[2]])),
+                    TransitionRule("q", ENDMARKER, STATUS_ANY, "acc",
+                                   Matrix.from_rows([[closing]])),
+                ),
+            )
+
+        assert validate(looping(Fraction(1, 2))) == []
+        assert remove_endmarker(looping(Fraction(1, 2)))[1].parameters["accepts_empty"] is True
+        far = looping(Fraction(1, 32))
+        assert validate(far) == []
+        assert run_nondeterministic(far, "").verdict == BUDGET_EXCEEDED
+        assert run_nondeterministic(far, "", SearchBudget(eps_per_path=5)).accepted
         with pytest.raises(UnsupportedPassError, match="could not decide empty-string "
                                                        "membership within the search budget"):
-            remove_endmarker(looping, SearchBudget(max_configurations=1))
+            remove_endmarker(far)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_machines_stay_equivalent(self, seed):
