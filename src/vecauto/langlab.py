@@ -30,6 +30,7 @@ from .machines import (
     SearchBudget,
     accepts,  # noqa: F401 -- perfbench's tracer rebinds it in this namespace
     searches,
+    stepped,
     walk,
 )
 from .diophantine import check_commutative
@@ -85,9 +86,12 @@ def _search(language, budget: SearchBudget = None):
         return (*searches(language, budget), language.mode == DETERMINISTIC)
     if language.steps is None:
         membership = language.membership
-        return (lambda length: ("", str.__add__, lambda w, word: membership(w))), False, False
-    start, step, accepting = language.steps
-    return (lambda length: (start, step, lambda state, word: accepting(state))), False, True
+        start, step, verdict = "", str.__add__, lambda w, word: membership(w)
+    else:
+        start, step, accepting = language.steps
+        verdict = lambda state, word: accepting(state)
+    last = stepped(step, verdict)
+    return (lambda length: (start, step, verdict, last)), False, language.steps is not None
 
 
 def _walk(language, maxlen: int, budget: SearchBudget = None):
@@ -125,15 +129,22 @@ def _first_disagreement(left, right, maxlen: int, budget: SearchBudget) -> Equiv
     """The first string up to `maxlen`, in length-lex order, on which two
     languages differ, from one walk of pairs of their nodes: each word's
     left node is stepped, then its right, then each is judged in that
-    order. Two deterministic languages walk distinct pairs."""
+    order. Two deterministic languages walk distinct pairs.
+
+    At the walk's last level, where no side is a deterministic machine,
+    each side judges its own last letter (the searches' `last`), the left
+    first: only a deterministic step raises (a rule conflict), so the
+    order of the two judgments is the order of their errors."""
     if tuple(left.alphabet) != tuple(right.alphabet):
         raise AlphabetError(f"alphabets differ: {left.alphabet} vs {right.alphabet}")
     left_search, left_grows, left_distinct = _search(left, budget)
     right_search, right_grows, right_distinct = _search(right, budget)
+    apart = not any(isinstance(side, MachineSpec) and side.mode == DETERMINISTIC
+                    for side in (left, right))
 
     def search(length):
-        left_start, left_step, left_verdict = left_search(length)
-        right_start, right_step, right_verdict = right_search(length)
+        left_start, left_step, left_verdict, left_last = left_search(length)
+        right_start, right_step, right_verdict, right_last = right_search(length)
 
         # a dead side (None) is a Reject, stepped no further, as in the walk
         def step(pair, letter):
@@ -146,7 +157,12 @@ def _first_disagreement(left, right, maxlen: int, budget: SearchBudget) -> Equiv
             return ((left_node is not None and left_verdict(left_node, word))
                     != (right_node is not None and right_verdict(right_node, word)))
 
-        return (left_start, right_start), step, verdict
+        def last(pair, letter, word):
+            left_node, right_node = pair
+            return ((left_node is not None and left_last(left_node, letter, word))
+                    != (right_node is not None and right_last(right_node, letter, word)))
+
+        return (left_start, right_start), step, verdict, last if apart else stepped(step, verdict)
 
     for w, differs in walk(search, left.alphabet, maxlen, left_grows or right_grows,
                            left_distinct and right_distinct):

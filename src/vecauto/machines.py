@@ -27,7 +27,8 @@ immutable after validation, so evaluating many inputs in parallel is
 safe. A machine caches what it derives from its fields on first use,
 each cache described where it lives: `MachineSpec.successors` (the step
 memo), `sinks`, `blocks` (letter blocks for wide registers, which
-`_jump` multiplies), `home_after`, `end_test` and the `last_run` slot.
+`_jump` multiplies), `home_after`, `end_test`, `last_letter` (a word's
+last letter judged from the frontier before it) and the `last_run` slot.
 Each entry is a pure function of the machine and its key, so concurrent
 runs can at worst build one twice or evict each other's.
 
@@ -130,10 +131,11 @@ class MachineSpec:
     immutable types (tuples, frozensets, RowVectors, Fractions).
 
     `rule_index`, the compiled transition function `successors`, the
-    `sinks`, the `blocks` memo, `home_after`, the `end_test` and the
-    `last_run` slot are built on first use and cached on the instance (`extendedfa_embed`
-    gives its output its source's `successors` and `last_run`); equality
-    and hashing see only the fields.
+    `sinks`, the `blocks` memo, `home_after`, the `end_test`, the
+    `last_letter` tables and the `last_run` slot are built on first use
+    and cached on the instance (`extendedfa_embed` gives its output its
+    source's `successors` and `last_run`); equality and hashing see only
+    the fields.
     """
 
     kind: str
@@ -513,6 +515,67 @@ class MachineSpec:
         return end_test
 
     @cached_property
+    def last_letter(self):
+        """``(counts, tests)``, from which `nondeterministic_steps`' `last`
+        judges a word's last letter; None for a counter machine or where
+        eps rules make a cycle.
+
+        ``counts[state, letter]`` bounds the configurations that the
+        letter's rules and every eps path after them reach from `state`: it
+        counts them per path, and is ``math.inf`` where a rule on the way,
+        or an accepting `$` rule at the end, reads the status.
+        ``tests(state, letter)`` holds a `home_after` test of the register
+        before the letter for each path into an accepting end, of the
+        product M·E1···Ek of its rules (times M$ with the end-marker).
+        Both are filled once per state (`_fill`), the tests on first use:
+        a search asks for them only once the count fits its budget.
+        """
+        if self.kind == COUNTER_MACHINE or self.epsilon_cycle:
+            return None
+        index, home_after = self.rule_index, self.home_after
+        eps, ends = {}, {}
+        for state in self.states:
+            # its eps rules, and the rules that end a word there in an
+            # accepting state: `$` rules, or with no end-marker no rule (None)
+            eps[state] = index.get((state, EPSILON), ())
+            ends[state] = ([rule for rule in index.get((state, ENDMARKER), ())
+                            if rule[3] in self.accept_states] if self.endmarker
+                           else [(None, STATUS_ANY, None, state)] * (state in self.accept_states))
+
+        def targets(state):
+            return [rule[3] for rule in eps[state]]
+
+        def blind(rules):
+            return all(rule[1] == STATUS_ANY for rule in rules)
+
+        def count(state):  # itself and what its eps paths reach
+            if not (blind(eps[state]) and blind(ends[state])):
+                return math.inf
+            return 1 + sum(counted[target] for target in targets(state))
+
+        def extended(rules):  # the products of `rules` and the paths after them
+            return [effect if after is None else mat_mul(effect, after)
+                    for _, _, effect, target in rules
+                    for after in _fill(built, target, targets, products)]
+
+        def products(state):  # of its paths into an accepting end
+            return [rule[2] for rule in ends[state]] + extended(eps[state])
+
+        counted, built, memo = {}, {}, {}
+        counts = {key: sum(_fill(counted, rule[3], targets, count) for rule in rules)
+                  if blind(rules) else math.inf
+                  for key, rules in index.items() if key[1] not in (EPSILON, ENDMARKER)}
+
+        def tests(state, letter):
+            made = memo.get((state, letter))
+            if made is None:
+                made = memo[state, letter] = tuple(
+                    map(home_after, extended(index.get((state, letter), ()))))
+            return made
+
+        return counts, tests
+
+    @cached_property
     def epsilon_sources(self) -> frozenset:
         """States with at least one eps rule, whatever its status."""
         return frozenset(r.source for r in self.transitions if r.input == EPSILON)
@@ -535,6 +598,25 @@ class MachineSpec:
             for q in peeled:
                 del targets[q]
         return False
+
+
+def _fill(memo: dict, state, targets, value):
+    """``memo[state]``, once ``memo[s] = value(s)`` is filled for `state`
+    and every state that `targets` leads to from it, each after those its
+    own targets lead to; `targets` must make no cycle."""
+    stack = [state]
+    while stack:
+        top = stack[-1]
+        if top in memo:
+            stack.pop()
+            continue
+        waiting = [target for target in targets(top) if target not in memo]
+        if waiting:
+            stack += waiting
+        else:
+            memo[top] = value(top)
+            stack.pop()
+    return memo[state]
 
 
 def stateless(kind, alphabet, dimension, initial_vector, rules, *,
@@ -920,7 +1002,7 @@ def run_nondeterministic(spec: MachineSpec, word: str, budget: SearchBudget = No
     else:
         steps = nondeterministic_steps(spec, budget, len(word))
         frontiers = [steps[0]]
-    _, step, end, _ = steps
+    _, step, end, _, _ = steps
     for letter in word[len(frontiers) - 1:]:
         frontiers.append(step(frontiers[-1], letter))
     slot[0] = (key, word, steps, tuple(frontiers))
@@ -978,7 +1060,10 @@ def accepts(spec: MachineSpec, word: str, budget: SearchBudget = None) -> bool:
     only the current `Frontier` (`searches`), with the verdict of
     `run_nondeterministic`, which keeps every position's for a trace.
     Raises UndecidedError when that search runs out of budget, so an
-    unfinished search is never reported as a Reject.
+    unfinished search is never reported as a Reject. The word's last
+    letter is judged from the frontier before it by the search's `last`,
+    which steps it only where the budget or a status could cut the step
+    (`nondeterministic_steps`).
 
     On a machine without eps rules, a frontier with one configuration
     outside `MachineSpec.sinks`, whose register is wider than
@@ -994,12 +1079,14 @@ def accepts(spec: MachineSpec, word: str, budget: SearchBudget = None) -> bool:
     if spec.mode == DETERMINISTIC:
         return run_deterministic(spec, word).accepted
     budget = budget or SearchBudget()
-    frontier, step, verdict = searches(spec, budget)[0](len(word))
+    frontier, step, verdict, last = searches(spec, budget)[0](len(word))
+    if not word:
+        return verdict(frontier, word)
     sinks = spec.sinks
     # a block leaves a letter after it; a counter register takes none
     last_block = (-1 if spec.kind == COUNTER_MACHINE or spec.epsilon_sources
                   else len(word) - BLOCK_LETTERS - 1)
-    position, end = 0, len(word)
+    position, end = 0, len(word) - 1
     while position < end:
         if position <= last_block and len(frontier.configurations) <= len(sinks) + 1:
             live = [key for key in frontier.configurations if key[0] not in sinks]
@@ -1013,9 +1100,11 @@ def accepts(spec: MachineSpec, word: str, budget: SearchBudget = None) -> bool:
                     frontier = Frontier(configurations, configurations,
                                         frontier.spent + reached, frontier.pruned)
                     position = jumped
+                    if position == end:
+                        break
         frontier = step(frontier, word[position])
         position += 1
-    return verdict(frontier, word)
+    return last(frontier, word[end], word)
 
 
 def _conflict(fired: tuple, state: str, letter: str) -> InconsistentSpecError:
@@ -1048,7 +1137,7 @@ class Frontier(NamedTuple):
 
 
 def nondeterministic_steps(spec: MachineSpec, budget: SearchBudget, length: int):
-    """``(start, step, end, verdict)``: the search over a word of `length`
+    """``(start, step, end, verdict, last)``: the search over a word of `length`
     letters (which sets the eps cap, `SearchBudget.eps_cap`), one position
     at a time, as `Frontier`s.
     ``step(frontier, letter)`` takes the expanded configurations' letter
@@ -1062,6 +1151,16 @@ def nondeterministic_steps(spec: MachineSpec, budget: SearchBudget, length: int)
     configurations (the expanded ones when the end-marker is read, else
     all reached), builds no end-marker step, and raises UndecidedError
     where `end` finds BudgetExceeded.
+
+    ``last(frontier, letter, word)`` is ``verdict(step(frontier, letter),
+    word)``, judged from the frontier where it builds no step: on a
+    vector machine with no eps cap (`eps_cap` is ``math.inf``), for a
+    letter other than `$`, when no rule along the way reads the status
+    and the letter's configurations, counted per path
+    (`MachineSpec.last_letter`), fit the room left in the budget. Then
+    `close` cuts nothing, so the word is accepted when one of its tests
+    takes the register home, else undecided exactly where a move was cut
+    off before. Elsewhere it steps the letter.
 
     Configurations are deduplicated exactly per position. One counts
     against `max_configurations` once, when expanded: its eps moves with
@@ -1078,6 +1177,8 @@ def nondeterministic_steps(spec: MachineSpec, budget: SearchBudget, length: int)
     eps_sources = frozenset() if spec.realtime else spec.epsilon_sources
     eps_cap = budget.eps_cap(spec, length)
     max_configurations = budget.max_configurations
+    judged = spec.last_letter if eps_cap == math.inf else None
+    counts, tests = judged or (None, None)
 
     def moved(frontier, letter):
         # a configuration reached twice keeps its first place, fewest eps moves
@@ -1148,23 +1249,40 @@ def nondeterministic_steps(spec: MachineSpec, budget: SearchBudget, length: int)
             raise _undecided(word, budget)
         return False
 
-    return close({(spec.initial_state, spec.initial_vector): 0}, 0, False), step, end, verdict
+    def last(frontier, letter, word):
+        if counts is not None and letter != ENDMARKER:
+            reach = sum(counts.get((state, letter), 0) for state, _ in frontier.expanded)
+            if reach <= max(max_configurations - frontier.spent, 0):
+                for state, register in frontier.expanded:
+                    for lands_home in tests(state, letter):
+                        if lands_home(register):
+                            return True
+                if cut(frontier, True):
+                    raise _undecided(word, budget)
+                return False
+        return verdict(step(frontier, letter), word)
+
+    start = close({(spec.initial_state, spec.initial_vector): 0}, 0, False)
+    return start, step, end, verdict, last
 
 
 def searches(spec: MachineSpec, budget: SearchBudget = None):
     """``(search, cap_grows)`` for `walk`: ``search(length)`` is ``(start,
-    step, verdict)`` for words of `length` letters, where ``step(node,
-    letter)`` is the next node and ``verdict(node, word)`` is
-    `accepts(spec, word, budget)`. Only when `cap_grows` (an eps cap that
-    grows with the length, `SearchBudget.eps_cap`) does the search depend
-    on the length.
+    step, verdict, last)`` for words of `length` letters, where ``step(node,
+    letter)`` is the next node, ``verdict(node, word)`` is
+    `accepts(spec, word, budget)` and ``last(node, letter, word)`` is
+    ``verdict(step(node, letter), word)``. Only when `cap_grows` (an eps
+    cap that grows with the length, `SearchBudget.eps_cap`) does the
+    search depend on the length.
 
     A deterministic node is the run's ``(state, register)``, and its step
     None once the run dies; a rule conflict raises where
     `run_deterministic` raises. Its verdict asks `MachineSpec.end_test`,
-    so it builds no end-marker step. A nondeterministic search is
-    `nondeterministic_steps`', whose node is a `Frontier` that counts the
-    budget along its own prefix.
+    so it builds no end-marker step, and its `last` steps the letter
+    (`stepped`). A nondeterministic search is `nondeterministic_steps`',
+    whose node is a `Frontier` that counts the budget along its own
+    prefix, and whose `last` judges the letter from the frontier before
+    it where nothing can be cut, else steps it.
     """
     if spec.mode == DETERMINISTIC:
         successors, end_test = spec.successors, spec.end_test
@@ -1181,15 +1299,24 @@ def searches(spec: MachineSpec, budget: SearchBudget = None):
             return node is not None and end_test(*node)
 
         start = (spec.initial_state, spec.initial_vector)
-        return (lambda length: (start, step, verdict)), False
+        return (lambda length: (start, step, verdict, stepped(step, verdict))), False
 
     budget = budget or SearchBudget()
 
     def search(length):
-        start, step, _, verdict = nondeterministic_steps(spec, budget, length)
-        return start, step, verdict
+        start, step, _, verdict, last = nondeterministic_steps(spec, budget, length)
+        return start, step, verdict, last
 
     return search, budget.eps_cap(spec, 0) != budget.eps_cap(spec, 1)
+
+
+def stepped(step, verdict):
+    """The `last` of a search that judges a word's last letter by stepping
+    it: ``verdict(step(node, letter), word)``, a dead node (None) a Reject."""
+    def last(node, letter, word):
+        child = step(node, letter)
+        return child is not None and verdict(child, word)
+    return last
 
 
 def walk(search, alphabet, maxlen: int, cap_grows: bool = False, distinct: bool = False):
@@ -1202,29 +1329,38 @@ def walk(search, alphabet, maxlen: int, cap_grows: bool = False, distinct: bool 
     is dead: a Reject, stepped and judged no further. One trie serves
     every length unless `cap_grows` (an eps cap that grows with the length):
     then each length gets its own, stepped again, lazily, under
-    ``search(length)``.
+    ``search(length)``. The words of length `maxlen` extend no further, so
+    each is judged from its parent by the search's ``last(node, letter,
+    word)``, which builds no node where it need not.
 
     With `distinct`, for nodes that fix their words' verdicts and futures,
     a word whose node an earlier word reached is stepped, but neither
     judged, yielded nor extended: it and its extensions have earlier twins
     with the same verdicts. The walk then ends at the first level that
-    reaches no new node (Hopcroft and Karp 1971).
+    reaches no new node (Hopcroft and Karp 1971). Its last level is
+    stepped too, to find those twins.
     """
     def children(level, step):
         for w, node in level:
             for letter in alphabet:
                 yield w + letter, None if node is None else step(node, letter)
 
-    start, step, verdict = search(0)
+    start, step, verdict, last = search(0)
     seen = {start} if distinct else None
     yield "", verdict(start, "")
     level = [("", start)]
     for length in range(1, maxlen + 1):
         if cap_grows:
-            start, step, verdict = search(length)
+            start, step, verdict, last = search(length)
             level = [("", start)]
             for _ in range(length - 1):
                 level = children(level, step)
+        if length == maxlen and not distinct:
+            for w, node in level:
+                for letter in alphabet:
+                    word = w + letter
+                    yield word, node is not None and last(node, letter, word)
+            return
         kept = []
         for w, node in level:  # stepped here, not by `children`: one generator less per word
             for letter in alphabet:

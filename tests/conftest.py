@@ -12,7 +12,7 @@ from hypothesis import settings
 # modules whose tests `test_walk` collects: their asserts report as a test
 # module's do
 pytest.register_assert_rewrite("walk_oracles", "walk_search", "walk_step_memo", "walk_slot",
-                               "walk_end", "walk_blocks")
+                               "walk_end", "walk_leaf", "walk_blocks")
 
 settings.register_profile("ci", derandomize=True, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))

@@ -16,7 +16,8 @@ Each other mechanism of the run core has a module of its own, whose
 tests this module collects, so that they keep their ids under
 ``tests/test_walk.py``: the search (`walk_search`), the step memo
 (`walk_step_memo`), the `last_run` slot (`walk_slot`), the end test
-(`walk_end`) and letter blocks (`walk_blocks`); ``pytest
+(`walk_end`), the last letter judged from the frontier before it
+(`walk_leaf`) and letter blocks (`walk_blocks`); ``pytest
 tests/walk_blocks.py`` runs one alone. The machines and oracles they
 share are in `walk_oracles`."""
 
@@ -39,6 +40,7 @@ from vecauto.machines import (
     ACCEPT,
     BUDGET_EXCEEDED,
     DETERMINISTIC,
+    ENDMARKER,
     HVA,
     STATUS_ANY,
     VA,
@@ -72,6 +74,7 @@ from walk_oracles import (
 # the tests of the run core's other mechanisms
 from walk_blocks import *  # noqa: F401,F403
 from walk_end import *  # noqa: F401,F403
+from walk_leaf import *  # noqa: F401,F403
 from walk_search import *  # noqa: F401,F403
 from walk_slot import *  # noqa: F401,F403
 from walk_step_memo import *  # noqa: F401,F403
@@ -290,6 +293,31 @@ def test_a_rule_conflict_raises_as_in_the_word_walk():
     # where both sides conflict, the left one raises
     assert {"", "a", "raised: deterministic machine has 2 successors in (q,a)",
             "raised: deterministic machine has 3 successors in (q,a)"} <= outcomes_seen
+    # a nondeterministic left side that the budget leaves undecided on "aa",
+    # the last level's first word: the right side's step is taken before
+    # the left side's verdict, so the conflict still raises
+    left, budget = undecided_on_aa(), SearchBudget(max_configurations=3)
+    right = conflict_machine({"p"}, 2)
+    assert first_disagreements(left, right, 2, budget)[0] == "undecided: aa"
+    for pair in ((left, right), (right, left)):
+        with pytest.raises(InconsistentSpecError):
+            equivalent_up_to(*pair, 2, budget)
+
+
+def undecided_on_aa():
+    """A blind nondeterministic HVA over a/b that accepts "" and "b" and
+    rejects "a", as `conflict_machine` does; on "aa" it reaches two
+    configurations, so that a budget of three leaves one unexpanded
+    before the end-marker."""
+    def one(x):
+        return Matrix.from_rows([[x]])
+    rules = [("p", "a", "q", 1), ("p", "b", "p", 1), ("q", "a", "q", 2), ("q", "a", "q", 3),
+             ("p", ENDMARKER, "p", 1)]
+    return MachineSpec(
+        kind=HVA, mode=NONDETERMINISTIC, blind=True, endmarker=True, realtime=True,
+        alphabet=("a", "b"), states=("p", "q"), initial_state="p", accept_states={"p"},
+        dimension=1, initial_vector=[1],
+        transitions=[TransitionRule(q, x, STATUS_ANY, t, one(m)) for q, x, t, m in rules])
 
 
 def unary_va(rules, endmarker, accept_states=("p", "q")):
@@ -426,14 +454,16 @@ def test_walk_builds_one_search_unless_an_eps_cycle_grows_the_cap(monkeypatch):
     def counting_walk(search, *args):
         def counted(length):
             built.append(length)
-            start, step, verdict = search(length)
+            start, step, verdict, last = search(length)
 
-            def judged(node, word):
-                try:
-                    return verdict(node, word)
-                except UndecidedError:
-                    return False
-            return start, step, judged
+            def judged(judge):
+                def judging(*args):
+                    try:
+                        return judge(*args)
+                    except UndecidedError:
+                        return False
+                return judging
+            return start, step, judged(verdict), judged(last)
         return machines.walk(counted, *args)
 
     monkeypatch.setattr(langlab, "walk", counting_walk)

@@ -453,7 +453,7 @@ def eq_without_endmarker():
 def per_letter_outcome(spec, word, budget):
     """The verdict of `searches`' search stepped one letter at a time, or
     "undecided", and the `spent` of the frontier it judged."""
-    frontier, step, verdict = searches(spec, budget)[0](len(word))
+    frontier, step, verdict, _ = searches(spec, budget)[0](len(word))
     for letter in word:
         frontier = step(frontier, letter)
     return verdict_or_undecided(verdict, frontier, word), frontier.spent
@@ -461,17 +461,23 @@ def per_letter_outcome(spec, word, budget):
 
 def accepts_outcome(spec, word, budget):
     """`accepts`' verdict, or "undecided", and the `spent` of the frontier
-    it judged, read by wrapping the verdict of the search it builds."""
+    it judged: read by wrapping the verdict and the `last` of the search it
+    builds, the latter by stepping the last letter from the frontier it is
+    given."""
     judged = []
     search, cap_grows = searches(spec, budget)
 
     def recording_search(length):
-        start, step, verdict = search(length)
+        start, step, verdict, last = search(length)
 
         def recorded(frontier, word):
             judged.append(frontier.spent)
             return verdict(frontier, word)
-        return start, step, recorded
+
+        def recorded_last(frontier, letter, word):
+            judged.append(step(frontier, letter).spent)
+            return last(frontier, letter, word)
+        return start, step, recorded, recorded_last
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(machines, "searches", lambda spec, budget=None: (recording_search, cap_grows))

@@ -173,21 +173,23 @@ def test_the_end_test_is_the_end_marker_step(name, seed):
 @given(name=st.sampled_from(sorted(END_MACHINES)), seed=st.integers(0, 2**32 - 1),
        length=st.integers(1, 12), at=st.integers(0, 12))
 def test_a_dollar_inside_a_word_is_a_letter_without_a_rule(name, seed, length, at):
+    # at the drawn position, and at the last, which `accepts` judges from
+    # the frontier before it
     rng = random.Random(seed)
     spec = END_MACHINES[name](rng)
     word = "".join(rng.choice(spec.alphabet) for _ in range(length))
-    at = min(at, length - 1)
-    dollar, foreign = (word[:at] + letter + word[at + 1:] for letter in (ENDMARKER, "#"))
     assert "#" not in spec.alphabet
-    if spec.mode == DETERMINISTIC:
-        runs = [run_deterministic(spec, w) for w in (dollar, foreign)]
-    else:
-        budget = SearchBudget(max_configurations=500)
-        assert (verdict_or_undecided(accepts, spec, dollar, budget)
-                == verdict_or_undecided(accepts, spec, foreign, budget))
-        runs = [run_nondeterministic(spec, w, budget) for w in (dollar, foreign)]
-    assert runs[0].verdict == runs[1].verdict
-    assert runs[0].last == runs[1].last
+    for at in (min(at, length - 1), length - 1):
+        dollar, foreign = (word[:at] + letter + word[at + 1:] for letter in (ENDMARKER, "#"))
+        if spec.mode == DETERMINISTIC:
+            runs = [run_deterministic(spec, w) for w in (dollar, foreign)]
+        else:
+            budget = SearchBudget(max_configurations=500)
+            assert (verdict_or_undecided(accepts, spec, dollar, budget)
+                    == verdict_or_undecided(accepts, spec, foreign, budget))
+            runs = [run_nondeterministic(spec, w, budget) for w in (dollar, foreign)]
+        assert runs[0].verdict == runs[1].verdict
+        assert runs[0].last == runs[1].last
 
 
 def test_a_dollar_inside_a_word_reads_no_end_marker_rule():

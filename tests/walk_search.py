@@ -68,7 +68,7 @@ def test_an_eps_move_can_undercut_a_letter_move():
 
 def expanded(spec, word, budget):
     """The configurations the one search expands on `word`."""
-    start, step, _, _ = nondeterministic_steps(spec, budget, len(word))
+    start, step, _, _, _ = nondeterministic_steps(spec, budget, len(word))
     frontier = start
     for letter in word:
         frontier = step(frontier, letter)

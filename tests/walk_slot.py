@@ -91,12 +91,12 @@ def counted_letter_steps(monkeypatch):
     build = machines.nondeterministic_steps
 
     def counting(*args):
-        start, step, end, verdict = build(*args)
+        start, step, *judgments = build(*args)
 
         def counted(frontier, letter):
             stepped.append(letter)
             return step(frontier, letter)
-        return start, counted, end, verdict
+        return start, counted, *judgments
 
     monkeypatch.setattr(machines, "nondeterministic_steps", counting)
     return stepped
