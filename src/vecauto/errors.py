@@ -26,7 +26,9 @@ class UnsupportedPassError(VecautoError):
 
 
 class InconsistentSpecError(VecautoError):
-    """A machine violated an invariant mid-run that validation should catch."""
+    """A machine breaks an invariant that a run relies on: a deterministic
+    machine's rules conflict (found when they are indexed, before a run's
+    first step), or a run is asked of a machine of the other mode."""
 
 
 class BuilderError(VecautoError):

@@ -129,18 +129,13 @@ def _first_disagreement(left, right, maxlen: int, budget: SearchBudget) -> Equiv
     """The first string up to `maxlen`, in length-lex order, on which two
     languages differ, from one walk of pairs of their nodes: each word's
     left node is stepped, then its right, then each is judged in that
-    order. Two deterministic languages walk distinct pairs.
-
-    At the walk's last level, where no side is a deterministic machine,
-    each side judges its own last letter (the searches' `last`), the left
-    first: only a deterministic step raises (a rule conflict), so the
-    order of the two judgments is the order of their errors."""
+    order; at the walk's last level each side judges its own last letter
+    (the searches' `last`), the left first. Two deterministic languages
+    walk distinct pairs."""
     if tuple(left.alphabet) != tuple(right.alphabet):
         raise AlphabetError(f"alphabets differ: {left.alphabet} vs {right.alphabet}")
     left_search, left_grows, left_distinct = _search(left, budget)
     right_search, right_grows, right_distinct = _search(right, budget)
-    apart = not any(isinstance(side, MachineSpec) and side.mode == DETERMINISTIC
-                    for side in (left, right))
 
     def search(length):
         left_start, left_step, left_verdict, left_last = left_search(length)
@@ -162,7 +157,7 @@ def _first_disagreement(left, right, maxlen: int, budget: SearchBudget) -> Equiv
             return ((left_node is not None and left_last(left_node, letter, word))
                     != (right_node is not None and right_last(right_node, letter, word)))
 
-        return (left_start, right_start), step, verdict, last if apart else stepped(step, verdict)
+        return (left_start, right_start), step, verdict, last
 
     for w, differs in walk(search, left.alphabet, maxlen, left_grows or right_grows,
                            left_distinct and right_distinct):

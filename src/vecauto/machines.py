@@ -107,6 +107,23 @@ def _firing(rules, status) -> list:
     return [rule for rule in rules if rule[1] == STATUS_ANY or rule[1] == status]
 
 
+def _indexed_rules(spec) -> tuple:
+    """``(index, conflicts)``: `MachineSpec.rule_index` as it is built, and
+    for a deterministic machine one diagnostic per pair of rules on one
+    ``(source, input)`` that can fire at once, in transition order."""
+    index = {}
+    for idx, r in enumerate(spec.transitions):
+        index.setdefault((r.source, r.input), []).append((idx, r.status, r.effect, r.target))
+    conflicts = []
+    if spec.mode == DETERMINISTIC:
+        for (state, sym), rules in index.items():
+            for (i, a, *_), (j, b, *_) in combinations(rules, 2):
+                if STATUS_ANY in (a, b) or a == b:  # both statuses can hold at once
+                    conflicts.append(f"deterministic conflict: transitions #{i} and #{j} "
+                                     f"both apply in ({state},{sym})")
+    return index, conflicts
+
+
 @dataclass(frozen=True)
 class TransitionRule:
     """One rule: in `source`, reading `input` under `status`, go to `target`.
@@ -197,10 +214,14 @@ class MachineSpec:
 
     @cached_property
     def rule_index(self) -> dict:
-        """``(source, input)`` -> its ``(rule index, status, effect, target)`` tuples."""
-        index = {}
-        for idx, r in enumerate(self.transitions):
-            index.setdefault((r.source, r.input), []).append((idx, r.status, r.effect, r.target))
+        """``(source, input)`` -> its ``(rule index, status, effect, target)``
+        tuples. A deterministic machine with two rules that can fire at once
+        raises InconsistentSpecError, with `validate`'s first conflict
+        diagnostic: every run reads this index before its first step, so no
+        run of it starts, and a deterministic step fires at most one rule."""
+        index, conflicts = _indexed_rules(self)
+        if conflicts:
+            raise InconsistentSpecError(conflicts[0])
         return index
 
     @cached_property
@@ -285,10 +306,8 @@ class MachineSpec:
         the status the register has at that letter (`_firing`), are one
         that leads outside `sinks` and others that lead to distinct sinks,
         so their configurations neither meet in the dedupe nor move at the
-        next letter. A deterministic machine's blocks see no sinks: a
-        second rule that fires is a conflict, which the run steps to raise
-        it. `$` and `eps` are never lone, so no block reads a `$` inside a
-        word.
+        next letter. `$` and `eps` are never lone, so no block reads a `$`
+        inside a word.
 
         A letter whose rules all have the wildcard status is looked up by
         its state alone. At a letter that reads the status, the block
@@ -306,8 +325,7 @@ class MachineSpec:
         builds one, so concurrent runs can only build an equal entry
         twice. Vector registers only: a counter effect is not a matrix.
         """
-        sinks = frozenset() if self.mode == DETERMINISTIC else self.sinks
-        home_after = self.home_after
+        sinks, home_after = self.sinks, self.home_after
 
         def lone(rules):
             # the rule the live configuration takes when `rules` fire, as
@@ -475,8 +493,7 @@ class MachineSpec:
         With one, it reads the `$` rules of `rule_index` that lead to an
         accept state, fired under their status (`_firing`), and asks
         `home_after` whether one takes the register home, building no
-        register. A deterministic machine first counts the `$` rules that
-        fire and raises `run_deterministic`'s conflict if more than one does.
+        register.
         """
         accept_states = self.accept_states
         status_of_register, home = self.register_tests
@@ -484,17 +501,13 @@ class MachineSpec:
             return lambda state, register: state in accept_states and home(register)
         home_after = self.home_after
 
-        # per state its `$` rules as (rule index, status, home test, or None
-        # for a rule into a state that does not accept), and whether one
-        # reads the status; a nondeterministic machine keeps only the
-        # accepting rules
-        deterministic = self.mode == DETERMINISTIC
+        # per state its `$` rules into an accept state as (rule index,
+        # status, home test), and whether one reads the status
         table = {}
         for (state, letter), rules in self.rule_index.items():
             if letter == ENDMARKER:
-                rules = tuple((idx, status, home_after(effect) if target in accept_states else None)
-                              for idx, status, effect, target in rules
-                              if deterministic or target in accept_states)
+                rules = tuple((idx, status, home_after(effect))
+                              for idx, status, effect, target in rules if target in accept_states)
                 if rules:
                     table[state] = rules, any(rule[1] != STATUS_ANY for rule in rules)
 
@@ -505,10 +518,8 @@ class MachineSpec:
             rules, reads_status = entry
             if reads_status:
                 rules = _firing(rules, status_of_register(register))
-            if deterministic and len(rules) > 1:
-                raise _conflict(rules, state, ENDMARKER)
             for _, _, lands_home in rules:
-                if lands_home is not None and lands_home(register):
+                if lands_home(register):
                     return True
             return False
 
@@ -884,13 +895,7 @@ def validate(spec: MachineSpec) -> list:
             if spec.kind == EXTENDED_FA and not _is_identity_tensor(eff, spec.dimension):
                 bad(f"{where}: effect is not of the form I tensor M")
 
-    if spec.mode == DETERMINISTIC:
-        for (state, sym), rules in spec.rule_index.items():
-            for (i, a, *_), (j, b, *_) in combinations(rules, 2):
-                if STATUS_ANY in (a, b) or a == b:  # both statuses can hold at once
-                    bad(f"deterministic conflict: transitions #{i} and #{j} "
-                        f"both apply in ({state},{sym})")
-
+    diags += _indexed_rules(spec)[1]
     return diags
 
 
@@ -915,9 +920,9 @@ def run_deterministic(spec: MachineSpec, word: str) -> RunResult:
     A vector register wider than `WORD_BITS` takes the word's letters a
     block at a time (`_jump`). Every other letter is stepped through
     `successors`, the end-marker included: a narrow register, whose steps
-    the memo keeps; the letter that cuts a block, a dead letter or a
-    conflict, so a Reject or a conflict comes at the letter it would come
-    at; the word's last letters short of a block; a counter register.
+    the memo keeps; the letter that cuts a block, so a Reject comes at the
+    letter it would come at; the word's last letters short of a block; a
+    counter register.
     """
     if spec.mode != DETERMINISTIC:
         raise InconsistentSpecError("run_deterministic needs a deterministic machine")
@@ -940,8 +945,6 @@ def run_deterministic(spec: MachineSpec, word: str) -> RunResult:
             fired = successors(state, letter, register)
         if not fired:
             return RunResult(REJECT, Configuration(state, register, position))
-        if len(fired) > 1:
-            raise _conflict(fired, state, letter)
         _, state, register = fired[0]
         position += 1
     accepted = state in spec.accept_states and spec.register_tests[1](register)
@@ -1054,7 +1057,9 @@ def gfa_value(spec: MachineSpec, word: str) -> Fraction:
 
 
 def accepts(spec: MachineSpec, word: str, budget: SearchBudget = None) -> bool:
-    """Language membership verdict; assumes the spec validates cleanly.
+    """Language membership verdict of a machine that validates. A
+    deterministic machine whose rules conflict raises InconsistentSpecError
+    before its first step (`MachineSpec.rule_index`).
 
     A nondeterministic machine's search is stepped along the word keeping
     only the current `Frontier` (`searches`), with the verdict of
@@ -1105,11 +1110,6 @@ def accepts(spec: MachineSpec, word: str, budget: SearchBudget = None) -> bool:
         frontier = step(frontier, word[position])
         position += 1
     return last(frontier, word[end], word)
-
-
-def _conflict(fired: tuple, state: str, letter: str) -> InconsistentSpecError:
-    return InconsistentSpecError(
-        f"deterministic machine has {len(fired)} successors in ({state},{letter})")
 
 
 def _undecided(word: str, budget: SearchBudget) -> UndecidedError:
@@ -1276,8 +1276,7 @@ def searches(spec: MachineSpec, budget: SearchBudget = None):
     search depend on the length.
 
     A deterministic node is the run's ``(state, register)``, and its step
-    None once the run dies; a rule conflict raises where
-    `run_deterministic` raises. Its verdict asks `MachineSpec.end_test`,
+    None once the run dies. Its verdict asks `MachineSpec.end_test`,
     so it builds no end-marker step, and its `last` steps the letter
     (`stepped`). A nondeterministic search is `nondeterministic_steps`',
     whose node is a `Frontier` that counts the budget along its own
@@ -1289,11 +1288,7 @@ def searches(spec: MachineSpec, budget: SearchBudget = None):
 
         def step(node, letter):
             fired = successors(node[0], letter, node[1])
-            if len(fired) == 1:
-                return fired[0][1:]
-            if fired:
-                raise _conflict(fired, node[0], letter)
-            return None
+            return fired[0][1:] if fired else None
 
         def verdict(node, word):
             return node is not None and end_test(*node)

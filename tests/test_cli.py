@@ -386,6 +386,44 @@ class TestMalformedArguments:
         assert captured.out.startswith("usage: vecauto run")
         assert captured.err == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["validate", "{machine}"], ["run", "{machine}", "ab"],
+         ["run", "{machine}", "ab", "--trace"],
+         ["verify", "{machine}", "--against", "eq", "--maxlen", "2"],
+         ["enumerate", "{machine}", "--maxlen", "2"],
+         ["check", "star-closure", "{machine}", "--maxlen", "2"],
+         ["transform", "remove-endmarker", "{machine}", "{out}"]],
+        ids=["validate", "run", "run-trace", "verify", "enumerate", "check-star-closure",
+             "transform-remove-endmarker"],
+    )
+    def test_a_conflicting_machine_is_refused(self, capsys, tmp_path, argv):
+        # a deterministic VA whose rules conflict on a letter and on the
+        # end-marker: `validate` lists both conflicts, and every other
+        # command refuses the file before it runs the machine
+        one = Matrix.from_rows([[1]])
+        rules = [("p", "a", "p"), ("p", "a", "q"), ("p", "b", "p"), ("p", "$", "q"),
+                 ("p", "$", "p")]
+        spec = MachineSpec(
+            kind=VA, mode=DETERMINISTIC, blind=True, endmarker=True, realtime=True,
+            alphabet=("a", "b"), states=("p", "q"), initial_state="p", accept_states={"q"},
+            dimension=1, initial_vector=[1],
+            transitions=[TransitionRule(q, x, STATUS_ANY, t, one) for q, x, t in rules])
+        diagnostics = ["deterministic conflict: transitions #0 and #1 both apply in (p,a)",
+                       "deterministic conflict: transitions #3 and #4 both apply in (p,$)"]
+        paths = {"machine": tmp_path / "conflict.mach", "out": tmp_path / "out.mach"}
+        paths["machine"].write_text(write_machine(spec))
+        code = main([a.format(**paths) for a in argv])
+        captured = capsys.readouterr()
+        records = [json.loads(line) for line in captured.out.splitlines()]
+        if argv[0] == "validate":
+            assert records == [{"verdict": "Invalid", "diagnostics": diagnostics,
+                                "machine": spec.summary()}]
+        else:
+            assert records == [{"verdict": "UsageError", "detail": "; ".join(diagnostics)}]
+        assert (code, captured.err) == (2, "")
+        assert not paths["out"].exists()
+
 
 class TestBuildAndSeparate:
     def test_build_writes_the_file_only(self, capsys, tmp_path):

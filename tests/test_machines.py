@@ -35,6 +35,7 @@ from vecauto.machines import (
     Configuration,
     MachineSpec,
     SearchBudget,
+    VA,
     TransitionRule,
     accepts,
     embed_monoid_effect,
@@ -47,7 +48,7 @@ from vecauto.machines import (
     validate,
 )
 from vecauto.langlab import all_strings
-from walk_oracles import one_state_gfa
+from walk_oracles import assert_no_run_starts, one_state_gfa
 
 
 def hva1(rules, mode=DETERMINISTIC, blind=True, alphabet=("a", "b")):
@@ -69,6 +70,15 @@ def hva1(rules, mode=DETERMINISTIC, blind=True, alphabet=("a", "b")):
 
 def scalar_rule(sym, value, status=STATUS_ANY):
     return TransitionRule("q", sym, status, "q", Matrix.from_rows([[Fraction(value)]]))
+
+
+def counter_conflict():
+    """`counter_ab_endmarker` with a second rule for b at r under the same
+    zero-test as the first, and a third under the other."""
+    base = counter_ab_endmarker()
+    return replace(base, transitions=base.transitions + (
+        TransitionRule("r", "b", (STATUS_NE,), "p", (0,)),
+        TransitionRule("r", "b", (STATUS_EQ,), "r", (0,))))
 
 
 @pytest.fixture
@@ -202,6 +212,32 @@ class TestValidate:
     def test_deterministic_conflict(self):
         spec = hva1([scalar_rule("a", 2), scalar_rule("a", 3)])
         assert any("deterministic conflict" in d for d in validate(spec))
+
+    def test_every_conflict_is_listed_and_the_first_raises(self):
+        # three wildcard rules on one key make three pairs, in transition
+        # order; `=` beside `!=` is no conflict and `=` beside `=` is, on a
+        # `$` key as on a letter, and for counters under equal zero-tests
+        one = Matrix.identity(1)
+        va = MachineSpec(
+            kind=VA, mode=DETERMINISTIC, blind=False, endmarker=True, realtime=True,
+            alphabet=("a",), states=("p", "q"), initial_state="p", accept_states={"q"},
+            dimension=1, initial_vector=[1],
+            transitions=[TransitionRule("p", "a", STATUS_ANY, "p", one)] * 3 + [
+                TransitionRule("p", "$", STATUS_EQ, "q", one),
+                TransitionRule("p", "$", STATUS_NE, "p", one),
+                TransitionRule("q", "$", STATUS_EQ, "q", one),
+                TransitionRule("q", "$", STATUS_EQ, "p", one)])
+        assert validate(va) == [
+            "deterministic conflict: transitions #0 and #1 both apply in (p,a)",
+            "deterministic conflict: transitions #0 and #2 both apply in (p,a)",
+            "deterministic conflict: transitions #1 and #2 both apply in (p,a)",
+            "deterministic conflict: transitions #5 and #6 both apply in (q,$)"]
+        assert validate(counter_conflict()) == [
+            "deterministic conflict: transitions #2 and #5 both apply in (r,b)"]
+        for spec in (va, counter_conflict()):
+            with pytest.raises(InconsistentSpecError) as raised:
+                spec.rule_index
+            assert str(raised.value) == validate(spec)[0]
 
     def test_fam_positivity(self):
         spec = MachineSpec(
@@ -350,9 +386,9 @@ class TestDeterministicRuns:
         assert len(built) <= 1
 
     def test_conflicting_spec_is_reported(self):
-        spec = hva1([scalar_rule("a", 2), scalar_rule("a", 3)])
-        with pytest.raises(InconsistentSpecError):
-            run_deterministic(spec, "a")
+        # a letter conflict, and a counter machine's under equal zero-tests
+        for spec in (hva1([scalar_rule("a", 2), scalar_rule("a", 3)]), counter_conflict()):
+            assert_no_run_starts(spec)
 
     def test_refuses_a_nondeterministic_machine(self):
         spec = hva1([scalar_rule("a", 2), scalar_rule("a", 3)], mode=NONDETERMINISTIC)

@@ -41,16 +41,14 @@ from vecauto.machines import (
     BUDGET_EXCEEDED,
     DETERMINISTIC,
     ENDMARKER,
-    HVA,
     STATUS_ANY,
+    STATUS_EQ,
+    STATUS_NE,
     VA,
     MachineSpec,
     SearchBudget,
     TransitionRule,
-    accepts,
-    run_deterministic,
     searches,
-    stateless,
     validate,
 )
 from vecauto.transforms import eliminate_states, rationals_to_integers, remove_endmarker
@@ -59,6 +57,7 @@ from walk_oracles import (
     EPS_MACHINES,
     GENERATORS,
     MACHINES,
+    assert_no_run_starts,
     assert_walk_agrees,
     cli_output,
     eps_chain_machine,
@@ -123,20 +122,25 @@ def test_no_word_is_searched_alone(monkeypatch):
     assert asked == [] and len(undecided) > 1
 
 
+class SteppedB(Exception):
+    pass
+
+
 def test_walk_steps_no_word_beyond_the_one_asked():
-    # a deterministic machine with two rules for b in its one state: the
-    # run of "b" raises, the runs of "" and "a" do not
-    one = Matrix.from_rows([[1]])
-    spec = stateless(HVA, ("a", "b"), 1, [1], [("a", one), ("b", one), ("b", one)])
-    walk = langlab._walk(spec, 3)
+    # a reference whose step raises on b: the walk yields "" and "a"
+    # before it steps "b", and a verifier that stops at "a" never steps it
+    def step(state, letter):
+        if letter == "b":
+            raise SteppedB
+        return state + 1
+
+    no_b = ReferenceLanguage("no_b", ("a", "b"), lambda w: "b" not in w, (0, step, lambda n: True))
+    walk = langlab._walk(no_b, 3)
     assert next(walk) == ("", True)
     assert next(walk) == ("a", True)
-    with pytest.raises(InconsistentSpecError):
+    with pytest.raises(SteppedB):
         next(walk)
-    with pytest.raises(InconsistentSpecError):
-        accepts(spec, "b")
-    # a verifier that stops at "a" never reaches the conflict
-    assert equivalent_up_to(spec, example("l_epsilon"), 3).counterexample == "a"
+    assert langlab.matches_reference(example("l_epsilon"), no_b, 3).counterexample == "a"
 
 
 def command_machines():
@@ -266,109 +270,65 @@ def test_nondeterministic_pairs_find_the_per_word_first_disagreement(data, draw_
         assert walked == per_word, budget
 
 
-def conflict_machine(accept_states, rules_for_a=2):
-    """A deterministic VA over a/b whose state q has `rules_for_a` rules
-    for a: with more than one, a run raises on the first a read in q,
-    and words of length 2 from "aa" on reach that conflict."""
+def register_keeping_va(rules, accept_states=("p",), endmarker=False):
+    """A deterministic VA over a/b from (source, input, status, target)
+    rules that keep its one-dimensional register; p is initial, and the
+    VA is blind unless a rule reads the status."""
     one = Matrix.from_rows([[1]])
-    rules = [("p", "a", "q"), ("p", "b", "p"), ("q", "b", "p")] + [("q", "a", "q")] * rules_for_a
     return MachineSpec(
-        kind=VA, mode=DETERMINISTIC, blind=True, endmarker=False, realtime=True,
-        alphabet=("a", "b"), states=("p", "q"), initial_state="p",
-        accept_states=accept_states, dimension=1, initial_vector=[1],
-        transitions=[TransitionRule(q, x, STATUS_ANY, t, one) for q, x, t in rules])
+        kind=VA, mode=DETERMINISTIC, blind=all(rule[2] == STATUS_ANY for rule in rules),
+        endmarker=endmarker, realtime=True, alphabet=("a", "b"),
+        states=tuple(sorted({"p"} | {rule[0] for rule in rules} | {rule[3] for rule in rules})),
+        initial_state="p", accept_states=accept_states, dimension=1, initial_vector=[1],
+        transitions=[TransitionRule(*rule, one) for rule in rules])
+
+
+# q, reached by a, reads a by two rules
+LETTER_CONFLICT = [("p", "a", STATUS_ANY, "q"), ("p", "b", STATUS_ANY, "p"),
+                   ("q", "b", STATUS_ANY, "p"), ("q", "a", STATUS_ANY, "q"),
+                   ("q", "a", STATUS_ANY, "p")]
+# q, reached by a, reads the end-marker by two rules into q
+END_MARKER_CONFLICT = [("p", "a", STATUS_ANY, "q"), ("p", ENDMARKER, STATUS_ANY, "p"),
+                       ("q", ENDMARKER, STATUS_ANY, "q"), ("q", ENDMARKER, STATUS_ANY, "q")]
 
 
 def test_a_rule_conflict_raises_as_in_the_word_walk():
-    outcomes_seen = set()
-    for accept_states in ({"p"}, {"q"}, {"p", "q"}, set()):
-        for rules_for_a in (1, 2, 3):
-            left, right = conflict_machine({"p"}, 2), conflict_machine(accept_states, rules_for_a)
-            for pair in ((left, right), (right, left)):
-                for maxlen in range(4):
-                    per_word, walked = first_disagreements(*pair, maxlen)
-                    assert walked == per_word
-                    outcomes_seen.add(per_word)
-    # a disagreement before "aa" wins over the conflict, one after loses;
-    # where both sides conflict, the left one raises
-    assert {"", "a", "raised: deterministic machine has 2 successors in (q,a)",
-            "raised: deterministic machine has 3 successors in (q,a)"} <= outcomes_seen
-    # a nondeterministic left side that the budget leaves undecided on "aa",
-    # the last level's first word: the right side's step is taken before
-    # the left side's verdict, so the conflict still raises
-    left, budget = undecided_on_aa(), SearchBudget(max_configurations=3)
-    right = conflict_machine({"p"}, 2)
-    assert first_disagreements(left, right, 2, budget)[0] == "undecided: aa"
-    for pair in ((left, right), (right, left)):
-        with pytest.raises(InconsistentSpecError):
-            equivalent_up_to(*pair, 2, budget)
+    # a letter conflict that words reach, the same at a state that no word
+    # reaches, and an `=` rule beside a wildcard rule: no run starts
+    reached = register_keeping_va(LETTER_CONFLICT)
+    unreached = register_keeping_va(LETTER_CONFLICT[:4] + [("r", "a", STATUS_ANY, "r"),
+                                                           ("r", "a", STATUS_ANY, "p")])
+    status_pair = register_keeping_va([("p", "a", STATUS_EQ, "p"), ("p", "a", STATUS_ANY, "q"),
+                                       ("q", "b", STATUS_NE, "p")])
+    for spec in (reached, unreached, status_pair):
+        assert_no_run_starts(spec)
+    assert_the_left_conflict_raises(reached, status_pair)
 
 
-def undecided_on_aa():
-    """A blind nondeterministic HVA over a/b that accepts "" and "b" and
-    rejects "a", as `conflict_machine` does; on "aa" it reaches two
-    configurations, so that a budget of three leaves one unexpanded
-    before the end-marker."""
-    def one(x):
-        return Matrix.from_rows([[x]])
-    rules = [("p", "a", "q", 1), ("p", "b", "p", 1), ("q", "a", "q", 2), ("q", "a", "q", 3),
-             ("p", ENDMARKER, "p", 1)]
-    return MachineSpec(
-        kind=HVA, mode=NONDETERMINISTIC, blind=True, endmarker=True, realtime=True,
-        alphabet=("a", "b"), states=("p", "q"), initial_state="p", accept_states={"p"},
-        dimension=1, initial_vector=[1],
-        transitions=[TransitionRule(q, x, STATUS_ANY, t, one(m)) for q, x, t, m in rules])
-
-
-def unary_va(rules, endmarker, accept_states=("p", "q")):
-    """A deterministic VA over a on states p and q, from (source, input,
-    target) rules that keep its one-dimensional register as it is."""
-    one = Matrix.from_rows([[1]])
-    return MachineSpec(
-        kind=VA, mode=DETERMINISTIC, blind=True, endmarker=endmarker, realtime=True,
-        alphabet=("a",), states=("p", "q"), initial_state="p", accept_states=accept_states,
-        dimension=1, initial_vector=[1],
-        transitions=[TransitionRule(q, x, STATUS_ANY, t, one) for q, x, t in rules])
-
-
-# reads a into q, where two rules read the end-marker
-END_MARKER_CONFLICT = [("p", "a", "q"), ("p", "$", "p"), ("q", "$", "q"), ("q", "$", "q")]
+def assert_the_left_conflict_raises(one, other):
+    """Where both sides of a pair conflict, bounded equivalence raises the
+    left side's conflict, with either machine on the left."""
+    for left, right in ((one, other), (other, one)):
+        with pytest.raises(InconsistentSpecError) as raised:
+            equivalent_up_to(left, right, 3)
+        assert str(raised.value) == validate(left)[0]
 
 
 def test_a_step_conflict_comes_before_an_end_marker_conflict():
-    # both sides of a pair are stepped before either is judged: on "a",
-    # the right side's conflict on reading a raises before the left
-    # side's conflict on the end-marker, which the per-word oracle,
-    # running the left side's whole word first, raises
-    left = unary_va(END_MARKER_CONFLICT, True)
-    right = unary_va([("p", "a", "p"), ("p", "a", "q")], False)
-    assert first_disagreements(left, right, 1) == (
-        "raised: deterministic machine has 2 successors in (q,$)",
-        "raised: deterministic machine has 2 successors in (p,a)")
+    # neither side of a pair takes a step, so a left side's end-marker
+    # conflict raises before a right side's letter conflict
+    marker = register_keeping_va(END_MARKER_CONFLICT, endmarker=True)
+    assert_the_left_conflict_raises(marker, register_keeping_va(LETTER_CONFLICT))
 
 
 @pytest.mark.parametrize("accept_states", [("p", "q"), ("p",), ()], ids=str)
 def test_an_end_marker_conflict_raises_in_the_walk(accept_states):
-    # the machine's only conflict: the walk judges "" and raises on "a"
-    # with the run's message, whether or not the two end-marker rules lead
-    # to an accept state
-    spec = unary_va(END_MARKER_CONFLICT, True, accept_states)
-    message = "deterministic machine has 2 successors in (q,$)"
-    with pytest.raises(InconsistentSpecError) as raised:
-        run_deterministic(spec, "a")
-    assert str(raised.value) == message
-    walk = langlab._walk(spec, 1)
-    assert next(walk) == ("", "p" in accept_states)
-    with pytest.raises(InconsistentSpecError) as raised:
-        next(walk)
-    assert str(raised.value) == message
-    with pytest.raises(InconsistentSpecError) as raised:
-        langlab.enumerate_accepted(spec, 1)
-    assert str(raised.value) == message
-    every_word = unary_va([("p", "a", "p"), ("p", "$", "p")], True)
-    expected = f"raised: {message}" if "p" in accept_states else ""
-    for pair in ((spec, every_word), (every_word, spec)):
-        assert first_disagreements(*pair, 1) == (expected, expected)
+    # the machine's only conflict, whether or not its two end-marker rules
+    # lead to an accept state
+    spec = register_keeping_va(END_MARKER_CONFLICT, accept_states, endmarker=True)
+    assert validate(spec) == [
+        "deterministic conflict: transitions #2 and #3 both apply in (q,$)"]
+    assert_no_run_starts(spec)
 
 
 def test_cli_verify_steps_each_pair_once(tmp_path, monkeypatch):

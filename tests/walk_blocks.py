@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from machine_gen import blind_counter_ab, blind_counter_abc, extendedfa_a_endmarker, random_dva
 from vecauto import machines
 from vecauto.builders import example
-from vecauto.errors import AlphabetError, InconsistentSpecError
+from vecauto.errors import AlphabetError
 from vecauto.exact import WORD_BITS, Matrix, mat_mul, vec_mat_mul
 from vecauto.machines import (
     ACCEPT,
@@ -69,19 +69,16 @@ def direct_runs(spec, word, ends=1):
     """A deterministic run stepped one letter at a time by
     `direct_successors`, with no memo and no blocks, judged on each of the
     `ends` longest prefixes of `word`, shortest first: the verdict and where
-    the run ended, ``(state, register, position)``, or the message of the
-    rule conflict it meets."""
+    the run ended, ``(state, register, position)``."""
     def stepped(state, letter, register):
         fired, _ = direct_successors(spec, state, letter, register)
-        if len(fired) > 1:
-            return f"deterministic machine has {len(fired)} successors in ({state},{letter})"
         return fired[0][1:] if fired else None
 
     def judged(state, register, position):
         if spec.endmarker:
             after = stepped(state, ENDMARKER, register)
-            if after is None or isinstance(after, str):
-                return after or (REJECT, (state, register, position))
+            if after is None:
+                return REJECT, (state, register, position)
             (state, register), position = after, position + 1
         _, status = direct_successors(spec, state, None, register)
         if spec.kind == COUNTER_MACHINE:
@@ -99,9 +96,8 @@ def direct_runs(spec, word, ends=1):
         if position == len(word):
             return outcomes
         after = stepped(state, word[position], register)
-        if after is None or isinstance(after, str):  # every longer prefix ends here too
-            return outcomes + [after or (REJECT, (state, register, position))] * (
-                ends - len(outcomes))
+        if after is None:  # every longer prefix ends here too
+            return outcomes + [(REJECT, (state, register, position))] * (ends - len(outcomes))
         state, register = after
 
 
@@ -112,12 +108,6 @@ def direct_run(spec, word):
 def assert_runs_as_the_rules(spec, word, expected):
     """`run_deterministic`, deterministic `accepts` and, for a GFA,
     `gfa_value` give the `direct_runs` outcome `expected`."""
-    if isinstance(expected, str):
-        for run in (run_deterministic, accepts):
-            with pytest.raises(InconsistentSpecError) as raised:
-                run(spec, word)
-            assert str(raised.value) == expected
-        return
     verdict, last = expected
     result = run_deterministic(spec, word)
     assert (result.verdict, tuple(result.last)) == expected
@@ -163,24 +153,12 @@ def living_word(spec, rng, length):
     return word
 
 
-def wide_conflict_machine():
-    """A deterministic VA over a/b whose register doubles on every letter;
-    its state q, reached by a b, has two rules for a."""
-    double = Matrix.from_rows([[2]])
-    rules = [("p", "a", "p"), ("p", "b", "q"), ("q", "b", "q"), ("q", "a", "q"), ("q", "a", "p")]
-    return MachineSpec(
-        kind=VA, mode=DETERMINISTIC, blind=True, endmarker=False, realtime=True,
-        alphabet=("a", "b"), states=("p", "q"), initial_state="p", accept_states={"p"},
-        dimension=1, initial_vector=[1],
-        transitions=[TransitionRule(q, x, STATUS_ANY, t, double) for q, x, t in rules])
-
-
-def sink_conflict_machine():
+def sink_machine():
     """A deterministic VA over a/b whose first entry doubles on every
-    letter; at p, b has two rules, one into the sink s, so a run that
-    reads b meets a conflict."""
+    letter; at p, b leads only into the sink s, so a block of a run is cut
+    at its first b."""
     double = Matrix.from_rows([[2, 0], [0, 1]])
-    rules = [("p", "a", "p"), ("p", "b", "p"), ("p", "b", "s")]
+    rules = [("p", "a", "p"), ("p", "b", "s")]
     return MachineSpec(
         kind=VA, mode=DETERMINISTIC, blind=True, endmarker=False, realtime=True,
         alphabet=("a", "b"), states=("p", "s"), initial_state="p", accept_states={"p"},
@@ -188,11 +166,11 @@ def sink_conflict_machine():
         transitions=[TransitionRule(q, x, STATUS_ANY, t, double) for q, x, t in rules])
 
 
-def sink_conflict_run(rng, length):
+def sink_run(rng, length):
     # the first b comes after 70 or more a's, when the register is wide,
-    # so that the conflict falls inside a block
+    # so that it falls inside a block
     a_count = rng.randint(70, max(70, length))
-    return sink_conflict_machine(), "a" * a_count + "b" + runs_word(
+    return sink_machine(), "a" * a_count + "b" + runs_word(
         rng, "ab", max(length - a_count, BLOCK_LETTERS))
 
 
@@ -229,13 +207,6 @@ def home_returning_va(initial_vector=WIDE_SECOND, mode=DETERMINISTIC, extra=()):
         accept_states={"p", "s"} & set(states),
         dimension=2, initial_vector=initial_vector,
         transitions=[TransitionRule(*rule) for rule in rules])
-
-
-def home_conflict_va():
-    """`home_returning_va`, started away from home, with a second rule for
-    b at p that fires only at home: a deterministic run that reads b there
-    meets a conflict."""
-    return home_returning_va((2, 2 ** 70), extra=[("p", "b", STATUS_EQ, "p", Matrix.identity(2))])
 
 
 def home_matching_hva():
@@ -296,13 +267,11 @@ BLOCK_RUNS = {
     "rationals_to_integers(eq$)": catalog_run(
         lambda: rationals_to_integers(attach_trivial_endmarker(example("eq"))[0])[0], "ab"),
     "gfa": catalog_run(one_state_gfa, "a"),
-    "wide_conflict": catalog_run(wide_conflict_machine, "ab"),
-    "sink_conflict": sink_conflict_run,
-    # status rules inside the blocks: read `=` on wide registers, compare
-    # every entry, or conflict only under `=`
+    "sink": sink_run,
+    # status rules inside the blocks: read `=` on wide registers, or
+    # compare every entry
     "home_returning_va": living_run(home_returning_va),
     "home_returning_va from 1": living_run(partial(home_returning_va, [1, 1])),
-    "home_conflict_va": catalog_run(home_conflict_va, "ab"),
     "home_matching_hva": living_run(home_matching_hva),
     "halving_fam": catalog_run(halving_fam, "ab"),
     "dyck": lambda rng, length: (example("dyck"), balanced_word(rng, length)),
@@ -316,6 +285,7 @@ def test_a_run_by_letter_blocks_is_the_per_letter_run(name, seed, length):
     # the word's last BLOCK_LETTERS prefixes end a block at each offset
     # from the end-marker
     spec, word = BLOCK_RUNS[name](random.Random(seed), length)
+    assert validate(spec) == []
     for cut, expected in enumerate(reversed(direct_runs(spec, word, BLOCK_LETTERS))):
         assert_runs_as_the_rules(spec, word[:len(word) - cut], expected)
 

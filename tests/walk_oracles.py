@@ -5,12 +5,15 @@ The oracles judge each word by its own run: `member` asks
 `run_nondeterministic`, whose eps cap is set by the word's length, and
 `per_word_walk`, `per_word_disagreement` and `first_disagreements` give
 the walk's and the pair walk's verdicts from it. `direct_successors`
-evaluates the rules in Fractions, with no memo."""
+evaluates the rules in Fractions, with no memo. `assert_no_run_starts`
+asks every entry point of a machine whose rules conflict."""
 
 import contextlib
 import io
 from fractions import Fraction
 from functools import partial
+
+import pytest
 
 from machine_gen import (
     blind_counter_a_endmarker,
@@ -33,7 +36,14 @@ from vecauto.builders import (
 from vecauto.cli import main
 from vecauto.errors import InconsistentSpecError, UndecidedError
 from vecauto.exact import Matrix, RowVector
-from vecauto.langlab import all_strings, equivalent_up_to
+from vecauto.langlab import (
+    ReferenceLanguage,
+    all_strings,
+    check_star_closure,
+    enumerate_accepted,
+    equivalent_up_to,
+    matches_reference,
+)
 from vecauto.machines import (
     ACCEPT,
     BUDGET_EXCEEDED,
@@ -55,7 +65,9 @@ from vecauto.machines import (
     TransitionRule,
     accepts,
     extendedfa_embed,
+    run_deterministic,
     run_nondeterministic,
+    stateless,
     validate,
 )
 from vecauto.transforms import scale_initial_vector
@@ -256,19 +268,36 @@ def cli_output(argv):
 
 def first_disagreements(left, right, maxlen, budget=None):
     """The per-word oracle's and the walk's first disagreement of two
-    languages, or the error each raised: a rule conflict's message, or
-    the word an exhausted budget left undecided."""
+    languages, or the word an exhausted budget left undecided."""
     def outcome(find):
         try:
             return find()
-        except InconsistentSpecError as exc:
-            return f"raised: {exc}"
         except UndecidedError as exc:
             return f"undecided: {exc.word}"
 
     check = equivalent_up_to if isinstance(right, MachineSpec) else langlab.matches_reference
     return (outcome(lambda: per_word_disagreement(left, right, maxlen, budget)),
             outcome(lambda: check(left, right, maxlen, budget).counterexample))
+
+
+def assert_no_run_starts(spec):
+    """`spec`, a deterministic machine whose only faults are rule
+    conflicts, takes no step: on the empty word every entry point raises
+    InconsistentSpecError with `validate`'s first diagnostic, and bounded
+    equivalence does so with the machine on either side."""
+    diagnostics = validate(spec)
+    assert diagnostics and all(d.startswith("deterministic conflict: ") for d in diagnostics)
+    anything = ReferenceLanguage("anything", spec.alphabet, lambda w: True)
+    every_word = stateless(VA, spec.alphabet, 1, [1],
+                           [(letter, Matrix.identity(1)) for letter in spec.alphabet])
+    for call, *args in [(run_deterministic, spec, ""), (accepts, spec, ""),
+                        (run_nondeterministic, spec, ""), (enumerate_accepted, spec, 0),
+                        (check_star_closure, spec, 0), (matches_reference, spec, anything, 0),
+                        (equivalent_up_to, spec, every_word, 0),
+                        (equivalent_up_to, every_word, spec, 0)]:
+        with pytest.raises(InconsistentSpecError) as raised:
+            call(*args)
+        assert str(raised.value) == diagnostics[0], call.__name__
 
 
 def direct_successors(spec, state, letter, register):
