@@ -28,7 +28,7 @@ safe. A machine caches what it derives from its fields on first use,
 each cache described where it lives: `MachineSpec.successors` (the step
 memo), `sinks`, `blocks` (letter blocks for wide registers, which
 `_jump` multiplies), `home_after`, `end_test`, `last_letter` (a word's
-last letter judged from the frontier before it) and the `last_run` slot.
+last letter judged from the node before it) and the `last_run` slot.
 Each entry is a pure function of the machine and its key, so concurrent
 runs can at worst build one twice or evict each other's.
 
@@ -527,9 +527,10 @@ class MachineSpec:
 
     @cached_property
     def last_letter(self):
-        """``(counts, tests)``, from which `nondeterministic_steps`' `last`
-        judges a word's last letter; None for a counter machine or where
-        eps rules make a cycle.
+        """``(counts, tests)``, from which the `last` of both modes'
+        searches (`searches`) judges a word's last letter from the node
+        before it; None for a counter machine or where eps rules make a
+        cycle.
 
         ``counts[state, letter]`` bounds the configurations that the
         letter's rules and every eps path after them reach from `state`: it
@@ -539,7 +540,10 @@ class MachineSpec:
         before the letter for each path into an accepting end, of the
         product M·E1···Ek of its rules (times M$ with the end-marker).
         Both are filled once per state (`_fill`), the tests on first use:
-        a search asks for them only once the count fits its budget.
+        a search asks for them only once the count is finite and fits its
+        budget. A missing key has no rule for the letter, which reaches
+        nothing. A deterministic machine has at most one rule per key, so
+        its finite counts are 1.
         """
         if self.kind == COUNTER_MACHINE or self.epsilon_cycle:
             return None
@@ -1127,13 +1131,14 @@ class Frontier(NamedTuple):
     register) reached there to its fewest eps moves, in the order first
     reached; `expanded` holds those expanded (`configurations` itself
     when the budget lasted), `spent` counts those expanded so far, and
-    `pruned` records a move cut off (an eps move so far, or any move at
-    an earlier position) by the eps cap or `max_configurations`."""
+    `pruned` names the first limit that cut a move off (an eps move so
+    far, or any move at an earlier position), ``"eps_per_path"`` or
+    ``"max_configurations"``, and is falsy while none has."""
 
     configurations: dict
     expanded: dict
     spent: int
-    pruned: bool
+    pruned: object
 
 
 def nondeterministic_steps(spec: MachineSpec, budget: SearchBudget, length: int):
@@ -1206,8 +1211,11 @@ def nondeterministic_steps(spec: MachineSpec, budget: SearchBudget, length: int)
                     taken.append(key)
                     if key[0] not in eps_sources:
                         continue
-                    if eps >= eps_cap or len(taken) > room:
-                        pruned = True
+                    if eps >= eps_cap:
+                        pruned = pruned or "eps_per_path"
+                        continue
+                    if len(taken) > room:
+                        pruned = pruned or "max_configurations"
                         continue
                     for _, target, register in successors(key[0], EPSILON, key[1]):
                         following = (target, register)
@@ -1223,10 +1231,10 @@ def nondeterministic_steps(spec: MachineSpec, budget: SearchBudget, length: int)
                         spent + room, pruned)
 
     def cut(frontier, moving):
-        # whether a move was cut off: before `frontier`, or, where its
-        # configurations move on, at one it left unexpanded
-        return frontier.pruned or (
-            moving and len(frontier.expanded) < len(frontier.configurations))
+        # the limit that cut a move off, falsy for none: before `frontier`,
+        # or, where its configurations move on, at one it left unexpanded
+        unexpanded = moving and len(frontier.expanded) < len(frontier.configurations)
+        return frontier.pruned or (unexpanded and "max_configurations")
 
     def step(frontier, letter):
         # a `$` inside a word is a letter without a rule
@@ -1254,9 +1262,8 @@ def nondeterministic_steps(spec: MachineSpec, budget: SearchBudget, length: int)
             reach = sum(counts.get((state, letter), 0) for state, _ in frontier.expanded)
             if reach <= max(max_configurations - frontier.spent, 0):
                 for state, register in frontier.expanded:
-                    for lands_home in tests(state, letter):
-                        if lands_home(register):
-                            return True
+                    if _lands_home(tests(state, letter), register):
+                        return True
                 if cut(frontier, True):
                     raise _undecided(word, budget)
                 return False
@@ -1264,6 +1271,15 @@ def nondeterministic_steps(spec: MachineSpec, budget: SearchBudget, length: int)
 
     start = close({(spec.initial_state, spec.initial_vector): 0}, 0, False)
     return start, step, end, verdict, last
+
+
+def _lands_home(tests, register) -> bool:
+    """Whether one of `tests`, `home_after` tests of the register before a
+    word's last letter (`MachineSpec.last_letter`), takes `register` home."""
+    for lands_home in tests:
+        if lands_home(register):
+            return True
+    return False
 
 
 def searches(spec: MachineSpec, budget: SearchBudget = None):
@@ -1277,11 +1293,17 @@ def searches(spec: MachineSpec, budget: SearchBudget = None):
 
     A deterministic node is the run's ``(state, register)``, and its step
     None once the run dies. Its verdict asks `MachineSpec.end_test`,
-    so it builds no end-marker step, and its `last` steps the letter
-    (`stepped`). A nondeterministic search is `nondeterministic_steps`',
-    whose node is a `Frontier` that counts the budget along its own
-    prefix, and whose `last` judges the letter from the frontier before
-    it where nothing can be cut, else steps it.
+    so it builds no end-marker step. Its `last` reads
+    `MachineSpec.last_letter` as the nondeterministic one does: no rule
+    for the letter is a Reject; where neither the letter's rule nor an
+    accepting `$` rule after it reads the status, the word is accepted
+    when one of the letter's tests takes the register home, with no
+    register built; elsewhere, and on a counter machine, it steps the
+    letter (`stepped`). A real-time machine with no budget cuts nothing,
+    so it needs no room. A nondeterministic search is
+    `nondeterministic_steps`', whose node is a `Frontier` that counts the
+    budget along its own prefix, and whose `last` judges the letter from
+    the frontier before it where nothing can be cut, else steps it.
     """
     if spec.mode == DETERMINISTIC:
         successors, end_test = spec.successors, spec.end_test
@@ -1293,8 +1315,23 @@ def searches(spec: MachineSpec, budget: SearchBudget = None):
         def verdict(node, word):
             return node is not None and end_test(*node)
 
+        if spec.last_letter is None:  # a counter machine
+            last = stepped(step, verdict)
+        else:
+            counts, tests = spec.last_letter
+            stepping = stepped(step, verdict)
+
+            def last(node, letter, word):
+                state, register = node
+                count = counts.get((state, letter))
+                if count is None:  # no rule reads the letter
+                    return False
+                if count == math.inf:
+                    return stepping(node, letter, word)
+                return _lands_home(tests(state, letter), register)
+
         start = (spec.initial_state, spec.initial_vector)
-        return (lambda length: (start, step, verdict, stepped(step, verdict))), False
+        return (lambda length: (start, step, verdict, last)), False
 
     budget = budget or SearchBudget()
 
@@ -1307,7 +1344,9 @@ def searches(spec: MachineSpec, budget: SearchBudget = None):
 
 def stepped(step, verdict):
     """The `last` of a search that judges a word's last letter by stepping
-    it: ``verdict(step(node, letter), word)``, a dead node (None) a Reject."""
+    it: ``verdict(step(node, letter), word)``, a dead node (None) a Reject.
+    A reference's search uses it, and a deterministic machine's where
+    `MachineSpec.last_letter` cannot judge the letter."""
     def last(node, letter, word):
         child = step(node, letter)
         return child is not None and verdict(child, word)
@@ -1326,14 +1365,17 @@ def walk(search, alphabet, maxlen: int, cap_grows: bool = False, distinct: bool 
     then each length gets its own, stepped again, lazily, under
     ``search(length)``. The words of length `maxlen` extend no further, so
     each is judged from its parent by the search's ``last(node, letter,
-    word)``, which builds no node where it need not.
+    word)``, which builds no node where it need not, in both modes.
 
     With `distinct`, for nodes that fix their words' verdicts and futures,
     a word whose node an earlier word reached is stepped, but neither
     judged, yielded nor extended: it and its extensions have earlier twins
-    with the same verdicts. The walk then ends at the first level that
-    reaches no new node (Hopcroft and Karp 1971). Its last level is
-    stepped too, to find those twins.
+    with the same verdicts. The walk then ends at the first level below
+    `maxlen` that reaches no new node (Hopcroft and Karp 1971). Its last
+    level is judged by `last` too, twins included: a twin's verdict is
+    its earlier twin's, which comes first in length-lex order, so a caller
+    that stops at the first word with some verdict stops at the same
+    word.
     """
     def children(level, step):
         for w, node in level:
@@ -1350,7 +1392,7 @@ def walk(search, alphabet, maxlen: int, cap_grows: bool = False, distinct: bool 
             level = [("", start)]
             for _ in range(length - 1):
                 level = children(level, step)
-        if length == maxlen and not distinct:
+        if length == maxlen:
             for w, node in level:
                 for letter in alphabet:
                     word = w + letter

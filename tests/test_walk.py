@@ -22,6 +22,7 @@ tests/walk_blocks.py`` runs one alone. The machines and oracles they
 share are in `walk_oracles`."""
 
 import random
+from dataclasses import replace
 from functools import cached_property
 
 import pytest
@@ -35,7 +36,12 @@ from vecauto.builders import binary_distinguisher, example, finite_language_va, 
 from vecauto.errors import InconsistentSpecError, UndecidedError
 from vecauto.exact import Matrix
 from vecauto.fileformat import write_machine
-from vecauto.langlab import ReferenceLanguage, equivalent_up_to, reference_language
+from vecauto.langlab import (
+    EquivalenceVerdict,
+    ReferenceLanguage,
+    equivalent_up_to,
+    reference_language,
+)
 from vecauto.machines import (
     ACCEPT,
     BUDGET_EXCEEDED,
@@ -48,6 +54,7 @@ from vecauto.machines import (
     MachineSpec,
     SearchBudget,
     TransitionRule,
+    accepts,
     searches,
     validate,
 )
@@ -205,12 +212,30 @@ def catalog_pair(data):
     return machine, reference(data.draw(st.sampled_from([ref] + others)))
 
 
+def one_entry_mutant(data, spec):
+    """`spec` with one entry of one rule's matrix moved by one; a machine
+    with no rule, as it is."""
+    if not spec.transitions:
+        return spec
+    index = data.draw(st.integers(0, len(spec.transitions) - 1))
+    rule = spec.transitions[index]
+    rows = [list(rule.effect.row(i)) for i in range(rule.effect.rows)]
+    entry = st.integers(0, spec.dimension - 1)
+    i, j = data.draw(entry), data.draw(entry)
+    rows[i][j] += data.draw(st.sampled_from([-1, 1]))
+    transitions = list(spec.transitions)
+    transitions[index] = replace(rule, effect=Matrix.from_rows(rows))
+    return replace(spec, transitions=transitions)
+
+
 def dva_pair(data):
-    # a random deterministic VA against its eliminate_states output, or
-    # against another random one
+    # a random deterministic VA against its eliminate_states output, a
+    # one-entry mutant of it, whose first disagreement can fall on the
+    # walk's last level, or another random one
     spec = random_dva(random.Random(data.draw(st.integers(0, 2**32 - 1))))
     other = random_dva(random.Random(data.draw(st.integers(0, 2**32 - 1))))
-    return spec, data.draw(st.sampled_from([eliminate_states(spec)[0], other]))
+    return spec, data.draw(st.sampled_from(
+        [eliminate_states(spec)[0], one_entry_mutant(data, spec), other]))
 
 
 def eq_evenab_pair(data):
@@ -229,6 +254,22 @@ def test_pair_walk_finds_the_word_walks_first_disagreement(data, draw_pair, maxl
     assert all(langlab._search(side)[2] for side in (left, right))  # distinct pairs
     per_word, walked = first_disagreements(left, right, maxlen)
     assert walked == per_word
+    if per_word is not None:  # again, with the disagreement on the walk's last level
+        assert first_disagreements(left, right, len(per_word)) == (per_word, per_word)
+
+
+def test_a_distinct_walk_that_closes_at_its_last_level_reads_equal():
+    # ab_k_star (k = 2) reaches no new node among the words of 4 letters: a
+    # distinct walk to 5 closes there, one to 4 judges that level from the
+    # level before it, and so does the pair walk, which still reads Equal
+    spec = example("ab_k_star", 2)
+    search = searches(spec)[0]
+    assert max(len(w) for w, _ in machines.walk(search, spec.alphabet, 5, distinct=True)) == 3
+    walked = list(machines.walk(search, spec.alphabet, 4, distinct=True))
+    assert max(len(w) for w, _ in walked) == 4
+    assert walked == [(w, accepts(spec, w)) for w, _ in walked]
+    assert equivalent_up_to(spec, example("ab_k_star", 2), 4) == EquivalenceVerdict(True, None, 4)
+    assert langlab.matches_reference(spec, reference("ab_k_star:2"), 4).equal
 
 
 def endmarker_pair(data):
@@ -332,8 +373,9 @@ def test_an_end_marker_conflict_raises_in_the_walk(accept_states):
 
 
 def test_cli_verify_steps_each_pair_once(tmp_path, monkeypatch):
-    # eq reaches 31 configurations below depth 16: each is stepped by two
-    # letters on each side, not once per each of the 131,071 words
+    # eq reaches 29 configurations below depth 15: each is stepped by two
+    # letters on each side, not once per each of the 131,071 words; the
+    # words of 16 letters are judged from their parents, stepping nothing
     path = tmp_path / "eq.mach"
     path.write_text(write_machine(example("eq")))
     compiled = MachineSpec.__dict__["successors"]
@@ -351,10 +393,10 @@ def test_cli_verify_steps_each_pair_once(tmp_path, monkeypatch):
     counting_property.__set_name__(MachineSpec, "successors")
     monkeypatch.setattr(MachineSpec, "successors", counting_property)
     assert cli_output(["verify", str(path), "--against", str(path), "--maxlen", "16"])[0] == 0
-    assert len(calls) == 2 * 2 * 31
+    assert len(calls) == 2 * 2 * 29
     calls.clear()
     assert cli_output(["verify", str(path), "--against", "eq", "--maxlen", "16"])[0] == 0
-    assert len(calls) == 2 * 31
+    assert len(calls) == 2 * 29
 
 
 ONE_TRIE_MACHINES = {name: make for name, make in EPS_MACHINES.items()

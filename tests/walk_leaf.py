@@ -1,9 +1,9 @@
-"""A word's last letter judged from the frontier before it
-(`nondeterministic_steps`' `last`, from `MachineSpec.last_letter`)
-against the verdict of the stepped frontier it replaces, under every
-budget and at the edge of the room the letter needs; and where the walk,
-the pair walk and `accepts` judge it so. `test_walk` collects these
-tests."""
+"""A word's last letter judged from the node before it (the searches'
+`last`, from `MachineSpec.last_letter`) against the verdict of the
+stepped node it replaces: a nondeterministic frontier under every budget
+and at the edge of the room the letter needs, and a deterministic run;
+and where the walk, the pair walk and `accepts` judge it so. `test_walk`
+collects these tests."""
 
 import math
 import random
@@ -17,12 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from machine_gen import blind_counter_ab, random_nbhva_endmarker
+from machine_gen import blind_counter_ab, random_dva, random_nbhva_endmarker
 from vecauto import langlab, machines
+from vecauto.builders import finite_language_va
 from vecauto.errors import UndecidedError
 from vecauto.exact import Matrix, vec_mat_mul
 from vecauto.fileformat import parse_machine, write_machine
 from vecauto.machines import (
+    DETERMINISTIC,
     ENDMARKER,
     EPSILON,
     HVA,
@@ -115,6 +117,42 @@ def test_catalog_and_eps_machines_judge_the_last_letter_as_stepped(name):
         assert_last_letters_are_stepped_verdicts(spec, budget, 3 if len(spec.alphabet) <= 2 else 2)
 
 
+def assert_deterministic_last_letters_are_stepped(spec, maxlen=4):
+    """On every live node of up to `maxlen` letters, a deterministic
+    search's `last` judges each letter as stepping it does."""
+    start, step, verdict, last = searches(spec)[0](0)
+    by_stepping = stepped(step, verdict)
+    level = [("", start)]
+    for _ in range(maxlen + 1):
+        for w, node in level:
+            for letter in spec.alphabet:
+                word = w + letter
+                assert last(node, letter, word) == by_stepping(node, letter, word), word
+        level = [(w + letter, child) for w, node in level for letter in spec.alphabet
+                 if (child := step(node, letter)) is not None]
+
+
+# dyck reads the status, pow_r the end-marker; the distinguishers, the
+# finite-language VA and the GFA are the separators of the paper
+DETERMINISTIC_MACHINES = sorted(name for name, build in MACHINES.items()
+                                if build().mode == DETERMINISTIC)
+
+
+@pytest.mark.parametrize("name", DETERMINISTIC_MACHINES)
+def test_deterministic_machines_judge_the_last_letter_as_stepped(name):
+    assert_deterministic_last_letters_are_stepped(MACHINES[name]())
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_the_deterministic_last_letter_is_judged_as_stepped(seed):
+    # random deterministic VAs, blind or reading the status at a letter or
+    # at the end-marker
+    spec = random_dva(random.Random(seed))
+    assert validate(spec) == []
+    assert_deterministic_last_letters_are_stepped(spec)
+
+
 def fresh(spec):
     """`spec` written and parsed again: a machine with no step memo."""
     return parse_machine(write_machine(spec))
@@ -172,6 +210,32 @@ def test_a_walks_last_level_multiplies_no_register(monkeypatch):
     for letter in word[:-1]:
         start = step(start, letter)
     assert judged == len(calls) > 0
+
+
+def test_a_deterministic_walks_last_level_multiplies_no_register(monkeypatch):
+    # a blind finite-language VA, whose registers never repeat: a walk to n,
+    # with or without `distinct`, multiplies as a walk to n - 1 that steps
+    # its last level does, fewer times than one that steps its own
+    spec = finite_language_va(["1", "22", "211"])
+    assert spec.blind and spec.mode == DETERMINISTIC
+    calls = counted_products(monkeypatch)
+
+    def products(maxlen, last_stepped, distinct):
+        calls.clear()
+        search = searches(fresh(spec))[0]
+
+        def stepping(length):
+            start, step, verdict, last = search(length)
+            return start, step, verdict, stepped(step, verdict) if last_stepped else last
+        walked = list(machines.walk(stepping, spec.alphabet, maxlen, False, distinct))
+        made = len(calls)
+        assert walked == [(w, member(spec, w)) for w, _ in walked]
+        return made
+
+    for distinct in (False, True):
+        for n in range(1, 6):
+            assert (products(n, False, distinct) == products(n - 1, True, distinct)
+                    < products(n, True, distinct))
 
 
 def counted_steps(monkeypatch):

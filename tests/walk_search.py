@@ -66,13 +66,30 @@ def test_an_eps_move_can_undercut_a_letter_move():
     assert ("a", False) in seen  # a clean Reject
 
 
-def expanded(spec, word, budget):
-    """The configurations the one search expands on `word`."""
+def frontier_after(spec, word, budget):
+    """The one search's `Frontier` after the letters of `word`."""
     start, step, _, _, _ = nondeterministic_steps(spec, budget, len(word))
     frontier = start
     for letter in word:
         frontier = step(frontier, letter)
-    return frontier.spent
+    return frontier
+
+
+def expanded(spec, word, budget):
+    """The configurations the one search expands on `word`."""
+    return frontier_after(spec, word, budget).spent
+
+
+def test_a_cut_search_names_the_limit_that_cut():
+    # a search that cut nothing, one that left configurations unexpanded
+    # when its budget ran out, and one whose eps path reached the cap
+    for spec, word, budget, limit in (
+            (example("leq"), "ab", SearchBudget(), None),
+            (example("leq"), "abbb", SearchBudget(max_configurations=1), "max_configurations"),
+            (eps_chain_machine(), "a", SearchBudget(eps_per_path=1), "eps_per_path")):
+        assert (frontier_after(spec, word, budget).pruned or None) == limit, word
+        verdict = run_nondeterministic(spec, word, budget).verdict
+        assert verdict == (BUDGET_EXCEEDED if limit else ACCEPT), word
 
 
 def assert_path_replays(spec, trace, path):
