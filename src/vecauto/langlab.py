@@ -10,10 +10,13 @@ violation in that canonical order.
 Every verifier reads one walk, `machines.walk`, over the trie of words:
 a machine walks its search, a reference its deterministic steps (the
 predicate is the ground truth the steps are tested against), and bounded
-equivalence walks the pairs of two languages' nodes. Pairs of two
-deterministic languages are deduplicated: the walk extends only the
-first word to reach each pair, and the first disagreement is still the
-length-lex-first one.
+equivalence walks the pairs of two languages' nodes. Deterministic nodes
+(a deterministic machine's runs, a reference's states) are shared: a
+language's walk steps each distinct node of a level once per letter and
+gives every word its node's verdict. Pairs of two deterministic
+languages are deduplicated: the walk extends only the first word to
+reach each pair, and the first disagreement is still the length-lex-first
+one. A nondeterministic machine's frontiers are never shared.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .errors import AlphabetError, ReferenceLanguageError, UnsupportedKindError
 from .machines import (
     DETERMINISTIC,
     HVA,
+    SHARED,
     MachineSpec,
     SearchBudget,
     accepts,  # noqa: F401 -- perfbench's tracer rebinds it in this namespace
@@ -96,12 +100,14 @@ def _search(language, budget: SearchBudget = None):
 
 def _walk(language, maxlen: int, budget: SearchBudget = None):
     """``(word, verdict)`` for every word up to `maxlen` in length-lex
-    order, each asked once, when reached, of `language` (a MachineSpec or
-    a ReferenceLanguage): the walk that every verifier but bounded
+    order, each judged when reached, of `language` (a MachineSpec or a
+    ReferenceLanguage): the walk that every verifier but bounded
     equivalence reads. A machine's verdict is `accepts`'s, and the first
-    word whose search runs out of budget raises UndecidedError."""
-    search, cap_grows, _ = _search(language, budget)
-    return walk(search, language.alphabet, maxlen, cap_grows)
+    word whose search runs out of budget raises UndecidedError. The words
+    of a level that reach one deterministic node share its steps and its
+    verdict."""
+    search, cap_grows, distinct = _search(language, budget)
+    return walk(search, language.alphabet, maxlen, cap_grows, distinct and SHARED)
 
 
 def enumerate_accepted(spec: MachineSpec, maxlen: int, budget: SearchBudget = None) -> list:

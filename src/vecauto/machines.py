@@ -81,6 +81,9 @@ BUDGET_EXCEEDED = "BudgetExceeded"
 
 DEFAULT_MAX_CONFIGURATIONS = 1_000_000
 
+# `walk`'s `distinct` for a walk that yields every word: twins share a node
+SHARED = "shared"
+
 # letters a wide run multiplies in one block; a random word has 2**16
 # distinct 16-letter blocks, too many to build, and 256 of 8
 BLOCK_LETTERS = 8
@@ -107,23 +110,6 @@ def _firing(rules, status) -> list:
     return [rule for rule in rules if rule[1] == STATUS_ANY or rule[1] == status]
 
 
-def _indexed_rules(spec) -> tuple:
-    """``(index, conflicts)``: `MachineSpec.rule_index` as it is built, and
-    for a deterministic machine one diagnostic per pair of rules on one
-    ``(source, input)`` that can fire at once, in transition order."""
-    index = {}
-    for idx, r in enumerate(spec.transitions):
-        index.setdefault((r.source, r.input), []).append((idx, r.status, r.effect, r.target))
-    conflicts = []
-    if spec.mode == DETERMINISTIC:
-        for (state, sym), rules in index.items():
-            for (i, a, *_), (j, b, *_) in combinations(rules, 2):
-                if STATUS_ANY in (a, b) or a == b:  # both statuses can hold at once
-                    conflicts.append(f"deterministic conflict: transitions #{i} and #{j} "
-                                     f"both apply in ({state},{sym})")
-    return index, conflicts
-
-
 @dataclass(frozen=True)
 class TransitionRule:
     """One rule: in `source`, reading `input` under `status`, go to `target`.
@@ -147,12 +133,12 @@ class MachineSpec:
     """An immutable machine; construction normalizes containers to
     immutable types (tuples, frozensets, RowVectors, Fractions).
 
-    `rule_index`, the compiled transition function `successors`, the
-    `sinks`, the `blocks` memo, `home_after`, the `end_test`, the
-    `last_letter` tables and the `last_run` slot are built on first use
-    and cached on the instance (`extendedfa_embed` gives its output its
-    source's `successors` and `last_run`); equality and hashing see only
-    the fields.
+    `rule_scan`, `rule_index`, the compiled transition function
+    `successors`, the `sinks`, the `blocks` memo, `home_after`, the
+    `end_test`, the `last_letter` tables and the `last_run` slot are built
+    on first use and cached on the instance (`extendedfa_embed` gives its
+    output its source's `successors` and `last_run`); equality and hashing
+    see only the fields.
     """
 
     kind: str
@@ -213,13 +199,32 @@ class MachineSpec:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @cached_property
+    def rule_scan(self) -> tuple:
+        """``(index, conflicts)``: `rule_index` as it is built, and for a
+        deterministic machine one diagnostic per pair of rules on one
+        ``(source, input)`` that can fire at once, in transition order.
+        `validate` lists the conflicts and `rule_index` raises the first,
+        from this one scan of the rules."""
+        index = {}
+        for idx, r in enumerate(self.transitions):
+            index.setdefault((r.source, r.input), []).append((idx, r.status, r.effect, r.target))
+        conflicts = []
+        if self.mode == DETERMINISTIC:
+            for (state, sym), rules in index.items():
+                for (i, a, *_), (j, b, *_) in combinations(rules, 2):
+                    if STATUS_ANY in (a, b) or a == b:  # both statuses can hold at once
+                        conflicts.append(f"deterministic conflict: transitions #{i} and #{j} "
+                                         f"both apply in ({state},{sym})")
+        return index, conflicts
+
+    @cached_property
     def rule_index(self) -> dict:
         """``(source, input)`` -> its ``(rule index, status, effect, target)``
         tuples. A deterministic machine with two rules that can fire at once
         raises InconsistentSpecError, with `validate`'s first conflict
         diagnostic: every run reads this index before its first step, so no
         run of it starts, and a deterministic step fires at most one rule."""
-        index, conflicts = _indexed_rules(self)
+        index, conflicts = self.rule_scan
         if conflicts:
             raise InconsistentSpecError(conflicts[0])
         return index
@@ -899,7 +904,7 @@ def validate(spec: MachineSpec) -> list:
             if spec.kind == EXTENDED_FA and not _is_identity_tensor(eff, spec.dimension):
                 bad(f"{where}: effect is not of the form I tensor M")
 
-    diags += _indexed_rules(spec)[1]
+    diags += spec.rule_scan[1]
     return diags
 
 
@@ -1353,7 +1358,7 @@ def stepped(step, verdict):
     return last
 
 
-def walk(search, alphabet, maxlen: int, cap_grows: bool = False, distinct: bool = False):
+def walk(search, alphabet, maxlen: int, cap_grows: bool = False, distinct=False):
     """``(word, verdict)`` for the words over `alphabet` up to `maxlen`, in
     length-lex order, from `search` (see `searches`).
 
@@ -1367,15 +1372,23 @@ def walk(search, alphabet, maxlen: int, cap_grows: bool = False, distinct: bool 
     each is judged from its parent by the search's ``last(node, letter,
     word)``, which builds no node where it need not, in both modes.
 
-    With `distinct`, for nodes that fix their words' verdicts and futures,
-    a word whose node an earlier word reached is stepped, but neither
-    judged, yielded nor extended: it and its extensions have earlier twins
-    with the same verdicts. The walk then ends at the first level below
-    `maxlen` that reaches no new node (Hopcroft and Karp 1971). Its last
-    level is judged by `last` too, twins included: a twin's verdict is
-    its earlier twin's, which comes first in length-lex order, so a caller
-    that stops at the first word with some verdict stops at the same
-    word.
+    `distinct` is for nodes that fix their words' verdicts and futures:
+    deterministic runs and a reference's states, never a `Frontier`, whose
+    budget outcomes depend on what its prefix spent. A twin is a word whose
+    node an earlier word reached. With ``distinct=SHARED`` each distinct
+    node of a level is stepped once per letter, and its child judged once,
+    by the first word in length-lex order that needs it; every word is
+    yielded, a twin with its node's verdict. At the last level each
+    ``(node, letter)`` pair is judged once by `last`.
+
+    With any other true `distinct`, a twin of an earlier level or of its
+    own is stepped, but neither judged, yielded nor extended: it and its
+    extensions have earlier twins with the same verdicts. The walk then
+    ends at the first level below `maxlen` that reaches no new node
+    (Hopcroft and Karp 1971). Its last level is judged by `last` too,
+    twins included: a twin's verdict is its earlier twin's, which comes
+    first in length-lex order, so a caller that stops at the first word
+    with some verdict stops at the same word.
     """
     def children(level, step):
         for w, node in level:
@@ -1383,36 +1396,64 @@ def walk(search, alphabet, maxlen: int, cap_grows: bool = False, distinct: bool 
                 yield w + letter, None if node is None else step(node, letter)
 
     start, step, verdict, last = search(0)
-    seen = {start} if distinct else None
     yield "", verdict(start, "")
-    level = [("", start)]
+    # with `distinct`, a level pairs each word with its node's index in
+    # `nodes`, and `index` maps each node to its index: over the level
+    # when twins are shared, over the walk when they are dropped
+    level = [("", 0 if distinct else start)]
+    nodes, index = [start], {start: 0} if distinct else None
+    shared = distinct == SHARED
+    letters, width = tuple(enumerate(alphabet)), len(alphabet)
     for length in range(1, maxlen + 1):
-        if cap_grows:
+        if cap_grows:  # a nondeterministic search, never `distinct`
             start, step, verdict, last = search(length)
             level = [("", start)]
             for _ in range(length - 1):
                 level = children(level, step)
+        # with `distinct`, what each (node, letter) pair gave the first word
+        # that needed it: at the last level its verdict, else its child's index
+        pairs = [None] * (len(nodes) * width) if distinct else None
         if length == maxlen:
-            for w, node in level:
-                for letter in alphabet:
+            for w, ref in level:
+                node = nodes[ref] if distinct else ref
+                for a, letter in letters:
                     word = w + letter
-                    yield word, node is not None and last(node, letter, word)
-            return
-        kept = []
-        for w, node in level:  # stepped here, not by `children`: one generator less per word
-            for letter in alphabet:
-                child = None if node is None else step(node, letter)
-                if distinct:  # one hash per node: a node seen before leaves the size
-                    known = len(seen)
-                    seen.add(child)
-                    if len(seen) == known:
+                    if not distinct:
+                        yield word, node is not None and last(node, letter, word)
                         continue
+                    pair = ref * width + a
+                    if pairs[pair] is None:
+                        pairs[pair] = node is not None and last(node, letter, word)
+                    yield word, pairs[pair]
+            return
+        if shared:
+            index = {}
+        following, verdicts, kept = [], [], []
+        for w, ref in level:
+            node = nodes[ref] if distinct else ref
+            for a, letter in letters:
                 word = w + letter
-                kept.append((word, child))
-                yield word, child is not None and verdict(child, word)
+                if not distinct:  # stepped here, not by `children`: one generator less per word
+                    child = None if node is None else step(node, letter)
+                    kept.append((word, child))
+                    yield word, child is not None and verdict(child, word)
+                    continue
+                pair = ref * width + a
+                child_index = pairs[pair]
+                if child_index is None:
+                    child = None if node is None else step(node, letter)
+                    known = len(index)  # one hash per node: a new node grows the index
+                    child_index = pairs[pair] = index.setdefault(child, len(following))
+                    if len(index) > known:
+                        following.append(child)
+                        verdicts.append(child is not None and verdict(child, word))
+                    elif not shared:
+                        continue
+                kept.append((word, child_index))
+                yield word, verdicts[child_index]
         if not kept:
             return
-        level = kept
+        level, nodes = kept, following
 
 
 def extendedfa_embed(spec: MachineSpec) -> MachineSpec:

@@ -2,6 +2,7 @@ import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from vecauto.errors import (
     UnsupportedKindError,
 )
 from vecauto.exact import Matrix, RowVector
+from vecauto.fileformat import write_machine
 from vecauto.machines import (
     ACCEPT,
     BUDGET_EXCEEDED,
@@ -48,7 +50,7 @@ from vecauto.machines import (
     validate,
 )
 from vecauto.langlab import all_strings
-from walk_oracles import assert_no_run_starts, one_state_gfa
+from walk_oracles import assert_no_run_starts, cli_output, one_state_gfa
 
 
 def hva1(rules, mode=DETERMINISTIC, blind=True, alphabet=("a", "b")):
@@ -238,6 +240,31 @@ class TestValidate:
             with pytest.raises(InconsistentSpecError) as raised:
                 spec.rule_index
             assert str(raised.value) == validate(spec)[0]
+
+    def test_validate_and_the_rule_index_share_one_scan(self, tmp_path, monkeypatch):
+        # a machine file's command validates the machine, then runs it: one
+        # scan of its rules serves both, a conflicting machine's included
+        scan = MachineSpec.__dict__["rule_scan"]
+        scans = []
+
+        def counted(spec):
+            scans.append(spec)
+            return scan.func(spec)
+
+        counting = cached_property(counted)
+        counting.__set_name__(MachineSpec, "rule_scan")
+        monkeypatch.setattr(MachineSpec, "rule_scan", counting)
+        path = tmp_path / "eq.mach"
+        path.write_text(write_machine(example("eq")))
+        assert cli_output(["enumerate", str(path), "--maxlen", "4"])[0] == 0
+        assert len(scans) == 1
+        scans.clear()
+        conflicting = counter_conflict()
+        diagnostics = validate(conflicting)
+        with pytest.raises(InconsistentSpecError) as raised:
+            accepts(conflicting, "ab")
+        assert str(raised.value) == diagnostics[0] and len(diagnostics) == 1
+        assert scans == [conflicting]
 
     def test_fam_positivity(self):
         spec = MachineSpec(

@@ -5,12 +5,16 @@ instead of searching each word from scratch. Through `langlab._walk` it
 must give every word the verdict the word's own run gives it alone
 (`run_nondeterministic`, whose eps cap is set by the word's length),
 under every budget: the same (word, verdict) sequence and the same first
-UndecidedError word. Bounded equivalence walks pairs of the two sides'
-nodes, and skips a word whose pair an earlier word reached when both
-sides are deterministic; it must find the first disagreement of the
-per-word oracle (a zip of the two per-word walks, left side first), or
-raise its error on the same word. The CLI's records must not change
-either. One trie serves every length unless an eps cycle grows the cap.
+UndecidedError word. A language of deterministic nodes steps each
+distinct node of a level once per letter, for every word that reaches
+it; a nondeterministic frontier is never shared, since the budget it
+has left depends on its prefix. Bounded equivalence walks pairs of the
+two sides' nodes, and skips a word whose pair an earlier word reached
+when both sides are deterministic; it must find the first disagreement
+of the per-word oracle (a zip of the two per-word walks, left side
+first), or raise its error on the same word. The CLI's records must not
+change either. One trie serves every length unless an eps cycle grows
+the cap.
 
 Each other mechanism of the run core has a module of its own, whose
 tests this module collects, so that they keep their ids under
@@ -30,9 +34,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bfs_reference import bfs
-from machine_gen import random_dva, random_nbhva_endmarker
+from machine_gen import random_dva, random_nbhva_endmarker, random_system
 from vecauto import langlab, machines
 from vecauto.builders import binary_distinguisher, example, finite_language_va, hva_distinguisher
+from vecauto.diophantine import famw_from_system
 from vecauto.errors import InconsistentSpecError, UndecidedError
 from vecauto.exact import Matrix
 from vecauto.fileformat import write_machine
@@ -55,6 +60,7 @@ from vecauto.machines import (
     SearchBudget,
     TransitionRule,
     accepts,
+    nondeterministic_steps,
     searches,
     validate,
 )
@@ -148,6 +154,67 @@ def test_walk_steps_no_word_beyond_the_one_asked():
     with pytest.raises(SteppedB):
         next(walk)
     assert langlab.matches_reference(example("l_epsilon"), no_b, 3).counterexample == "a"
+
+
+def counted_searches(monkeypatch):
+    """The calls of each search function that `langlab` builds from here
+    on, by name: ``step``, ``verdict`` and ``last``."""
+    calls = dict.fromkeys(("step", "verdict", "last"), 0)
+
+    def counting_searches(spec, budget=None):
+        search, cap_grows = searches(spec, budget)
+
+        def counted(length):
+            start, *functions = search(length)
+
+            def counting(name, function):
+                def call(*args):
+                    calls[name] += 1
+                    return function(*args)
+                return call
+            return start, *map(counting, calls, functions)
+        return counted, cap_grows
+
+    monkeypatch.setattr(langlab, "searches", counting_searches)
+    return calls
+
+
+@pytest.mark.parametrize("spec,steps,lasts,verdicts", [
+    # a node of eq is fixed by #a - #b: its level of n letters reaches n + 1
+    (example("eq"), 90, 20, 55),
+    # no two words reach one node: every word is stepped or judged by `last`
+    (finite_language_va(["1", "12", "221"]), 1022, 1024, 1023)], ids=["eq", "finite_language"])
+def test_a_shared_walk_steps_each_distinct_node_once(monkeypatch, spec, steps, lasts, verdicts):
+    # each (node, letter) pair of a level below the last is stepped once,
+    # each node judged once, and each pair of the level before the last
+    # judged once by `last`, for every word that reaches them
+    calls = counted_searches(monkeypatch)
+    accepted = langlab.enumerate_accepted(spec, 10)
+    assert calls == {"step": steps, "verdict": verdicts, "last": lasts}
+    assert accepted == [w for w, verdict in per_word_walk(spec, 10) if verdict]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_shared_walk_of_a_diophantine_machine_is_per_word(seed):
+    # a stateless FAM's node is fixed by its word's Parikh image, so most
+    # words of a level are twins, sharing their node's steps and verdict
+    spec = famw_from_system(random_system(random.Random(seed)))
+    assert langlab._search(spec)[2]
+    assert_walk_agrees(spec, 6, None)
+
+
+def test_frontiers_with_equal_configurations_are_not_shared():
+    # under a budget of 6 configurations, leq's words ab and ba reach and
+    # expand the same configurations, ab having spent 4 of the budget and
+    # ba 5: baaa runs out of it first, where a walk that gave ba the
+    # frontier of ab would go on to bbba
+    spec, budget = example("leq"), SearchBudget(max_configurations=6)
+    start, step = nondeterministic_steps(spec, budget, 4)[:2]
+    ab, ba = (step(step(start, x), y) for x, y in ("ab", "ba"))
+    assert ab._replace(spent=ba.spent) == ba and (ab.spent, ba.spent) == (4, 5)
+    assert not langlab._search(spec, budget)[2]
+    assert assert_walk_agrees(spec, 4, budget)[1] == "baaa"
 
 
 def command_machines():
