@@ -37,6 +37,7 @@ from .machines import (
     accepts,
     run_deterministic,
     run_nondeterministic,
+    run_stats,
     validate,
 )
 
@@ -164,9 +165,10 @@ def cmd_run(args) -> int:
     budget = _budget_from(args)  # a malformed budget is a usage error in either mode
     record = {"verdict": None, "machine": spec.summary(), "input": word}
     deterministic = spec.mode == DETERMINISTIC
+    stats = args.stats and not deterministic
     if deterministic and not args.trace:
         result = run_deterministic(spec, word)
-    elif args.trace:
+    elif args.trace or stats:  # stats are read from the traced search's frontiers
         # a deterministic run has at most len(word) + 2 configurations, so
         # the default budget never cuts it; --budget bounds searches only
         result = run_nondeterministic(spec, word, None if deterministic else budget)
@@ -183,6 +185,8 @@ def cmd_run(args) -> int:
                            for c in result.trace]
     elif args.trace and result.accepted:
         record["accepting_path"] = list(result.accepting_path)
+    if stats:
+        record["stats"] = run_stats(spec)
     _emit(record)
     if record["verdict"] == BUDGET_EXCEEDED:
         return EXIT_BUDGET
@@ -333,6 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("machine")
     p.add_argument("input")
     p.add_argument("--trace", action="store_true")
+    p.add_argument("--stats", action="store_true",
+                   help="report a nondeterministic search's configurations expanded, peak "
+                        "frontier, the limit that cut it and its widest register in bits")
     _add_budget_flags(p)
     p.set_defaults(func=cmd_run)
 

@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import combinations, islice
+from itertools import accumulate, combinations, islice
 from operator import mul
 from typing import NamedTuple
 
@@ -55,7 +55,7 @@ from .errors import (
     UndecidedError,
     UnsupportedKindError,
 )
-from .exact import WORD_BITS, Matrix, RowVector, dot, mat_mul, tensor, vec_mat_mul
+from .exact import WORD_BITS, Matrix, RowVector, _bit_length, dot, mat_mul, tensor, vec_mat_mul
 
 VA = "VA"
 HVA = "HVA"
@@ -739,6 +739,23 @@ class SearchBudget:
             return math.inf
         return len(spec.states) * (length + 2)
 
+    def binds(self, spec: MachineSpec, maxlen) -> bool:
+        """Whether the budget can cut a search of `spec` over a word of at
+        most `maxlen` letters (None: of any length). Never for a
+        deterministic machine, which makes no search. On one without eps
+        rules whose rules number at most b on one `rule_index` key, the
+        frontier after k letters holds at most b^k configurations: when
+        b^0 + ... + b^maxlen fits `max_configurations`, every configuration
+        reached is expanded, nothing is ever pruned, and a search's
+        verdicts depend on its configurations alone."""
+        if spec.mode == DETERMINISTIC:
+            return False
+        if maxlen is None or spec.epsilon_sources:
+            return True
+        b = max(map(len, spec.rule_index.values()), default=0)
+        totals = accumulate(b ** k for k in range(maxlen + 1))
+        return any(total > self.max_configurations for total in totals)
+
 
 def embed_monoid_effect(m: Matrix) -> Matrix:
     """Lift a k x k monoid element M to the k^2 x k^2 effect I tensor M.
@@ -1028,6 +1045,28 @@ def run_nondeterministic(spec: MachineSpec, word: str, budget: SearchBudget = No
                      partial(_backtrack, spec, word + ENDMARKER * spec.endmarker, levels))
 
 
+def run_stats(spec: MachineSpec) -> dict:
+    """What the last `run_nondeterministic` of `spec` did, read from the
+    frontiers its `last_run` slot keeps: the configurations it expanded
+    (the last frontier's `spent`), the most that one position reached,
+    the limit that cut a move off (`Frontier.pruned`, or
+    ``"max_configurations"`` where the end-marker moves on from a last
+    frontier left unexpanded; None for none), and the bit length of the
+    widest register reached (of a denominator or numerator, or of a
+    counter), measured here alone."""
+    frontiers = spec.last_run[0][3]
+    last = frontiers[-1]
+    unexpanded = spec.endmarker and len(last.expanded) < len(last.configurations)
+    return {
+        "expanded": last.spent,
+        "peak_frontier": max(len(frontier.configurations) for frontier in frontiers),
+        "limit": last.pruned or (unexpanded and "max_configurations") or None,
+        "register_bits": max(_bit_length(register, 1) if isinstance(register, tuple)
+                             else _bit_length(register.nums, register.den)
+                             for frontier in frontiers for _, register in frontier.configurations),
+    }
+
+
 def _backtrack(spec: MachineSpec, letters: str, levels: list, last: Configuration) -> list:
     """A search's path from the start to `last`, as (configuration, index
     of the rule into it) pairs, from each position's (configurations,
@@ -1144,6 +1183,20 @@ class Frontier(NamedTuple):
     expanded: dict
     spent: int
     pruned: object
+
+
+class _Uncut(Frontier):
+    """A `Frontier` of a search that its budget cannot cut
+    (`SearchBudget.binds`): equal to, and hashed as, every other that
+    reached the same configurations, since what it spent never counts."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return self.configurations.keys() == other.configurations.keys()
+
+    def __hash__(self):
+        return hash(frozenset(self.configurations))
 
 
 def nondeterministic_steps(spec: MachineSpec, budget: SearchBudget, length: int):
@@ -1287,8 +1340,9 @@ def _lands_home(tests, register) -> bool:
     return False
 
 
-def searches(spec: MachineSpec, budget: SearchBudget = None):
-    """``(search, cap_grows)`` for `walk`: ``search(length)`` is ``(start,
+def searches(spec: MachineSpec, budget: SearchBudget = None, maxlen: int = None):
+    """``(search, cap_grows)`` for `walk` over words of up to `maxlen`
+    letters (None: of any length): ``search(length)`` is ``(start,
     step, verdict, last)`` for words of `length` letters, where ``step(node,
     letter)`` is the next node, ``verdict(node, word)`` is
     `accepts(spec, word, budget)` and ``last(node, letter, word)`` is
@@ -1308,7 +1362,12 @@ def searches(spec: MachineSpec, budget: SearchBudget = None):
     so it needs no room. A nondeterministic search is
     `nondeterministic_steps`', whose node is a `Frontier` that counts the
     budget along its own prefix, and whose `last` judges the letter from
-    the frontier before it where nothing can be cut, else steps it.
+    the frontier before it where nothing can be cut, else steps it. Where
+    the budget cannot cut a search over words of up to `maxlen` letters
+    (`SearchBudget.binds`), what a frontier spent never counts, and its
+    node is equal to, and hashed as, every frontier that reached the same
+    configurations, so the walk can share it as it shares deterministic
+    nodes.
     """
     if spec.mode == DETERMINISTIC:
         successors, end_test = spec.successors, spec.end_test
@@ -1339,9 +1398,15 @@ def searches(spec: MachineSpec, budget: SearchBudget = None):
         return (lambda length: (start, step, verdict, last)), False
 
     budget = budget or SearchBudget()
+    uncut = not budget.binds(spec, maxlen)
 
     def search(length):
         start, step, _, verdict, last = nondeterministic_steps(spec, budget, length)
+        if uncut:
+            start, step_frontier = _Uncut(*start), step
+
+            def step(frontier, letter):
+                return _Uncut(*step_frontier(frontier, letter))
         return start, step, verdict, last
 
     return search, budget.eps_cap(spec, 0) != budget.eps_cap(spec, 1)
@@ -1373,9 +1438,11 @@ def walk(search, alphabet, maxlen: int, cap_grows: bool = False, distinct=False)
     word)``, which builds no node where it need not, in both modes.
 
     `distinct` is for nodes that fix their words' verdicts and futures:
-    deterministic runs and a reference's states, never a `Frontier`, whose
-    budget outcomes depend on what its prefix spent. A twin is a word whose
-    node an earlier word reached. With ``distinct=SHARED`` each distinct
+    deterministic runs, a reference's states, and the frontiers of a
+    search that its budget cannot cut up to `maxlen` (`searches` given
+    `maxlen`). Other frontiers are never shared: their budget outcomes
+    depend on what their prefix spent. A twin is a word whose node an
+    earlier word reached. With ``distinct=SHARED`` each distinct
     node of a level is stepped once per letter, and its child judged once,
     by the first word in length-lex order that needs it; every word is
     yielded, a twin with its node's verdict. At the last level each

@@ -13,6 +13,7 @@ from vecauto.builders import example
 from vecauto.cli import main
 from test_diophantine import EQ_SYSTEM, unsupported_famw
 from test_fileformat import TWO_CYCLE_DFA
+from walk_oracles import eps_chain_machine
 from vecauto.exact import Matrix
 from vecauto.fileformat import load_machine, write_machine
 from vecauto.machines import (
@@ -121,6 +122,34 @@ class TestRunCommand:
         capsys.readouterr()
         code, records = run_cli(capsys, "run", str(path), "a")
         assert code == 1
+
+    @pytest.mark.parametrize("machine,word,flags,verdict,stats", [
+        ("leq", "ab", [], "Accept", (4, 2, None, 2)),
+        ("leq", "abbb", ["--budget", "1"], "BudgetExceeded", (1, 1, "max_configurations", 2)),
+        # the budget leaves the last position unexpanded, which no move
+        # leaves without an end-marker: nothing was cut off
+        ("leq", "a", ["--budget", "1"], "Reject", (1, 1, None, 2)),
+        ("leq", "a" * 150 + "b" * 150, [], "Accept", (11626, 151, None, 151)),
+        ("eps_chain", "a", ["--eps-per-path", "1"], "BudgetExceeded", (2, 2, "eps_per_path", 2)),
+    ], ids=["leq_ab", "leq_budget_1", "leq_last_unexpanded", "leq_a150b150", "eps_chain_cap_1"])
+    def test_stats_of_a_nondeterministic_run(self, capsys, tmp_path, machine, word, flags,
+                                             verdict, stats):
+        # configurations expanded, the peak frontier, the limit that cut a
+        # move off and the widest register in bits; with the flag off the
+        # record is the same but for its stats
+        path = tmp_path / f"{machine}.mach"
+        path.write_text(write_machine(eps_chain_machine() if machine == "eps_chain"
+                                      else example(machine)))
+        plain = run_cli(capsys, "run", str(path), word, *flags)
+        code, records = run_cli(capsys, "run", str(path), word, *flags, "--stats")
+        (record,) = records
+        assert record.pop("stats") == dict(
+            zip(("expanded", "peak_frontier", "limit", "register_bits"), stats))
+        assert record["verdict"] == verdict and (code, [record]) == plain
+
+    def test_stats_leave_a_deterministic_run_as_it_is(self, capsys, powr_path):
+        plain = run_cli(capsys, "run", str(powr_path), "aab")
+        assert run_cli(capsys, "run", str(powr_path), "aab", "--stats") == plain
 
 
 class TestTransformCommand:

@@ -7,10 +7,11 @@ must give every word the verdict the word's own run gives it alone
 under every budget: the same (word, verdict) sequence and the same first
 UndecidedError word. A language of deterministic nodes steps each
 distinct node of a level once per letter, for every word that reaches
-it; a nondeterministic frontier is never shared, since the budget it
-has left depends on its prefix. Bounded equivalence walks pairs of the
+it, and so does a nondeterministic one where the budget cannot cut its
+search; elsewhere a frontier is never shared, since the budget it has
+left depends on its prefix. Bounded equivalence walks pairs of the
 two sides' nodes, and skips a word whose pair an earlier word reached
-when both sides are deterministic; it must find the first disagreement
+when both sides' nodes are shared; it must find the first disagreement
 of the per-word oracle (a zip of the two per-word walks, left side
 first), or raise its error on the same word. The CLI's records must not
 change either. One trie serves every length unless an eps cycle grows
@@ -34,7 +35,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bfs_reference import bfs
-from machine_gen import random_dva, random_nbhva_endmarker, random_system
+from machine_gen import random_dva, random_extendedfa, random_nbhva_endmarker, random_system
 from vecauto import langlab, machines
 from vecauto.builders import binary_distinguisher, example, finite_language_va, hva_distinguisher
 from vecauto.diophantine import famw_from_system
@@ -44,6 +45,7 @@ from vecauto.fileformat import write_machine
 from vecauto.langlab import (
     EquivalenceVerdict,
     ReferenceLanguage,
+    all_strings,
     equivalent_up_to,
     reference_language,
 )
@@ -161,8 +163,8 @@ def counted_searches(monkeypatch):
     on, by name: ``step``, ``verdict`` and ``last``."""
     calls = dict.fromkeys(("step", "verdict", "last"), 0)
 
-    def counting_searches(spec, budget=None):
-        search, cap_grows = searches(spec, budget)
+    def counting_searches(spec, budget=None, maxlen=None):
+        search, cap_grows = searches(spec, budget, maxlen)
 
         def counted(length):
             start, *functions = search(length)
@@ -182,8 +184,12 @@ def counted_searches(monkeypatch):
 @pytest.mark.parametrize("spec,steps,lasts,verdicts", [
     # a node of eq is fixed by #a - #b: its level of n letters reaches n + 1
     (example("eq"), 90, 20, 55),
+    # leq's frontier of n letters is fixed by #a - #b too, and the default
+    # budget cannot cut its search to 10 letters: 2^0 + ... + 2^10 fit it
+    (example("leq"), 90, 20, 55),
     # no two words reach one node: every word is stepped or judged by `last`
-    (finite_language_va(["1", "12", "221"]), 1022, 1024, 1023)], ids=["eq", "finite_language"])
+    (finite_language_va(["1", "12", "221"]), 1022, 1024, 1023)],
+    ids=["eq", "leq", "finite_language"])
 def test_a_shared_walk_steps_each_distinct_node_once(monkeypatch, spec, steps, lasts, verdicts):
     # each (node, letter) pair of a level below the last is stepped once,
     # each node judged once, and each pair of the level before the last
@@ -202,6 +208,49 @@ def test_a_shared_walk_of_a_diophantine_machine_is_per_word(seed):
     spec = famw_from_system(random_system(random.Random(seed)))
     assert langlab._search(spec)[2]
     assert_walk_agrees(spec, 6, None)
+
+
+def eps_free(generate, rng):
+    """The first machine `generate` draws from `rng` with no eps rule."""
+    while True:
+        spec = generate(rng)
+        if not spec.epsilon_sources:
+            return spec
+
+
+# the nondeterministic generators, of which eps-free draws share frontiers
+NONDETERMINISTIC_GENERATORS = {"nbhva_endmarker": random_nbhva_endmarker,
+                               "extendedfa": random_extendedfa,
+                               "embedded_extendedfa": GENERATORS["embedded_extendedfa"]}
+
+
+def uncut_budgets(spec, maxlen):
+    """The budget of b^0 + ... + b^maxlen configurations, b the most rules
+    on one key of `spec`, under which no search of up to `maxlen` letters
+    can be cut, and the budget of one less, under which one can."""
+    b = max(map(len, spec.rule_index.values()), default=0)
+    bound = sum(b ** k for k in range(maxlen + 1))
+    return SearchBudget(max_configurations=bound), SearchBudget(max_configurations=bound - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), generator=st.sampled_from(sorted(NONDETERMINISTIC_GENERATORS)),
+       seed=st.integers(0, 2**32 - 1), maxlen=st.integers(0, 5))
+def test_a_shared_nondeterministic_walk_is_per_word(data, generator, seed, maxlen):
+    # at the bound the walk shares equal frontiers, and the pair walk drops
+    # twins and closes; one below it, each word steps its own frontier:
+    # either way the verdicts and the first undecided word are those of
+    # `accepts` asked word by word, and so is the first disagreement with
+    # the machine itself and with a one-entry mutant
+    spec = eps_free(NONDETERMINISTIC_GENERATORS[generator], random.Random(seed))
+    mutant = one_entry_mutant(data, spec)
+    for budget, shared in zip(uncut_budgets(spec, maxlen), (True, False)):
+        assert langlab._search(spec, budget, maxlen)[2] == shared
+        per_word = ((w, accepts(spec, w, budget)) for w in all_strings(spec.alphabet, maxlen))
+        assert outcomes(langlab._walk(spec, maxlen, budget)) == outcomes(per_word)
+        for other in (spec, mutant):
+            per_word, walked = first_disagreements(spec, other, maxlen, budget)
+            assert walked == per_word, budget
 
 
 def test_frontiers_with_equal_configurations_are_not_shared():
