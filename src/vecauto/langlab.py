@@ -10,17 +10,17 @@ violation in that canonical order.
 Every verifier reads one walk, `machines.walk`, over the trie of words:
 a machine walks its search, a reference its deterministic steps (the
 predicate is the ground truth the steps are tested against), and bounded
-equivalence walks the pairs of two languages' nodes. Nodes that fix
-their futures are shared: a deterministic machine's runs, a reference's
-states, and a nondeterministic machine's frontiers where the budget
-cannot cut its search up to the walk's length (no eps rules, and
-b^0 + ... + b^maxlen configurations fit the budget, b the most rules on
-one key; `SearchBudget.binds`). A language's walk steps each distinct
-node of a level once per letter and gives every word its node's verdict.
-Pairs of two such languages are deduplicated: the walk extends only the
-first word to reach each pair, and the first disagreement is still the
-length-lex-first one. Elsewhere a frontier is never shared, since the
-budget it has left depends on its prefix.
+equivalence walks the pairs of two languages' nodes. A node's own
+equality says which words share it: a deterministic machine's runs and a
+reference's states compare by value, and so do a nondeterministic
+machine's frontiers where the budget cannot cut its search up to the
+walk's length (no eps rules, and b^0 + ... + b^maxlen configurations fit
+the budget, b the most rules on one key; `SearchBudget.binds`). Any
+other frontier equals only itself, since the budget it has left depends
+on its prefix. A language's walk steps each distinct node of a level
+once per letter and gives every word its node's verdict. The pair walk
+extends only the first word to reach each pair, and the first
+disagreement is still the length-lex-first one.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from .errors import AlphabetError, ReferenceLanguageError, UnsupportedKindError
 from .machines import (
     HVA,
-    SHARED,
     MachineSpec,
     SearchBudget,
     accepts,  # noqa: F401 -- perfbench's tracer rebinds it in this namespace
@@ -85,15 +84,12 @@ def all_strings(alphabet, maxlen: int):
 
 
 def _search(language, budget: SearchBudget = None, maxlen: int = None):
-    """``(search, cap_grows, distinct)`` of `language` for `machines.walk`
-    over words of up to `maxlen` letters (None: of any length): a
-    machine's `searches`, a reference's steps, or, for a reference
-    without steps, the words themselves as nodes. `distinct` marks nodes
-    that fix their futures and can repeat: deterministic runs and states,
-    and the frontiers of a search that the budget cannot cut."""
+    """``(search, cap_grows)`` of `language` for `machines.walk` over
+    words of up to `maxlen` letters (None: of any length): a machine's
+    `searches`, a reference's steps, or, for a reference without steps,
+    the words themselves as nodes."""
     if isinstance(language, MachineSpec):
-        return (*searches(language, budget, maxlen),
-                not (budget or SearchBudget()).binds(language, maxlen))
+        return searches(language, budget, maxlen)
     if language.steps is None:
         membership = language.membership
         start, step, verdict = "", str.__add__, lambda w, word: membership(w)
@@ -101,7 +97,7 @@ def _search(language, budget: SearchBudget = None, maxlen: int = None):
         start, step, accepting = language.steps
         verdict = lambda state, word: accepting(state)
     last = stepped(step, verdict)
-    return (lambda length: (start, step, verdict, last)), False, language.steps is not None
+    return (lambda length: (start, step, verdict, last)), False
 
 
 def _walk(language, maxlen: int, budget: SearchBudget = None):
@@ -110,10 +106,9 @@ def _walk(language, maxlen: int, budget: SearchBudget = None):
     ReferenceLanguage): the walk that every verifier but bounded
     equivalence reads. A machine's verdict is `accepts`'s, and the first
     word whose search runs out of budget raises UndecidedError. The words
-    of a level that reach one deterministic node, or one frontier of a
-    search the budget cannot cut, share its steps and its verdict."""
-    search, cap_grows, distinct = _search(language, budget, maxlen)
-    return walk(search, language.alphabet, maxlen, cap_grows, distinct and SHARED)
+    of a level that reach equal nodes share their steps and verdict."""
+    search, cap_grows = _search(language, budget, maxlen)
+    return walk(search, language.alphabet, maxlen, cap_grows)
 
 
 def enumerate_accepted(spec: MachineSpec, maxlen: int, budget: SearchBudget = None) -> list:
@@ -142,12 +137,12 @@ def _first_disagreement(left, right, maxlen: int, budget: SearchBudget) -> Equiv
     languages differ, from one walk of pairs of their nodes: each word's
     left node is stepped, then its right, then each is judged in that
     order; at the walk's last level each side judges its own last letter
-    (the searches' `last`), the left first. Two languages whose nodes fix
-    their futures (`_search`) walk distinct pairs."""
+    (the searches' `last`), the left first. A word whose pair of nodes
+    equals an earlier word's is dropped, and so are its extensions."""
     if tuple(left.alphabet) != tuple(right.alphabet):
         raise AlphabetError(f"alphabets differ: {left.alphabet} vs {right.alphabet}")
-    left_search, left_grows, left_distinct = _search(left, budget, maxlen)
-    right_search, right_grows, right_distinct = _search(right, budget, maxlen)
+    left_search, left_grows = _search(left, budget, maxlen)
+    right_search, right_grows = _search(right, budget, maxlen)
 
     def search(length):
         left_start, left_step, left_verdict, left_last = left_search(length)
@@ -171,8 +166,7 @@ def _first_disagreement(left, right, maxlen: int, budget: SearchBudget) -> Equiv
 
         return (left_start, right_start), step, verdict, last
 
-    for w, differs in walk(search, left.alphabet, maxlen, left_grows or right_grows,
-                           left_distinct and right_distinct):
+    for w, differs in walk(search, left.alphabet, maxlen, left_grows or right_grows, True):
         if differs:
             return EquivalenceVerdict(False, w, maxlen)
     return EquivalenceVerdict(True, None, maxlen)

@@ -81,9 +81,6 @@ BUDGET_EXCEEDED = "BudgetExceeded"
 
 DEFAULT_MAX_CONFIGURATIONS = 1_000_000
 
-# `walk`'s `distinct` for a walk that yields every word: twins share a node
-SHARED = "shared"
-
 # letters a wide run multiplies in one block; a random word has 2**16
 # distinct 16-letter blocks, too many to build, and 256 of 8
 BLOCK_LETTERS = 8
@@ -1056,11 +1053,10 @@ def run_stats(spec: MachineSpec) -> dict:
     counter), measured here alone."""
     frontiers = spec.last_run[0][3]
     last = frontiers[-1]
-    unexpanded = spec.endmarker and len(last.expanded) < len(last.configurations)
     return {
         "expanded": last.spent,
         "peak_frontier": max(len(frontier.configurations) for frontier in frontiers),
-        "limit": last.pruned or (unexpanded and "max_configurations") or None,
+        "limit": _cut(last, spec.endmarker) or None,
         "register_bits": max(_bit_length(register, 1) if isinstance(register, tuple)
                              else _bit_length(register.nums, register.den)
                              for frontier in frontiers for _, register in frontier.configurations),
@@ -1177,12 +1173,18 @@ class Frontier(NamedTuple):
     when the budget lasted), `spent` counts those expanded so far, and
     `pruned` names the first limit that cut a move off (an eps move so
     far, or any move at an earlier position), ``"eps_per_path"`` or
-    ``"max_configurations"``, and is falsy while none has."""
+    ``"max_configurations"``, and is falsy while none has.
+
+    A frontier is equal only to itself, and hashed by identity: its
+    budget outcome depends on what its prefix spent, so `walk` shares it
+    with no other word."""
 
     configurations: dict
     expanded: dict
     spent: int
     pruned: object
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 class _Uncut(Frontier):
@@ -1197,6 +1199,14 @@ class _Uncut(Frontier):
 
     def __hash__(self):
         return hash(frozenset(self.configurations))
+
+
+def _cut(frontier: Frontier, moving) -> object:
+    """The limit that cut a move off in a search, falsy for none: before
+    `frontier`, or, where its configurations move on (`moving`: after a
+    letter, or to the end-marker), at one it left unexpanded."""
+    unexpanded = moving and len(frontier.expanded) < len(frontier.configurations)
+    return frontier.pruned or (unexpanded and "max_configurations")
 
 
 def nondeterministic_steps(spec: MachineSpec, budget: SearchBudget, length: int):
@@ -1288,30 +1298,24 @@ def nondeterministic_steps(spec: MachineSpec, budget: SearchBudget, length: int)
         return Frontier(reached, {key: reached[key] for key in islice(taken, room)},
                         spent + room, pruned)
 
-    def cut(frontier, moving):
-        # the limit that cut a move off, falsy for none: before `frontier`,
-        # or, where its configurations move on, at one it left unexpanded
-        unexpanded = moving and len(frontier.expanded) < len(frontier.configurations)
-        return frontier.pruned or (unexpanded and "max_configurations")
-
     def step(frontier, letter):
         # a `$` inside a word is a letter without a rule
         return close(moved(frontier, letter) if letter != ENDMARKER else {}, frontier.spent,
-                     cut(frontier, True))
+                     _cut(frontier, True))
 
     def end(frontier):
         final = moved(frontier, ENDMARKER) if endmarker else frontier.configurations
         for key in final:
             if key[0] in accept_states and home(key[1]):
                 return ACCEPT, final, key
-        return (BUDGET_EXCEEDED if cut(frontier, endmarker) else REJECT), final, None
+        return (BUDGET_EXCEEDED if _cut(frontier, endmarker) else REJECT), final, None
 
     def verdict(frontier, word):
         # the end-marker is read from the expanded configurations only
         for state, register in frontier.expanded if endmarker else frontier.configurations:
             if end_test(state, register):
                 return True
-        if cut(frontier, endmarker):
+        if _cut(frontier, endmarker):
             raise _undecided(word, budget)
         return False
 
@@ -1322,7 +1326,7 @@ def nondeterministic_steps(spec: MachineSpec, budget: SearchBudget, length: int)
                 for state, register in frontier.expanded:
                     if _lands_home(tests(state, letter), register):
                         return True
-                if cut(frontier, True):
+                if _cut(frontier, True):
                     raise _undecided(word, budget)
                 return False
         return verdict(step(frontier, letter), word)
@@ -1362,12 +1366,14 @@ def searches(spec: MachineSpec, budget: SearchBudget = None, maxlen: int = None)
     so it needs no room. A nondeterministic search is
     `nondeterministic_steps`', whose node is a `Frontier` that counts the
     budget along its own prefix, and whose `last` judges the letter from
-    the frontier before it where nothing can be cut, else steps it. Where
-    the budget cannot cut a search over words of up to `maxlen` letters
-    (`SearchBudget.binds`), what a frontier spent never counts, and its
-    node is equal to, and hashed as, every frontier that reached the same
-    configurations, so the walk can share it as it shares deterministic
-    nodes.
+    the frontier before it where nothing can be cut, else steps it.
+
+    The nodes' own equality says which words `walk` shares them between.
+    A deterministic node compares by value. A `Frontier` equals only
+    itself, except where the budget cannot cut a search over words of up
+    to `maxlen` letters (`SearchBudget.binds`, asked here alone): there
+    what a frontier spent never counts, and its node is equal to, and
+    hashed as, every frontier that reached the same configurations.
     """
     if spec.mode == DETERMINISTIC:
         successors, end_test = spec.successors, spec.end_test
@@ -1423,7 +1429,7 @@ def stepped(step, verdict):
     return last
 
 
-def walk(search, alphabet, maxlen: int, cap_grows: bool = False, distinct=False):
+def walk(search, alphabet, maxlen: int, cap_grows: bool = False, drop_twins: bool = False):
     """``(word, verdict)`` for the words over `alphabet` up to `maxlen`, in
     length-lex order, from `search` (see `searches`).
 
@@ -1435,76 +1441,72 @@ def walk(search, alphabet, maxlen: int, cap_grows: bool = False, distinct=False)
     then each length gets its own, stepped again, lazily, under
     ``search(length)``. The words of length `maxlen` extend no further, so
     each is judged from its parent by the search's ``last(node, letter,
-    word)``, which builds no node where it need not, in both modes.
+    word)``, which builds no node where it need not.
 
-    `distinct` is for nodes that fix their words' verdicts and futures:
-    deterministic runs, a reference's states, and the frontiers of a
-    search that its budget cannot cut up to `maxlen` (`searches` given
-    `maxlen`). Other frontiers are never shared: their budget outcomes
-    depend on what their prefix spent. A twin is a word whose node an
-    earlier word reached. With ``distinct=SHARED`` each distinct
-    node of a level is stepped once per letter, and its child judged once,
-    by the first word in length-lex order that needs it; every word is
-    yielded, a twin with its node's verdict. At the last level each
-    ``(node, letter)`` pair is judged once by `last`.
+    The nodes' own ``==`` and hash say which words share them: a twin is a
+    word whose node equals one an earlier word reached. Deterministic runs
+    and a reference's states compare by value, and a `Frontier` equals
+    only itself unless its budget cannot cut it (`searches`). Each
+    distinct node of a level is stepped once per letter, and its child
+    judged once, by the first word in length-lex order that needs it;
+    every word is yielded, a twin with its node's verdict. At the last
+    level each ``(node, letter)`` pair is judged once by `last`.
 
-    With any other true `distinct`, a twin of an earlier level or of its
-    own is stepped, but neither judged, yielded nor extended: it and its
-    extensions have earlier twins with the same verdicts. The walk then
-    ends at the first level below `maxlen` that reaches no new node
-    (Hopcroft and Karp 1971). Its last level is judged by `last` too,
-    twins included: a twin's verdict is its earlier twin's, which comes
-    first in length-lex order, so a caller that stops at the first word
-    with some verdict stops at the same word.
+    With `drop_twins`, where equal nodes fix equal verdicts and futures,
+    a twin of an earlier level or of its own is stepped, but
+    neither judged, yielded nor extended: it and its extensions have
+    earlier twins with the same verdicts. The walk then ends at the first
+    level below `maxlen` that reaches no new node (Hopcroft and Karp
+    1971). Its last level is judged by `last` too, twins included: a
+    twin's verdict is its earlier twin's, which comes first in length-lex
+    order, so a caller that stops at the first word with some verdict
+    stops at the same word.
     """
     def children(level, step):
         for w, node in level:
             for letter in alphabet:
                 yield w + letter, None if node is None else step(node, letter)
 
+    def numbered(level, nodes):
+        for ref, (w, node) in enumerate(level):
+            nodes[ref] = node
+            yield w, ref
+
     start, step, verdict, last = search(0)
     yield "", verdict(start, "")
-    # with `distinct`, a level pairs each word with its node's index in
-    # `nodes`, and `index` maps each node to its index: over the level
-    # when twins are shared, over the walk when they are dropped
-    level = [("", 0 if distinct else start)]
-    nodes, index = [start], {start: 0} if distinct else None
-    shared = distinct == SHARED
+    # a level pairs each word with its node's index in `nodes`, and `index`
+    # maps each node to its index: over the level, or over the walk when
+    # twins are dropped
+    level, nodes, index = [("", 0)], [start], {start: 0}
     letters, width = tuple(enumerate(alphabet)), len(alphabet)
     for length in range(1, maxlen + 1):
-        if cap_grows:  # a nondeterministic search, never `distinct`
+        if cap_grows:  # every word of the level its own node, numbered as stepped
             start, step, verdict, last = search(length)
             level = [("", start)]
             for _ in range(length - 1):
                 level = children(level, step)
-        # with `distinct`, what each (node, letter) pair gave the first word
-        # that needed it: at the last level its verdict, else its child's index
-        pairs = [None] * (len(nodes) * width) if distinct else None
+            nodes = [None] * width ** (length - 1)
+            level = numbered(level, nodes)
+        # what each (node, letter) pair gave the first word that needed it:
+        # at the last level its verdict, else its child's index
+        pairs = [None] * (len(nodes) * width)
         if length == maxlen:
             for w, ref in level:
-                node = nodes[ref] if distinct else ref
+                node = nodes[ref]
                 for a, letter in letters:
                     word = w + letter
-                    if not distinct:
-                        yield word, node is not None and last(node, letter, word)
-                        continue
                     pair = ref * width + a
                     if pairs[pair] is None:
                         pairs[pair] = node is not None and last(node, letter, word)
                     yield word, pairs[pair]
             return
-        if shared:
+        if not drop_twins:
             index = {}
         following, verdicts, kept = [], [], []
         for w, ref in level:
-            node = nodes[ref] if distinct else ref
+            node = nodes[ref]
             for a, letter in letters:
                 word = w + letter
-                if not distinct:  # stepped here, not by `children`: one generator less per word
-                    child = None if node is None else step(node, letter)
-                    kept.append((word, child))
-                    yield word, child is not None and verdict(child, word)
-                    continue
                 pair = ref * width + a
                 child_index = pairs[pair]
                 if child_index is None:
@@ -1514,7 +1516,7 @@ def walk(search, alphabet, maxlen: int, cap_grows: bool = False, distinct=False)
                     if len(index) > known:
                         following.append(child)
                         verdicts.append(child is not None and verdict(child, word))
-                    elif not shared:
+                    elif drop_twins:
                         continue
                 kept.append((word, child_index))
                 yield word, verdicts[child_index]

@@ -5,13 +5,13 @@ instead of searching each word from scratch. Through `langlab._walk` it
 must give every word the verdict the word's own run gives it alone
 (`run_nondeterministic`, whose eps cap is set by the word's length),
 under every budget: the same (word, verdict) sequence and the same first
-UndecidedError word. A language of deterministic nodes steps each
-distinct node of a level once per letter, for every word that reaches
-it, and so does a nondeterministic one where the budget cannot cut its
-search; elsewhere a frontier is never shared, since the budget it has
-left depends on its prefix. Bounded equivalence walks pairs of the
-two sides' nodes, and skips a word whose pair an earlier word reached
-when both sides' nodes are shared; it must find the first disagreement
+UndecidedError word. A node's own equality says which words share it:
+a language of deterministic nodes steps each distinct node of a level
+once per letter, for every word that reaches it, and so does a
+nondeterministic one where the budget cannot cut its search; elsewhere a
+frontier equals only itself, since the budget it has left depends on its
+prefix. Bounded equivalence walks pairs of the two sides' nodes, and
+skips a word whose pair an earlier word reached; it must find the first disagreement
 of the per-word oracle (a zip of the two per-word walks, left side
 first), or raise its error on the same word. The CLI's records must not
 change either. One trie serves every length unless an eps cycle grows
@@ -26,6 +26,7 @@ tests this module collects, so that they keep their ids under
 tests/walk_blocks.py`` runs one alone. The machines and oracles they
 share are in `walk_oracles`."""
 
+import copy
 import random
 from dataclasses import replace
 from functools import cached_property
@@ -62,6 +63,7 @@ from vecauto.machines import (
     SearchBudget,
     TransitionRule,
     accepts,
+    _Uncut,
     nondeterministic_steps,
     searches,
     validate,
@@ -181,23 +183,45 @@ def counted_searches(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("spec,steps,lasts,verdicts", [
+def shared(language, budget=None, maxlen=None):
+    """Whether words can share `language`'s nodes in a walk of up to
+    `maxlen` letters: whether its start node equals a copy of itself."""
+    start = langlab._search(language, budget, maxlen)[0](0)[0]
+    return start == copy.copy(start)
+
+
+# the budgets under which leq's search to 10 letters cannot be cut, 2^0 +
+# ... + 2^10 configurations, and can, one less
+LEQ_UNCUT, LEQ_CUT = (SearchBudget(max_configurations=2047),
+                      SearchBudget(max_configurations=2046))
+
+
+@pytest.mark.parametrize("spec,budget,pair,steps,lasts,verdicts", [
     # a node of eq is fixed by #a - #b: its level of n letters reaches n + 1
-    (example("eq"), 90, 20, 55),
+    (example("eq"), None, False, 90, 20, 55),
     # leq's frontier of n letters is fixed by #a - #b too, and the default
-    # budget cannot cut its search to 10 letters: 2^0 + ... + 2^10 fit it
-    (example("leq"), 90, 20, 55),
+    # budget cannot cut its search to 10 letters
+    (example("leq"), None, False, 90, 20, 55),
     # no two words reach one node: every word is stepped or judged by `last`
-    (finite_language_va(["1", "12", "221"]), 1022, 1024, 1023)],
-    ids=["eq", "leq", "finite_language"])
-def test_a_shared_walk_steps_each_distinct_node_once(monkeypatch, spec, steps, lasts, verdicts):
+    (finite_language_va(["1", "12", "221"]), None, False, 1022, 1024, 1023),
+    # one configuration less, and a frontier of leq is shared with no word
+    (example("leq"), LEQ_CUT, False, 1022, 1024, 1023),
+    # leq against itself: each side steps and judges its frontiers once, or,
+    # where the budget can cut a search, once per word
+    (example("leq"), LEQ_UNCUT, True, 180, 40, 110),
+    (example("leq"), LEQ_CUT, True, 2044, 2048, 2046)],
+    ids=["eq", "leq", "finite_language", "leq_cut", "leq_pair", "leq_pair_cut"])
+def test_a_shared_walk_steps_each_distinct_node_once(monkeypatch, spec, budget, pair, steps, lasts,
+                                                     verdicts):
     # each (node, letter) pair of a level below the last is stepped once,
     # each node judged once, and each pair of the level before the last
     # judged once by `last`, for every word that reaches them
     calls = counted_searches(monkeypatch)
-    accepted = langlab.enumerate_accepted(spec, 10)
+    walked = (equivalent_up_to(spec, spec, 10, budget) if pair
+              else langlab.enumerate_accepted(spec, 10, budget))
     assert calls == {"step": steps, "verdict": verdicts, "last": lasts}
-    assert accepted == [w for w, verdict in per_word_walk(spec, 10) if verdict]
+    assert walked == (EquivalenceVerdict(True, None, 10) if pair
+                      else [w for w, verdict in per_word_walk(spec, 10, budget) if verdict])
 
 
 @settings(max_examples=60, deadline=None)
@@ -206,7 +230,7 @@ def test_a_shared_walk_of_a_diophantine_machine_is_per_word(seed):
     # a stateless FAM's node is fixed by its word's Parikh image, so most
     # words of a level are twins, sharing their node's steps and verdict
     spec = famw_from_system(random_system(random.Random(seed)))
-    assert langlab._search(spec)[2]
+    assert shared(spec)
     assert_walk_agrees(spec, 6, None)
 
 
@@ -244,8 +268,8 @@ def test_a_shared_nondeterministic_walk_is_per_word(data, generator, seed, maxle
     # the machine itself and with a one-entry mutant
     spec = eps_free(NONDETERMINISTIC_GENERATORS[generator], random.Random(seed))
     mutant = one_entry_mutant(data, spec)
-    for budget, shared in zip(uncut_budgets(spec, maxlen), (True, False)):
-        assert langlab._search(spec, budget, maxlen)[2] == shared
+    for budget, sharing in zip(uncut_budgets(spec, maxlen), (True, False)):
+        assert shared(spec, budget, maxlen) == sharing
         per_word = ((w, accepts(spec, w, budget)) for w in all_strings(spec.alphabet, maxlen))
         assert outcomes(langlab._walk(spec, maxlen, budget)) == outcomes(per_word)
         for other in (spec, mutant):
@@ -261,8 +285,9 @@ def test_frontiers_with_equal_configurations_are_not_shared():
     spec, budget = example("leq"), SearchBudget(max_configurations=6)
     start, step = nondeterministic_steps(spec, budget, 4)[:2]
     ab, ba = (step(step(start, x), y) for x, y in ("ab", "ba"))
-    assert ab._replace(spent=ba.spent) == ba and (ab.spent, ba.spent) == (4, 5)
-    assert not langlab._search(spec, budget)[2]
+    assert (ab.configurations, ab.expanded) == (ba.configurations, ba.expanded)
+    assert (ab.spent, ba.spent) == (4, 5) and ab != ba and _Uncut(*ab) == _Uncut(*ba)
+    assert not shared(spec, budget)
     assert assert_walk_agrees(spec, 4, budget)[1] == "baaa"
 
 
@@ -367,7 +392,7 @@ def eq_evenab_pair(data):
        maxlen=st.integers(0, 10))
 def test_pair_walk_finds_the_word_walks_first_disagreement(data, draw_pair, maxlen):
     left, right = draw_pair(data)
-    assert all(langlab._search(side)[2] for side in (left, right))  # distinct pairs
+    assert all(shared(side) for side in (left, right))
     per_word, walked = first_disagreements(left, right, maxlen)
     assert walked == per_word
     if per_word is not None:  # again, with the disagreement on the walk's last level
@@ -376,12 +401,13 @@ def test_pair_walk_finds_the_word_walks_first_disagreement(data, draw_pair, maxl
 
 def test_a_distinct_walk_that_closes_at_its_last_level_reads_equal():
     # ab_k_star (k = 2) reaches no new node among the words of 4 letters: a
-    # distinct walk to 5 closes there, one to 4 judges that level from the
-    # level before it, and so does the pair walk, which still reads Equal
+    # walk that drops twins to 5 closes there, one to 4 judges that level
+    # from the level before it, and so does the pair walk, which still
+    # reads Equal
     spec = example("ab_k_star", 2)
     search = searches(spec)[0]
-    assert max(len(w) for w, _ in machines.walk(search, spec.alphabet, 5, distinct=True)) == 3
-    walked = list(machines.walk(search, spec.alphabet, 4, distinct=True))
+    assert max(len(w) for w, _ in machines.walk(search, spec.alphabet, 5, drop_twins=True)) == 3
+    walked = list(machines.walk(search, spec.alphabet, 4, drop_twins=True))
     assert max(len(w) for w, _ in walked) == 4
     assert walked == [(w, accepts(spec, w)) for w, _ in walked]
     assert equivalent_up_to(spec, example("ab_k_star", 2), 4) == EquivalenceVerdict(True, None, 4)
@@ -421,7 +447,7 @@ def test_nondeterministic_pairs_find_the_per_word_first_disagreement(data, draw_
     # no pair is deduplicated, and each side's budget counts along each
     # word: the counterexample, or the undecided word, is the oracle's
     left, right = draw_pair(data)
-    assert not all(langlab._search(side)[2] for side in (left, right))
+    assert not all(shared(side) for side in (left, right))
     for budget in BUDGETS + [None]:
         per_word, walked = first_disagreements(left, right, maxlen, budget)
         assert walked == per_word, budget

@@ -214,28 +214,28 @@ def test_a_walks_last_level_multiplies_no_register(monkeypatch):
 
 def test_a_deterministic_walks_last_level_multiplies_no_register(monkeypatch):
     # a blind finite-language VA, whose registers never repeat: a walk to n,
-    # with or without `distinct`, multiplies as a walk to n - 1 that steps
+    # with or without `drop_twins`, multiplies as a walk to n - 1 that steps
     # its last level does, fewer times than one that steps its own
     spec = finite_language_va(["1", "22", "211"])
     assert spec.blind and spec.mode == DETERMINISTIC
     calls = counted_products(monkeypatch)
 
-    def products(maxlen, last_stepped, distinct):
+    def products(maxlen, last_stepped, drop_twins):
         calls.clear()
         search = searches(fresh(spec))[0]
 
         def stepping(length):
             start, step, verdict, last = search(length)
             return start, step, verdict, stepped(step, verdict) if last_stepped else last
-        walked = list(machines.walk(stepping, spec.alphabet, maxlen, False, distinct))
+        walked = list(machines.walk(stepping, spec.alphabet, maxlen, False, drop_twins))
         made = len(calls)
         assert walked == [(w, member(spec, w)) for w, _ in walked]
         return made
 
-    for distinct in (False, True):
+    for drop_twins in (False, True):
         for n in range(1, 6):
-            assert (products(n, False, distinct) == products(n - 1, True, distinct)
-                    < products(n, True, distinct))
+            assert (products(n, False, drop_twins) == products(n - 1, True, drop_twins)
+                    < products(n, True, drop_twins))
 
 
 def counted_steps(monkeypatch):
