@@ -20,7 +20,9 @@ other frontier equals only itself, since the budget it has left depends
 on its prefix. A language's walk steps each distinct node of a level
 once per letter and gives every word its node's verdict. The pair walk
 extends only the first word to reach each pair, and the first
-disagreement is still the length-lex-first one.
+disagreement is still the length-lex-first one. Where an eps cycle
+grows the default eps cap with the word, no prefix's frontier serves a
+longer word: each word is its own node, run alone (`searches`).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .machines import (
     MachineSpec,
     SearchBudget,
     accepts,  # noqa: F401 -- perfbench's tracer rebinds it in this namespace
+    by_word,
     searches,
     stepped,
     walk,
@@ -84,20 +87,18 @@ def all_strings(alphabet, maxlen: int):
 
 
 def _search(language, budget: SearchBudget = None, maxlen: int = None):
-    """``(search, cap_grows)`` of `language` for `machines.walk` over
-    words of up to `maxlen` letters (None: of any length): a machine's
-    `searches`, a reference's steps, or, for a reference without steps,
-    the words themselves as nodes."""
+    """``(start, step, verdict, last)``, the search of `language` for
+    `machines.walk` over words of up to `maxlen` letters (None: of any
+    length): a machine's `searches`, a reference's steps, or, for a
+    reference without steps, its predicate asked of each word
+    (`by_word`)."""
     if isinstance(language, MachineSpec):
         return searches(language, budget, maxlen)
     if language.steps is None:
-        membership = language.membership
-        start, step, verdict = "", str.__add__, lambda w, word: membership(w)
-    else:
-        start, step, accepting = language.steps
-        verdict = lambda state, word: accepting(state)
-    last = stepped(step, verdict)
-    return (lambda length: (start, step, verdict, last)), False
+        return by_word(language.membership)
+    start, step, accepting = language.steps
+    verdict = lambda state, word: accepting(state)
+    return start, step, verdict, stepped(step, verdict)
 
 
 def _walk(language, maxlen: int, budget: SearchBudget = None):
@@ -105,10 +106,9 @@ def _walk(language, maxlen: int, budget: SearchBudget = None):
     order, each judged when reached, of `language` (a MachineSpec or a
     ReferenceLanguage): the walk that every verifier but bounded
     equivalence reads. A machine's verdict is `accepts`'s, and the first
-    word whose search runs out of budget raises UndecidedError. The words
-    of a level that reach equal nodes share their steps and verdict."""
-    search, cap_grows = _search(language, budget, maxlen)
-    return walk(search, language.alphabet, maxlen, cap_grows)
+    word whose search runs out of budget raises UndecidedError. Words of a
+    level that reach equal nodes share steps and verdict (`searches`)."""
+    return walk(_search(language, budget, maxlen), language.alphabet, maxlen)
 
 
 def enumerate_accepted(spec: MachineSpec, maxlen: int, budget: SearchBudget = None) -> list:
@@ -141,32 +141,27 @@ def _first_disagreement(left, right, maxlen: int, budget: SearchBudget) -> Equiv
     equals an earlier word's is dropped, and so are its extensions."""
     if tuple(left.alphabet) != tuple(right.alphabet):
         raise AlphabetError(f"alphabets differ: {left.alphabet} vs {right.alphabet}")
-    left_search, left_grows = _search(left, budget, maxlen)
-    right_search, right_grows = _search(right, budget, maxlen)
+    left_start, left_step, left_verdict, left_last = _search(left, budget, maxlen)
+    right_start, right_step, right_verdict, right_last = _search(right, budget, maxlen)
 
-    def search(length):
-        left_start, left_step, left_verdict, left_last = left_search(length)
-        right_start, right_step, right_verdict, right_last = right_search(length)
+    # a dead side (None) is a Reject, stepped no further, as in the walk
+    def step(pair, letter):
+        left_node, right_node = pair
+        return (None if left_node is None else left_step(left_node, letter),
+                None if right_node is None else right_step(right_node, letter))
 
-        # a dead side (None) is a Reject, stepped no further, as in the walk
-        def step(pair, letter):
-            left_node, right_node = pair
-            return (None if left_node is None else left_step(left_node, letter),
-                    None if right_node is None else right_step(right_node, letter))
+    def verdict(pair, word):
+        left_node, right_node = pair
+        return ((left_node is not None and left_verdict(left_node, word))
+                != (right_node is not None and right_verdict(right_node, word)))
 
-        def verdict(pair, word):
-            left_node, right_node = pair
-            return ((left_node is not None and left_verdict(left_node, word))
-                    != (right_node is not None and right_verdict(right_node, word)))
+    def last(pair, letter, word):
+        left_node, right_node = pair
+        return ((left_node is not None and left_last(left_node, letter, word))
+                != (right_node is not None and right_last(right_node, letter, word)))
 
-        def last(pair, letter, word):
-            left_node, right_node = pair
-            return ((left_node is not None and left_last(left_node, letter, word))
-                    != (right_node is not None and right_last(right_node, letter, word)))
-
-        return (left_start, right_start), step, verdict, last
-
-    for w, differs in walk(search, left.alphabet, maxlen, left_grows or right_grows, True):
+    search = (left_start, right_start), step, verdict, last
+    for w, differs in walk(search, left.alphabet, maxlen, True):
         if differs:
             return EquivalenceVerdict(False, w, maxlen)
     return EquivalenceVerdict(True, None, maxlen)

@@ -1106,7 +1106,7 @@ def accepts(spec: MachineSpec, word: str, budget: SearchBudget = None) -> bool:
     before its first step (`MachineSpec.rule_index`).
 
     A nondeterministic machine's search is stepped along the word keeping
-    only the current `Frontier` (`searches`), with the verdict of
+    only the current `Frontier` (`nondeterministic_steps`), with the verdict of
     `run_nondeterministic`, which keeps every position's for a trace.
     Raises UndecidedError when that search runs out of budget, so an
     unfinished search is never reported as a Reject. The word's last
@@ -1128,7 +1128,7 @@ def accepts(spec: MachineSpec, word: str, budget: SearchBudget = None) -> bool:
     if spec.mode == DETERMINISTIC:
         return run_deterministic(spec, word).accepted
     budget = budget or SearchBudget()
-    frontier, step, verdict, last = searches(spec, budget)[0](len(word))
+    frontier, step, _, verdict, last = nondeterministic_steps(spec, budget, len(word))
     if not word:
         return verdict(frontier, word)
     sinks = spec.sinks
@@ -1345,14 +1345,11 @@ def _lands_home(tests, register) -> bool:
 
 
 def searches(spec: MachineSpec, budget: SearchBudget = None, maxlen: int = None):
-    """``(search, cap_grows)`` for `walk` over words of up to `maxlen`
-    letters (None: of any length): ``search(length)`` is ``(start,
-    step, verdict, last)`` for words of `length` letters, where ``step(node,
-    letter)`` is the next node, ``verdict(node, word)`` is
-    `accepts(spec, word, budget)` and ``last(node, letter, word)`` is
-    ``verdict(step(node, letter), word)``. Only when `cap_grows` (an eps
-    cap that grows with the length, `SearchBudget.eps_cap`) does the
-    search depend on the length.
+    """``(start, step, verdict, last)``, the search of `walk` over words of
+    up to `maxlen` letters (None: of any length): ``step(node, letter)``
+    is the next node, ``verdict(node, word)`` is `accepts(spec, word,
+    budget)` and ``last(node, letter, word)`` is ``verdict(step(node,
+    letter), word)``.
 
     A deterministic node is the run's ``(state, register)``, and its step
     None once the run dies. Its verdict asks `MachineSpec.end_test`,
@@ -1368,12 +1365,18 @@ def searches(spec: MachineSpec, budget: SearchBudget = None, maxlen: int = None)
     budget along its own prefix, and whose `last` judges the letter from
     the frontier before it where nothing can be cut, else steps it.
 
+    Where the eps cap grows with the word (`SearchBudget.eps_cap`), no
+    prefix's frontier serves a longer word: the node is the word itself
+    (`by_word`), judged by its own `run_nondeterministic`, and the words
+    of one length share their prefixes' frontiers in the `last_run` slot.
+
     The nodes' own equality says which words `walk` shares them between.
-    A deterministic node compares by value. A `Frontier` equals only
-    itself, except where the budget cannot cut a search over words of up
-    to `maxlen` letters (`SearchBudget.binds`, asked here alone): there
-    what a frontier spent never counts, and its node is equal to, and
-    hashed as, every frontier that reached the same configurations.
+    A deterministic node compares by value, and no two words reach one
+    word node. A `Frontier` equals only itself, except where the budget
+    cannot cut a search over words of up to `maxlen` letters
+    (`SearchBudget.binds`, asked here alone): there what a frontier spent
+    never counts, and its node is equal to, and hashed as, every
+    frontier that reached the same configurations.
     """
     if spec.mode == DETERMINISTIC:
         successors, end_test = spec.successors, spec.end_test
@@ -1400,22 +1403,23 @@ def searches(spec: MachineSpec, budget: SearchBudget = None, maxlen: int = None)
                     return stepping(node, letter, word)
                 return _lands_home(tests(state, letter), register)
 
-        start = (spec.initial_state, spec.initial_vector)
-        return (lambda length: (start, step, verdict, last)), False
+        return (spec.initial_state, spec.initial_vector), step, verdict, last
 
     budget = budget or SearchBudget()
-    uncut = not budget.binds(spec, maxlen)
-
-    def search(length):
-        start, step, _, verdict, last = nondeterministic_steps(spec, budget, length)
-        if uncut:
-            start, step_frontier = _Uncut(*start), step
-
-            def step(frontier, letter):
-                return _Uncut(*step_frontier(frontier, letter))
+    if budget.eps_cap(spec, 0) != budget.eps_cap(spec, 1):
+        def member(word):
+            verdict = run_nondeterministic(spec, word, budget).verdict
+            if verdict == BUDGET_EXCEEDED:
+                raise _undecided(word, budget)
+            return verdict == ACCEPT
+        return by_word(member)
+    start, step, _, verdict, last = nondeterministic_steps(spec, budget, 0)
+    if budget.binds(spec, maxlen):
         return start, step, verdict, last
 
-    return search, budget.eps_cap(spec, 0) != budget.eps_cap(spec, 1)
+    def uncut(frontier, letter):
+        return _Uncut(*step(frontier, letter))
+    return _Uncut(*start), uncut, verdict, last
 
 
 def stepped(step, verdict):
@@ -1429,28 +1433,37 @@ def stepped(step, verdict):
     return last
 
 
-def walk(search, alphabet, maxlen: int, cap_grows: bool = False, drop_twins: bool = False):
+def by_word(member):
+    """The search whose node is the word itself, each word judged by
+    ``member(word)``: a reference without steps, and a machine whose eps
+    cap grows with the word (`searches`)."""
+    def verdict(w, word):
+        return member(word)
+    return "", str.__add__, verdict, stepped(str.__add__, verdict)
+
+
+def walk(search, alphabet, maxlen: int, drop_twins: bool = False):
     """``(word, verdict)`` for the words over `alphabet` up to `maxlen`, in
-    length-lex order, from `search` (see `searches`).
+    length-lex order, from `search`, a ``(start, step, verdict, last)``
+    (see `searches`).
 
     The words are a trie of prefixes, walked level by level. A word's node
     is its parent's stepped by one letter just before its verdict is
     asked, so a caller that stops early steps no later word. A node None
-    is dead: a Reject, stepped and judged no further. One trie serves
-    every length unless `cap_grows` (an eps cap that grows with the length):
-    then each length gets its own, stepped again, lazily, under
-    ``search(length)``. The words of length `maxlen` extend no further, so
-    each is judged from its parent by the search's ``last(node, letter,
-    word)``, which builds no node where it need not.
+    is dead: a Reject, stepped and judged no further. The words of length
+    `maxlen` extend no further, so each is judged from its parent by the
+    search's ``last(node, letter, word)``, which builds no node where it
+    need not.
 
     The nodes' own ``==`` and hash say which words share them: a twin is a
     word whose node equals one an earlier word reached. Deterministic runs
-    and a reference's states compare by value, and a `Frontier` equals
-    only itself unless its budget cannot cut it (`searches`). Each
-    distinct node of a level is stepped once per letter, and its child
-    judged once, by the first word in length-lex order that needs it;
-    every word is yielded, a twin with its node's verdict. At the last
-    level each ``(node, letter)`` pair is judged once by `last`.
+    and a reference's states compare by value, a word node (`by_word`) is
+    its word's alone, and a `Frontier` equals only itself unless its
+    budget cannot cut it (`searches`). Each distinct node of a level is
+    stepped once per letter, and its child judged once, by the first word
+    in length-lex order that needs it; every word is yielded, a twin with
+    its node's verdict. At the last level each ``(node, letter)`` pair is
+    judged once by `last`.
 
     With `drop_twins`, where equal nodes fix equal verdicts and futures,
     a twin of an earlier level or of its own is stepped, but
@@ -1462,17 +1475,7 @@ def walk(search, alphabet, maxlen: int, cap_grows: bool = False, drop_twins: boo
     order, so a caller that stops at the first word with some verdict
     stops at the same word.
     """
-    def children(level, step):
-        for w, node in level:
-            for letter in alphabet:
-                yield w + letter, None if node is None else step(node, letter)
-
-    def numbered(level, nodes):
-        for ref, (w, node) in enumerate(level):
-            nodes[ref] = node
-            yield w, ref
-
-    start, step, verdict, last = search(0)
+    start, step, verdict, last = search
     yield "", verdict(start, "")
     # a level pairs each word with its node's index in `nodes`, and `index`
     # maps each node to its index: over the level, or over the walk when
@@ -1480,13 +1483,6 @@ def walk(search, alphabet, maxlen: int, cap_grows: bool = False, drop_twins: boo
     level, nodes, index = [("", 0)], [start], {start: 0}
     letters, width = tuple(enumerate(alphabet)), len(alphabet)
     for length in range(1, maxlen + 1):
-        if cap_grows:  # every word of the level its own node, numbered as stepped
-            start, step, verdict, last = search(length)
-            level = [("", start)]
-            for _ in range(length - 1):
-                level = children(level, step)
-            nodes = [None] * width ** (length - 1)
-            level = numbered(level, nodes)
         # what each (node, letter) pair gave the first word that needed it:
         # at the last level its verdict, else its child's index
         pairs = [None] * (len(nodes) * width)

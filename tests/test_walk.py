@@ -14,8 +14,9 @@ prefix. Bounded equivalence walks pairs of the two sides' nodes, and
 skips a word whose pair an earlier word reached; it must find the first disagreement
 of the per-word oracle (a zip of the two per-word walks, left side
 first), or raise its error on the same word. The CLI's records must not
-change either. One trie serves every length unless an eps cycle grows
-the cap.
+change either. Where an eps cycle grows the default eps cap with the
+word, no prefix's frontier serves a longer word: the walk's node is the
+word itself, run alone once, in length-lex order.
 
 Each other mechanism of the run core has a module of its own, whose
 tests this module collects, so that they keep their ids under
@@ -85,6 +86,7 @@ from walk_oracles import (
     per_word_walk,
     quartering_machine,
     split_endmarker_dva,
+    two_state_cycle_machine,
 )
 
 # the tests of the run core's other mechanisms
@@ -123,20 +125,36 @@ def test_eps_loops_leave_the_same_word_undecided():
     assert assert_walk_agrees(eps_loop_machine(), 5, SearchBudget(eps_per_path=0))[1] == "bb"
 
 
-def test_no_word_is_searched_alone(monkeypatch):
-    # the walk counts the budget along each word as the word's own search
-    # does, so under every budget it asks no word of a one-word search
+def asked_words(monkeypatch):
+    """The (function name, machine, word) of each `accepts` and
+    `run_nondeterministic` call from here on."""
     asked = []
     for name in ("accepts", "run_nondeterministic"):
-        def ask(spec, word, budget=None, search=getattr(machines, name)):
-            asked.append(word)
+        def ask(spec, word, budget=None, name=name, search=getattr(machines, name)):
+            asked.append((name, spec, word))
             return search(spec, word, budget)
         monkeypatch.setattr(machines, name, ask)
+    return asked
+
+
+def test_no_word_is_searched_alone(monkeypatch):
+    # where the eps cap cannot grow, the walk counts the budget along each
+    # word as the word's own search does, and asks no word of a one-word
+    # search; where it grows, it runs each word alone, once, in length-lex
+    # order, up to the first undecided word
+    asked = asked_words(monkeypatch)
     undecided = set()
     for budget in BUDGETS + [None]:
-        for spec in (example("leq"), eps_loop_machine()):
-            undecided.add(outcomes(langlab._walk(spec, 6, budget))[1])
-    assert asked == [] and len(undecided) > 1
+        for spec, cycle in ((example("leq"), False), (eps_chain_machine(), False),
+                            (eps_loop_machine(), True), (quartering_machine(), True)):
+            asked.clear()
+            seen, word = outcomes(langlab._walk(spec, 6, budget))
+            undecided.add(word)
+            grows = cycle and (budget is None or budget.eps_per_path is None)
+            words = [w for w, _ in seen] + [word] * (word is not None)
+            assert asked == ([("run_nondeterministic", spec, w) for w in words]
+                             if grows else []), (spec, budget)
+    assert len(undecided) > 1
 
 
 class SteppedB(Exception):
@@ -166,18 +184,14 @@ def counted_searches(monkeypatch):
     calls = dict.fromkeys(("step", "verdict", "last"), 0)
 
     def counting_searches(spec, budget=None, maxlen=None):
-        search, cap_grows = searches(spec, budget, maxlen)
+        start, *functions = searches(spec, budget, maxlen)
 
-        def counted(length):
-            start, *functions = search(length)
-
-            def counting(name, function):
-                def call(*args):
-                    calls[name] += 1
-                    return function(*args)
-                return call
-            return start, *map(counting, calls, functions)
-        return counted, cap_grows
+        def counting(name, function):
+            def call(*args):
+                calls[name] += 1
+                return function(*args)
+            return call
+        return start, *map(counting, calls, functions)
 
     monkeypatch.setattr(langlab, "searches", counting_searches)
     return calls
@@ -185,9 +199,10 @@ def counted_searches(monkeypatch):
 
 def shared(language, budget=None, maxlen=None):
     """Whether words can share `language`'s nodes in a walk of up to
-    `maxlen` letters: whether its start node equals a copy of itself."""
-    start = langlab._search(language, budget, maxlen)[0](0)[0]
-    return start == copy.copy(start)
+    `maxlen` letters: whether its start node equals a copy of itself, and
+    is not a word node (`machines.by_word`), which no other word reaches."""
+    start, step = langlab._search(language, budget, maxlen)[:2]
+    return step is not str.__add__ and start == copy.copy(start)
 
 
 # the budgets under which leq's search to 10 letters cannot be cut, 2^0 +
@@ -293,9 +308,10 @@ def test_frontiers_with_equal_configurations_are_not_shared():
 
 def command_machines():
     """(file name, machine, reference) of each machine file of the command
-    set: catalog machines, and end-marker machines from `separate`, the
+    set: catalog machines, end-marker machines from `separate`, the
     finite-language builder and a `random_dva` with `=`/`!=` end-marker
-    rules."""
+    rules, and machines whose eps cycle grows the default eps cap with the
+    word, each with a reference of its alphabet."""
     for name, param in [("pow_r", None), ("ab_star", None), ("eq", None), ("leq", None),
                         ("dyck", None), ("evenab", None), ("ab_k_star", 2), ("mod", 6),
                         ("mod_rot", 4)]:
@@ -306,13 +322,16 @@ def command_machines():
     yield "finite_language_va", finite_language_va(["1", "22", "211"]), "singleton:22"
     # accepts 15 words up to length 6, reading the end-marker under `=`/`!=` in q3
     yield "random_dva_6", split_endmarker_dva(random.Random(6)), "eq"
+    yield "eps_loop", eps_loop_machine(), "leq"
+    yield "quartering", quartering_machine(), "mod:1"
+    yield "two_state_cycle", two_state_cycle_machine(), "mod23"
 
 
 def catalog_commands(tmp_path):
     for name, spec, reference in command_machines():
         path = tmp_path / f"{name}.mach"
         path.write_text(write_machine(spec))
-        unary = name.startswith("mod")
+        unary = len(spec.alphabet) == 1
         for budget in ([], ["--budget", "3"], ["--eps-per-path", "0", "--budget", "20"]):
             yield ["enumerate", str(path), "--maxlen", "6"] + budget
             yield ["verify", str(path), "--against", reference, "--maxlen", "6"] + budget
@@ -323,6 +342,9 @@ def catalog_commands(tmp_path):
 
 
 def test_cli_records_are_the_per_word_walks(tmp_path, monkeypatch):
+    # on a machine whose eps cap grows, the walk runs each word as the
+    # oracle does: its verdicts are checked against an independent search
+    # by test_the_search_agrees_with_the_breadth_first_reference
     commands = list(catalog_commands(tmp_path))
     walked = [cli_output(argv) for argv in commands]
     monkeypatch.setattr(langlab, "_walk", per_word_walk)
@@ -405,7 +427,7 @@ def test_a_distinct_walk_that_closes_at_its_last_level_reads_equal():
     # from the level before it, and so does the pair walk, which still
     # reads Equal
     spec = example("ab_k_star", 2)
-    search = searches(spec)[0]
+    search = searches(spec)
     assert max(len(w) for w, _ in machines.walk(search, spec.alphabet, 5, drop_twins=True)) == 3
     walked = list(machines.walk(search, spec.alphabet, 4, drop_twins=True))
     assert max(len(w) for w, _ in walked) == 4
@@ -551,7 +573,7 @@ def assert_one_trie_as_per_word(spec, others, maxlen):
     and first undecided word. Where no budget binds, the verdicts are the
     breadth-first reference's too."""
     assert validate(spec) == [] and spec.epsilon_sources and not spec.realtime
-    assert not searches(spec)[1]
+    assert isinstance(searches(spec)[0], machines.Frontier)
     for budget in BUDGETS:
         assert_walk_agrees(spec, maxlen, budget)
         for other in others:
@@ -591,28 +613,33 @@ def test_passes_keep_random_machines_eps_acyclic(seed):
 
 
 def test_walk_builds_one_search_unless_an_eps_cycle_grows_the_cap(monkeypatch):
-    # the pair walk's searches are counted as built; a word the budget
-    # leaves undecided counts as no disagreement, so every length is walked
-    built = []
+    # each side's word the budget leaves undecided counts as rejected, so
+    # every word is walked: where the eps cap cannot grow, the pair walk
+    # runs no word alone; where it grows, it runs each word once on each
+    # side, the left first, in length-lex order
+    asked = asked_words(monkeypatch)
 
-    def counting_walk(search, *args):
-        def counted(length):
-            built.append(length)
-            start, step, verdict, last = search(length)
+    def judged(search):
+        start, step, verdict, last = search
 
-            def judged(judge):
-                def judging(*args):
-                    try:
-                        return judge(*args)
-                    except UndecidedError:
-                        return False
-                return judging
-            return start, step, judged(verdict), judged(last)
-        return machines.walk(counted, *args)
+        def judging(judge):
+            def judge_or_reject(*args):
+                try:
+                    return judge(*args)
+                except UndecidedError:
+                    return False
+            return judge_or_reject
+        return start, step, judging(verdict), judging(last)
 
-    monkeypatch.setattr(langlab, "walk", counting_walk)
-    assert equivalent_up_to(eps_chain_machine(), eps_chain_machine(), 6).equal
-    assert built == [0]
-    built.clear()
-    assert equivalent_up_to(quartering_machine(), quartering_machine(), 6).equal
-    assert built == list(range(7))
+    search = langlab._search
+    monkeypatch.setattr(langlab, "_search", lambda *args: judged(search(*args)))
+    for budget in (None, SearchBudget(eps_per_path=2)):
+        assert equivalent_up_to(eps_chain_machine(), eps_chain_machine(), 6, budget).equal
+    assert equivalent_up_to(quartering_machine(), quartering_machine(), 6,
+                            SearchBudget(eps_per_path=2)).equal
+    assert asked == []
+    left, right = quartering_machine(), quartering_machine()
+    assert equivalent_up_to(left, right, 6).equal
+    assert [(name, spec is left, w) for name, spec, w in asked] == [
+        ("run_nondeterministic", spec is left, w)
+        for w in all_strings(("a",), 6) for spec in (left, right)]

@@ -423,7 +423,7 @@ def eq_without_endmarker():
 def per_letter_outcome(spec, word, budget):
     """The verdict of `searches`' search stepped one letter at a time, or
     "undecided", and the `spent` of the frontier it judged."""
-    frontier, step, verdict, _ = searches(spec, budget)[0](len(word))
+    frontier, step, verdict, _ = searches(spec, budget)
     for letter in word:
         frontier = step(frontier, letter)
     return verdict_or_undecided(verdict, frontier, word), frontier.spent
@@ -435,10 +435,10 @@ def accepts_outcome(spec, word, budget):
     builds, the latter by stepping the last letter from the frontier it is
     given."""
     judged = []
-    search, cap_grows = searches(spec, budget)
+    steps = machines.nondeterministic_steps
 
-    def recording_search(length):
-        start, step, verdict, last = search(length)
+    def recording_steps(spec, budget, length):
+        start, step, end, verdict, last = steps(spec, budget, length)
 
         def recorded(frontier, word):
             judged.append(frontier.spent)
@@ -447,10 +447,10 @@ def accepts_outcome(spec, word, budget):
         def recorded_last(frontier, letter, word):
             judged.append(step(frontier, letter).spent)
             return last(frontier, letter, word)
-        return start, step, recorded, recorded_last
+        return start, step, end, recorded, recorded_last
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(machines, "searches", lambda spec, budget=None: (recording_search, cap_grows))
+        patch.setattr(machines, "nondeterministic_steps", recording_steps)
         outcome = verdict_or_undecided(accepts, spec, word, budget)
     (spent,) = judged
     return outcome, spent

@@ -120,7 +120,7 @@ def test_catalog_and_eps_machines_judge_the_last_letter_as_stepped(name):
 def assert_deterministic_last_letters_are_stepped(spec, maxlen=4):
     """On every live node of up to `maxlen` letters, a deterministic
     search's `last` judges each letter as stepping it does."""
-    start, step, verdict, last = searches(spec)[0](0)
+    start, step, verdict, last = searches(spec)
     by_stepping = stepped(step, verdict)
     level = [("", start)]
     for _ in range(maxlen + 1):
@@ -187,12 +187,9 @@ def test_a_walks_last_level_multiplies_no_register(monkeypatch):
 
     def products(maxlen, last_stepped):
         calls.clear()
-        search, cap_grows = searches(fresh(spec))
-
-        def stepping(length):
-            start, step, verdict, last = search(length)
-            return start, step, verdict, stepped(step, verdict) if last_stepped else last
-        walked = list(machines.walk(stepping, spec.alphabet, maxlen, cap_grows))
+        start, step, verdict, last = searches(fresh(spec))
+        stepping = start, step, verdict, stepped(step, verdict) if last_stepped else last
+        walked = list(machines.walk(stepping, spec.alphabet, maxlen))
         made = len(calls)
         assert walked == [(w, member(spec, w)) for w, _ in walked]
         return made
@@ -222,12 +219,9 @@ def test_a_deterministic_walks_last_level_multiplies_no_register(monkeypatch):
 
     def products(maxlen, last_stepped, drop_twins):
         calls.clear()
-        search = searches(fresh(spec))[0]
-
-        def stepping(length):
-            start, step, verdict, last = search(length)
-            return start, step, verdict, stepped(step, verdict) if last_stepped else last
-        walked = list(machines.walk(stepping, spec.alphabet, maxlen, False, drop_twins))
+        start, step, verdict, last = searches(fresh(spec))
+        stepping = start, step, verdict, stepped(step, verdict) if last_stepped else last
+        walked = list(machines.walk(stepping, spec.alphabet, maxlen, drop_twins))
         made = len(calls)
         assert walked == [(w, member(spec, w)) for w, _ in walked]
         return made

@@ -131,7 +131,9 @@ MACHINES = {
 def member(spec, word, budget=None):
     """A machine's verdict on `word` from the word's own run, raising
     UndecidedError where its search runs out of budget. Not `accepts`:
-    a nondeterministic one steps the search `searches` gives the walk."""
+    a nondeterministic one steps the frontiers `searches` gives the walk
+    where the eps cap cannot grow. Where it grows, the walk asks this
+    same run of each word."""
     if spec.mode == DETERMINISTIC:
         return accepts(spec, word)
     verdict = run_nondeterministic(spec, word, budget).verdict

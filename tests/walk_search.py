@@ -192,14 +192,14 @@ def test_only_an_eps_cycle_grows_the_cap():
     acyclic = [example("leq"), eps_chain_machine(), fewest_eps_machine(), undercut_machine()]
     cyclic = [eps_loop_machine(), quartering_machine(), two_state_cycle_machine(),
               status_cycle_machine()]
-    for spec in acyclic + cyclic:
+    budgets = [SearchBudget(eps_per_path=0), SearchBudget(eps_per_path=2), SearchBudget()]
+    for spec, cycle in [(spec, False) for spec in acyclic] + [(spec, True) for spec in cyclic]:
         assert validate(spec) == []
-        for eps in (0, 2):
-            assert not searches(spec, SearchBudget(eps_per_path=eps))[1]
-    for spec in acyclic:
-        assert not searches(spec)[1] and not searches(spec, SearchBudget())[1]
-    for spec in cyclic:
-        assert searches(spec)[1] and searches(spec, SearchBudget())[1]
+        for budget in budgets:
+            grows = budget.eps_cap(spec, 0) != budget.eps_cap(spec, 1)
+            assert grows == (cycle and budget.eps_per_path is None)
+            # where it grows, the walk's node is the word (`machines.by_word`)
+            assert (searches(spec, budget)[1] is str.__add__) == grows
     assert example("leq").realtime
     # the default cap, |states| * (|w| + 2), is left out where it cannot
     # bind; `eps_per_path` holds on every machine
