@@ -37,7 +37,6 @@ from .machines import (
     accepts,
     run_deterministic,
     run_nondeterministic,
-    run_stats,
     validate,
 )
 
@@ -168,7 +167,7 @@ def cmd_run(args) -> int:
     stats = args.stats and not deterministic
     if deterministic and not args.trace:
         result = run_deterministic(spec, word)
-    elif args.trace or stats:  # stats are read from the traced search's frontiers
+    elif args.trace or stats:  # stats are read from the run's own record, `RunResult.stats`
         # a deterministic run has at most len(word) + 2 configurations, so
         # the default budget never cuts it; --budget bounds searches only
         result = run_nondeterministic(spec, word, None if deterministic else budget)
@@ -186,7 +185,7 @@ def cmd_run(args) -> int:
     elif args.trace and result.accepted:
         record["accepting_path"] = list(result.accepting_path)
     if stats:
-        record["stats"] = run_stats(spec)
+        record["stats"] = result.stats
     _emit(record)
     if record["verdict"] == BUDGET_EXCEEDED:
         return EXIT_BUDGET

@@ -28,9 +28,10 @@ safe. A machine caches what it derives from its fields on first use,
 each cache described where it lives: `MachineSpec.successors` (the step
 memo), `sinks`, `blocks` (letter blocks for wide registers, which
 `_jump` multiplies), `home_after`, `end_test`, `last_letter` (a word's
-last letter judged from the node before it) and the `last_run` slot.
-Each entry is a pure function of the machine and its key, so concurrent
-runs can at worst build one twice or evict each other's.
+last letter judged from the node before it) and the `last_run` slot,
+which only `run_nondeterministic` reads: a run's record is its own
+`RunResult`. Each entry is a pure function of the machine and its key,
+so concurrent runs can at worst build one twice or evict each other's.
 
 A `$` inside a word is no letter of any alphabet: `run_deterministic`,
 `accepts` and `run_nondeterministic` treat it as a letter without a
@@ -43,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import accumulate, combinations, islice
 from operator import mul
 from typing import NamedTuple
@@ -132,10 +133,10 @@ class MachineSpec:
 
     `rule_scan`, `rule_index`, the compiled transition function
     `successors`, the `sinks`, the `blocks` memo, `home_after`, the
-    `end_test`, the `last_letter` tables and the `last_run` slot are built
-    on first use and cached on the instance (`extendedfa_embed` gives its
-    output its source's `successors` and `last_run`); equality and hashing
-    see only the fields.
+    `end_test`, the `last_letter` tables and the `last_run` cache of the
+    last search are built on first use and cached on the instance
+    (`extendedfa_embed` gives its output its source's `successors` and
+    `last_run`); equality and hashing see only the fields.
     """
 
     kind: str
@@ -399,12 +400,12 @@ class MachineSpec:
 
     @cached_property
     def last_run(self) -> list:
-        """One slot, ``[None]`` until `run_nondeterministic` fills it with
-        its last search: ``(key, word, steps, frontiers)``, `key` being
+        """A cache that `run_nondeterministic` alone reads, ``[None]`` until
+        it keeps a run's search: ``(key, word, steps, frontiers)``, `key`
         ``(budget, eps cap for the word's length)``, `steps` the
         `nondeterministic_steps` built under it and `frontiers` the word's
         `Frontier`s, one per position. A run reads it once and replaces the
-        item whole."""
+        item whole; its result keeps its own record (`RunResult.search`)."""
         return [None]
 
     @cached_property
@@ -680,13 +681,15 @@ class Configuration(NamedTuple):
 class RunResult:
     """A verdict and `last`, where the run ended, died or accepted (a
     rejecting search's last configuration at the furthest position it
-    reached). A search keeps `backtrack`, which rebuilds its path from
-    the start to a configuration as (configuration, rule index) pairs;
-    `trace` and `accepting_path` read it."""
+    reached). A search keeps its own record in `search`, ``(spec,
+    letters, frontiers)``: `letters` is the word, with `$` after it on an
+    end-marker machine, and `frontiers` one `Frontier` per position of
+    `letters` (the end-marker's fully expanded). `trace`,
+    `accepting_path` and `stats` read it alone."""
 
     verdict: str
     last: Configuration
-    backtrack: object = field(default=None, repr=False, compare=False)
+    search: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def accepted(self) -> bool:
@@ -695,14 +698,34 @@ class RunResult:
     @property
     def trace(self) -> tuple:
         """A search's configurations from the start to `last`."""
-        if self.backtrack is not None:
-            return tuple(configuration for configuration, _ in self.backtrack(self.last))
+        if self.search is not None:
+            return tuple(configuration for configuration, _ in _backtrack(*self.search, self.last))
 
     @property
     def accepting_path(self) -> tuple:
         """The indices of the rules along an accepting search's path."""
-        if self.backtrack is not None and self.accepted:
-            return tuple(idx for _, idx in self.backtrack(self.last)[1:])
+        if self.search is not None and self.accepted:
+            return tuple(idx for _, idx in _backtrack(*self.search, self.last)[1:])
+
+    @property
+    def stats(self) -> dict:
+        """What a search did, from its letters' frontiers, never the
+        end-marker's: the configurations it expanded (the last one's
+        `spent`), the most that one position reached, the limit that cut a
+        move off (`_cut`, None for none) and the bit length of the widest
+        register reached (of a denominator or numerator, or of a counter)."""
+        if self.search is not None:
+            spec, _, frontiers = self.search
+            frontiers = frontiers[:len(frontiers) - spec.endmarker]
+            return {
+                "expanded": frontiers[-1].spent,
+                "peak_frontier": max(len(frontier.configurations) for frontier in frontiers),
+                "limit": _cut(frontiers[-1], spec.endmarker) or None,
+                "register_bits": max(_bit_length(register, 1) if isinstance(register, tuple)
+                                     else _bit_length(register.nums, register.den)
+                                     for frontier in frontiers
+                                     for _, register in frontier.configurations),
+            }
 
 
 @dataclass(frozen=True)
@@ -1006,15 +1029,14 @@ def _jump(spec: MachineSpec, letters: str, position: int, last_block: int, state
 
 
 def run_nondeterministic(spec: MachineSpec, word: str, budget: SearchBudget = None) -> RunResult:
-    """The search of `nondeterministic_steps`, stepped along one word. It
-    keeps each position's configurations, from which `trace` and
-    `accepting_path` rebuild a path backwards (`_backtrack`).
+    """The search of `nondeterministic_steps`, stepped along one word; its
+    result keeps each position's `Frontier` (`RunResult.search`).
 
-    The machine's `last_run` slot keeps the last run's search and
-    frontiers: a run under the same budget and eps cap takes the
-    frontiers of the prefix it shares with that run's word and steps
-    only the rest (a monoid machine and its `extendedfa_embed` share
-    one slot). The cap is one for every length on a machine whose
+    The machine's `last_run` slot caches the last run's search and
+    frontiers, read here alone: a run under the same budget and eps cap
+    takes the frontiers of the prefix it shares with that run's word and
+    steps only the rest (a monoid machine and its `extendedfa_embed`
+    share one slot). The cap is one for every length on a machine whose
     default cap cannot bind (`SearchBudget.eps_cap`)."""
     budget = budget or SearchBudget()
     key = (budget, budget.eps_cap(spec, len(word)))
@@ -1031,54 +1053,35 @@ def run_nondeterministic(spec: MachineSpec, word: str, budget: SearchBudget = No
     _, step, end, _, _ = steps
     for letter in word[len(frontiers) - 1:]:
         frontiers.append(step(frontiers[-1], letter))
-    slot[0] = (key, word, steps, tuple(frontiers))
+    frontiers = tuple(frontiers)
+    slot[0] = (key, word, steps, frontiers)
     verdict, final, last = end(frontiers[-1])
-    levels = [(f.configurations, f.expanded) for f in frontiers] + [(final, final)] * spec.endmarker
-    position = len(levels) - 1
+    if spec.endmarker:
+        frontiers += (Frontier(final, final, frontiers[-1].spent, _cut(frontiers[-1], True)),)
+    position = len(frontiers) - 1
     if last is None:  # the last configuration at the furthest position reached
-        position = max(p for p, (configurations, _) in enumerate(levels) if configurations)
-        last = next(reversed(levels[position][0]))
+        position = max(p for p, frontier in enumerate(frontiers) if frontier.configurations)
+        last = next(reversed(frontiers[position].configurations))
     return RunResult(verdict, Configuration(*last, position),
-                     partial(_backtrack, spec, word + ENDMARKER * spec.endmarker, levels))
+                     (spec, word + ENDMARKER * spec.endmarker, frontiers))
 
 
-def run_stats(spec: MachineSpec) -> dict:
-    """What the last `run_nondeterministic` of `spec` did, read from the
-    frontiers its `last_run` slot keeps: the configurations it expanded
-    (the last frontier's `spent`), the most that one position reached,
-    the limit that cut a move off (`Frontier.pruned`, or
-    ``"max_configurations"`` where the end-marker moves on from a last
-    frontier left unexpanded; None for none), and the bit length of the
-    widest register reached (of a denominator or numerator, or of a
-    counter), measured here alone."""
-    frontiers = spec.last_run[0][3]
-    last = frontiers[-1]
-    return {
-        "expanded": last.spent,
-        "peak_frontier": max(len(frontier.configurations) for frontier in frontiers),
-        "limit": _cut(last, spec.endmarker) or None,
-        "register_bits": max(_bit_length(register, 1) if isinstance(register, tuple)
-                             else _bit_length(register.nums, register.den)
-                             for frontier in frontiers for _, register in frontier.configurations),
-    }
-
-
-def _backtrack(spec: MachineSpec, letters: str, levels: list, last: Configuration) -> list:
+def _backtrack(spec: MachineSpec, letters: str, frontiers: tuple, last: Configuration) -> list:
     """A search's path from the start to `last`, as (configuration, index
-    of the rule into it) pairs, from each position's (configurations,
-    expanded) in `levels`. Each configuration's predecessor is the first
-    expanded one, in the order reached, whose move to it accounts for
-    its eps moves: a letter move from the position before, else an eps
-    move; on a real-time machine, the configuration that first reached it."""
+    of the rule into it) pairs, from its `RunResult.search`. Each
+    configuration's predecessor is the first expanded one, in the order
+    reached, whose move to it accounts for its eps moves: a letter move
+    from the position before, else an eps move; on a real-time machine,
+    the configuration that first reached it."""
     successors = spec.successors
     position, key = last.position, (last.state, last.register)
-    eps = levels[position][0][key]
+    eps = frontiers[position].configurations[key]
     path = []
     while position or eps:
         moves = [(position - 1, letters[position - 1], eps)] if position else []
         for source, letter, source_eps in moves + [(position, EPSILON, eps - 1)]:
             prior = next(((prior, idx)
-                          for prior, prior_eps in levels[source][1].items()
+                          for prior, prior_eps in frontiers[source].expanded.items()
                           if prior_eps == source_eps
                           for idx, target, register in successors(prior[0], letter, prior[1])
                           if (target, register) == key), None)
@@ -1263,10 +1266,10 @@ def nondeterministic_steps(spec: MachineSpec, budget: SearchBudget, length: int)
                     reached[key] = eps
         return reached
 
-    def close(reached, spent, pruned):
+    def close(kind, reached, spent, pruned):
         # take the configurations up by fewest eps moves, then as reached,
         # expanding each while the budget lasts; `reached` gains what eps
-        # moves reach
+        # moves reach, and the frontier built is of the stepped one's `kind`
         room = max(max_configurations - spent, 0)
         taken = reached
         if eps_sources:
@@ -1294,14 +1297,14 @@ def nondeterministic_steps(spec: MachineSpec, budget: SearchBudget, length: int)
                             reached[following] = eps + 1
                             pending.setdefault(eps + 1, []).append(following)
         if len(taken) <= room:
-            return Frontier(reached, reached, spent + len(taken), pruned)
-        return Frontier(reached, {key: reached[key] for key in islice(taken, room)},
-                        spent + room, pruned)
+            return kind(reached, reached, spent + len(taken), pruned)
+        return kind(reached, {key: reached[key] for key in islice(taken, room)},
+                    spent + room, pruned)
 
     def step(frontier, letter):
         # a `$` inside a word is a letter without a rule
-        return close(moved(frontier, letter) if letter != ENDMARKER else {}, frontier.spent,
-                     _cut(frontier, True))
+        return close(type(frontier), moved(frontier, letter) if letter != ENDMARKER else {},
+                     frontier.spent, _cut(frontier, True))
 
     def end(frontier):
         final = moved(frontier, ENDMARKER) if endmarker else frontier.configurations
@@ -1331,7 +1334,7 @@ def nondeterministic_steps(spec: MachineSpec, budget: SearchBudget, length: int)
                 return False
         return verdict(step(frontier, letter), word)
 
-    start = close({(spec.initial_state, spec.initial_vector): 0}, 0, False)
+    start = close(Frontier, {(spec.initial_state, spec.initial_vector): 0}, 0, False)
     return start, step, end, verdict, last
 
 
@@ -1388,11 +1391,11 @@ def searches(spec: MachineSpec, budget: SearchBudget = None, maxlen: int = None)
         def verdict(node, word):
             return node is not None and end_test(*node)
 
+        stepping = stepped(step, verdict)
         if spec.last_letter is None:  # a counter machine
-            last = stepped(step, verdict)
+            last = stepping
         else:
             counts, tests = spec.last_letter
-            stepping = stepped(step, verdict)
 
             def last(node, letter, word):
                 state, register = node
@@ -1414,12 +1417,9 @@ def searches(spec: MachineSpec, budget: SearchBudget = None, maxlen: int = None)
             return verdict == ACCEPT
         return by_word(member)
     start, step, _, verdict, last = nondeterministic_steps(spec, budget, 0)
-    if budget.binds(spec, maxlen):
-        return start, step, verdict, last
-
-    def uncut(frontier, letter):
-        return _Uncut(*step(frontier, letter))
-    return _Uncut(*start), uncut, verdict, last
+    if not budget.binds(spec, maxlen):  # its steps keep the start's class
+        start = _Uncut(*start)
+    return start, step, verdict, last
 
 
 def stepped(step, verdict):

@@ -129,6 +129,10 @@ class TestUnaryDistinguisher:
     def test_initial_vector_is_a_power_of_two(self):
         assert unary_distinguisher(5).initial_vector == RowVector([32])
 
+    def test_alphabet_without_a_is_refused(self):
+        with pytest.raises(BuilderError, match="alphabet must contain 'a'"):
+            unary_distinguisher(2, ("b", "c"))
+
 
 class TestBinaryDistinguisher:
     def test_accepts_only_the_target(self):

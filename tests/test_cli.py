@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -13,6 +14,7 @@ from vecauto.builders import example
 from vecauto.cli import main
 from test_diophantine import EQ_SYSTEM, unsupported_famw
 from test_fileformat import TWO_CYCLE_DFA
+from machine_gen import random_nbhva_endmarker
 from walk_oracles import eps_chain_machine
 from vecauto.exact import Matrix
 from vecauto.fileformat import load_machine, write_machine
@@ -131,15 +133,20 @@ class TestRunCommand:
         ("leq", "a", ["--budget", "1"], "Reject", (1, 1, None, 2)),
         ("leq", "a" * 150 + "b" * 150, [], "Accept", (11626, 151, None, 151)),
         ("eps_chain", "a", ["--eps-per-path", "1"], "BudgetExceeded", (2, 2, "eps_per_path", 2)),
-    ], ids=["leq_ab", "leq_budget_1", "leq_last_unexpanded", "leq_a150b150", "eps_chain_cap_1"])
+        # the figures are the word's letters' alone: the end-marker's
+        # configurations, counted too, would read 4 register bits
+        ("nbhva_endmarker", "b", [], "Reject", (2, 1, None, 3)),
+    ], ids=["leq_ab", "leq_budget_1", "leq_last_unexpanded", "leq_a150b150", "eps_chain_cap_1",
+            "nbhva_endmarker_b"])
     def test_stats_of_a_nondeterministic_run(self, capsys, tmp_path, machine, word, flags,
                                              verdict, stats):
         # configurations expanded, the peak frontier, the limit that cut a
         # move off and the widest register in bits; with the flag off the
         # record is the same but for its stats
         path = tmp_path / f"{machine}.mach"
-        path.write_text(write_machine(eps_chain_machine() if machine == "eps_chain"
-                                      else example(machine)))
+        made = {"eps_chain": eps_chain_machine,
+                "nbhva_endmarker": lambda: random_nbhva_endmarker(random.Random(0))}
+        path.write_text(write_machine(made[machine]() if machine in made else example(machine)))
         plain = run_cli(capsys, "run", str(path), word, *flags)
         code, records = run_cli(capsys, "run", str(path), word, *flags, "--stats")
         (record,) = records

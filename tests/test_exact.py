@@ -60,6 +60,19 @@ class TestMatMul:
             mat_mul(Matrix.identity(2), Matrix.identity(3))
 
 
+class TestMatrixShape:
+    @pytest.mark.parametrize("build", [
+        lambda: Matrix(0, 2, []),
+        lambda: Matrix(2, -1, []),
+        lambda: Matrix(2, 2, [1, 2, 3]),
+        lambda: Matrix.from_rows([]),
+        lambda: Matrix.from_rows([[1, 2], [3]]),
+    ], ids=["no_rows", "negative_columns", "wrong_entry_count", "from_no_rows", "ragged_rows"])
+    def test_malformed_shape_is_refused(self, build):
+        with pytest.raises(ShapeError):
+            build()
+
+
 class TestVecMatMul:
     def test_endmarker_collapse_on_ones(self):
         assert vec_mat_mul(RowVector([1, 1]), END) == RowVector([0, 0])

@@ -203,6 +203,17 @@ class TestValidate:
     def test_every_base_machine_is_valid(self, name):
         assert validate(VALID[name]()) == []
 
+    def test_counter_list_effects_are_made_tuples(self):
+        # construction turns a counter rule's list effect into a tuple, so
+        # the machine equals, validates and runs as the one built with tuples
+        tuples = blind_counter_ab()
+        lists = replace(tuples, transitions=[replace(rule, effect=list(rule.effect))
+                                             for rule in tuples.transitions])
+        assert lists == tuples and validate(lists) == []
+        assert all(type(rule.effect) is tuple for rule in lists.transitions)
+        for word in all_strings(tuples.alphabet, 4):
+            assert run_deterministic(lists, word) == run_deterministic(tuples, word)
+
     @pytest.mark.parametrize("name,changes,message", DIAGNOSTICS,
                              ids=[message for _, _, message in DIAGNOSTICS])
     def test_each_diagnostic(self, name, changes, message):

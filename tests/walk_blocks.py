@@ -11,6 +11,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
+import hypothesis
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -522,6 +523,11 @@ NONDETERMINISTIC_BLOCK_RUNS = {
 @given(name=st.sampled_from(sorted(NONDETERMINISTIC_BLOCK_RUNS)),
        seed=st.integers(0, 2**32 - 1), length=st.integers(16, 300),
        configurations=st.integers(1, 1000))
+# a^9 b^9 c^9, accepted: the register is 61 bits wide at the last whole
+# block, whose jump ends on the last letter, and a tenth c rejects it, so
+# a last letter stepped again after that jump would read a Reject
+@hypothesis.example(name="counters_to_integer_hva3(blind_counter_abc)", seed=0, length=27,
+                    configurations=1000)
 def test_a_verdict_run_by_letter_blocks_is_the_per_letter_search(name, seed, length,
                                                                  configurations):
     # a budget of up to about three configurations a letter runs out

@@ -1,7 +1,8 @@
 """The `last_run` slot: a traced run steps only past the prefix it
 shares with the machine's last run (a monoid machine and its embedding
-share one slot), and every run equals a cold run, under threads too.
-`test_walk` collects these tests."""
+share one slot), every run equals a cold run, under threads too, and
+no later run changes a run's trace or stats. `test_walk` collects these
+tests."""
 
 import random
 import sys
@@ -42,12 +43,13 @@ def slot_machines(data):
 
 
 def traced(run):
-    return run.verdict, run.last, run.trace, run.accepting_path
+    return run.verdict, run.last, run.trace, run.accepting_path, run.stats
 
 
 def assert_runs_are_cold_runs(order):
     """Each ``(machine, word, budget)`` run of `order`, in turn, equals a
-    run on a fresh copy, and no later run changes an earlier run's trace."""
+    run on a fresh copy, and no later run, on its machine or on one that
+    shares its slot, changes an earlier run's trace or stats."""
     earlier = []
     for spec, word, budget in order:
         run = run_nondeterministic(spec, word, budget)
