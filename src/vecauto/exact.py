@@ -12,9 +12,10 @@ denominator in lowest terms, and each matrix, when built, as an
 integer matrix over its own common denominator: the paper's scaling of
 a machine by a common c, applied to every register update at run time.
 A vector or matrix product is then integer multiply-adds and one gcd,
-and the reduced form is canonical, so equal values have equal
-numerators and denominators. Entries are exact rationals at the API
-boundary.
+or for a wide register, whose denominator the paper's halves make
+mostly a power of two, a shift by trailing zeros (`vec_mat_mul`). The
+reduced form is canonical, so equal values have equal numerators and
+denominators. Entries are exact rationals at the API boundary.
 
 All values are immutable after construction and all operations are
 pure, so they can be shared freely between concurrent tasks.
@@ -24,7 +25,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from functools import reduce
+from operator import mul, or_
 
 from .errors import ShapeError, SingularMatrixError
 
@@ -300,7 +302,12 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def vec_mat_mul(v: RowVector, a: Matrix) -> RowVector:
-    """Exact row-vector-times-matrix product v*a."""
+    """Exact row-vector-times-matrix product v*a, in lowest terms.
+
+    A wide register (`bits` above `WORD_BITS`) with an even denominator
+    is first shifted right by the fewest trailing zeros among its
+    denominator and numerators, and takes the long gcd only where the
+    denominator's odd part is above 1."""
     nums = v.nums
     if len(nums) != a.rows:
         raise ShapeError(f"cannot multiply dim-{v.dim} vector by {a.rows}x{a.cols}")
@@ -308,7 +315,18 @@ def vec_mat_mul(v: RowVector, a: Matrix) -> RowVector:
     out = tuple([sum(map(mul, nums, column)) for column in columns])
     den = v.den * d
     if den != 1:
-        g = math.gcd(den, *out)
+        if v.bits > WORD_BITS and not den & 1:
+            # shift out the common power of two: the lowest set bit of their
+            # or is the fewest trailing zeros among den and the numerators
+            low = reduce(or_, out, den)
+            shift = (low & -low).bit_length() - 1
+            if shift:
+                den >>= shift
+                out = tuple([n >> shift for n in out])
+            # what they can still share divides den's odd part
+            g = 1 if den.bit_count() == 1 else math.gcd(den, *out)
+        else:
+            g = math.gcd(den, *out)
         if g != 1:
             den //= g
             out = tuple([n // g for n in out])

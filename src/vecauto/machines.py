@@ -433,11 +433,13 @@ class MachineSpec:
         one.
 
         A counter machine's test adds the effect to the register. A vector
-        machine's builds no register: with the matrix's integer columns C
-        over d (`integer_form`) and the register's nums over den, a VA's
-        test is sum(nums * C_0) == den * d. A GFA's compares the column
-        C·f, f its final vector, with its cutpoint in the same way. The
-        other kinds compare each entry with the home vector u's,
+        machine's builds no register and takes no gcd: with the matrix's
+        integer columns C over d (`integer_form`) and the register's nums
+        over den, a VA's test is sum(nums * C_0) == den * d. A GFA's, f
+        its final vector and p/q its cutpoint, is
+        sum(nums * f.nums) * q == p * den * f.den, and after a matrix it
+        compares the column C·f with p/q in the same way. The other kinds
+        compare each entry with the home vector u's,
         sum(nums * C_j) * u.den == u.nums_j * den * d, from the first up
         to the first that differs."""
         if self.kind == COUNTER_MACHINE:
@@ -455,7 +457,8 @@ class MachineSpec:
             home_nums, home_den = (cutpoint.numerator,), cutpoint.denominator
 
             def home(register):
-                return dot(register, final) == cutpoint
+                return (sum(map(mul, register.nums, final.nums)) * home_den
+                        == home_nums[0] * register.den * final.den)
         elif self.kind == VA:  # the first entry, 1
             home_nums, home_den = (1,), 1
 

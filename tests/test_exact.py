@@ -352,3 +352,50 @@ def test_a_register_hashes_alike_across_the_width_boundary():
         assert v == RowVector(v.entries) and hash(v) == hash(RowVector(v.entries))
     assert max(widths) > WORD_BITS >= widths[-1]
     assert v == start and hash(v) == hash(start)
+
+
+# entries of the wide-denominator test: halves and quarters make a long
+# chain's denominator a power of two, 1/6 gives it an odd part above 1
+WIDE_ENTRIES = [Fraction(x) for x in ("1/2", "-3/4", "1/6", "-1/2", "0")]
+
+
+@st.composite
+def wide_denominator_chains(draw):
+    """A start vector and a pattern of one to four matrices of one
+    dimension 1..3, repeated 100 to 200 times. Each matrix is triangular
+    with a diagonal of halves, quarters and sixths, so it is invertible
+    and the chain carries the denominator to several hundred bits. A
+    zero matrix may be put in among the last ten, where the register is
+    wide."""
+    n = draw(st.integers(1, 3))
+    start = draw(st.lists(st.sampled_from([1, -1, 3, Fraction(1, 3), Fraction(-5, 6)]),
+                          min_size=n, max_size=n))
+    below, diagonal = st.sampled_from(WIDE_ENTRIES), st.sampled_from([e for e in WIDE_ENTRIES if e])
+    triangular = st.tuples(*(diagonal if i == j else below if i > j else st.just(0)
+                             for i in range(n) for j in range(n)))
+    pattern = draw(st.lists(triangular.map(lambda es: Matrix(n, n, es)),
+                            min_size=1, max_size=4))
+    matrices = pattern * draw(st.integers(100, 200))
+    if draw(st.booleans()):
+        matrices.insert(len(matrices) - draw(st.integers(0, 10)), Matrix.zero(n, n))
+    return start, matrices
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_denominator_chains())
+def test_wide_power_of_two_denominators_are_reduced_exactly(chain):
+    # a wide register's reduction shifts out the power of two and takes a
+    # gcd only of an odd part above 1: its result is the Fraction product,
+    # canonical, of exact width and hashed as the value
+    start, matrices = chain
+    n = len(start)
+    got, expected = RowVector(start), [Fraction(x) for x in start]
+    for m in matrices:
+        got = vec_mat_mul(got, m)
+        expected = [sum(expected[i] * m.entry(i, j) for i in range(n)) for j in range(n)]
+        assert got.entries == tuple(expected)
+        assert got.den > 0 and math.gcd(got.den, *got.nums) == 1
+        if got.bits > WORD_BITS:
+            assert got.bits == exact_bits(got)
+        rebuilt = RowVector(expected)
+        assert got == rebuilt and hash(got) == hash(rebuilt)

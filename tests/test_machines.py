@@ -599,6 +599,41 @@ class TestGfa:
             assert not accepts(gfa, other)
 
 
+    def test_long_word_verdicts_are_the_value_at_the_cutpoint(self):
+        # a halves x and b doubles it, so x = 2^(#b - #a) and x + y stays
+        # 1; z's halves and quarters, which the final vector ignores, keep
+        # the register hundreds of bits wide. The value x/3 + 2y/5 is the
+        # cutpoint 1/3 exactly when #a == #b
+        half, three_quarters = Fraction(1, 2), Fraction(-3, 4)
+        effects = {"a": [[half, half, 0], [0, 1, 0], [0, 0, half]],
+                   "b": [[2, -1, 0], [0, 1, 0], [0, 0, three_quarters]]}
+        spec = MachineSpec(
+            kind=GFA, mode=DETERMINISTIC, blind=True, endmarker=False, realtime=True,
+            alphabet=("a", "b"), states=("q",), initial_state="q",
+            accept_states=frozenset({"q"}), dimension=3, initial_vector=RowVector([1, 0, 1]),
+            transitions=tuple(TransitionRule("q", letter, STATUS_ANY, "q",
+                                             Matrix.from_rows(rows))
+                              for letter, rows in effects.items()),
+            gfa_final_vector=RowVector([Fraction(1, 3), Fraction(2, 5), 0]),
+            gfa_cutpoint=Fraction(1, 3),
+        )
+        assert validate(spec) == []
+        rng = random.Random(7)
+        words = ["a" * 150 + "b" * 150, "ab" * 100, "a" * 150 + "b" * 149, "b" * 201]
+        for length in (200, 240, 301):
+            letters = list("ab" * (length // 2) + "a" * (length % 2))
+            rng.shuffle(letters)
+            words.append("".join(letters))
+        verdicts = []
+        for word in words:
+            home = gfa_value(spec, word) == spec.gfa_cutpoint
+            assert accepts(spec, word) == home
+            assert run_deterministic(spec, word).verdict == (ACCEPT if home else REJECT)
+            verdicts.append(home)
+        assert True in verdicts and False in verdicts
+        assert run_deterministic(spec, words[0]).last.register.bits > 300
+
+
 class TestMonoidMachines:
     def test_one_dimensional_embed_keeps_multipliers(self):
         spec = MachineSpec(
