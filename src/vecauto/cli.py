@@ -194,9 +194,7 @@ def cmd_run(args) -> int:
 
 def cmd_transform(args) -> int:
     if args.pass_name == "dfa-to-stateless":
-        with open(args.input_path, encoding="utf-8") as handle:
-            dfa = fileformat.parse_dfa(handle.read())
-        out, report = transforms.dfa_to_stateless_dbhva(dfa)
+        out, report = transforms.dfa_to_stateless_dbhva(fileformat.load_dfa(args.input_path))
     else:
         spec = _load_valid(args.input_path)
         out, report = _PASSES[args.pass_name](spec, args)
@@ -281,20 +279,16 @@ def cmd_enumerate(args) -> int:
 
 def cmd_diophantine(args) -> int:
     if args.subcommand == "to-famw":
-        with open(args.path, encoding="utf-8") as handle:
-            system = fileformat.parse_system(handle.read())
-        spec = diophantine.famw_from_system(system)
+        spec = diophantine.famw_from_system(fileformat.load_system(args.path))
         if _emit_if_invalid(spec):
             return EXIT_USAGE
         fileformat.save_machine(spec, args.output)
         return EXIT_OK
     if args.subcommand == "from-famw":
         system = diophantine.system_from_famw(_load_valid(args.path))
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(fileformat.write_system(system))
+        fileformat.save_system(system, args.output)
         return EXIT_OK
-    with open(args.path, encoding="utf-8") as handle:
-        system = fileformat.parse_system(handle.read())
+    system = fileformat.load_system(args.path)
     for counts in sorted(diophantine.solutions_up_to(system, args.bound)):
         _emit({"solution": list(counts)})
     return EXIT_OK

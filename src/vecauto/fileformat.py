@@ -5,6 +5,10 @@ strings, matrices as row-major nested arrays, the empty-input symbol as
 "eps" and the end-marker as "$". The writer is canonical (fixed key
 order, two-space indent), so writing a parsed canonical file reproduces
 it byte for byte.
+
+The `load_*` and `save_*` functions are the one place a document file is
+opened. A document is UTF-8 JSON; a file that is not, like a malformed
+document, raises MachineFileError.
 """
 
 from __future__ import annotations
@@ -70,6 +74,8 @@ def _document(text: str, required) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MachineFileError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        _fail("document", "nested past the parser's recursion limit")
     if not isinstance(doc, dict):
         _fail("document", "expected a JSON object")
     for key in required:
@@ -220,16 +226,6 @@ def write_machine(spec: MachineSpec) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def load_machine(path) -> MachineSpec:
-    with open(path, encoding="utf-8") as handle:
-        return parse_machine(handle.read())
-
-
-def save_machine(spec: MachineSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(write_machine(spec))
-
-
 # ---------------------------------------------------------------------------
 # DFA files (input to the stateless-recognizer construction)
 
@@ -275,3 +271,43 @@ def write_system(system: DiophantineSystem) -> str:
         "coefficients": [list(row) for row in system.coefficients],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# document files: the one place a file is opened
+
+
+def _read(path, parse):
+    """`parse` of the text of the UTF-8 file at `path`; bytes that are not
+    UTF-8 raise MachineFileError, as a malformed document does."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        _fail("document", f"not UTF-8 text ({exc.reason})")
+    return parse(text)
+
+
+def _write(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
+def load_machine(path) -> MachineSpec:
+    return _read(path, parse_machine)
+
+
+def load_dfa(path) -> DFA:
+    return _read(path, parse_dfa)
+
+
+def load_system(path) -> DiophantineSystem:
+    return _read(path, parse_system)
+
+
+def save_machine(spec: MachineSpec, path) -> None:
+    _write(path, write_machine(spec))
+
+
+def save_system(system: DiophantineSystem, path) -> None:
+    _write(path, write_system(system))

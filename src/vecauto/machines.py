@@ -51,6 +51,7 @@ from typing import NamedTuple
 
 from .errors import (
     AlphabetError,
+    DomainError,
     InconsistentSpecError,
     ShapeError,
     UndecidedError,
@@ -1477,7 +1478,12 @@ def walk(search, alphabet, maxlen: int, drop_twins: bool = False):
     twin's verdict is its earlier twin's, which comes first in length-lex
     order, so a caller that stops at the first word with some verdict
     stops at the same word.
+
+    A negative `maxlen` bounds no word, not even the empty one: it raises
+    DomainError.
     """
+    if maxlen < 0:
+        raise DomainError(f"maxlen must be nonnegative, got {maxlen}")
     start, step, verdict, last = search
     yield "", verdict(start, "")
     # a level pairs each word with its node's index in `nodes`, and `index`

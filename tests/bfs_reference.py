@@ -55,49 +55,60 @@ def bfs(spec, word: str, budget: SearchBudget = None) -> Search:
     eps_cap = budget.eps_per_path
     if eps_cap is None:
         eps_cap = len(spec.states) * (len(word) + 2)
-    end_position = len(word) + (1 if spec.endmarker else 0)
+    endmarker = spec.endmarker
+    # the letter read from each position: the word's, then the end-marker
+    # where the machine has one, then None past the last
+    letters = list(word) + [ENDMARKER] * endmarker + [None]
+    end_position = len(letters) - 1
     eps_sources = frozenset() if spec.realtime else spec.epsilon_sources
     accepting = spec.register_tests[1]
+    accept_states, successors = spec.accept_states, spec.successors
+    max_configurations = budget.max_configurations
 
     start_key = (spec.initial_state, spec.initial_vector, 0)
     parents = {start_key: None}
     queue = deque([(start_key, 0)])
+    popleft, append = queue.popleft, queue.append
     pruned = False
     expanded = 0
 
     while queue:
-        key, eps_spent = queue.popleft()
+        key, eps_spent = popleft()
         state, register, position = key
         if position == end_position:
-            if state in spec.accept_states and accepting(register):
+            if state in accept_states and accepting(register):
                 return Search(ACCEPT, Configuration._make(key), parents, expanded)
-            if spec.endmarker:
+            if endmarker:
                 continue  # the end-marker closes the computation
 
-        moves = []
+        eps_move = False
         if state in eps_sources:
             if eps_spent < eps_cap:
-                moves.append((EPSILON, position, eps_spent + 1))
+                eps_move = True
             else:
                 pruned = True
-        if position < len(word):
-            moves.append((word[position], position + 1, eps_spent))
-        elif position == len(word) and spec.endmarker:
-            moves.append((ENDMARKER, position + 1, eps_spent))
-        if expanded >= budget.max_configurations:
+        letter = letters[position]
+        if expanded >= max_configurations:
             # keep draining the queue for acceptance checks only; the cap
             # cuts something off only where a move is left
-            pruned = pruned or bool(moves)
+            pruned = pruned or eps_move or letter is not None
             continue
         expanded += 1
 
-        for letter, next_position, next_eps in moves:
-            for rule_idx, target, next_register in spec.successors(state, letter, register):
-                next_key = (target, next_register, next_position)
-                if next_key in parents:
-                    continue
-                parents[next_key] = (key, rule_idx)
-                queue.append((next_key, next_eps))
+        # eps successors are queued before letter successors
+        if eps_move:
+            for rule_idx, target, next_register in successors(state, EPSILON, register):
+                next_key = (target, next_register, position)
+                if next_key not in parents:
+                    parents[next_key] = (key, rule_idx)
+                    append((next_key, eps_spent + 1))
+        if letter is not None:
+            position += 1
+            for rule_idx, target, next_register in successors(state, letter, register):
+                next_key = (target, next_register, position)
+                if next_key not in parents:
+                    parents[next_key] = (key, rule_idx)
+                    append((next_key, eps_spent))
 
     verdict = BUDGET_EXCEEDED if pruned else REJECT
     return Search(verdict, Configuration._make(key), parents, expanded)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from vecauto import diophantine, langlab, transforms
+from vecauto import builders, diophantine, langlab, transforms
 from vecauto.builders import example
 from vecauto.cli import main
 from test_diophantine import EQ_SYSTEM, unsupported_famw
@@ -36,6 +36,18 @@ def run_cli(capsys, *argv):
     out = capsys.readouterr().out
     records = [json.loads(line) for line in out.splitlines() if line.strip()]
     return code, records
+
+
+# files no document parser can read: bytes that are not UTF-8, and JSON
+# nested past the parser's recursion limit
+BAD_DOCUMENTS = {"not_utf8": b"\xff\xfe\x00", "too_deep": "[" * 100_000}
+
+
+def write_document(path, text):
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
 
 
 @pytest.fixture
@@ -252,6 +264,16 @@ class TestMalformedArguments:
             (["diophantine", "solve", "{system_not_object}", "--bound", "2"], {}),
             (["diophantine", "solve", "{system_float}", "--bound", "3"], {}),
             (["diophantine", "solve", "{system_bool}", "--bound", "3"], {}),
+            (["run", "{not_utf8}", "a"], {}),
+            (["run", "{too_deep}", "a"], {}),
+            (["verify", "{eq}", "--against", "{not_utf8}", "--maxlen", "2"], {}),
+            (["verify", "{eq}", "--against", "{too_deep}", "--maxlen", "2"], {}),
+            (["transform", "dfa-to-stateless", "{not_utf8}", "{out}"], {}),
+            (["transform", "dfa-to-stateless", "{too_deep}", "{out}"], {}),
+            (["diophantine", "to-famw", "{not_utf8}", "-o", "{out}"], {}),
+            (["diophantine", "to-famw", "{too_deep}", "-o", "{out}"], {}),
+            (["diophantine", "solve", "{not_utf8}", "--bound", "2"], {}),
+            (["diophantine", "solve", "{too_deep}", "--bound", "2"], {}),
             (["diophantine", "from-famw", "{famw_symbol_without_rule}", "-o", "{out}"], {}),
             (["diophantine", "from-famw", "{famw_endmarker_rule}", "-o", "{out}"], {}),
             (["diophantine", "from-famw", "{famw_non_accepting_state}", "-o", "{out}"], {}),
@@ -291,6 +313,9 @@ class TestMalformedArguments:
              "non-integer-eps-per-path", "negative-bound", "transitions-not-a-list", "initial-vector-not-a-list",
              "dfa-not-an-object", "dfa-transitions-not-a-list", "system-not-an-object",
              "system-float-coefficient", "system-bool-coefficient",
+             "run-not-utf8", "run-too-deep", "verify-against-not-utf8",
+             "verify-against-too-deep", "dfa-not-utf8", "dfa-too-deep",
+             "to-famw-not-utf8", "to-famw-too-deep", "solve-not-utf8", "solve-too-deep",
              "famw-symbol-without-rule", "famw-endmarker-rule", "famw-non-accepting-state",
              "dfa-move-to-unknown-state", "unknown-reference", "reference-without-parameter",
              "non-integer-reference-parameter", "zero-reference-parameter",
@@ -325,13 +350,14 @@ class TestMalformedArguments:
             "leq": write_machine(example("leq")),
             "system": '{"alphabet": ["a", "b"], "coefficients": [[1, -1]]}',
             "famw": write_machine(diophantine.famw_from_system(EQ_SYSTEM)),
+            **BAD_DOCUMENTS,
         }
         for case in ("symbol-without-rule", "endmarker-rule", "non-accepting-state"):
             texts["famw_" + case.replace("-", "_")] = write_machine(unsupported_famw(case)[0])
         paths = dict(powr=powr_path, out=tmp_path / "out.mach", dir=tmp_path)
         for name, text in texts.items():
             paths[name] = tmp_path / f"{name}.json"
-            paths[name].write_text(text)
+            write_document(paths[name], text)
         argv = [a.format(**paths) for a in argv]
         code, records = run_cli(capsys, *argv)
         assert code == 2
@@ -362,6 +388,10 @@ class TestMalformedArguments:
             (["validate", "{integer_alphabet}"],
              ("ParseError", "alphabet: expected a list of strings")),
             (["validate", "{transition_without_to}"], ("ParseError", "transitions[0].to: missing")),
+            (["validate", "{not_utf8}"],
+             ("ParseError", "document: not UTF-8 text (invalid start byte)")),
+            (["validate", "{too_deep}"],
+             ("ParseError", "document: nested past the parser's recursion limit")),
             (["transform", "dfa-to-stateless", "{dfa_unknown_initial}", "{out}"],
              ("UsageError", "DFA initial state is not a state")),
             (["diophantine", "from-famw", "{two_state_fam}", "-o", "{out}"],
@@ -370,7 +400,8 @@ class TestMalformedArguments:
         ids=["eliminate-states-without-end-marker", "attach-endmarker-to-marked",
              "rationals-to-integers-non-blind", "counters-to-hva1-not-counters",
              "intersect-end-marker-flags-differ", "build-mod-zero", "build-negative-exponent",
-             "integer-alphabet", "transition-without-to", "dfa-unknown-initial-state",
+             "integer-alphabet", "transition-without-to", "validate-not-utf8",
+             "validate-too-deep", "dfa-unknown-initial-state",
              "from-famw-two-states"],
     )
     def test_refusal_record(self, capsys, tmp_path, argv, record):
@@ -395,11 +426,12 @@ class TestMalformedArguments:
             "transition_without_to": json.dumps(dict(powr, transitions=without_to)),
             "dfa_unknown_initial": json.dumps(dict(TWO_CYCLE_DFA, initial_state="q9")),
             "two_state_fam": write_machine(two_state_fam),
+            **BAD_DOCUMENTS,
         }
         paths = {"out": tmp_path / "out.mach"}
         for name, text in texts.items():
             paths[name] = tmp_path / f"{name}.json"
-            paths[name].write_text(text)
+            write_document(paths[name], text)
         argv = [a.format(**paths) for a in argv]
         verdict, detail = record
         assert run_cli(capsys, *argv) == (2, [{"verdict": verdict, "detail": detail}])
@@ -478,6 +510,15 @@ class TestBuildAndSeparate:
         assert records[0]["verdict"] == "Separated"
         assert records[0]["failures"] == []
         assert validate(load_machine(out_path)) == []
+
+    def test_separate_reports_a_machine_that_fails(self, capsys, monkeypatch, tmp_path):
+        # a distinguisher of another string accepts that string and rejects
+        # x: both are failures, and the record says so with exit 1
+        build = builders.binary_distinguisher
+        monkeypatch.setattr(builders, "binary_distinguisher", lambda x, base: build("21", base))
+        code, records = run_cli(capsys, "separate", "12", "21", "-o", str(tmp_path / "sep.mach"))
+        assert (code, records) == (1, [{"verdict": "Failed", "accepts": "12", "rejects": ["21"],
+                                        "failures": ["12", "21"]}])
 
     def test_separate_homing_model(self, capsys, tmp_path):
         code, records = run_cli(

@@ -9,6 +9,7 @@ from vecauto import langlab
 from vecauto.builders import example, unary_distinguisher
 from vecauto.errors import (
     AlphabetError,
+    DomainError,
     ReferenceLanguageError,
     UndecidedError,
     UnsupportedKindError,
@@ -64,6 +65,25 @@ class TestEnumeration:
         with pytest.raises(UndecidedError) as info:
             enumerate_accepted(spec, 3, SearchBudget(max_configurations=1))
         assert info.value.word is not None
+
+
+@pytest.mark.parametrize(
+    "verify",
+    [lambda n: enumerate_accepted(example("eq"), n),
+     lambda n: equivalent_up_to(example("eq"), example("leq"), n),
+     lambda n: matches_reference(example("eq"), reference_language("eq"), n),
+     lambda n: check_star_closure(example("eq"), n),
+     lambda n: check_suffix_property(example("eq"), n),
+     lambda n: check_gcd_property(example("mod", 3), n),
+     lambda n: check_commutative_matrices(example("eq"), n)],
+    ids=["enumerate", "equivalent", "matches-reference", "star-closure", "suffix", "gcd",
+         "commutative-matrices"],
+)
+def test_a_negative_maxlen_is_refused(verify):
+    # a negative bound admits no word, not even the empty one, as
+    # `all_strings` yields none: the walk refuses it rather than judge ""
+    with pytest.raises(DomainError, match="maxlen must be nonnegative"):
+        verify(-1)
 
 
 class TestEquivalence:

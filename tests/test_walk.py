@@ -102,6 +102,8 @@ from walk_step_memo import *  # noqa: F401,F403
 @given(generator=st.sampled_from(sorted(GENERATORS)), seed=st.integers(0, 2**32 - 1),
        budget=st.sampled_from(BUDGETS))
 def test_random_machines_walk_as_per_word(generator, seed, budget):
+    # the embedded monoid machines, under an eps_per_path of None, are
+    # walked word by word
     spec = GENERATORS[generator](random.Random(seed))
     assert_walk_agrees(spec, 5, budget)
 
@@ -466,8 +468,9 @@ def eps_pair(data):
 @given(data=st.data(), draw_pair=st.sampled_from([endmarker_pair, leq_pair, eps_pair]),
        maxlen=st.integers(0, 5))
 def test_nondeterministic_pairs_find_the_per_word_first_disagreement(data, draw_pair, maxlen):
-    # no pair is deduplicated, and each side's budget counts along each
-    # word: the counterexample, or the undecided word, is the oracle's
+    # no pair is deduplicated, since a frontier the budget can cut equals
+    # only itself, and each side's budget counts along each word: the
+    # counterexample, or the undecided word, is the oracle's
     left, right = draw_pair(data)
     assert not all(shared(side) for side in (left, right))
     for budget in BUDGETS + [None]:

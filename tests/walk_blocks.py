@@ -530,8 +530,9 @@ NONDETERMINISTIC_BLOCK_RUNS = {
                     configurations=1000)
 def test_a_verdict_run_by_letter_blocks_is_the_per_letter_search(name, seed, length,
                                                                  configurations):
-    # a budget of up to about three configurations a letter runs out
-    # before, inside or after a block as often as not
+    # fresh lengths, words and budgets beside the fixed example: a budget
+    # of up to about three configurations a letter runs out before, inside
+    # or after a block as often as not
     rng = random.Random(seed)
     spec, word = NONDETERMINISTIC_BLOCK_RUNS[name](rng, length)
     assert validate(spec) == []

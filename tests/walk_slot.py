@@ -64,7 +64,8 @@ def assert_runs_are_cold_runs(order):
        budgets=st.lists(st.sampled_from(SLOT_BUDGETS), min_size=2, max_size=2, unique=True))
 def test_a_run_from_the_last_runs_frontiers_is_a_cold_run(data, budgets):
     # runs of mixed lengths, repeated words and two budgets, interleaved
-    # over the machines that share a slot
+    # over the machines that share a slot; budgets of at most 500
+    # configurations keep each draw small
     machines_to_run = slot_machines(data)
     alphabet = machines_to_run[0].alphabet
     words = data.draw(st.lists(st.sampled_from(list(all_strings(
