@@ -137,9 +137,11 @@ def _first_disagreement(left, right, maxlen: int, budget: SearchBudget) -> Equiv
     languages differ, from one walk of pairs of their nodes: each word's
     left node is stepped, then its right, then each is judged in that
     order; at the walk's last level each side judges its own last letter
-    (the searches' `last`), the left first. A word whose pair of nodes
-    equals an earlier word's is dropped, and so are its extensions."""
-    if tuple(left.alphabet) != tuple(right.alphabet):
+    (the searches' `last`), the left first. The two alphabets must hold
+    the same letters, and the walk takes the left one's order. A word
+    whose pair of nodes equals an earlier word's is dropped, and so are
+    its extensions."""
+    if set(left.alphabet) != set(right.alphabet):
         raise AlphabetError(f"alphabets differ: {left.alphabet} vs {right.alphabet}")
     left_start, left_step, left_verdict, left_last = _search(left, budget, maxlen)
     right_start, right_step, right_verdict, right_last = _search(right, budget, maxlen)

@@ -27,11 +27,13 @@ immutable after validation, so evaluating many inputs in parallel is
 safe. A machine caches what it derives from its fields on first use,
 each cache described where it lives: `MachineSpec.successors` (the step
 memo), `sinks`, `blocks` (letter blocks for wide registers, which
-`_jump` multiplies), `home_after`, `end_test`, `last_letter` (a word's
-last letter judged from the node before it) and the `last_run` slot,
-which only `run_nondeterministic` reads: a run's record is its own
-`RunResult`. Each entry is a pure function of the machine and its key,
-so concurrent runs can at worst build one twice or evict each other's.
+`_jump` multiplies), `home_after`, `ends` (the rules that end a word in
+an accept state), `end_test`, `epsilon_sources` (the eps rules),
+`last_letter` (a word's last letter judged from the node before it) and
+the `last_run` slot, which only `run_nondeterministic` reads: a run's
+record is its own `RunResult`. Each entry is a pure function of the
+machine and its key, so concurrent runs can at worst build one twice or
+evict each other's.
 
 A `$` inside a word is no letter of any alphabet: `run_deterministic`,
 `accepts` and `run_nondeterministic` treat it as a letter without a
@@ -134,10 +136,11 @@ class MachineSpec:
 
     `rule_scan`, `rule_index`, the compiled transition function
     `successors`, the `sinks`, the `blocks` memo, `home_after`, the
-    `end_test`, the `last_letter` tables and the `last_run` cache of the
-    last search are built on first use and cached on the instance
-    (`extendedfa_embed` gives its output its source's `successors` and
-    `last_run`); equality and hashing see only the fields.
+    `ends` and `end_test`, the `epsilon_sources`, the `last_letter` tables
+    and the `last_run` cache of the last search are built on first use and
+    cached on the instance (`extendedfa_embed` gives its output its
+    source's `successors` and `last_run`); equality and hashing see only
+    the fields.
     """
 
     kind: str
@@ -492,31 +495,35 @@ class MachineSpec:
         return home_after
 
     @cached_property
+    def ends(self) -> dict:
+        """State -> the `rule_index` tuples that end a word there in an
+        accept state, for each state with one: its `$` rules into an accept
+        state or, without an end-marker, ``(None, STATUS_ANY, None,
+        state)`` for an accept state, whose effect None `home_after` reads
+        as the plain home test."""
+        if not self.endmarker:
+            return {state: ((None, STATUS_ANY, None, state),) for state in self.accept_states}
+        ends = {state: tuple(rule for rule in rules if rule[3] in self.accept_states)
+                for (state, letter), rules in self.rule_index.items() if letter == ENDMARKER}
+        return {state: rules for state, rules in ends.items() if rules}
+
+    @cached_property
     def end_test(self):
         """``end_test(state, register)``: whether a word whose letters end
         in this configuration is accepted, built on first use.
 
-        Without an end-marker that is an accept state and the home test.
-        With one, it reads the `$` rules of `rule_index` that lead to an
-        accept state, fired under their status (`_firing`), and asks
-        `home_after` whether one takes the register home, building no
-        register.
+        It reads the state's `ends`, fired under their status (`_firing`),
+        and asks `home_after` whether one takes the register home, building
+        no register.
         """
-        accept_states = self.accept_states
-        status_of_register, home = self.register_tests
-        if not self.endmarker:
-            return lambda state, register: state in accept_states and home(register)
-        home_after = self.home_after
+        status_of_register, home_after = self.register_tests[0], self.home_after
 
-        # per state its `$` rules into an accept state as (rule index,
-        # status, home test), and whether one reads the status
-        table = {}
-        for (state, letter), rules in self.rule_index.items():
-            if letter == ENDMARKER:
-                rules = tuple((idx, status, home_after(effect))
-                              for idx, status, effect, target in rules if target in accept_states)
-                if rules:
-                    table[state] = rules, any(rule[1] != STATUS_ANY for rule in rules)
+        # per state its ends as (rule index, status, home test), and
+        # whether one reads the status
+        table = {state: (tuple((idx, status, home_after(effect))
+                               for idx, status, effect, _ in rules),
+                         any(rule[1] != STATUS_ANY for rule in rules))
+                 for state, rules in self.ends.items()}
 
         def end_test(state, register):
             entry = table.get(state)
@@ -544,7 +551,7 @@ class MachineSpec:
         counts them per path, and is ``math.inf`` where a rule on the way,
         or an accepting `$` rule at the end, reads the status.
         ``tests(state, letter)`` holds a `home_after` test of the register
-        before the letter for each path into an accepting end, of the
+        before the letter for each path into one of `ends`, of the
         product M·E1···Ek of its rules (times M$ with the end-marker).
         Both are filled once per state (`_fill`), the tests on first use:
         a search asks for them only once the count is finite and fits its
@@ -555,23 +562,16 @@ class MachineSpec:
         if self.kind == COUNTER_MACHINE or self.epsilon_cycle:
             return None
         index, home_after = self.rule_index, self.home_after
-        eps, ends = {}, {}
-        for state in self.states:
-            # its eps rules, and the rules that end a word there in an
-            # accepting state: `$` rules, or with no end-marker no rule (None)
-            eps[state] = index.get((state, EPSILON), ())
-            ends[state] = ([rule for rule in index.get((state, ENDMARKER), ())
-                            if rule[3] in self.accept_states] if self.endmarker
-                           else [(None, STATUS_ANY, None, state)] * (state in self.accept_states))
+        eps, ends = self.epsilon_sources, self.ends
 
         def targets(state):
-            return [rule[3] for rule in eps[state]]
+            return [rule[3] for rule in eps.get(state, ())]
 
         def blind(rules):
             return all(rule[1] == STATUS_ANY for rule in rules)
 
         def count(state):  # itself and what its eps paths reach
-            if not (blind(eps[state]) and blind(ends[state])):
+            if not (blind(eps.get(state, ())) and blind(ends.get(state, ()))):
                 return math.inf
             return 1 + sum(counted[target] for target in targets(state))
 
@@ -581,7 +581,7 @@ class MachineSpec:
                     for after in _fill(built, target, targets, products)]
 
         def products(state):  # of its paths into an accepting end
-            return [rule[2] for rule in ends[state]] + extended(eps[state])
+            return [rule[2] for rule in ends.get(state, ())] + extended(eps.get(state, ()))
 
         counted, built, memo = {}, {}, {}
         counts = {key: sum(_fill(counted, rule[3], targets, count) for rule in rules)
@@ -598,19 +598,20 @@ class MachineSpec:
         return counts, tests
 
     @cached_property
-    def epsilon_sources(self) -> frozenset:
-        """States with at least one eps rule, whatever its status."""
-        return frozenset(r.source for r in self.transitions if r.input == EPSILON)
+    def epsilon_sources(self) -> dict:
+        """State -> its eps rules as `rule_index` tuples, whatever their
+        status, for each state with one; read from `rule_scan`, so a rule
+        conflict does not raise here."""
+        return {state: tuple(rules) for (state, letter), rules in self.rule_scan[0].items()
+                if letter == EPSILON}
 
     @cached_property
     def epsilon_cycle(self) -> bool:
         """Whether eps rules, whatever their status, lead from a state back
         to itself (a self-loop included). Without such a cycle a path
         takes at most |states| - 1 eps moves at each position."""
-        targets = {}
-        for r in self.transitions:
-            if r.input == EPSILON:
-                targets.setdefault(r.source, set()).add(r.target)
+        targets = {state: {rule[3] for rule in rules}
+                   for state, rules in self.epsilon_sources.items()}
         # peel off states whose eps rules all lead out of what is left;
         # what cannot be peeled lies on or leads into a cycle
         while targets:

@@ -107,17 +107,12 @@ def remove_endmarker(spec: MachineSpec):
         raise UnsupportedPassError("machine has no end-marker to remove")
 
     accept_name = _fresh_name(_FRESH_ACCEPT, spec.states)
-    final_rules = {}  # state -> effects of $-rules into accept states
-    for r in spec.transitions:
-        if r.input == ENDMARKER and r.target in spec.accept_states:
-            final_rules.setdefault(r.source, []).append(r.effect)
-
     rules = []
     for r in spec.transitions:
         if r.input == ENDMARKER:
             continue
         rules.append(r)
-        for closing in final_rules.get(r.target, ()):
+        for _, _, closing, _ in spec.ends.get(r.target, ()):
             rules.append(
                 TransitionRule(r.source, r.input, STATUS_ANY, accept_name,
                                mat_mul(r.effect, closing))
@@ -422,14 +417,15 @@ def intersect_blind_hva(a: MachineSpec, b: MachineSpec):
 
     The register is the pair (register of a, register of b), each block
     evolving as in its own machine, so it equals the concatenated
-    initial vector exactly when both components are back at theirs.
+    initial vector exactly when both components are back at theirs. The
+    two alphabets must hold the same letters; the product takes a's order.
     """
     for spec in (a, b):
         if spec.kind != HVA or not spec.blind or spec.mode != DETERMINISTIC:
             raise UnsupportedPassError(
                 "intersection applies to blind deterministic homing machines"
             )
-    if a.alphabet != b.alphabet:
+    if set(a.alphabet) != set(b.alphabet):
         raise UnsupportedPassError("intersection needs a common alphabet")
     if a.endmarker != b.endmarker:
         raise UnsupportedPassError("intersection needs matching end-marker flags")

@@ -552,6 +552,16 @@ class TestVerifyAndCheck:
         assert records[0]["counterexample"] == ""
         assert records[0]["against"] == {"reference": "only_"}
 
+    def test_verify_a_permuted_alphabet(self, capsys, tmp_path):
+        # eq with its alphabet listed as b, a holds eq's letters
+        ba, eq = tmp_path / "ba.mach", tmp_path / "eq.mach"
+        ba.write_text(write_machine(replace(example("eq"), alphabet=("b", "a"))))
+        main(["build", "eq", "-o", str(eq)])
+        capsys.readouterr()
+        for against, record in (("eq", {"reference": "eq"}), (str(eq), {"machine": HVA_1})):
+            assert run_cli(capsys, "verify", str(ba), "--against", against, "--maxlen", "4") == (
+                0, [equal(4, HVA_1, record)])
+
     def test_verify_counterexample_exit_one(self, capsys, tmp_path):
         m2 = tmp_path / "m2.mach"
         m3 = tmp_path / "m3.mach"

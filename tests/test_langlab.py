@@ -100,6 +100,16 @@ class TestEquivalence:
         with pytest.raises(AlphabetError):
             equivalent_up_to(example("eq"), example("mod", 2), 4)
 
+    def test_a_permuted_alphabet_holds_the_same_letters(self):
+        # eq with its alphabet listed as b, a: the walk takes the left
+        # side's order, so the first disagreement is length-lex in it
+        ba = replace(example("eq"), alphabet=("b", "a"))
+        assert equivalent_up_to(ba, example("eq"), 6).equal
+        assert matches_reference(ba, reference_language("eq"), 6).equal
+        assert equivalent_up_to(ba, example("leq"), 6).counterexample == "b"
+        assert equivalent_up_to(ba, example("evenab"), 6).counterexample == "ba"
+        assert equivalent_up_to(example("evenab"), ba, 6).counterexample == "ab"
+
 
 class TestMatchesReference:
     def test_eq(self):

@@ -3,15 +3,19 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from machine_gen import (
     blind_counter_a_endmarker,
     blind_counter_ab,
     blind_counter_abc,
+    random_dva,
+    random_extendedfa,
     random_nbhva_endmarker,
 )
 from vecauto.builders import cyclic_dfa, example
-from vecauto.errors import InvalidScalarError, UnsupportedPassError
+from vecauto.errors import InvalidScalarError, UndecidedError, UnsupportedPassError
 from vecauto.exact import Matrix, RowVector, vec_mat_mul
 from vecauto.langlab import enumerate_accepted, equivalent_up_to, reference_language, matches_reference
 from vecauto.machines import (
@@ -26,6 +30,7 @@ from vecauto.machines import (
     SearchBudget,
     TransitionRule,
     accepts,
+    extendedfa_embed,
     run_deterministic,
     run_nondeterministic,
     validate,
@@ -526,6 +531,15 @@ class TestIntersection:
         assert not accepts(out, "a")
         assert matches_reference(out, reference_language("eq"), 10).equal
 
+    def test_a_permuted_alphabet_is_a_common_alphabet(self):
+        # eq with its alphabet listed as b, a; the product takes the left
+        # operand's order
+        ba = replace(example("eq"), alphabet=("b", "a"))
+        for left, right in ((ba, example("evenab")), (example("evenab"), ba)):
+            out, _ = intersect_blind_hva(left, right)
+            assert validate(out) == [] and out.alphabet == left.alphabet
+            assert matches_reference(out, reference_language("evenab"), 8).equal
+
     def test_alphabet_mismatch(self):
         with pytest.raises(UnsupportedPassError):
             intersect_blind_hva(example("mod", 2), example("eq"))
@@ -533,3 +547,46 @@ class TestIntersection:
     def test_rejects_nondeterministic_operands(self):
         with pytest.raises(UnsupportedPassError):
             intersect_blind_hva(example("leq"), example("eq"))
+
+
+def scaled(spec, rng):
+    return scale_initial_vector(spec, rng.choice([Fraction(-2, 3), 3, Fraction(1, 6)]))
+
+
+def embedded_extendedfa(rng):
+    # `random_extendedfa` itself is no HVA, which `attach_trivial_endmarker`
+    # refuses; its embedding is one
+    return extendedfa_embed(random_extendedfa(rng))
+
+
+# a pass and a generator whose every draw it takes: name -> (generator,
+# pass of a machine and the draw's rng)
+PASS_INPUTS = {
+    "eliminate_states(random_dva)": (random_dva, lambda spec, rng: eliminate_states(spec)),
+    "remove_endmarker(random_nbhva_endmarker)": (
+        random_nbhva_endmarker, lambda spec, rng: remove_endmarker(spec)),
+    "rationals_to_integers(random_nbhva_endmarker)": (
+        random_nbhva_endmarker, lambda spec, rng: rationals_to_integers(spec)),
+    "scale_initial_vector(random_nbhva_endmarker)": (random_nbhva_endmarker, scaled),
+    "attach_trivial_endmarker(embedded_extendedfa)": (
+        embedded_extendedfa, lambda spec, rng: attach_trivial_endmarker(spec)),
+    "scale_initial_vector(embedded_extendedfa)": (embedded_extendedfa, scaled),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=st.sampled_from(sorted(PASS_INPUTS)), seed=st.integers(0, 2**32 - 1))
+def test_a_pass_keeps_the_language_of_a_random_machine(pair, seed):
+    # its output validates and is bounded-equal to its source; a draw
+    # that the budget leaves undecided shows nothing and is rejected
+    generate, apply = PASS_INPUTS[pair]
+    rng = random.Random(seed)
+    spec = generate(rng)
+    assert validate(spec) == []
+    out, _ = apply(spec, rng)
+    assert validate(out) == []
+    try:
+        verdict = equivalent_up_to(spec, out, 5, SearchBudget(max_configurations=20_000))
+    except UndecidedError:
+        assume(False)
+    assert verdict.equal, verdict.counterexample
