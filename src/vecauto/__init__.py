@@ -16,7 +16,6 @@ from .exact import (
     inverse,
     mat_mul,
     tensor,
-    tensor_vec,
     vec_mat_mul,
 )
 from .machines import (
@@ -53,7 +52,6 @@ __all__ = [
     "run_nondeterministic",
     "stateless",
     "tensor",
-    "tensor_vec",
     "validate",
     "vec_mat_mul",
 ]

@@ -4,19 +4,22 @@ concrete example machines.
 Every builder emits a machine that already passes ``validate``; an
 internal inconsistency here is a builder bug, not a user error. The
 separation machines encode strings as numbers in base m over the digit
-alphabet {1, ..., m-1} (no zero digit, so the encoding is injective on
-nonempty strings).
+alphabet {1, ..., m-1}. There is no zero digit, so e("") = 0 and the
+encoding e is injective on all digit strings, the empty one included.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
+from math import comb
 
 from .errors import BuilderError, EncodingError
-from .exact import Matrix, RowVector, direct_sum, inverse, mat_mul, tensor, tensor_vec
+from .exact import Matrix, RowVector, inverse, mat_mul, tensor
 from .machines import (
     DETERMINISTIC,
     ENDMARKER,
+    GFA,
     HVA,
     NONDETERMINISTIC,
     STATUS_ANY,
@@ -46,9 +49,15 @@ def digit_alphabet(base: int) -> tuple:
     return tuple(str(d) for d in range(1, base))
 
 
-def digit_matrix(digit: int, base: int) -> Matrix:
-    """The matrix that extends (1, e(x)) to (1, e(x d)) for one more digit d."""
-    return Matrix.from_rows([[1, digit], [0, base]])
+def digit_matrix(digit: int, base: int, power: int = 1) -> Matrix:
+    """The matrix that extends (1, e, ..., e^power) at e = e(x) to the same
+    powers of e(x d) = base * e + d for one more digit d: entry (j, i) is
+    C(i, j) * base^j * d^(i-j) for j <= i, so at power 1 it is
+    [[1, d], [0, base]]."""
+    return Matrix.from_rows([
+        [comb(i, j) * base**j * digit ** (i - j) if j <= i else 0 for i in range(power + 1)]
+        for j in range(power + 1)
+    ])
 
 
 def encode_base(x: str, base: int = 3) -> int:
@@ -107,50 +116,43 @@ def binary_distinguisher(x: str, base: int = 3) -> MachineSpec:
     return stateless(VA, digit_alphabet(base), 2, [1, target], rules, endmarker=True)
 
 
-def finite_language_va(strings, base: int = 3) -> MachineSpec:
-    """Stateless blind VA with end-marker accepting exactly a finite set
-    of nonempty strings, on a vector of dimension 2^|X| + 1.
-
-    The per-string distinguisher vectors run in parallel as one tensor
-    product in the trailing entries. The first of the two end-marker
-    factors collapses each parallel pair (1, e_i - e_y) to
-    (e_i - e_y, 0), turning the tensor block into the single product
-    P = prod_i (e(x_i^r) - e(y^r)) followed by zeros; the second factor
-    rebuilds the fixed initial tail and adds P to the leading 1, so the
-    first entry is 1 exactly when some factor vanished, i.e. y is in X.
-    """
-    strings = sorted(set(strings), key=lambda s: (len(s), s))
+def _finite_set(strings, base: int):
+    """For a finite set X of k digit strings: the digit rules that step the
+    register (1, e, ..., e^k) of e = e(y) to that of e(y d), and the
+    coefficients p_0, ..., p_k of p(e) = prod over X of (e - e(x)),
+    which is 0 exactly when y is in X."""
+    strings = set(strings)
     if not strings:
         raise BuilderError("the string set must be nonempty")
-    if "" in strings:
-        raise BuilderError("the construction needs nonempty strings")
-    k = len(strings)
-    encodings = [_reverse_encoding(x, base) for x in strings]
-    dim = 2**k + 1
+    p = [1]
+    for x in strings:
+        root = encode_base(x, base) if x else 0
+        p = [high - root * low for high, low in zip([0] + p, p + [0])]
+    return [(d, digit_matrix(int(d), base, len(strings))) for d in digit_alphabet(base)], p
 
-    def bordered(block: Matrix) -> Matrix:
-        return direct_sum(Matrix.identity(1), block)
 
-    def tensor_power(m: Matrix) -> Matrix:
-        out = m
-        for _ in range(k - 1):
-            out = tensor(out, m)
-        return out
+def finite_language_va(strings, base: int = 3) -> MachineSpec:
+    """Stateless blind VA with end-marker accepting exactly a finite set X
+    of digit strings, on the register of `_finite_set`. The end-marker
+    matrix has first column (1 + p_0, p_1, ..., p_k) and zeros elsewhere,
+    so after it the first entry is 1 + p(e(y)), which is 1 exactly when y
+    is in X."""
+    rules, p = _finite_set(strings, base)
+    end = Matrix.from_rows([[c + (j == 0)] + [0] * (len(p) - 1) for j, c in enumerate(p)])
+    rules.append((ENDMARKER, end))
+    return stateless(VA, digit_alphabet(base), len(p), [1] + [0] * (len(p) - 1), rules,
+                     endmarker=True)
 
-    tail = RowVector([1, encodings[0]])
-    for e in encodings[1:]:
-        tail = tensor_vec(tail, RowVector([1, e]))
-    v0 = RowVector([1] + list(tail.entries))
 
-    rules = [
-        (str(d), bordered(tensor_power(inverse(digit_matrix(d, base)))))
-        for d in range(1, base)
-    ]
-    collapse = bordered(tensor_power(Matrix.from_rows([[0, 0], [1, 0]])))
-    rebuild_rows = [list(v0.entries), [1] + [0] * (dim - 1)]
-    rebuild_rows += [[0] * dim for _ in range(dim - 2)]
-    rules.append((ENDMARKER, mat_mul(collapse, Matrix.from_rows(rebuild_rows))))
-    return stateless(VA, digit_alphabet(base), dim, v0, rules, endmarker=True)
+def finite_language_gfa(strings, base: int = 3) -> MachineSpec:
+    """One-state GFA accepting exactly a finite set X of digit strings, on
+    the register of `_finite_set`, with final vector p and cutpoint 0. For
+    one string x it is the paper's two-state GFA that separates x from
+    every other string, with final vector (-e(x), 1); a GFA here carries
+    its states in the dimension."""
+    rules, p = _finite_set(strings, base)
+    spec = stateless(GFA, digit_alphabet(base), len(p), [1] + [0] * (len(p) - 1), rules)
+    return replace(spec, gfa_final_vector=RowVector(p), gfa_cutpoint=0)
 
 
 def hva_distinguisher(x: str, base: int = 3) -> MachineSpec:

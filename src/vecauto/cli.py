@@ -211,7 +211,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_separate(args) -> int:
-    build = builders.binary_distinguisher if args.model == "dbva" else builders.hva_distinguisher
+    build = {"dbva": builders.binary_distinguisher, "dbhva": builders.hva_distinguisher,
+             "gfa": lambda x, base: builders.finite_language_gfa([x], base)}[args.model]
     spec = build(args.x, args.base)
     for other in args.others:
         _check_symbols(other, spec.alphabet)
@@ -219,7 +220,7 @@ def cmd_separate(args) -> int:
     failures = []
     if not accepts(spec, args.x):
         failures.append(args.x)
-    for other in [""] + [y for y in args.others if y != args.x]:
+    for other in [y for y in ["", *args.others] if y != args.x]:
         if accepts(spec, other):
             failures.append(other)
     _emit(
@@ -353,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("separate", help="build a machine accepting x and rejecting the rest")
     p.add_argument("x")
     p.add_argument("others", nargs="*")
-    p.add_argument("--model", choices=("dbva", "dbhva"), default="dbva")
+    p.add_argument("--model", choices=("dbva", "dbhva", "gfa"), default="dbva")
     p.add_argument("--base", type=_integer, default=3)
     p.add_argument("-o", "--output", required=True,
                    help="machine file to write; stdout holds the record only")

@@ -357,11 +357,6 @@ def tensor(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(rows, cols, out)
 
 
-def tensor_vec(u: RowVector, v: RowVector) -> RowVector:
-    """Tensor product of row vectors; entry (i*len(v)+j) is u[i]*v[j]."""
-    return RowVector(ui * vj for ui in u.entries for vj in v.entries)
-
-
 def direct_sum(a: Matrix, b: Matrix) -> Matrix:
     """The block-diagonal matrix with a above-left and b below-right."""
     rows = [list(a.row(i)) + [0] * b.cols for i in range(a.rows)]

@@ -22,6 +22,7 @@ from machine_gen import (
 from vecauto.builders import (
     binary_distinguisher,
     example,
+    finite_language_gfa,
     finite_language_va,
     hva_distinguisher,
 )
@@ -268,8 +269,13 @@ def test_c06_separation_suite():
     digits = ("1", "2")
     pool = [w for w in all_strings(digits, 5) if w]
     failures = []
+    separators = (
+        (binary_distinguisher, "flat"),
+        (hva_distinguisher, "homing"),
+        (lambda x: finite_language_gfa([x]), "gfa"),
+    )
     for x in pool:
-        for build, label in ((binary_distinguisher, "flat"), (hva_distinguisher, "homing")):
+        for build, label in separators:
             spec = build(x)
             if not accepts(spec, x):
                 failures.append((label, x, "rejects its own string"))
@@ -279,15 +285,17 @@ def test_c06_separation_suite():
                 if y != x and accepts(spec, y):
                     failures.append((label, x, y))
 
-    short = [w for w in all_strings(digits, 3) if w]
+    # subsets that hold the empty string too, since e("") = 0
+    short = list(all_strings(digits, 3))
     test_words = list(all_strings(digits, 5))
     for size in (1, 2, 3):
         for subset in itertools.combinations(short, size):
-            spec = finite_language_va(subset)
             wanted = set(subset)
-            got = {w for w in test_words if accepts(spec, w)}
-            if got != wanted:
-                failures.append(("finite", subset, got ^ wanted))
+            for build in (finite_language_va, finite_language_gfa):
+                spec = build(subset)
+                got = {w for w in test_words if accepts(spec, w)}
+                if got != wanted:
+                    failures.append((build.__name__, subset, got ^ wanted))
     report(6, "separation suite", not failures, str(failures[:5]))
 
 

@@ -9,6 +9,7 @@ from vecauto.builders import (
     digit_matrix,
     encode_base,
     example,
+    finite_language_gfa,
     finite_language_nbhva,
     finite_language_va,
     hva_distinguisher,
@@ -22,7 +23,7 @@ from vecauto.langlab import (
     matches_reference,
     reference_language,
 )
-from vecauto.machines import accepts, run_deterministic, run_nondeterministic, validate
+from vecauto.machines import accepts, gfa_value, run_deterministic, run_nondeterministic, validate
 
 
 def encode_by_digit_matrices(x: str, base: int = 3) -> int:
@@ -76,6 +77,16 @@ class TestEncodeBase:
         word = "121221112122"
         assert encode_base(word) == encode_by_digit_matrices(word)
 
+    @pytest.mark.parametrize("base", [3, 10])
+    def test_digit_matrix_steps_every_power(self, base):
+        # (1, e, ..., e^4) times the matrix of digit d is the same powers
+        # of base * e + d
+        for e in (0, 1, 7):
+            for d in range(1, base):
+                powers = RowVector([e**i for i in range(5)])
+                stepped = RowVector([(base * e + d) ** i for i in range(5)])
+                assert vec_mat_mul(powers, digit_matrix(d, base, 4)) == stepped
+
 
 class TestSeparationBuilders:
     @pytest.mark.parametrize("base", range(3, 11))
@@ -88,6 +99,7 @@ class TestSeparationBuilders:
             binary_distinguisher(x, base),
             hva_distinguisher(x, base),
             finite_language_va(strings, base),
+            finite_language_gfa(strings, base),
             finite_language_nbhva(strings, base),
             finite_language_nbhva(strings + [""], base),
         ):
@@ -98,9 +110,12 @@ class TestSeparationBuilders:
         "build",
         [binary_distinguisher, hva_distinguisher,
          lambda x, base: finite_language_va([x], base),
+         lambda x, base: finite_language_gfa([x], base),
+         lambda x, base: finite_language_gfa([""], base),
          lambda x, base: finite_language_nbhva([x], base),
          lambda x, base: finite_language_nbhva([""], base)],
-        ids=["binary", "hva", "finite_va", "finite_nbhva", "finite_nbhva_empty_only"],
+        ids=["binary", "hva", "finite_va", "finite_gfa", "finite_gfa_empty_only", "finite_nbhva",
+             "finite_nbhva_empty_only"],
     )
     @settings(max_examples=10, deadline=None)
     @given(x=digit_strings(10))
@@ -172,15 +187,15 @@ class TestBinaryDistinguisher:
 
 
 class TestFiniteLanguageVa:
-    def test_pair_has_dimension_five(self):
+    def test_pair_has_dimension_three(self):
         spec = finite_language_va(["1", "2"])
-        assert spec.dimension == 5
+        assert spec.dimension == 3
         assert enumerate_accepted(spec, 5) == ["1", "2"]
 
     def test_singleton_matches_distinguisher(self):
         wide = finite_language_va(["12"])
         narrow = binary_distinguisher("12")
-        assert wide.dimension == 3
+        assert wide.dimension == 2
         assert equivalent_up_to(wide, narrow, 5).equal
 
     def test_nested_members(self):
@@ -189,13 +204,57 @@ class TestFiniteLanguageVa:
         assert accepts(spec, "11")
         assert not accepts(spec, "111")
 
-    def test_rejects_empty_member(self):
-        with pytest.raises(BuilderError):
-            finite_language_va(["1", ""])
+    def test_accepts_an_empty_member(self):
+        # e("") = 0 is a root of p like any other member's encoding
+        assert enumerate_accepted(finite_language_va(["1", ""]), 4) == ["", "1"]
 
     def test_rejects_the_empty_set(self):
         with pytest.raises(BuilderError, match="the string set must be nonempty"):
             finite_language_va([])
+
+
+class TestFiniteLanguageGfa:
+    def test_two_state_separator(self):
+        # the paper's two-state GFA: value e(y) - e(x) at cutpoint 0
+        spec = finite_language_gfa(["121"])
+        assert spec.dimension == 2
+        assert spec.gfa_final_vector == RowVector([-encode_base("121"), 1])
+        assert spec.gfa_cutpoint == 0
+        assert enumerate_accepted(spec, 5) == ["121"]
+
+    def test_value_is_the_product_of_differences(self):
+        spec = finite_language_gfa(["1", "22"])
+        for word in ["", "1", "2", "21", "22", "122"]:
+            e = encode_base(word) if word else 0
+            assert gfa_value(spec, word) == (e - 1) * (e - 8)
+
+
+def digit_string_sets(base: int):
+    """Sets of 1-5 digit strings of 0-3 digits, so "" may be a member."""
+    digits = "".join(str(d) for d in range(1, base))
+    return st.sets(st.text(digits, max_size=3), min_size=1, max_size=5)
+
+
+@pytest.mark.parametrize("build", [finite_language_va, finite_language_gfa], ids=["va", "gfa"])
+class TestFiniteSets:
+    @settings(max_examples=25, deadline=None)
+    @given(strings=digit_string_sets(3))
+    def test_base_three_accepts_exactly_the_set(self, build, strings):
+        spec = build(strings, 3)
+        assert validate(spec) == []
+        assert spec.dimension == len(strings) + 1
+        maxlen = max(map(len, strings)) + 1
+        assert enumerate_accepted(spec, maxlen) == sorted(strings, key=lambda w: (len(w), w))
+
+    @settings(max_examples=25, deadline=None)
+    @given(strings=digit_string_sets(10), words=st.lists(st.text("123456789", max_size=4)))
+    def test_base_ten_accepts_exactly_the_set(self, build, strings, words):
+        spec = build(strings, 10)
+        assert validate(spec) == []
+        assert spec.dimension == len(strings) + 1
+        # the members, their neighbours by one digit, and drawn words
+        words += [w for x in strings for w in (x, x + "1", x[:-1])]
+        assert [w for w in words if accepts(spec, w)] == [w for w in words if w in strings]
 
 
 class TestHvaDistinguisher:

@@ -293,6 +293,9 @@ class TestMalformedArguments:
             (["separate", "12", "--base", "x", "-o", "{out}"], {}),
             (["separate", "12", "13", "-o", "{out}"], {}),
             (["separate", "12", "21"], {}),
+            (["separate", "", "-o", "{out}"], {}),
+            (["separate", "", "--model", "dbhva", "-o", "{out}"], {}),
+            (["separate", "1a", "--model", "gfa", "-o", "{out}"], {}),
             (["build", "mod", "x"], {}),
             (["build", "eq"], {}),
             (["diophantine", "to-famw", "{system}"], {}),
@@ -324,7 +327,8 @@ class TestMalformedArguments:
              "separate-letter-digit", "separate-digit-of-the-base", "separate-base-two",
              "separate-base-eleven", "separate-superscript-digit", "separate-non-integer-base",
              "separate-other-with-a-foreign-symbol",
-             "separate-without-output",
+             "separate-without-output", "separate-empty-flat", "separate-empty-homing",
+             "separate-gfa-letter-digit",
              "build-non-integer-parameter", "build-without-output", "to-famw-without-output",
              "from-famw-without-output", "missing-positional", "missing-required-option",
              "unknown-command", "invalid-choice", "unknown-flag", "empty-argv"],
@@ -526,6 +530,17 @@ class TestBuildAndSeparate:
             "-o", str(tmp_path / "sep.mach"),
         )
         assert code == 0
+
+    def test_separate_gfa_model_builds_the_empty_string(self, capsys, tmp_path):
+        # dbva and dbhva refuse "", the GFA of {""} accepts it alone
+        out_path = tmp_path / "sep.mach"
+        code, records = run_cli(capsys, "separate", "", "1", "--model", "gfa",
+                                "-o", str(out_path))
+        assert (code, records) == (0, [{"verdict": "Separated", "accepts": "",
+                                        "rejects": ["1"], "failures": []}])
+        spec = load_machine(out_path)
+        assert validate(spec) == []
+        assert langlab.enumerate_accepted(spec, 3) == [""]
 
 
 class TestVerifyAndCheck:
@@ -854,6 +869,10 @@ class TestShellCommands:
           [{"verdict": "Separated", "accepts": "12", "rejects": ["21"], "failures": []}]),
          (["verify", "sep.mach", "--against", "singleton:12", "--maxlen", "6"], 0,
           [equal(6, {"kind": "VA", "states": 1, "dimension": 2}, {"reference": "only_12"})])],
+        [(["separate", "12", "21", "--model", "gfa", "-o", "sep_gfa.mach"], 0,
+          [{"verdict": "Separated", "accepts": "12", "rejects": ["21"], "failures": []}]),
+         (["verify", "sep_gfa.mach", "--against", "singleton:12", "--maxlen", "6"], 0,
+          [equal(6, {"kind": "GFA", "states": 1, "dimension": 2}, {"reference": "only_12"})])],
         [(["separate", "212", "--model", "dbhva", "-o", "sep_hva.mach"], 0,
           [{"verdict": "Separated", "accepts": "212", "rejects": [], "failures": []}]),
          (["verify", "sep_hva.mach", "--against", "singleton:212", "--maxlen", "6"], 0,
@@ -872,8 +891,8 @@ class TestShellCommands:
         [(["run", "leq.mach", "abbb", "--budget", "1"], 3,
           [{"verdict": "BudgetExceeded", "machine": HVA_1, "input": "abbb"}])],
     ], ids=["verify-against-a-machine", "check-commutative", "check-suffix", "enumerate",
-            "separate-and-verify", "separate-homing-and-verify", "verify-at-the-end-marker",
-            "traced-run", "verify-nondeterministic", "verify-out-of-budget",
+            "separate-and-verify", "separate-gfa-and-verify", "separate-homing-and-verify",
+            "verify-at-the-end-marker", "traced-run", "verify-nondeterministic", "verify-out-of-budget",
             "run-out-of-budget"])
     def test_records_and_exit_codes(self, capsys, folder, steps):
         for argv, code, records in steps:

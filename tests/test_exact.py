@@ -17,7 +17,6 @@ from vecauto.exact import (
     mat_mul,
     parse_rational,
     tensor,
-    tensor_vec,
     vec_mat_mul,
 )
 
@@ -118,21 +117,6 @@ class TestTensor:
             [0, 0, 1, 2],
             [0, 0, 3, 4],
         ])
-
-
-class TestTensorVec:
-    def test_small(self):
-        assert tensor_vec(RowVector([1, 2]), RowVector([1, 3])) == RowVector([1, 3, 2, 6])
-
-    def test_unit_right_factor(self):
-        u = RowVector([2, 5, 7])
-        assert tensor_vec(u, RowVector([1])) == u
-
-    def test_definition_oracle(self):
-        u, v = RowVector([1, 5]), RowVector([1, 7])
-        expected = [ui * vj for ui in u for vj in v]
-        assert tensor_vec(u, v) == RowVector(expected)
-        assert tensor_vec(u, v) == RowVector([1, 7, 5, 35])
 
 
 class TestInverse:
