@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import BuilderError, EncodingError
-from .exact import Matrix, RowVector, inverse, mat_mul, tensor
+from .exact import Matrix, RowVector, mat_mul, tensor
 from .machines import (
     DETERMINISTIC,
     ENDMARKER,
@@ -74,10 +74,6 @@ def encode_base(x: str, base: int = 3) -> int:
     return value
 
 
-def _reverse_encoding(x: str, base: int) -> int:
-    return encode_base(x[::-1], base)
-
-
 # ---------------------------------------------------------------------------
 # string separation
 
@@ -99,21 +95,12 @@ def unary_distinguisher(i: int, alphabet=("a", "b")) -> MachineSpec:
 
 
 def binary_distinguisher(x: str, base: int = 3) -> MachineSpec:
-    """Stateless blind VA with end-marker accepting exactly the string x.
-
-    The initial vector carries the reversed-string encoding e(x^r); each
-    digit d applies the inverse digit matrix, peeling one digit of y^r
-    off the difference, so just before the end-marker the vector is
-    (1, e(x^r) - e(y^r)). The $-matrix folds that difference into the
-    first entry, which therefore equals 1 exactly when y = x; on the
-    empty input the first entry becomes 1 + e(x^r) > 1.
-    """
+    """Stateless blind VA with end-marker accepting exactly the string x:
+    the finite-set VA of {x}, whose register before the end-marker is
+    (1, e(y))."""
     if not x:
         raise BuilderError("cannot build a distinguisher for the empty string")
-    target = _reverse_encoding(x, base)
-    rules = [(str(d), inverse(digit_matrix(d, base))) for d in range(1, base)]
-    rules.append((ENDMARKER, Matrix.from_rows([[1, target], [1, 0]])))
-    return stateless(VA, digit_alphabet(base), 2, [1, target], rules, endmarker=True)
+    return finite_language_va([x], base)
 
 
 def _finite_set(strings, base: int):
@@ -158,21 +145,21 @@ def finite_language_gfa(strings, base: int = 3) -> MachineSpec:
 def hva_distinguisher(x: str, base: int = 3) -> MachineSpec:
     """Two-state blind deterministic HVA accepting exactly the string x.
 
-    From the initial state, the first letter applies the whole encoding
-    of x^r composed with one inverse digit matrix and moves to the only
-    accept state; later letters keep peeling digits. The vector returns
-    to (1, 0) exactly when e(y^r) = e(x^r), and the empty input never
-    leaves the non-accepting initial state.
+    The register is (1, f) with f(y) = e(y) - c * base^|y| and
+    c = e(x) / base^|x|, which the digit matrices step as they step e.
+    The first letter, from the non-accepting initial state, also
+    subtracts c and moves to the only accept state. A nonempty y ends in
+    a nonzero digit, so e(y) is no multiple of the base and f(y) = 0
+    exactly when y = x.
     """
     if not x:
         raise BuilderError("cannot build a distinguisher for the empty string")
-    # the product of the digit matrices of x^r
-    encode_all = Matrix.from_rows([[1, _reverse_encoding(x, base)], [0, base ** len(x)]])
+    shift = Matrix.from_rows([[1, -Fraction(encode_base(x, base), base ** len(x))], [0, 1]])
     rules = []
     for d in range(1, base):
-        inv = inverse(digit_matrix(d, base))
-        rules.append(TransitionRule("q1", str(d), STATUS_ANY, "q2", mat_mul(encode_all, inv)))
-        rules.append(TransitionRule("q2", str(d), STATUS_ANY, "q2", inv))
+        step = digit_matrix(d, base)
+        rules.append(TransitionRule("q1", str(d), STATUS_ANY, "q2", mat_mul(shift, step)))
+        rules.append(TransitionRule("q2", str(d), STATUS_ANY, "q2", step))
     return MachineSpec(
         kind=HVA,
         mode=DETERMINISTIC,

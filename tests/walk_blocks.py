@@ -58,6 +58,7 @@ from vecauto.transforms import (
 )
 from walk_oracles import (
     WIDE,
+    counted_products,
     direct_successors,
     nonzero_initial_vector,
     one_state_gfa,
@@ -289,16 +290,6 @@ def test_a_run_by_letter_blocks_is_the_per_letter_run(name, seed, length):
     assert validate(spec) == []
     for cut, expected in enumerate(reversed(direct_runs(spec, word, BLOCK_LETTERS))):
         assert_runs_as_the_rules(spec, word[:len(word) - cut], expected)
-
-
-def counted_products(monkeypatch):
-    calls = []
-
-    def counting(register, matrix):
-        calls.append(matrix)
-        return vec_mat_mul(register, matrix)
-    monkeypatch.setattr(machines, "vec_mat_mul", counting)
-    return calls
 
 
 def test_a_wide_blind_run_multiplies_a_block_at_a_time(monkeypatch):

@@ -21,7 +21,7 @@ from machine_gen import blind_counter_ab, random_dva, random_nbhva_endmarker
 from vecauto import langlab, machines
 from vecauto.builders import finite_language_va
 from vecauto.errors import UndecidedError
-from vecauto.exact import Matrix, vec_mat_mul
+from vecauto.exact import Matrix
 from vecauto.fileformat import parse_machine, write_machine
 from vecauto.machines import (
     DETERMINISTIC,
@@ -44,6 +44,7 @@ from walk_oracles import (
     GENERATORS,
     MACHINES,
     REFERENCE_BUDGETS,
+    counted_products,
     member,
     verdict_or_undecided,
 )
@@ -156,16 +157,6 @@ def test_the_deterministic_last_letter_is_judged_as_stepped(seed):
 def fresh(spec):
     """`spec` written and parsed again: a machine with no step memo."""
     return parse_machine(write_machine(spec))
-
-
-def counted_products(monkeypatch):
-    calls = []
-
-    def counting(register, matrix):
-        calls.append(matrix)
-        return vec_mat_mul(register, matrix)
-    monkeypatch.setattr(machines, "vec_mat_mul", counting)
-    return calls
 
 
 def eps_acyclic_nbhva():

@@ -6,7 +6,8 @@ The oracles judge each word by its own run: `member` asks
 `per_word_walk`, `per_word_disagreement` and `first_disagreements` give
 the walk's and the pair walk's verdicts from it. `direct_successors`
 evaluates the rules in Fractions, with no memo. `assert_no_run_starts`
-asks every entry point of a machine whose rules conflict."""
+asks every entry point of a machine whose rules conflict, and
+`counted_products` records the register products a run makes."""
 
 import contextlib
 import io
@@ -35,7 +36,7 @@ from vecauto.builders import (
 )
 from vecauto.cli import main
 from vecauto.errors import InconsistentSpecError, UndecidedError
-from vecauto.exact import Matrix, RowVector
+from vecauto.exact import Matrix, RowVector, vec_mat_mul
 from vecauto.langlab import (
     ReferenceLanguage,
     all_strings,
@@ -370,6 +371,18 @@ WIDE = Fraction(3 ** 40, 2 ** 64)
 
 def wide_nbhva(rng):
     return scale_initial_vector(nonzero_initial_vector(random_nbhva_endmarker, rng), WIDE)[0]
+
+
+def counted_products(monkeypatch):
+    """The matrices that `machines` multiplies a register by, in order,
+    from here on."""
+    calls = []
+
+    def counting(register, matrix):
+        calls.append(matrix)
+        return vec_mat_mul(register, matrix)
+    monkeypatch.setattr(machines, "vec_mat_mul", counting)
+    return calls
 
 
 def verdict_or_undecided(judge, *args):
